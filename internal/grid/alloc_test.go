@@ -45,3 +45,34 @@ func TestEngineAllocBudgetEstimatorDigests(t *testing.T) {
 		t.Errorf("estimator-digest engine run allocates %.2f/event, budget %.2f", per, budget)
 	}
 }
+
+// TestSchedulerExecZeroAlloc: Exec's own bookkeeping — the busyUntil
+// chain, the work FIFO and the completion lane — allocates nothing once
+// warm. The work itself is a preallocated func, so whatever remains
+// would be Exec's.
+func TestSchedulerExecZeroAlloc(t *testing.T) {
+	eng, err := New(testConfig(), &stubPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, k := eng.Schedulers[0], eng.K
+	ran := 0
+	work := func() { ran++ }
+	cycle := func() {
+		// Two items queue behind each other, then both retire.
+		s.Exec(1, work)
+		s.Exec(1, work)
+		for s.cpu.n > 0 {
+			k.Step()
+		}
+	}
+	for i := 0; i < 16; i++ { // grow the ring and warm the free list
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("steady-state Exec cycle allocates %.1f times, want 0", allocs)
+	}
+	if ran == 0 {
+		t.Fatal("queued work never ran")
+	}
+}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"rmscale/internal/sim"
 	"rmscale/internal/workload"
 )
 
@@ -71,25 +72,49 @@ func (d *depTracker) terminate(jobID int) []*workload.Job {
 // Held reports how many jobs are currently waiting on parents.
 func (d *depTracker) Held() int { return len(d.outstanding) }
 
-// startWithDeps wires arrivals for a workload containing precedence
-// constraints. Independent jobs arrive normally; dependent jobs arrive
-// at max(arrival, release time).
-func (e *Engine) startWithDeps() {
-	e.depsT = newDepTracker()
+// startArrivals puts the whole arrival stream on one lane. The jobs are
+// sorted by arrival (Generate and UseJobs guarantee it), so each append
+// takes its sequence number in job order, exactly as one Schedule per
+// job would, and a single callback walks the list. A job held on
+// precedence constraints only records that its arrival time passed, so
+// a later release admits it at once (see jobTerminated).
+func (e *Engine) startArrivals() {
+	var held []bool
 	for _, j := range e.jobs {
-		j := j
-		if len(j.Deps) == 0 || !e.depsT.register(j) {
-			e.K.Schedule(j.Arrival, func() { e.admitJob(j) })
-			continue
+		if len(j.Deps) > 0 {
+			held = e.registerDeps()
+			break
 		}
-		// Held: record when its arrival time passes so a later
-		// release admits it immediately.
-		e.K.Schedule(j.Arrival, func() {
+	}
+	lane := sim.NewLane(e.K)
+	next := 0
+	arrive := func() {
+		i := next
+		next++
+		j := e.jobs[i]
+		if held != nil && held[i] {
 			if e.depsT.outstanding[j.ID] > 0 {
 				e.depsT.arrived[j.ID] = true
 			}
-		})
+			return
+		}
+		e.admitJob(j)
 	}
+	for _, j := range e.jobs {
+		lane.Append(j.Arrival, arrive)
+	}
+}
+
+// registerDeps arms the dependency tracker for a workload containing
+// precedence constraints and reports, per job, whether it starts held
+// on parents.
+func (e *Engine) registerDeps() []bool {
+	e.depsT = newDepTracker()
+	held := make([]bool, len(e.jobs))
+	for i, j := range e.jobs {
+		held[i] = len(j.Deps) > 0 && e.depsT.register(j)
+	}
+	return held
 }
 
 // admitJob delivers a job to its submission scheduler. With faults

@@ -127,7 +127,7 @@ func TestPrecedenceReleasedOnLoss(t *testing.T) {
 	// Simulate job 0 being dropped before running: its dependent must
 	// still be released.
 	e.Metrics.JobsArrived = len(jobs)
-	e.startWithDeps()
+	e.startArrivals()
 	e.dropJob(&JobCtx{Job: jobs[0]})
 	e.K.Run(5000)
 	if e.HeldJobs() != 0 {

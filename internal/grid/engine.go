@@ -142,6 +142,7 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 			views:   make([]resourceView, len(mp.ClusterResources[c])),
 			rand:    e.src.Stream(fmt.Sprintf("sched:%d", c)),
 		}
+		s.cpu.init(e.K, s.cpu.runGuarded)
 		s.peers = buildPeers(c, cfg.Spec.Clusters, cfg.Enablers.NeighborhoodSize, s.rand)
 		s.permScratch = make([]int, len(s.peers))
 		s.peerScratch = make([]int, len(s.peers))
@@ -156,15 +157,18 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 		})
 	}
 	for i := 0; i < cfg.Spec.Estimators; i++ {
-		e.Estimators = append(e.Estimators, &Estimator{
+		est := &Estimator{
 			id:     i,
 			node:   mp.EstimatorNode[i],
 			eng:    e,
 			buffer: make([][]statusItem, cfg.Spec.Clusters),
-		})
+		}
+		est.cpu.init(e.K, est.cpu.runGuarded)
+		e.Estimators = append(e.Estimators, est)
 	}
 	if p.UsesMiddleware() {
 		e.mw = &middleware{eng: e}
+		e.mw.cpu.init(e.K, e.mw.forward)
 	}
 	e.faults = e.src.Stream("faults")
 	if cfg.Faults.protocolFaults() {
@@ -304,23 +308,7 @@ func (e *Engine) Run() Summary {
 			}
 		}
 	}
-	// Job arrivals: precedence-constrained workloads go through the
-	// dependency tracker; plain workloads arrive directly.
-	hasDeps := false
-	for _, j := range e.jobs {
-		if len(j.Deps) > 0 {
-			hasDeps = true
-			break
-		}
-	}
-	if hasDeps {
-		e.startWithDeps()
-	} else {
-		for _, j := range e.jobs {
-			j := j
-			e.K.Schedule(j.Arrival, func() { e.admitJob(j) })
-		}
-	}
+	e.startArrivals()
 
 	window := e.Cfg.Horizon + e.Cfg.Drain
 	e.K.Run(window)
@@ -587,8 +575,8 @@ func (e *Engine) dropJob(ctx *JobCtx) {
 // queue with infinite capacity and a small, finite service time that
 // every inter-scheduler message passes through.
 type middleware struct {
-	eng       *Engine
-	busyUntil sim.Time
+	eng *Engine
+	cpu server
 }
 
 // enqueue routes a message through the middleware: network delay to the
@@ -597,19 +585,19 @@ type middleware struct {
 //lint:hotpath the S-I family funnels every message through this queue; engine/S-I/allocs_per_event budgets it
 func (mw *middleware) enqueue(netDelay sim.Time, deliver func()) {
 	k := mw.eng.K
-	arrive := k.Now() + netDelay/2
+	half := netDelay / 2
 	//lint:allow hotalloc the middleware arrival closure; the S-I family's allocs_per_event gate budgets the extra hop
-	k.Schedule(arrive, func() {
-		start := mw.busyUntil
-		if start < k.Now() {
-			start = k.Now()
-		}
-		finish := start + mw.eng.Cfg.Protocol.MiddlewareTime
-		mw.busyUntil = finish
+	k.Schedule(k.Now()+half, func() {
 		mw.eng.Metrics.MiddlewareBusy += mw.eng.Cfg.Protocol.MiddlewareTime
-		//lint:allow hotalloc the middleware service-completion closure; the S-I family's allocs_per_event gate budgets it
-		k.Schedule(finish, func() {
-			k.After(netDelay/2, deliver)
-		})
+		mw.cpu.submit(k.Now(), mw.eng.Cfg.Protocol.MiddlewareTime, work{fn: deliver, fwd: half})
 	})
+}
+
+// forward is the middleware's retire callback: a message whose service
+// completed starts the second half of its network leg.
+//
+//lint:hotpath the S-I family's service-completion path; engine/S-I/allocs_per_event budgets it
+func (mw *middleware) forward() {
+	w := mw.cpu.next()
+	mw.eng.K.After(w.fwd, w.fn)
 }

@@ -22,17 +22,16 @@ type Estimator struct {
 	node int
 	eng  *Engine
 
-	busyUntil sim.Time
+	cpu server
 	// buffer[cluster] holds updates pending digestion for that
 	// cluster's scheduler. The slices are retained and reused across
 	// digest cycles, so a steady-state flush allocates only the digest
 	// snapshot it broadcasts.
 	buffer [][]statusItem
 
-	// Fault state (see faults.go): a crash empties the buffer and the
-	// epoch bump destroys queued CPU work.
-	down  bool
-	epoch int
+	// Fault state (see faults.go): a crash empties the buffer and bumps
+	// cpu.epoch, which destroys queued CPU work.
+	down bool
 }
 
 // ID returns the estimator index.
@@ -50,31 +49,11 @@ func (e *Estimator) exec(cost float64, fn func()) {
 	}
 	busy := cost / e.eng.Cfg.Costs.SchedulerSpeed
 	e.eng.Metrics.chargeEstimator(e.id, cost, busy)
-	now := e.eng.K.Now()
-	start := e.busyUntil
-	if start < now {
-		start = now
-	}
-	finish := start + busy
-	e.busyUntil = finish
-	epoch := e.epoch
-	//lint:allow hotalloc the queued work item with its epoch guard is the estimator CPU's budgeted allocation (engine allocs_per_event gate)
-	e.eng.K.Schedule(finish, func() {
-		if e.epoch != epoch {
-			return
-		}
-		fn()
-	})
+	e.cpu.submit(e.eng.K.Now(), busy, work{fn: fn})
 }
 
 // QueueDelay reports how far behind the estimator's CPU currently is.
-func (e *Estimator) QueueDelay() sim.Time {
-	d := e.busyUntil - e.eng.K.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (e *Estimator) QueueDelay() sim.Time { return e.cpu.queueDelay(e.eng.K.Now()) }
 
 // receive ingests one resource update.
 func (e *Estimator) receive(rid int, load float64, at sim.Time) {

@@ -100,7 +100,7 @@ func (e *Engine) crashScheduler(s *Scheduler, repair sim.Time) {
 		return
 	}
 	s.down = true
-	s.epoch++
+	s.cpu.epoch++
 	e.Metrics.SchedulerCrashes++
 	e.Metrics.SchedulerDowntime += repair
 	if e.Tracer.On() {
@@ -209,7 +209,7 @@ func (e *Engine) crashEstimator(est *Estimator, repair sim.Time) {
 		return
 	}
 	est.down = true
-	est.epoch++
+	est.cpu.epoch++
 	for c := range est.buffer {
 		est.buffer[c] = est.buffer[c][:0]
 	}

@@ -35,7 +35,7 @@ type Scheduler struct {
 	node    int
 	eng     *Engine
 
-	busyUntil sim.Time
+	cpu server
 	// views holds the believed state of the cluster's local resources,
 	// dense by local index (Engine.localIdx maps a resource id to its
 	// slot). Every decision scan walks this array; keeping it a flat
@@ -52,12 +52,11 @@ type Scheduler struct {
 	peerScratch []int
 	oneRid      [1]int
 
-	// Fault state (see faults.go). epoch invalidates queued Exec work
-	// when a crash destroys the scheduler's CPU state; owned tracks the
-	// jobs this scheduler is responsible for so a crash can re-home
-	// them; parked holds jobs waiting out this scheduler's downtime.
+	// Fault state (see faults.go). A crash bumps cpu.epoch, which
+	// invalidates queued Exec work; owned tracks the jobs this scheduler
+	// is responsible for so a crash can re-home them; parked holds jobs
+	// waiting out this scheduler's downtime.
 	down   bool
-	epoch  int
 	owned  map[int]*JobCtx
 	parked []*JobCtx
 
@@ -211,7 +210,8 @@ func (s *Scheduler) Utilization() float64 {
 // Exec serializes cost units of work through the scheduler's CPU and
 // runs fn when the work retires. The cost accrues to G immediately (it
 // is committed work); queueing delay emerges from the busyUntil chain,
-// which is what saturates a central scheduler at scale.
+// which is what saturates a central scheduler at scale. Work queued
+// before a crash dies with it (the epoch guard in server.runGuarded).
 func (s *Scheduler) Exec(cost float64, fn func()) {
 	if cost < 0 {
 		//lint:allow hotalloc panic path: fires once on a caller bug, never in a measured run
@@ -226,34 +226,14 @@ func (s *Scheduler) Exec(cost float64, fn func()) {
 	busy := cost / s.eng.Cfg.Costs.SchedulerSpeed
 	s.eng.Metrics.chargeScheduler(s.cluster, cost, busy)
 	now := s.eng.K.Now()
-	start := s.busyUntil
-	if start < now {
-		start = now
-	} else if d := float64(start - now); d > s.eng.Metrics.MaxSchedDelay {
+	start := s.cpu.submit(now, busy, work{fn: fn})
+	if d := float64(start - now); d > s.eng.Metrics.MaxSchedDelay {
 		s.eng.Metrics.MaxSchedDelay = d
 	}
-	finish := start + busy
-	s.busyUntil = finish
-	// Work queued before a crash dies with it: the closure only runs
-	// while the epoch it was scheduled under is still current.
-	epoch := s.epoch
-	//lint:allow hotalloc the queued work item with its epoch guard is the scheduler CPU's budgeted allocation (engine allocs_per_event gate)
-	s.eng.K.Schedule(finish, func() {
-		if s.epoch != epoch {
-			return
-		}
-		fn()
-	})
 }
 
 // QueueDelay reports how far behind the scheduler's CPU currently is.
-func (s *Scheduler) QueueDelay() sim.Time {
-	d := s.busyUntil - s.eng.K.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (s *Scheduler) QueueDelay() sim.Time { return s.cpu.queueDelay(s.eng.K.Now()) }
 
 // ExecDecision runs fn after charging one scheduling decision that
 // scanned the given number of candidates.

@@ -1,12 +1,13 @@
 // Package perfbench is the repository's benchmark-regression harness.
 //
-// It runs the kernel micro-benchmarks, one smoke-fidelity grid
-// simulation per RMS model, and one rmscaled load iteration (1000
-// experiment objects over HTTP against an in-process daemon, see
-// service.go), condenses them into a small set of named metrics
-// (ns/event, allocs/event, events/sec, per-model engine throughput,
-// service dedup counts and latency percentiles) and emits a
-// machine-readable report (the committed BENCH_sim.json baseline).
+// It runs the kernel micro-benchmarks, a smoke-fidelity grid simulation
+// per RMS model (repeated; the event loop's speed is a median), and one
+// rmscaled load iteration (1000 experiment objects over HTTP against an
+// in-process daemon, see service.go), condenses them into a small set
+// of named metrics (ns/event, allocs/event, events/sec, per-model
+// engine event counts and throughput, service dedup counts and latency
+// percentiles) and emits a machine-readable report (the committed
+// BENCH_sim.json baseline).
 // Compare gates a fresh report against the baseline:
 //
 //   - "exact" metrics (simulated event counts) are deterministic in the
@@ -186,49 +187,74 @@ func benchTickerCycle(b *testing.B) {
 	}
 }
 
-// engineMetrics runs one base-grid smoke simulation for the model and
+// engineRuns is the number of timed Run calls engineMetrics takes the
+// median of.
+const engineRuns = 5
+
+// engineMetrics runs the base-grid smoke simulation for the model and
 // reports its event count (exact-gated: the simulation is deterministic
-// in the seed), allocations per event (max-gated) and throughput.
+// in the seed), allocations per event (max-gated, engine construction
+// included) and the event loop's speed: ns per event and events per
+// second from the median of engineRuns timed runs (ungated).
+//
+// Only Run is timed; each repetition builds a fresh engine untimed.
+// The throughput used to come from a single timing of NewEngine+Run,
+// which put the substrate build (40-55% of a smoke run) and single-run
+// noise (2x between runs) into the rate. The "RESERVE anomaly" (0.22M
+// events/s against 1-2M for the other models) was that measurement
+// artefact, not the model: three repetitions of the same build+run
+// measured RESERVE at 1.5-2.0M events/s.
 func engineMetrics(model string) ([]Metric, error) {
-	run := func() (uint64, error) {
+	build := func() (*rmscale.Engine, error) {
 		p, err := rmscale.ModelByName(model)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		cfg := rmscale.DefaultConfig()
 		cfg.Seed = benchSeed
-		eng, err := rmscale.NewEngine(cfg, p)
+		return rmscale.NewEngine(cfg, p)
+	}
+	var events uint64
+	ns := make([]float64, 0, engineRuns)
+	for i := 0; i < engineRuns; i++ {
+		eng, err := build()
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
+		start := time.Now()
 		eng.Run()
-		return eng.K.Processed(), nil
+		ns = append(ns, float64(time.Since(start).Nanoseconds()))
+		n := eng.K.Processed()
+		if i > 0 && n != events {
+			return nil, fmt.Errorf("perfbench: model %s processed %d events, then %d", model, events, n)
+		}
+		events = n
 	}
-	start := time.Now()
-	events, err := run()
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
 	if events == 0 {
 		return nil, fmt.Errorf("perfbench: model %s processed no events", model)
 	}
 	var runErr error
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := run(); err != nil {
+		eng, err := build()
+		if err != nil {
 			runErr = err
+			return
 		}
+		eng.Run()
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
+	sort.Float64s(ns)
+	perEvent := ns[len(ns)/2] / float64(events)
 	prefix := "engine/" + model
 	out := []Metric{
 		{Name: prefix + "/events", Value: float64(events), Unit: "events", Gate: GateExact},
 		{Name: prefix + "/allocs_per_event", Value: allocs / float64(events), Unit: "allocs", Gate: GateMax},
+		{Name: prefix + "/ns_per_event", Value: perEvent, Unit: "ns", Gate: GateNone},
 	}
-	if s := elapsed.Seconds(); s > 0 {
-		out = append(out, Metric{Name: prefix + "/events_per_sec", Value: float64(events) / s, Unit: "events/s", Gate: GateNone})
+	if perEvent > 0 {
+		out = append(out, Metric{Name: prefix + "/events_per_sec", Value: 1e9 / perEvent, Unit: "events/s", Gate: GateNone})
 	}
 	return out, nil
 }

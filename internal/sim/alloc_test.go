@@ -91,3 +91,27 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		t.Fatal("nil tracer reports On")
 	}
 }
+
+// TestSharedTickerLaneRearmZeroAlloc: tickers of one period share a
+// lane; once its ring is warm a tick (fire, promote the next head,
+// rearm at the tail) allocates nothing.
+func TestSharedTickerLaneRearmZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	n := 0
+	for i := 0; i < 3; i++ {
+		NewTicker(k, 2, func() { n++ })
+		k.Run(k.Now() + 0.5) // stagger the phases along the shared lane
+	}
+	for k.Processed() < 64 {
+		k.Step()
+	}
+	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
+		t.Errorf("shared-lane ticker rearm allocates %.1f times, want 0", allocs)
+	}
+	if len(k.tickLanes) != 1 {
+		t.Fatalf("%d ticker lanes for one period, want 1", len(k.tickLanes))
+	}
+	if n == 0 {
+		t.Fatal("tickers never fired")
+	}
+}

@@ -1,8 +1,14 @@
 package sim
 
 // This file is the kernel's future event list: a 4-ary implicit
-// min-heap of *Event ordered by (time, sequence), with lazy deletion of
-// cancelled events and a free list that recycles Event structs.
+// min-heap ordered by (time, sequence), with lazy deletion of cancelled
+// events and a free list that recycles Event structs.
+//
+// The heap holds pointer-free slots — the key inline plus the event's
+// id in fel.evs — not *Event. A sift moves slots level by level, and
+// moving a pointer costs a GC write barrier whenever the collector is
+// marking, which in this allocation-heavy workload is much of the
+// time; comparing inline keys also skips a dereference per child.
 //
 // Why not container/heap: the interface-based heap routes every push
 // and pop through heap.Interface method calls and `any` conversions on
@@ -24,17 +30,25 @@ package sim
 // be worth rebuilding the heap.
 const compactMin = 64
 
-// before orders events by (time, sequence) — the kernel's total order.
-func (e *Event) before(o *Event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// slot is one heap entry: the event's key inline plus its id.
+type slot struct {
+	at  Time
+	seq uint64
+	id  int32
+}
+
+// before orders slots by (time, sequence) — the kernel's total order.
+func (a slot) before(b slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return e.seq < o.seq
+	return a.seq < b.seq
 }
 
 // fel is the future event list.
 type fel struct {
-	ev []*Event
+	ev  []slot
+	evs []*Event // every Event the kernel ever allocated, by id
 	// dead counts cancelled events still buried in the heap. Cancel
 	// marks and counts; pop and compact collect.
 	dead int
@@ -43,31 +57,34 @@ type fel struct {
 // live returns the number of pending non-cancelled events.
 func (f *fel) live() int { return len(f.ev) - f.dead }
 
+// top returns the earliest event without removing it.
+func (f *fel) top() *Event { return f.evs[f.ev[0].id] }
+
 // push inserts e, sifting it up to its (time, sequence) position.
 func (f *fel) push(e *Event) {
 	e.inFEL = true
+	s := slot{at: e.at, seq: e.seq, id: e.id}
 	i := len(f.ev)
-	f.ev = append(f.ev, e)
+	f.ev = append(f.ev, s)
 	for i > 0 {
 		p := (i - 1) >> 2
-		pe := f.ev[p]
-		if !e.before(pe) {
+		ps := f.ev[p]
+		if !s.before(ps) {
 			break
 		}
-		f.ev[i] = pe
+		f.ev[i] = ps
 		i = p
 	}
-	f.ev[i] = e
+	f.ev[i] = s
 }
 
 // pop removes and returns the earliest event. The caller must know the
 // list is non-empty.
 func (f *fel) pop() *Event {
-	root := f.ev[0]
+	root := f.evs[f.ev[0].id]
 	root.inFEL = false
 	n := len(f.ev) - 1
 	last := f.ev[n]
-	f.ev[n] = nil
 	f.ev = f.ev[:n]
 	if n > 0 {
 		f.siftDown(last, 0)
@@ -75,31 +92,31 @@ func (f *fel) pop() *Event {
 	return root
 }
 
-// siftDown places e at index i, walking it down past smaller children.
-func (f *fel) siftDown(e *Event, i int) {
+// siftDown places s at index i, walking it down past smaller children.
+func (f *fel) siftDown(s slot, i int) {
 	n := len(f.ev)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		m, me := c, f.ev[c]
+		m, ms := c, f.ev[c]
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if f.ev[j].before(me) {
-				m, me = j, f.ev[j]
+			if f.ev[j].before(ms) {
+				m, ms = j, f.ev[j]
 			}
 		}
-		if !me.before(e) {
+		if !ms.before(s) {
 			break
 		}
-		f.ev[i] = me
+		f.ev[i] = ms
 		i = m
 	}
-	f.ev[i] = e
+	f.ev[i] = s
 }
 
 // compact removes every cancelled event in one sweep and re-heapifies
@@ -109,16 +126,13 @@ func (f *fel) siftDown(e *Event, i int) {
 func (k *Kernel) compact() {
 	f := &k.fel
 	live := f.ev[:0]
-	for _, e := range f.ev {
-		if e.canceled {
+	for _, s := range f.ev {
+		if e := f.evs[s.id]; e.canceled {
 			e.inFEL = false
 			k.recycle(e)
 			continue
 		}
-		live = append(live, e)
-	}
-	for i := len(live); i < len(f.ev); i++ {
-		f.ev[i] = nil
+		live = append(live, s)
 	}
 	f.ev = live
 	f.dead = 0
@@ -140,7 +154,7 @@ func (k *Kernel) maybeCompact() {
 // is dropped immediately so the free list never pins model state.
 func (k *Kernel) recycle(e *Event) {
 	e.fn = nil
-	k.free = append(k.free, e)
+	k.free = append(k.free, e.id)
 }
 
 // newEvent takes a struct off the free list (or allocates the list's
@@ -148,19 +162,26 @@ func (k *Kernel) recycle(e *Event) {
 // every grid run reaches within one ticker period — Schedule performs
 // zero heap allocations.
 func (k *Kernel) newEvent(at Time, fn func()) *Event {
-	var e *Event
+	e := k.eventAt(at, k.seq, fn)
+	k.seq++
+	return e
+}
+
+// eventAt initializes a free-list Event under an explicit sequence
+// number: newEvent passes the next one, a lane (lane.go) the one its
+// head item reserved at append time.
+func (k *Kernel) eventAt(at Time, seq uint64, fn func()) *Event {
 	if n := len(k.free); n > 0 {
-		e = k.free[n-1]
-		k.free[n-1] = nil
+		e := k.fel.evs[k.free[n-1]]
 		k.free = k.free[:n-1]
 		e.at = at
-		e.seq = k.seq
+		e.seq = seq
 		e.fn = fn
 		e.canceled = false
-	} else {
-		//lint:allow hotalloc free-list cold start: each Event struct is allocated once here and recycled forever after
-		e = &Event{at: at, seq: k.seq, fn: fn}
+		return e
 	}
-	k.seq++
+	//lint:allow hotalloc free-list cold start: each Event struct is allocated once here and recycled forever after
+	e := &Event{at: at, seq: seq, fn: fn, id: int32(len(k.fel.evs))}
+	k.fel.evs = append(k.fel.evs, e)
 	return e
 }

@@ -2,11 +2,11 @@
 //
 // It replaces the Parsec simulation environment used by the paper: a
 // single-threaded event loop with an implicit 4-ary-heap future event
-// list, a simulated clock, cancellable events, and named deterministic
-// random number streams. Determinism is total: two runs with the same
-// seed and the same schedule of calls produce identical event orders,
-// because ties in event time are broken by a monotonically increasing
-// sequence number.
+// list plus order-preserving FIFO lanes (lane.go), a simulated clock,
+// cancellable events, and named deterministic random number streams.
+// Determinism is total: two runs with the same seed and the same
+// schedule of calls produce identical event orders, because ties in
+// event time are broken by a monotonically increasing sequence number.
 //
 // The kernel is the cost center of the whole reproduction (every figure
 // re-runs the grid simulation hundreds of times inside the annealing
@@ -37,12 +37,14 @@ const Infinity Time = math.MaxFloat64
 // cancelled event, until the kernel collects it). The kernel recycles
 // retired Event structs, so retaining a handle past that point and
 // cancelling it later may cancel an unrelated future event — a model
-// bug, just like scheduling in the past. Every in-tree holder (the
-// Ticker, protocol sessions) refreshes its handle on each reschedule.
+// bug, just like scheduling in the past. Tickers hold no Event: their
+// ticks are lane items (lane.go), and a ticker drops its lane position
+// the moment its tick fires.
 type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
+	id       int32 // index in fel.evs
 	canceled bool
 	inFEL    bool // currently linked into the future event list
 }
@@ -59,10 +61,18 @@ func (e *Event) Canceled() bool { return e.canceled }
 type Kernel struct {
 	now       Time
 	seq       uint64
-	fel       fel // future event list (fel.go)
-	free      []*Event
+	fel       fel     // future event list (fel.go)
+	free      []int32 // ids of retired Events
 	processed uint64
 	stopped   bool
+
+	// lanes lists every FIFO lane on this kernel (lane.go), for the
+	// diagnostic NextEventTimes; laneWaiting counts their live items
+	// queued behind the heads (each head is in the FEL as a proxy).
+	// tickLanes shares one lane among all tickers of a period.
+	lanes       []*Lane
+	laneWaiting int
+	tickLanes   map[Time]*Lane
 
 	// MaxEvents, when non-zero, bounds the number of events a single
 	// Run may process; exceeding it stops the run and sets Overflowed.
@@ -92,9 +102,10 @@ func (k *Kernel) Now() Time { return k.now }
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// Pending returns the number of live (non-cancelled) events in the
-// future event list.
-func (k *Kernel) Pending() int { return k.fel.live() }
+// Pending returns the number of live (non-cancelled) events waiting to
+// fire: those in the future event list plus lane items behind their
+// lane's head.
+func (k *Kernel) Pending() int { return k.fel.live() + k.laneWaiting }
 
 // Schedule arranges for fn to run at absolute simulated time at.
 // Scheduling in the past panics: it is always a model bug.
@@ -230,7 +241,7 @@ func (k *Kernel) runLimit(limit Time, strict bool) uint64 {
 			k.Overflowed = true
 			break
 		}
-		next := k.fel.ev[0]
+		next := k.fel.top()
 		if next.canceled {
 			k.fel.pop()
 			k.fel.dead--
@@ -264,7 +275,7 @@ func (k *Kernel) runLimit(limit Time, strict bool) uint64 {
 // behaviour-invisible.
 func (k *Kernel) NextTime() (Time, bool) {
 	for len(k.fel.ev) > 0 {
-		e := k.fel.ev[0]
+		e := k.fel.top()
 		if !e.canceled {
 			return e.at, true
 		}
@@ -322,14 +333,18 @@ func (k *Kernel) Err() error {
 }
 
 // NextEventTimes returns the firing times of up to n earliest pending
-// live events, in order. It is a diagnostic accessor for post-mortem
-// dumps and does not disturb the future event list.
+// live events, lane items included, in order. It is a diagnostic
+// accessor for post-mortem dumps and does not disturb the future event
+// list.
 func (k *Kernel) NextEventTimes(n int) []Time {
 	times := make([]Time, 0, n)
-	for _, e := range k.fel.ev {
-		if !e.canceled {
-			times = append(times, e.at)
+	for _, s := range k.fel.ev {
+		if !k.fel.evs[s.id].canceled {
+			times = append(times, s.at)
 		}
+	}
+	for _, l := range k.lanes {
+		times = l.waitingTimes(times)
 	}
 	sortTimes(times)
 	if len(times) > n {

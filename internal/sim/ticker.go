@@ -4,12 +4,19 @@ package sim
 // until the kernel runs out of horizon. It is the building block for
 // periodic status updates, volunteering intervals, and estimator digest
 // cycles.
+//
+// All tickers of one period on one kernel share a FIFO lane (lane.go):
+// a rearm lands at now+period, and fl(t+p) is monotone in t, so the
+// shared lane stays sorted and only its head occupies the future event
+// list.
 type Ticker struct {
 	k      *Kernel
 	period Time
 	fn     func()
-	tick   func() // single reusable rearm closure; see NewTicker
-	ev     *Event
+	tick   func() // t.fire as a method value, built once; see NewTicker
+	lane   *Lane  // the lane of the current period
+	pos    uint64 // lane position of the pending tick, valid while armed
+	armed  bool
 	done   bool
 }
 
@@ -17,51 +24,51 @@ type Ticker struct {
 // from now. A non-positive period returns a stopped ticker (the process
 // is disabled), which lets callers treat "interval = 0" as "off".
 //
-// The rearm closure is built once here: with the kernel's event free
-// list warm, every subsequent tick reschedules with zero heap
-// allocations — tickers are the highest-frequency periodic load in a
-// grid run (every resource, estimator and scheduler carries one).
-//
-//lint:hotpath kernel/ticker gates the steady tick-rearm cycle at zero allocations per event
+// The rearm callback is built once here: with the period's lane warm,
+// every subsequent tick rearms with zero heap allocations — tickers are
+// the highest-frequency periodic load in a grid run (every resource,
+// estimator and scheduler carries one).
 func NewTicker(k *Kernel, period Time, fn func()) *Ticker {
-	//lint:allow hotalloc one-time construction: the ticker struct is allocated once per periodic process
 	t := &Ticker{k: k, period: period, fn: fn}
-	//lint:allow hotalloc the single reusable rearm closure; paying for it once here is what makes every later tick allocation-free
-	t.tick = func() {
-		if t.done {
-			return
-		}
-		t.fn()
-		if !t.done { // fn may have stopped us
-			t.arm()
-		} else {
-			// The firing event retires when this callback returns; drop
-			// the handle so a later Stop cannot cancel its recycled
-			// successor.
-			t.ev = nil
-		}
-	}
+	t.tick = t.fire
 	if period <= 0 {
 		t.done = true
 		return t
 	}
+	t.lane = k.tickerLane(period)
 	t.arm()
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.k.After(t.period, t.tick)
+// fire is the lane callback of one tick. The tick's lane item retires
+// as it fires, so the position is dropped first: a Stop from inside fn
+// (or later) has nothing to cancel.
+//
+//lint:hotpath kernel/ticker gates the steady tick-rearm cycle at zero allocations per event
+func (t *Ticker) fire() {
+	t.armed = false
+	t.fn()
+	if !t.done && !t.armed { // fn may have stopped or reset us
+		t.arm()
+	}
 }
 
-// Stop cancels the ticker. It is safe to call repeatedly and from within
+// arm queues the next tick one period from now on the period's lane.
+//
+//lint:hotpath the per-tick rearm; kernel/ticker gates it at zero allocations per event
+func (t *Ticker) arm() {
+	t.pos = t.lane.append(t.k.now+t.period, t.tick)
+	t.armed = true
+}
+
+// Stop cancels the ticker: its pending tick never fires and never
+// counts as processed. It is safe to call repeatedly and from within
 // the tick callback.
 func (t *Ticker) Stop() {
 	t.done = true
-	if t.ev != nil {
-		t.k.Cancel(t.ev)
-		// The cancelled event's struct will be recycled; a retained
-		// handle must not outlive it (see Event's lifetime note).
-		t.ev = nil
+	if t.armed {
+		t.lane.cancel(t.pos)
+		t.armed = false
 	}
 }
 
@@ -78,7 +85,22 @@ func (t *Ticker) Reset(period Time) {
 	t.Stop()
 	t.period = period
 	if period > 0 {
+		t.lane = t.k.tickerLane(period)
 		t.done = false
 		t.arm()
 	}
+}
+
+// tickerLane returns the lane shared by every ticker of the period,
+// creating it on first use.
+func (k *Kernel) tickerLane(period Time) *Lane {
+	if l := k.tickLanes[period]; l != nil {
+		return l
+	}
+	if k.tickLanes == nil {
+		k.tickLanes = make(map[Time]*Lane)
+	}
+	l := NewLane(k)
+	k.tickLanes[period] = l
+	return l
 }

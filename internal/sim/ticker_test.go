@@ -49,9 +49,9 @@ func TestTickerStopFromCallback(t *testing.T) {
 
 // TestTickerStopRacingPendingRearm is the handle-lifetime contract
 // under fire: a sibling event at the same timestamp as a tick stops the
-// ticker while its rearm event is pending in the FEL. The cancelled
-// rearm's struct is recycled by the free list and handed to an
-// unrelated event; a second (stale) Stop must not cancel that
+// ticker while its rearm is pending at the head of its lane. The
+// cancelled head's proxy struct is recycled by the free list and handed
+// to an unrelated event; a second (stale) Stop must not cancel that
 // successor. This is exactly the interleaving the parallel executor's
 // barrier makes routine — cross-shard deliveries land between a tick
 // and its sibling events — so the contract is pinned here at kernel
@@ -91,20 +91,19 @@ func TestTickerStopRacingPendingRearm(t *testing.T) {
 
 // TestTickerStopInCallbackThenStaleStop covers the other rearm race:
 // fn itself stops the ticker mid-tick, so the rearm never happens and
-// the firing event's struct retires when the callback returns. The
-// ticker must drop its handle (the firing event is already being
-// recycled) so a later Stop cannot cancel whatever event next reuses
-// the struct.
+// the firing tick's lane item and proxy event retire when the callback
+// returns. The ticker must drop its lane position so a later Stop
+// cannot cancel whatever event next reuses the proxy's struct.
 func TestTickerStopInCallbackThenStaleStop(t *testing.T) {
 	k := NewKernel()
 	var tk *Ticker
 	tk = NewTicker(k, 5, func() { tk.Stop() })
 	k.Run(6)
-	if tk.ev != nil {
-		t.Fatalf("ticker retained its event handle after an in-callback Stop")
+	if tk.armed {
+		t.Fatalf("ticker retained its lane position after an in-callback Stop")
 	}
 
-	// The retired tick event's struct is on the free list; the next
+	// The retired proxy event's struct is on the free list; the next
 	// schedule reuses it.
 	fired := false
 	k.Schedule(8, func() { fired = true })
