@@ -59,6 +59,11 @@
 //	                             and exit non-zero
 //	-chaos-replay FILE           no command: re-run one chaos reproducer
 //	                             JSON file and report its audit outcome
+//	-cpuprofile FILE             write a CPU profile of the whole command
+//	                             to FILE
+//	-memprofile FILE             write an allocation profile to FILE when
+//	                             the command finishes (read it with go
+//	                             tool pprof -sample_index=alloc_objects)
 //
 // Results are deterministic in -seed: serial, parallel and
 // cache-warm/resumed executions of the same case produce identical
@@ -86,7 +91,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("rmscale", flag.ContinueOnError)
 	fidelity := fs.String("fidelity", "quick", "smoke, quick or full")
 	seed := fs.Int64("seed", 1, "master random seed")
@@ -104,6 +109,8 @@ func run(args []string, out io.Writer) error {
 	chaosReplay := fs.String("chaos-replay", "", "re-run one chaos reproducer JSON file")
 	benchBaseline := fs.String("check", "", "with bench: baseline report to gate against")
 	benchTol := fs.Float64("tolerance", 0.10, "with bench -check: allowed relative regression on max- and min-gated metrics")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -116,6 +123,15 @@ func run(args []string, out io.Writer) error {
 	if (*mtbf != 0 || *loss != 0) && !*faults {
 		return fmt.Errorf("-mtbf and -loss need -faults: they extend the degraded-mode fault load")
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	if *chaosN > 0 || *chaosReplay != "" {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("-chaos and -chaos-replay take no command")

@@ -251,3 +251,29 @@ func TestSmokeResume(t *testing.T) {
 		t.Error("resume with a different seed accepted")
 	}
 }
+
+// TestProfileFlags: a smoke run with -cpuprofile and -memprofile writes
+// both profiles, and neither is empty.
+func TestProfileFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("case run is slow")
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var buf bytes.Buffer
+	if err := run([]string{"-fidelity", "smoke", "-seed", "5", "-cpuprofile", cpu, "-memprofile", mem, "case4"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
+	}
+	if err := run([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof"), "tables"}, &buf); err == nil {
+		t.Error("unwritable -cpuprofile path accepted")
+	}
+}

@@ -127,13 +127,27 @@ func (e *Engine) admitJob(j *workload.Job) {
 	if e.Tracer.On() {
 		e.Tracer.Tracef("arrival", "job %d at cluster %d (%v)", j.ID, j.Cluster, j.Class)
 	}
-	//lint:allow hotalloc one envelope per job, allocated at admission and carried to termination: a per-job cost, not a per-event one
-	ctx := &JobCtx{Job: j, Origin: j.Cluster}
+	ctx := e.newJobCtx(j)
 	if e.fs != nil {
 		e.deliverToScheduler(s, ctx)
 		return
 	}
 	e.policy.OnJob(s, ctx)
+}
+
+// newJobCtx carves the job's envelope out of the engine's backing
+// array. Each job is admitted once, so one array sized to the workload
+// serves the whole run; envelopes are never returned, so a refill never
+// moves one that is still in flight.
+func (e *Engine) newJobCtx(j *workload.Job) *JobCtx {
+	if len(e.ctxs) == 0 {
+		//lint:allow hotalloc slice refill: one backing array per engine, sized to the workload, so a run normally refills once
+		e.ctxs = make([]JobCtx, max(len(e.jobs), 16))
+	}
+	ctx := &e.ctxs[0]
+	e.ctxs = e.ctxs[1:]
+	*ctx = JobCtx{Job: j, Origin: j.Cluster}
+	return ctx
 }
 
 // jobTerminated releases dependents of a finished (or lost) job.

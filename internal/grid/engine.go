@@ -19,6 +19,9 @@ const (
 	defaultStallEvents = 1_000_000
 	maxJobAttempts     = 4
 	maxJobHops         = 3
+	// resourceQueueSlots is the queue capacity each resource starts
+	// with (see NewWith).
+	resourceQueueSlots = 4
 )
 
 // Engine wires topology, routing, workload, entities and a Policy into
@@ -63,6 +66,12 @@ type Engine struct {
 	// resource list — the slot the owning scheduler's dense view array
 	// uses for it (see Scheduler.views).
 	localIdx []int
+
+	// free is the delivery-record free list (delivery.go); ctxs is the
+	// unused tail of the backing array job envelopes are carved from
+	// (newJobCtx).
+	free []*delivery
+	ctxs []JobCtx
 
 	unfinished int // jobs dropped or stranded
 }
@@ -125,7 +134,16 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 	e.Map = mp
 	e.Net = sub.Net
 
-	// Entities.
+	// Entities. Each one resolves its routing-matrix index here, once,
+	// so a message's delay is two slice lookups (see delay).
+	for _, nodes := range [][]int{mp.SchedulerNode, mp.ResourceNode, mp.EstimatorNode} {
+		for _, n := range nodes {
+			if _, ok := e.Net.Index[n]; !ok {
+				return nil, fmt.Errorf("grid: node %d is not a routed endpoint", n)
+			}
+		}
+	}
+	route := func(node int) int { return e.Net.Index[node] }
 	e.localIdx = make([]int, mp.Resources())
 	for _, rs := range mp.ClusterResources {
 		for i, rid := range rs {
@@ -138,6 +156,7 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 		s := &Scheduler{
 			cluster: c,
 			node:    mp.SchedulerNode[c],
+			netIdx:  route(mp.SchedulerNode[c]),
 			eng:     e,
 			views:   make([]resourceView, len(mp.ClusterResources[c])),
 			rand:    e.src.Stream(fmt.Sprintf("sched:%d", c)),
@@ -148,18 +167,26 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 		s.peerScratch = make([]int, len(s.peers))
 		e.Schedulers = append(e.Schedulers, s)
 	}
+	// Every resource queue starts with a few slots carved from one
+	// shared array, so the common short queue never allocates; a longer
+	// one outgrows its slots into a private array.
+	queues := make([]*JobCtx, resourceQueueSlots*mp.Resources())
 	for r := 0; r < mp.Resources(); r++ {
+		lo := r * resourceQueueSlots
 		e.Resources = append(e.Resources, &Resource{
 			id:      r,
 			node:    mp.ResourceNode[r],
+			netIdx:  route(mp.ResourceNode[r]),
 			cluster: mp.ResourceCluster[r],
 			eng:     e,
+			queue:   queues[lo : lo : lo+resourceQueueSlots],
 		})
 	}
 	for i := 0; i < cfg.Spec.Estimators; i++ {
 		est := &Estimator{
 			id:     i,
 			node:   mp.EstimatorNode[i],
+			netIdx: route(mp.EstimatorNode[i]),
 			eng:    e,
 			buffer: make([][]statusItem, cfg.Spec.Clusters),
 		}
@@ -331,20 +358,17 @@ func (e *Engine) scheduleCrash(r *Resource) {
 	})
 }
 
-// delay computes the end-to-end network delay between two topology
-// nodes for a message of the given size: routed path latency scaled by
-// the LinkDelayScale enabler plus the transmission time over the
-// bottleneck link.
+// delay computes the end-to-end network delay between two endpoints,
+// given by their routing-matrix indices, for a message of the given
+// size: routed path latency scaled by the LinkDelayScale enabler plus
+// the transmission time over the bottleneck link. The index is
+// injective over topology nodes, so equal indices are co-located
+// endpoints and the delay is zero.
 func (e *Engine) delay(from, to int, size float64) sim.Time {
 	if from == to {
 		return 0
 	}
-	lat, _, bw, err := e.Net.Between(from, to)
-	if err != nil {
-		//lint:allow hotalloc panic path: fires once on a wiring bug, never in a measured run
-		panic(fmt.Sprintf("grid: unrouted endpoints %d->%d: %v", from, to, err))
-	}
-	d := lat*e.Cfg.Enablers.LinkDelayScale + size/bw
+	d := e.Net.Latency[from][to]*e.Cfg.Enablers.LinkDelayScale + size/e.Net.Bandwidth[from][to]
 	if d < 0 {
 		d = 0
 	}
@@ -354,7 +378,7 @@ func (e *Engine) delay(from, to int, size float64) sim.Time {
 // sendStatusUpdate routes one resource status update to its estimator
 // (when the estimator layer exists) or directly to its scheduler.
 //
-//lint:hotpath status updates dominate engine event volume; engine/*/allocs_per_event budgets this fabric at ~2 allocations
+//lint:hotpath status updates dominate engine event volume; engine/*/allocs_per_event pins the fabric allocation-free once warm
 func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	if e.Cfg.Faults.UpdateLossProb > 0 && e.faults.Bool(e.Cfg.Faults.UpdateLossProb) {
 		e.Metrics.UpdatesLost++
@@ -373,10 +397,9 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 			e.Metrics.CrossClusterMsgs++
 		}
 		if e.fs == nil || !est.down {
-			//lint:allow hotalloc the in-flight delivery closure is the update's budgeted allocation (engine allocs_per_event gate)
-			e.K.After(e.delay(r.node, est.node, e.Cfg.UpdateBytes), func() {
-				est.receive(r.id, load, at)
-			})
+			d := e.acquire(opEstimatorArrive)
+			d.est, d.rid, d.load, d.at = est, r.id, load, at
+			e.K.After(e.delay(r.netIdx, est.netIdx, e.Cfg.UpdateBytes), d.fire)
 			return
 		}
 		// Estimator death falls back to a direct scheduler update.
@@ -387,19 +410,9 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 		e.Metrics.UpdatesLost++
 		return
 	}
-	//lint:allow hotalloc the in-flight delivery closure is the update's first budgeted allocation (engine allocs_per_event gate)
-	e.K.After(e.delay(r.node, s.node, e.Cfg.UpdateBytes), func() {
-		c := e.Cfg.Costs
-		//lint:allow hotalloc the queued work item is the update's second budgeted allocation (engine allocs_per_event gate)
-		s.Exec(c.UpdateBatchBase+c.UpdatePer, func() {
-			s.mergeView(r.id, load, at)
-			// oneRid is per-scheduler scratch; Exec retires work FCFS on
-			// one CPU, so the slot is free again by the time the policy
-			// returns and it never escapes the call.
-			s.oneRid[0] = r.id
-			e.policy.OnStatus(s, s.oneRid[:])
-		})
-	})
+	d := e.acquire(opUpdateArrive)
+	d.sched, d.rid, d.load, d.at = s, r.id, load, at
+	e.K.After(e.delay(r.netIdx, s.netIdx, e.Cfg.UpdateBytes), d.fire)
 }
 
 // broadcastDigest distributes an estimator digest to every scheduler.
@@ -408,8 +421,8 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 // push models pay their trigger check per digest received, which is
 // what couples their overhead to the estimator count.
 //
-//lint:hotpath digest fan-out runs once per estimator period per scheduler; engine/*/allocs_per_event budgets it
-func (e *Engine) broadcastDigest(est *Estimator, d digest) {
+//lint:hotpath digest fan-out runs once per estimator period per scheduler; engine/*/allocs_per_event pins it allocation-free once warm
+func (e *Engine) broadcastDigest(est *Estimator, dg *digest) {
 	for _, s := range e.Schedulers {
 		if e.fs != nil && s.down {
 			e.Metrics.UpdatesLost++
@@ -423,22 +436,9 @@ func (e *Engine) broadcastDigest(est *Estimator, d digest) {
 		if e.Clusters() > 1 {
 			e.Metrics.CrossClusterMsgs++
 		}
-		s := s
-		// The digest is pre-partitioned by cluster (see Estimator.flush),
-		// so a delivery slices its receiver's share out of the shared
-		// snapshot instead of filtering and copying the whole batch.
-		own, rids := d.cluster(s.cluster)
-		//lint:allow hotalloc one delivery closure per receiving scheduler per digest period; the digest gate budgets it
-		e.K.After(e.delay(est.node, s.node, e.Cfg.UpdateBytes*float64(d.total())), func() {
-			c := e.Cfg.Costs
-			//lint:allow hotalloc the queued batch-merge work item; the digest gate budgets it
-			s.Exec(c.UpdateBatchBase+c.UpdatePer*float64(len(own)), func() {
-				for i := range own {
-					s.mergeView(own[i].rid, own[i].load, own[i].at)
-				}
-				e.policy.OnStatus(s, rids)
-			})
-		})
+		d := e.acquire(opDigestArrive)
+		d.sched, d.dg = s, dg
+		e.K.After(e.delay(est.netIdx, s.netIdx, e.Cfg.UpdateBytes*float64(dg.total())), d.fire)
 	}
 }
 
@@ -449,34 +449,25 @@ func (e *Engine) broadcastDigest(est *Estimator, d digest) {
 // budget is simply gone — the session it belonged to stalls, exactly
 // the degradation the churn experiment measures.
 //
-//lint:hotpath every protocol message of every RMS model rides this path; engine/*/allocs_per_event budgets it
-func (e *Engine) deliverPolicy(from *Scheduler, to int, kind int, payload any) {
-	if to < 0 || to >= len(e.Schedulers) {
+//lint:hotpath every protocol message of every RMS model rides this path; engine/*/allocs_per_event pins it allocation-free once warm
+func (e *Engine) deliverPolicy(from *Scheduler, m *Message) {
+	if m.To < 0 || m.To >= len(e.Schedulers) {
 		//lint:allow hotalloc panic path: fires once on a policy bug, never in a measured run
-		panic(fmt.Sprintf("grid: policy message to invalid cluster %d", to))
+		panic(fmt.Sprintf("grid: policy message to invalid cluster %d", m.To))
 	}
 	e.Metrics.PolicyMsgs++
-	if from.cluster != to {
+	if from.cluster != m.To {
 		e.Metrics.CrossClusterMsgs++
 	}
-	dst := e.Schedulers[to]
-	//lint:allow hotalloc the Message IS the protocol message; one per send is the model's own unit of work
-	m := &Message{Kind: kind, From: from.cluster, To: to, Payload: payload}
-	net := e.delay(from.node, dst.node, e.Cfg.MsgBytes)
-	//lint:allow hotalloc the in-flight delivery closure is the message's first budgeted allocation (engine allocs_per_event gate)
-	deliver := func() {
-		//lint:allow hotalloc the queued handler work item is the message's second budgeted allocation (engine allocs_per_event gate)
-		dst.ExecMsg(func() { e.policy.OnMessage(dst, m) })
-	}
+	dst := e.Schedulers[m.To]
+	net := e.delay(from.netIdx, dst.netIdx, e.Cfg.MsgBytes)
+	d := e.acquire(opMsgArrive)
+	d.sched, d.msg = dst, m
 	if e.fs != nil {
-		e.protoSend(from.node, dst, net, 0, deliver, nil)
+		e.protoSend(from.node, dst, net, 0, d.fire, nil)
 		return
 	}
-	if e.mw != nil {
-		e.mw.enqueue(net, deliver)
-		return
-	}
-	e.K.After(net, deliver)
+	e.route(net, d.fire)
 }
 
 // transferJob moves a job envelope to another cluster's scheduler; it
@@ -485,7 +476,7 @@ func (e *Engine) deliverPolicy(from *Scheduler, to int, kind int, payload any) {
 // budget bounces back to the sender — a job envelope is never lost to
 // the network.
 //
-//lint:hotpath job transfers scale with inter-cluster traffic; engine/*/allocs_per_event budgets them
+//lint:hotpath job transfers scale with inter-cluster traffic; engine/*/allocs_per_event pins them allocation-free once warm
 func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 	if !from.disown(ctx) {
 		// A crash moved this job to another home while the sending
@@ -506,24 +497,24 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 		e.Tracer.Tracef("transfer", "job %d: cluster %d -> %d", ctx.Job.ID, from.cluster, to)
 	}
 	dst := e.Schedulers[to]
-	net := e.delay(from.node, dst.node, e.Cfg.JobBytes)
+	net := e.delay(from.netIdx, dst.netIdx, e.Cfg.JobBytes)
+	// The arrival re-owns the job at dst: a no-op without faults, so one
+	// op serves both paths.
+	d := e.acquire(opJobArrive)
+	d.sched, d.ctx = dst, ctx
 	if e.fs != nil {
-		//lint:allow hotalloc the in-flight transfer closure is the envelope's budgeted allocation (engine allocs_per_event gate)
-		deliver := func() {
-			dst.own(ctx)
-			//lint:allow hotalloc the queued handler work item; the transfer gate budgets it
-			dst.ExecMsg(func() { e.policy.OnJob(dst, ctx) })
-		}
 		//lint:allow hotalloc abandon fires only after the retry budget is exhausted — fault path, not steady state
 		abandon := func() { e.deliverToScheduler(from, ctx) }
-		e.protoSend(from.node, dst, net, 0, deliver, abandon)
+		e.protoSend(from.node, dst, net, 0, d.fire, abandon)
 		return
 	}
-	//lint:allow hotalloc the in-flight transfer closure is the envelope's budgeted allocation (engine allocs_per_event gate)
-	deliver := func() {
-		//lint:allow hotalloc the queued handler work item; the transfer gate budgets it
-		dst.ExecMsg(func() { e.policy.OnJob(dst, ctx) })
-	}
+	e.route(net, d.fire)
+}
+
+// route starts an inter-scheduler message on its network leg: through
+// the middleware queue when the policy uses one, else straight to the
+// receiver after net.
+func (e *Engine) route(net sim.Time, deliver func()) {
 	if e.mw != nil {
 		e.mw.enqueue(net, deliver)
 		return
@@ -533,16 +524,15 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 
 // sendJobToResource carries a dispatched job to its resource.
 //
-//lint:hotpath every dispatched job crosses this hop; engine/*/allocs_per_event budgets it
+//lint:hotpath every dispatched job crosses this hop; engine/*/allocs_per_event pins it allocation-free once warm
 func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 	r := e.Resources[rid]
 	if e.Tracer.On() {
 		e.Tracer.Tracef("dispatch", "job %d -> resource %d", ctx.Job.ID, rid)
 	}
-	//lint:allow hotalloc the in-flight dispatch closure is the hop's budgeted allocation (engine allocs_per_event gate)
-	e.K.After(e.delay(s.node, r.node, e.Cfg.JobBytes), func() {
-		r.enqueue(ctx)
-	})
+	d := e.acquire(opDispatch)
+	d.res, d.ctx = r, ctx
+	e.K.After(e.delay(s.netIdx, r.netIdx, e.Cfg.JobBytes), d.fire)
 }
 
 // bounce returns a job whose resource was down to its current cluster's
@@ -582,15 +572,20 @@ type middleware struct {
 // enqueue routes a message through the middleware: network delay to the
 // middleware, FIFO service, then delivery.
 //
-//lint:hotpath the S-I family funnels every message through this queue; engine/S-I/allocs_per_event budgets it
+//lint:hotpath the S-I family funnels every message through this queue; engine/S-I/allocs_per_event pins it allocation-free once warm
 func (mw *middleware) enqueue(netDelay sim.Time, deliver func()) {
 	k := mw.eng.K
 	half := netDelay / 2
-	//lint:allow hotalloc the middleware arrival closure; the S-I family's allocs_per_event gate budgets the extra hop
-	k.Schedule(k.Now()+half, func() {
-		mw.eng.Metrics.MiddlewareBusy += mw.eng.Cfg.Protocol.MiddlewareTime
-		mw.cpu.submit(k.Now(), mw.eng.Cfg.Protocol.MiddlewareTime, work{fn: deliver, fwd: half})
-	})
+	d := mw.eng.acquire(opMiddleware)
+	d.fn, d.at = deliver, half
+	k.Schedule(k.Now()+half, d.fire)
+}
+
+// arrive queues a message that reached the middleware for FIFO service;
+// fwd is the network leg it still has to travel once served.
+func (mw *middleware) arrive(deliver func(), fwd sim.Time) {
+	mw.eng.Metrics.MiddlewareBusy += mw.eng.Cfg.Protocol.MiddlewareTime
+	mw.cpu.submit(mw.eng.K.Now(), mw.eng.Cfg.Protocol.MiddlewareTime, work{fn: deliver, fwd: fwd})
 }
 
 // forward is the middleware's retire callback: a message whose service

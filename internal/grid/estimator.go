@@ -18,9 +18,10 @@ type statusItem struct {
 // cluster; each digest interval it flushes one digest per covered
 // cluster. Estimator CPU time counts into G like scheduler time.
 type Estimator struct {
-	id   int
-	node int
-	eng  *Engine
+	id     int
+	node   int
+	netIdx int // routing-matrix index of node (Engine.delay)
+	eng    *Engine
 
 	cpu server
 	// buffer[cluster] holds updates pending digestion for that
@@ -55,20 +56,17 @@ func (e *Estimator) exec(cost float64, fn func()) {
 // QueueDelay reports how far behind the estimator's CPU currently is.
 func (e *Estimator) QueueDelay() sim.Time { return e.cpu.queueDelay(e.eng.K.Now()) }
 
-// receive ingests one resource update.
-func (e *Estimator) receive(rid int, load float64, at sim.Time) {
-	//lint:allow hotalloc the ingest work closure is the update's budgeted allocation on the estimator hop (engine allocs_per_event gate)
-	e.exec(e.eng.Cfg.Costs.EstimatorPer, func() {
-		cluster := e.eng.Map.ResourceCluster[rid]
-		e.buffer[cluster] = append(e.buffer[cluster], statusItem{rid: rid, load: load, at: at})
-	})
+// ingest buffers one resource update once the estimator CPU retires it.
+func (e *Estimator) ingest(rid int, load float64, at sim.Time) {
+	cluster := e.eng.Map.ResourceCluster[rid]
+	e.buffer[cluster] = append(e.buffer[cluster], statusItem{rid: rid, load: load, at: at})
 }
 
 // digest is one estimator flush, partitioned by destination cluster:
 // parts[offs[c]:offs[c+1]] are cluster c's items sorted by (rid, time),
 // and rids mirrors parts entry-for-entry so a delivery can hand the
 // policy its OnStatus id list without building one. The whole digest is
-// one immutable snapshot shared by every scheduler's delivery closure;
+// one immutable snapshot shared by every scheduler's delivery record;
 // receivers read it, never mutate it.
 type digest struct {
 	parts []statusItem
@@ -77,10 +75,10 @@ type digest struct {
 }
 
 // total returns the number of status items across all clusters.
-func (d digest) total() int { return len(d.parts) }
+func (d *digest) total() int { return len(d.parts) }
 
 // cluster returns cluster c's partition and the matching resource ids.
-func (d digest) cluster(c int) ([]statusItem, []int) {
+func (d *digest) cluster(c int) ([]statusItem, []int) {
 	lo, hi := d.offs[c], d.offs[c+1]
 	return d.parts[lo:hi], d.rids[lo:hi]
 }
@@ -96,7 +94,7 @@ func (d digest) cluster(c int) ([]statusItem, []int) {
 // array per flush (cluster by cluster, each partition sorted). Fresh,
 // not scratch: the broadcast and the per-scheduler deliveries run at
 // later simulated times, and under estimator saturation a delivery
-// closure can outlive the next flush, so reusing a buffer here would
+// can outlive the next flush, so reusing a buffer here would
 // corrupt an in-flight digest. Per-cluster sorting yields exactly the
 // items a global (rid, time) sort would hand each cluster, because a
 // resource id maps to a single cluster.
@@ -125,9 +123,9 @@ func (e *Estimator) flush() {
 	// dissemination heartbeat every decision maker consumes, so the
 	// layer's traffic scales with the estimator count, not with the
 	// update volume.
-	e.exec(e.eng.Cfg.Costs.EstimatorPer*float64(total), func() {
-		e.eng.broadcastDigest(e, digest{parts: parts, offs: offs, rids: rids})
-	})
+	d := e.eng.acquire(opBroadcast)
+	d.est, d.dg = e, &digest{parts: parts, offs: offs, rids: rids}
+	e.exec(e.eng.Cfg.Costs.EstimatorPer*float64(total), d.fire)
 }
 
 // sortStatusItems orders a digest partition by (resource id, time) so

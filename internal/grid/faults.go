@@ -157,7 +157,7 @@ func (e *Engine) rehomeOwned(s *Scheduler) {
 		if e.Tracer.On() {
 			e.Tracer.Tracef("fault", "job %d fails over: cluster %d -> %d", ctx.Job.ID, s.cluster, dst.cluster)
 		}
-		e.K.After(detect+e.delay(s.node, dst.node, e.Cfg.JobBytes), func() {
+		e.K.After(detect+e.delay(s.netIdx, dst.netIdx, e.Cfg.JobBytes), func() {
 			e.deliverToScheduler(dst, ctx)
 		})
 	}
@@ -257,11 +257,7 @@ func (e *Engine) protoSend(fromNode int, dst *Scheduler, net sim.Time, attempt i
 		}
 		deliver()
 	}
-	if e.mw != nil {
-		e.mw.enqueue(net, wrapped)
-		return
-	}
-	e.K.After(net, wrapped)
+	e.route(net, wrapped)
 }
 
 // retryOrAbandon retransmits a lost message after RetryTimeout*2^attempt,

@@ -4,22 +4,17 @@ import (
 	"rmscale/internal/sim"
 )
 
-// execJob is one job in flight at a resource.
-type execJob struct {
-	ctx   *JobCtx
-	start sim.Time
-}
-
 // Resource is one managee node: a FCFS single server with a finite
 // service rate. It reports its load to the RMS through periodic,
 // change-suppressed status updates.
 type Resource struct {
 	id      int
 	node    int // topology node
+	netIdx  int // routing-matrix index of node (Engine.delay)
 	cluster int
 	eng     *Engine
 
-	running *execJob
+	running *JobCtx
 	queue   []*JobCtx
 	down    bool
 
@@ -70,18 +65,16 @@ func (r *Resource) enqueue(ctx *JobCtx) {
 
 // start begins executing ctx now; service time is runtime / mu.
 func (r *Resource) start(ctx *JobCtx) {
-	now := r.eng.K.Now()
-	//lint:allow hotalloc one execution record per job start: a per-job cost the dispatch gate budgets
-	r.running = &execJob{ctx: ctx, start: now}
-	r.eng.Metrics.WaitTimes.Add(float64(now - ctx.Job.Arrival))
-	service := ctx.Job.Runtime / r.eng.Cfg.ServiceRate
-	//lint:allow hotalloc one completion closure per job execution: a per-job cost the dispatch gate budgets
-	r.eng.K.After(service, func() { r.complete(ctx) })
+	r.running = ctx
+	r.eng.Metrics.WaitTimes.Add(float64(r.eng.K.Now() - ctx.Job.Arrival))
+	d := r.eng.acquire(opComplete)
+	d.res, d.ctx = r, ctx
+	r.eng.K.After(ctx.Job.Runtime/r.eng.Cfg.ServiceRate, d.fire)
 }
 
 // complete finishes the running job and records its outcome.
 func (r *Resource) complete(ctx *JobCtx) {
-	if r.down || r.running == nil || r.running.ctx != ctx {
+	if r.down || r.running != ctx {
 		// The job was destroyed by a crash before completing.
 		return
 	}
@@ -105,8 +98,12 @@ func (r *Resource) complete(ctx *JobCtx) {
 	r.dirty = true
 	r.eng.jobTerminated(ctx.Job.ID)
 	if len(r.queue) > 0 {
+		// Shift down in place: reslicing from the front would shed
+		// capacity and make the queue re-grow.
 		next := r.queue[0]
-		r.queue = r.queue[1:]
+		n := copy(r.queue, r.queue[1:])
+		r.queue[n] = nil
+		r.queue = r.queue[:n]
 		r.start(next)
 	}
 }
@@ -160,7 +157,7 @@ func (r *Resource) crash() {
 	}
 	if r.running != nil {
 		lost++
-		r.eng.jobTerminated(r.running.ctx.Job.ID)
+		r.eng.jobTerminated(r.running.Job.ID)
 	}
 	r.eng.Metrics.JobsLost += lost
 	r.queue = nil

@@ -33,6 +33,7 @@ type resourceView struct {
 type Scheduler struct {
 	cluster int
 	node    int
+	netIdx  int // routing-matrix index of node (Engine.delay)
 	eng     *Engine
 
 	cpu server
@@ -130,6 +131,27 @@ func (s *Scheduler) mergeView(rid int, load float64, at sim.Time) {
 	if at >= v.at {
 		v.load, v.at = load, at
 	}
+}
+
+// mergeUpdate retires one direct status update: the view merge, then
+// the policy's OnStatus for that single resource.
+func (s *Scheduler) mergeUpdate(rid int, load float64, at sim.Time) {
+	s.mergeView(rid, load, at)
+	// oneRid is per-scheduler scratch; Exec retires work FCFS on one
+	// CPU, so the slot is free again by the time the policy returns and
+	// it never escapes the call.
+	s.oneRid[0] = rid
+	s.eng.policy.OnStatus(s, s.oneRid[:])
+}
+
+// mergeDigest retires one estimator digest: the scheduler's share of it
+// merges into the view, then the policy sees the changed ids.
+func (s *Scheduler) mergeDigest(dg *digest) {
+	own, rids := dg.cluster(s.cluster)
+	for i := range own {
+		s.mergeView(own[i].rid, own[i].load, own[i].at)
+	}
+	s.eng.policy.OnStatus(s, rids)
 }
 
 // InjectView installs status information directly, bypassing the
@@ -263,29 +285,45 @@ func (s *Scheduler) Dispatch(ctx *JobCtx, rid int) {
 
 // DispatchLeastLoaded charges a full-cluster decision scan and sends the
 // job to the believed least loaded local resource.
+//
+//lint:hotpath the decision hop of every job a policy places locally; engine/*/allocs_per_event pins it allocation-free once warm
 func (s *Scheduler) DispatchLeastLoaded(ctx *JobCtx) {
-	n := len(s.LocalResources())
-	s.ExecDecision(n, func() {
-		rid, _, ok := s.LeastLoadedLocal()
-		if !ok {
-			s.disown(ctx)
-			s.eng.dropJob(ctx)
-			return
-		}
-		s.Dispatch(ctx, rid)
-	})
+	d := s.eng.acquire(opDecide)
+	d.sched, d.ctx = s, ctx
+	s.ExecDecision(len(s.LocalResources()), d.fire)
+}
+
+// decideLeastLoaded retires DispatchLeastLoaded's decision.
+func (s *Scheduler) decideLeastLoaded(ctx *JobCtx) {
+	rid, _, ok := s.LeastLoadedLocal()
+	if !ok {
+		s.disown(ctx)
+		s.eng.dropJob(ctx)
+		return
+	}
+	s.Dispatch(ctx, rid)
 }
 
 // SendPolicy sends a protocol message to another cluster's scheduler.
 // The send consumes scheduler CPU (Message cost) before the message
 // enters the network; the receive charges another Message cost before
 // the policy sees it.
+//
+//lint:hotpath every protocol message of every RMS model starts here; the Message is its one allocation
 func (s *Scheduler) SendPolicy(to int, kind int, payload any) {
-	s.ExecMsg(func() { s.eng.deliverPolicy(s, to, kind, payload) })
+	d := s.eng.acquire(opSend)
+	d.sched = s
+	//lint:allow hotalloc the Message IS the protocol message; one per send is the model's own unit of work
+	d.msg = &Message{Kind: kind, From: s.cluster, To: to, Payload: payload}
+	s.ExecMsg(d.fire)
 }
 
 // TransferJob moves the job to a remote cluster's scheduler; it arrives
 // as a policy OnJob call with Hops incremented.
+//
+//lint:hotpath job transfers scale with inter-cluster traffic; engine/*/allocs_per_event pins them allocation-free once warm
 func (s *Scheduler) TransferJob(ctx *JobCtx, to int) {
-	s.ExecMsg(func() { s.eng.transferJob(s, ctx, to) })
+	d := s.eng.acquire(opTransfer)
+	d.sched, d.ctx, d.rid = s, ctx, to
+	s.ExecMsg(d.fire)
 }

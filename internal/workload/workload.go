@@ -197,7 +197,11 @@ func Generate(p Params, st *sim.Stream) ([]*Job, error) {
 		return st.Bool(rate / peak)
 	}
 	meanInter := 1 / peak
-	var jobs []*Job
+	// The jobs live in one backing array per workload instead of one
+	// allocation each; sizing it to the expected count plus three
+	// standard deviations makes a regrow rare.
+	want := p.ArrivalRate * float64(p.Horizon)
+	vals := make([]Job, 0, int(want+3*math.Sqrt(want))+1)
 	t := sim.Time(0)
 	id := 0
 	for {
@@ -222,7 +226,7 @@ func Generate(p Params, st *sim.Stream) ([]*Job, error) {
 		if runtime > p.TCPU {
 			class = Remote
 		}
-		jobs = append(jobs, &Job{
+		vals = append(vals, Job{
 			ID:        id,
 			Arrival:   t,
 			Runtime:   runtime,
@@ -233,6 +237,13 @@ func Generate(p Params, st *sim.Stream) ([]*Job, error) {
 			Class:     class,
 		})
 		id++
+	}
+	if len(vals) == 0 {
+		return nil, nil
+	}
+	jobs := make([]*Job, len(vals))
+	for i := range vals {
+		jobs[i] = &vals[i]
 	}
 	return jobs, nil
 }
