@@ -11,11 +11,15 @@ check: vet depscheck lint test race chaos chaos-service crashtest loadtest
 build:
 	$(GO) build ./...
 
+# go vet does not check formatting, so vet also fails when gofmt would
+# rewrite any tracked Go file (testdata fixtures are exempt).
 vet:
 	$(GO) vet ./...
+	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l $$(git ls-files '*.go' | grep -Ev '(^|/)testdata/')); \
+	if [ -n "$$out" ]; then echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
 
 # The custom determinism/model-coverage analyzers (see DESIGN.md,
-# "Determinism invariants"). One process runs all nine: the full-
+# "Determinism invariants"). One process runs all eight: the full-
 # source typecheck and the call graph are built once and shared, so
 # adding an analyzer costs its traversal, not another load. Exits
 # non-zero on any finding; the JSON report is the CI artifact.
@@ -37,14 +41,11 @@ test: build
 # Race-check the whole module; -short keeps the smoke-fidelity
 # experiment runs out of the race build, which would otherwise
 # dominate the wall clock. The service layer (worker shards, condition
-# variables, store GC, supervision) and the parallel executor plus the
-# grid engine that drives it (worker-pool windows, partition plans)
-# additionally run their full suites under the detector — they are the
-# module's most concurrent code.
+# variables, store GC, supervision) additionally runs its full suite
+# under the detector — it is the module's most concurrent code.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/service/...
-	$(GO) test -race -count=1 ./internal/sim/par/... ./internal/grid/...
 
 # Refresh the committed benchmark baseline: run the regression harness
 # (internal/perfbench) and overwrite BENCH_sim.json with its report.

@@ -10,13 +10,13 @@ import (
 	"rmscale/internal/lint"
 )
 
-// TestRegistersAllNineAnalyzers pins the multichecker's roster: the
-// suite the binary runs must contain exactly the six local
+// TestRegistersAllEightAnalyzers pins the multichecker's roster: the
+// suite the binary runs must contain exactly the five local
 // determinism and model-coverage analyzers plus the three call-graph
 // analyzers, in their documented order.
-func TestRegistersAllNineAnalyzers(t *testing.T) {
+func TestRegistersAllEightAnalyzers(t *testing.T) {
 	want := []string{
-		"nowallclock", "noglobalrand", "mapiterorder", "nokernelgoroutines", "coorddiscipline",
+		"nowallclock", "noglobalrand", "mapiterorder", "nokernelgoroutines",
 		"rmsexhaustive", "detertaint", "hotalloc", "locksafe",
 	}
 	suite := lint.Suite(lint.DefaultConfig)

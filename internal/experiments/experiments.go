@@ -204,7 +204,7 @@ type simResult struct {
 // (fidelity, model, full grid config), and the config embeds the seed
 // and the applied enabler vector, so a cache hit is exactly a re-run.
 func simulate(run *runner.Run, substrates *grid.SubstrateCache, fid Fidelity,
-	par int, p grid.Policy, cfg grid.Config) (simResult, error) {
+	p grid.Policy, cfg grid.Config) (simResult, error) {
 
 	key, err := runner.KeyOf("sim/v1", fid.String(), p.Name(), cfg)
 	if err != nil {
@@ -244,11 +244,7 @@ func simulate(run *runner.Run, substrates *grid.SubstrateCache, fid Fidelity,
 	if err != nil {
 		return simResult{}, err
 	}
-	// RunPar consults the engine's partition plan and uses in-run
-	// parallelism only where it is provably byte-identical to the
-	// serial kernel — which is why par is absent from the cache key: a
-	// cached serial result answers a parallel request exactly.
-	sr := simResult{Sum: e.RunPar(par), Overflowed: e.K.Overflowed}
+	sr := simResult{Sum: e.Run(), Overflowed: e.K.Overflowed}
 	if e.K.Stalled {
 		return simResult{}, e.K.Err()
 	}
@@ -269,7 +265,7 @@ func simulate(run *runner.Run, substrates *grid.SubstrateCache, fid Fidelity,
 // they land, and journaled points from an interrupted prior run are
 // adopted without re-tuning.
 func measureModel(ctx context.Context, run *runner.Run, def caseDef, fid Fidelity,
-	seed int64, par int, p grid.Policy, substrates *grid.SubstrateCache,
+	seed int64, p grid.Policy, substrates *grid.SubstrateCache,
 	progress func(string, scale.Point)) (*scale.Measurement, error) {
 
 	name := p.Name()
@@ -281,7 +277,7 @@ func measureModel(ctx context.Context, run *runner.Run, def caseDef, fid Fidelit
 		var acc scale.Observation
 		for r := 0; r < replicas; r++ {
 			cfg := def.config(fid, seed+int64(r)*101, k, x)
-			sr, err := simulate(run, substrates, fid, par, p, cfg)
+			sr, err := simulate(run, substrates, fid, p, cfg)
 			if err != nil {
 				return scale.Observation{}, err
 			}

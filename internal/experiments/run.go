@@ -26,16 +26,6 @@ type RunSpec struct {
 	Seed int64
 	// Workers sizes the work-stealing pool; <= 0 picks GOMAXPROCS.
 	Workers int
-	// ParWorkers caps in-run parallelism: each simulation consults its
-	// engine's partition plan and runs event windows on up to this many
-	// workers wherever the plan proves that byte-identical to serial
-	// execution (grid.Engine.RunPar). 0 or 1 means serial in-run
-	// execution. The knob composes with Workers — Workers spreads
-	// independent simulations across the pool, ParWorkers spreads one
-	// simulation's partitions — and, because results are identical by
-	// contract, it is an execution field: absent from the journal
-	// fingerprint and the cache keys.
-	ParWorkers int
 	// Dir, when non-empty, is the run directory: completed (model, k)
 	// points are journaled there, simulation results are cached on
 	// disk, runstate.json tracks progress, and a rerun with the same
@@ -70,9 +60,6 @@ func (s RunSpec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("experiments: %s: Workers %d is negative; use 0 for GOMAXPROCS", s, s.Workers)
-	}
-	if s.ParWorkers < 0 {
-		return fmt.Errorf("experiments: %s: ParWorkers %d is negative; use 0 or 1 for serial in-run execution", s, s.ParWorkers)
 	}
 	if s.Seed < 0 {
 		return fmt.Errorf("experiments: %s: Seed %d is negative; seeds are non-negative so journal fingerprints stay canonical", s, s.Seed)
@@ -194,7 +181,7 @@ func runDefs(defs []caseDef, spec RunSpec) ([]*Result, error) {
 						ID: fmt.Sprintf("%s/%s", def.name(), p.Name()),
 						Run: func(tc *runner.TaskCtx) error {
 							m, err := measureModel(tc, run, def, spec.Fidelity,
-								spec.Seed, spec.ParWorkers, p, substrates, spec.Progress)
+								spec.Seed, p, substrates, spec.Progress)
 							if err != nil {
 								return fmt.Errorf("experiments: %s, model %s: %w",
 									def.name(), p.Name(), err)

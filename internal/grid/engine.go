@@ -49,11 +49,6 @@ type Engine struct {
 	// so grid never imports the auditor.
 	AuditHook func()
 
-	// LastPlan is the partition plan RunPar computed for this engine,
-	// for inspection by tests and reports. Nil until RunPar runs with
-	// more than one worker.
-	LastPlan *Plan
-
 	policy Policy
 	jobs   []*workload.Job
 	src    *sim.Source
@@ -391,11 +386,6 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	at := e.K.Now()
 	if len(e.Estimators) > 0 {
 		est := e.Estimators[r.id%len(e.Estimators)]
-		if e.Clusters() > 1 {
-			// The estimator layer is partition-external: every update
-			// into it crosses the cluster-partition boundary.
-			e.Metrics.CrossClusterMsgs++
-		}
 		if e.fs == nil || !est.down {
 			d := e.acquire(opEstimatorArrive)
 			d.est, d.rid, d.load, d.at = est, r.id, load, at
@@ -433,9 +423,6 @@ func (e *Engine) broadcastDigest(est *Estimator, dg *digest) {
 			continue
 		}
 		e.Metrics.DigestsSent++
-		if e.Clusters() > 1 {
-			e.Metrics.CrossClusterMsgs++
-		}
 		d := e.acquire(opDigestArrive)
 		d.sched, d.dg = s, dg
 		e.K.After(e.delay(est.netIdx, s.netIdx, e.Cfg.UpdateBytes*float64(dg.total())), d.fire)
@@ -456,9 +443,6 @@ func (e *Engine) deliverPolicy(from *Scheduler, m *Message) {
 		panic(fmt.Sprintf("grid: policy message to invalid cluster %d", m.To))
 	}
 	e.Metrics.PolicyMsgs++
-	if from.cluster != m.To {
-		e.Metrics.CrossClusterMsgs++
-	}
 	dst := e.Schedulers[m.To]
 	net := e.delay(from.netIdx, dst.netIdx, e.Cfg.MsgBytes)
 	d := e.acquire(opMsgArrive)
@@ -489,9 +473,6 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 		return
 	}
 	e.Metrics.JobTransfers++
-	if from.cluster != to {
-		e.Metrics.CrossClusterMsgs++
-	}
 	ctx.Hops++
 	if e.Tracer.On() {
 		e.Tracer.Tracef("transfer", "job %d: cluster %d -> %d", ctx.Job.ID, from.cluster, to)

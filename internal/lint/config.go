@@ -22,14 +22,6 @@ type Config struct {
 	// single-threaded simulations.
 	Kernel []string
 
-	// Coordinator lists the parallel-execution coordinator packages
-	// (coorddiscipline): concurrency is legal only inside functions
-	// marked //lint:coordinator, which documents the barrier argument
-	// keeping worker scheduling invisible to simulation results. These
-	// packages sit between the kernel (concurrency banned outright) and
-	// the service layer (concurrent by design, locksafe-governed).
-	Coordinator []string
-
 	// MapOrder lists the packages checked for order-dependent map
 	// iteration (mapiterorder). "rmscale/..." style entries apply the
 	// analyzer to a whole subtree.
@@ -91,10 +83,6 @@ var DefaultConfig = Config{
 		// simulated disks; its results must be seed-reproducible, so it
 		// runs on a frozen clock and never touches global RNG.
 		"rmscale/internal/service/crash",
-		// The conservative parallel executor runs inside simulations; its
-		// results must be byte-identical to serial runs, so wall time and
-		// global RNG are banned the same as in the kernel.
-		"rmscale/internal/sim/par",
 	},
 	Kernel: []string{
 		"rmscale/internal/sim",
@@ -124,15 +112,6 @@ var DefaultConfig = Config{
 		// destroy the prefix-exact replay the harness depends on.
 		"rmscale/internal/service/crash",
 	},
-	// The conservative window executor is the one sanctioned bridge
-	// between simulation results and real goroutines: deliberately NOT a
-	// Kernel package (its whole point is the worker pool), but its
-	// concurrency is confined to the //lint:coordinator-marked window
-	// barrier, where the determinism argument is spelled out.
-	Coordinator: []string{
-		"rmscale/internal/sim/par",
-	},
-
 	// Map-iteration order can leak into any rendered table, figure,
 	// JSON file or checkpoint, so the whole module is covered — the
 	// "rmscale/..." subtree entry includes internal/service/chaos and
@@ -175,13 +154,13 @@ var DefaultConfig = Config{
 }
 
 // Classified reports how the config covers pkgPath: curated means a
-// SimVisible/Kernel/Coordinator/LockSafe entry names it (the lists
+// SimVisible/Kernel/LockSafe entry names it (the lists
 // that encode a conscious decision per package — the wildcard-based
 // MapOrder, Exhaustive and HotAlloc lists do not count), exempt means
 // an Exempt entry opts it out. The config meta-test requires every
 // internal package to be one or the other.
 func (cfg Config) Classified(pkgPath string) (curated, exempt bool) {
-	for _, list := range [][]string{cfg.SimVisible, cfg.Kernel, cfg.Coordinator, cfg.LockSafe} {
+	for _, list := range [][]string{cfg.SimVisible, cfg.Kernel, cfg.LockSafe} {
 		if appliesTo(list, pkgPath) {
 			curated = true
 		}

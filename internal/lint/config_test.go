@@ -52,7 +52,6 @@ func TestConfigMatchesModule(t *testing.T) {
 	}
 	check(cfg.SimVisible, "SimVisible")
 	check(cfg.Kernel, "Kernel")
-	check(cfg.Coordinator, "Coordinator")
 	check(cfg.MapOrder, "MapOrder")
 	check(cfg.Exhaustive, "Exhaustive")
 	check(cfg.HotAlloc, "HotAlloc")

@@ -16,7 +16,6 @@ import (
 //	//lint:allow <analyzer> <reason>   suppress <analyzer> here
 //	//lint:orderindependent <reason>   shorthand for allow mapiterorder
 //	//lint:hotpath <reason>            mark a function as a hot root (hotalloc)
-//	//lint:coordinator <reason>        mark an audited concurrency site (coorddiscipline)
 //
 // A directive on its own line covers the next line; a trailing
 // directive covers its own line. Either way, when the covered line
@@ -64,16 +63,15 @@ func parseDirectives(fset *token.FileSet, files []*ast.File, known map[string]bo
 					d = directive{analyzer: name, reason: strings.TrimSpace(reason), pos: c.Pos()}
 				case "orderindependent":
 					d = directive{analyzer: "mapiterorder", reason: rest, pos: c.Pos()}
-				case "hotpath", "coordinator":
-					// Not suppressions: hotalloc and coorddiscipline read the
-					// marks off the doc comment. Only the mandatory reason is
-					// enforced here.
+				case "hotpath":
+					// Not a suppression: hotalloc reads the mark off the doc
+					// comment. Only the mandatory reason is enforced here.
 					if rest == "" {
 						report(c.Pos(), "//lint: directive for "+verb+" needs a reason")
 					}
 					continue
 				default:
-					report(c.Pos(), "unknown //lint: directive "+verb+" (want allow, orderindependent, hotpath or coordinator)")
+					report(c.Pos(), "unknown //lint: directive "+verb+" (want allow, orderindependent or hotpath)")
 					continue
 				}
 				if !known[d.analyzer] {

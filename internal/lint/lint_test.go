@@ -28,8 +28,23 @@ func TestNoKernelGoroutines(t *testing.T) {
 	linttest.Run(t, "testdata", lint.NoKernelGoroutines(), "nokernelgoroutines")
 }
 
+// TestCoordDiscipline pins where concurrency may live: a simulation runs
+// on one goroutine from the kernel up through the engine, and only the
+// runner pool above it spreads runs across cores. The kernel and the
+// engine therefore sit under nokernelgoroutines, and the pool does not.
 func TestCoordDiscipline(t *testing.T) {
-	linttest.Run(t, "testdata", lint.CoordDiscipline(), "coorddiscipline")
+	kernel := map[string]bool{}
+	for _, pkg := range lint.DefaultConfig.Kernel {
+		kernel[pkg] = true
+	}
+	for _, pkg := range []string{"rmscale/internal/sim", "rmscale/internal/grid"} {
+		if !kernel[pkg] {
+			t.Errorf("%s is not held to nokernelgoroutines", pkg)
+		}
+	}
+	if kernel["rmscale/internal/runner"] {
+		t.Errorf("rmscale/internal/runner, the parallel runner pool, is held to nokernelgoroutines")
+	}
 }
 
 func TestRMSExhaustive(t *testing.T) {
@@ -95,7 +110,7 @@ func h() {}
 	for _, want := range []string{
 		"needs a reason", "unknown analyzer bogusanalyzer",
 		"unknown //lint: directive frobnicate", "directive for hotpath needs a reason",
-		"directive for coordinator needs a reason",
+		"unknown //lint: directive coordinator",
 	} {
 		found := false
 		for _, d := range out {

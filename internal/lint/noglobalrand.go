@@ -14,10 +14,10 @@ import (
 // points at the sanctioned construction site, which carries a
 // //lint:allow annotation.
 var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
 }
 

@@ -15,8 +15,6 @@
 //     changed model behaviour, the same signal the golden files carry;
 //   - "max" metrics (allocations per event/run) are deterministic for a
 //     given Go version and may not regress beyond a small tolerance;
-//   - "min" metrics (the sim/par parallel speedup, see par.go) may not
-//     fall below the baseline beyond the same tolerance;
 //   - ungated metrics (wall-clock times, derived rates) vary with the
 //     machine and are recorded for trend reading only.
 //
@@ -43,10 +41,6 @@ const (
 	GateNone = "none"
 	// GateMax marks metrics that must not exceed baseline*(1+tolerance).
 	GateMax = "max"
-	// GateMin marks metrics that must not fall below
-	// baseline*(1-tolerance) — parallel speedups, where smaller is the
-	// regression.
-	GateMin = "min"
 	// GateExact marks metrics that must match the baseline exactly.
 	GateExact = "exact"
 )
@@ -91,11 +85,6 @@ func Run() (Report, error) {
 		return Report{}, err
 	}
 	rep.Metrics = append(rep.Metrics, ms...)
-	pms, err := parMetrics()
-	if err != nil {
-		return Report{}, err
-	}
-	rep.Metrics = append(rep.Metrics, pms...)
 	sort.Slice(rep.Metrics, func(i, j int) bool {
 		return rep.Metrics[i].Name < rep.Metrics[j].Name
 	})
@@ -279,7 +268,8 @@ func ReadReport(rd io.Reader) (Report, error) {
 // max-gated metrics (e.g. 0.1 allows a 10% allocation regression before
 // failing). It returns one human-readable violation per failed gate;
 // an empty slice means the report is within budget. The gate of record
-// is the baseline's: re-classifying a metric takes a baseline refresh.
+// is the baseline's: re-classifying a metric takes a baseline refresh,
+// and a baseline gate Compare does not know fails instead of passing.
 func Compare(base, cur Report, tolerance float64) []string {
 	curByName := make(map[string]Metric, len(cur.Metrics))
 	for _, m := range cur.Metrics {
@@ -306,11 +296,8 @@ func Compare(base, cur Report, tolerance float64) []string {
 				bad = append(bad, fmt.Sprintf("%s: %.6g exceeds baseline %.6g by more than %.0f%%",
 					b.Name, c.Value, b.Value, tolerance*100))
 			}
-		case GateMin:
-			if limit := b.Value * (1 - tolerance); c.Value < limit {
-				bad = append(bad, fmt.Sprintf("%s: %.6g falls below baseline %.6g by more than %.0f%%",
-					b.Name, c.Value, b.Value, tolerance*100))
-			}
+		default:
+			bad = append(bad, fmt.Sprintf("%s: unknown gate %q in baseline", b.Name, b.Gate))
 		}
 	}
 	return bad

@@ -39,21 +39,17 @@ func TestCompareMaxGate(t *testing.T) {
 	}
 }
 
+// TestCompareMinGate checks that a baseline carrying a gate Compare
+// does not know, such as "min", fails the comparison loudly instead of
+// passing silently, whatever the current value.
 func TestCompareMinGate(t *testing.T) {
-	base := report(Metric{Name: "sim/par/speedup_4w", Value: 1.5, Unit: "x", Gate: GateMin})
-	within := report(Metric{Name: "sim/par/speedup_4w", Value: 1.36, Unit: "x", Gate: GateMin})
-	if bad := Compare(base, within, 0.1); len(bad) != 0 {
-		t.Fatalf("within-tolerance value flagged: %v", bad)
-	}
-	// Improvement never fails the gate.
-	better := report(Metric{Name: "sim/par/speedup_4w", Value: 3.9, Unit: "x", Gate: GateMin})
-	if bad := Compare(base, better, 0.1); len(bad) != 0 {
-		t.Fatalf("improvement flagged: %v", bad)
-	}
-	worse := report(Metric{Name: "sim/par/speedup_4w", Value: 1.2, Unit: "x", Gate: GateMin})
-	bad := Compare(base, worse, 0.1)
-	if len(bad) != 1 || !strings.Contains(bad[0], "falls below") {
-		t.Fatalf("speedup regression not flagged: %v", bad)
+	base := report(Metric{Name: "kernel/steady/speedup", Value: 1.5, Unit: "x", Gate: "min"})
+	for _, v := range []float64{1.5, 0.5, 3.9} {
+		cur := report(Metric{Name: "kernel/steady/speedup", Value: v, Unit: "x", Gate: "min"})
+		bad := Compare(base, cur, 0.1)
+		if len(bad) != 1 || !strings.Contains(bad[0], `unknown gate "min"`) {
+			t.Fatalf("value %v against a min-gated baseline: %v", v, bad)
+		}
 	}
 }
 
@@ -116,9 +112,6 @@ func TestHarnessSmoke(t *testing.T) {
 		"service/loadgen/executions",
 		"service/loadgen/dedup_hits",
 		"service/dedup_hit/allocs",
-		"sim/par/events",
-		"sim/par/fingerprint48",
-		"sim/par/speedup_4w",
 	}
 	have := make(map[string]bool, len(rep.Metrics))
 	for _, m := range rep.Metrics {

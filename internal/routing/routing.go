@@ -177,22 +177,6 @@ func AllPairs(g *topology.Graph, endpoints []int) (*Matrix, error) {
 	return m, nil
 }
 
-// Between returns latency, hops and bottleneck bandwidth from node u to
-// node v. Both must have been endpoints passed to AllPairs.
-func (m *Matrix) Between(u, v int) (latency float64, hops int, bandwidth float64, err error) {
-	i, ok := m.Index[u]
-	if !ok {
-		//lint:allow hotalloc misrouted-endpoint error path; a correctly built topology never takes it
-		return 0, 0, 0, fmt.Errorf("routing: node %d not an endpoint", u)
-	}
-	j, ok := m.Index[v]
-	if !ok {
-		//lint:allow hotalloc misrouted-endpoint error path; a correctly built topology never takes it
-		return 0, 0, 0, fmt.Errorf("routing: node %d not an endpoint", v)
-	}
-	return m.Latency[i][j], m.Hops[i][j], m.Bandwidth[i][j], nil
-}
-
 // nodeItem / nodeQueue implement the Dijkstra priority queue.
 type nodeItem struct {
 	node int

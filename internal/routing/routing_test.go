@@ -150,25 +150,15 @@ func TestAllPairs(t *testing.T) {
 	if len(m.IDs) != 3 {
 		t.Fatalf("IDs = %v, want 3 distinct", m.IDs)
 	}
-	lat, hops, _, err := m.Between(0, 5)
-	if err != nil {
-		t.Fatal(err)
+	i0, i3, i5 := m.Index[0], m.Index[3], m.Index[5]
+	if lat, hops := m.Latency[i0][i5], m.Hops[i0][i5]; lat != 5 || hops != 5 {
+		t.Fatalf("0->5 = %v,%d", lat, hops)
 	}
-	if lat != 5 || hops != 5 {
-		t.Fatalf("Between(0,5) = %v,%d", lat, hops)
+	if lat := m.Latency[i3][i0]; lat != 3 {
+		t.Fatalf("3->0 = %v", lat)
 	}
-	lat, _, _, err = m.Between(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat != 3 {
-		t.Fatalf("Between(3,0) = %v", lat)
-	}
-	if _, _, _, err := m.Between(0, 2); err == nil {
-		t.Fatal("non-endpoint accepted")
-	}
-	if _, _, _, err := m.Between(2, 0); err == nil {
-		t.Fatal("non-endpoint accepted")
+	if _, ok := m.Index[2]; ok {
+		t.Fatal("non-endpoint indexed")
 	}
 }
 

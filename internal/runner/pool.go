@@ -54,10 +54,10 @@ type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	workers []*worker
-	global  []Task // FIFO injection queue
-	pending int    // submitted + spawned tasks not yet finished
-	closed  bool   // Wait called; no further Submit allowed
-	err     error  // first task error
+	global  []Task  // FIFO injection queue
+	pending int     // submitted + spawned tasks not yet finished
+	closed  bool    // Wait called; no further Submit allowed
+	err     error   // first task error
 	errs    []error // every task error, in completion order (keep-going mode)
 	running map[int]string
 

@@ -11,7 +11,7 @@ import (
 // reference model — a flat slice popped by linear scan for the minimum
 // (time, insertion order), in which every lane item and every tick is a
 // plain scheduled event — through long seeded sequences of Schedule,
-// Cancel, Reschedule, lane Append, ticker Stop/Reset and Step. Any
+// Cancel, Reschedule, lane Append, ticker Stop/restart and Step. Any
 // divergence in fire order, fire time, Processed(), Pending() or
 // NextEventTimes() fails. The sequence deliberately produces timestamp
 // ties (seq tie-breaking, also across lanes and the heap),
@@ -36,7 +36,7 @@ type felRec struct {
 
 // diffKernel drives a Kernel and the reference model in lockstep. Every
 // callback checks, at the moment it fires, that the reference agrees it
-// is next — so Step, Run and RunAll are all verified event by event.
+// is next — so Step and Run are both verified event by event.
 type diffKernel struct {
 	t       testing.TB
 	k       *Kernel
@@ -148,7 +148,15 @@ func (d *diffKernel) cancel(i int) {
 }
 
 func (d *diffKernel) newTicker(period Time) *diffTicker {
-	dt := &diffTicker{period: period, cur: -1}
+	dt := &diffTicker{}
+	d.startTicker(dt, period)
+	d.tickers = append(d.tickers, dt)
+	return dt
+}
+
+// startTicker creates a Ticker with the given period in dt's slot.
+func (d *diffKernel) startTicker(dt *diffTicker, period Time) {
+	dt.period, dt.cur = period, -1
 	if period > 0 {
 		dt.cur = d.add(d.k.Now() + period)
 	}
@@ -157,8 +165,6 @@ func (d *diffKernel) newTicker(period Time) *diffTicker {
 		// The ticker rearms as soon as this callback returns.
 		dt.cur = d.add(d.k.Now() + dt.period)
 	})
-	d.tickers = append(d.tickers, dt)
-	return dt
 }
 
 func (d *diffKernel) stopTicker(dt *diffTicker) {
@@ -170,13 +176,11 @@ func (d *diffKernel) stopTicker(dt *diffTicker) {
 	}
 }
 
-func (d *diffKernel) resetTicker(dt *diffTicker, period Time) {
+// restartTicker stops dt's ticker and starts a fresh one with the new
+// period in the same slot, so churn moves tickers between lanes.
+func (d *diffKernel) restartTicker(dt *diffTicker, period Time) {
 	d.stopTicker(dt)
-	dt.period = period
-	if period > 0 {
-		dt.cur = d.add(d.k.Now() + period)
-	}
-	dt.tk.Reset(period)
+	d.startTicker(dt, period)
 }
 
 // check compares the kernel's bookkeeping with the reference.
@@ -239,8 +243,8 @@ func runFELDifferential(t *testing.T, seed int64) {
 	rng := NewSource(seed).Stream("felprop")
 	d := newDiffKernel(t, 3)
 	k := d.k
-	// Two tickers share period 1 (one lane), one runs at 2.5; Reset
-	// moves them between lanes.
+	// Two tickers share period 1 (one lane), one runs at 2.5; restarts
+	// move them between lanes.
 	periods := []Time{1, 2.5, 4}
 	for _, p := range []Time{1, 2.5, 1} {
 		d.newTicker(p)
@@ -312,16 +316,16 @@ func runFELDifferential(t *testing.T, seed int64) {
 				d.schedule(k.Now()+rng.Float64()*10, nil)
 			}
 		case x < 0.67:
-			// Ticker churn: stop, restart at another period, or reset
-			// to the period it already has.
+			// Ticker churn: stop, restart at another period, or restart
+			// at the period it already has.
 			dt := d.tickers[rng.Intn(len(d.tickers))]
 			switch y := rng.Float64(); {
 			case y < 0.3:
 				d.stopTicker(dt)
 			case y < 0.8:
-				d.resetTicker(dt, periods[rng.Intn(len(periods))])
+				d.restartTicker(dt, periods[rng.Intn(len(periods))])
 			default:
-				d.resetTicker(dt, dt.period)
+				d.restartTicker(dt, dt.period)
 			}
 		default:
 			if !k.Step() && len(d.live) > 0 {

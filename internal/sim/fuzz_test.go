@@ -8,7 +8,7 @@ import (
 // kernel operations — schedules at equal/past/future times, double
 // cancels, steps, bounded runs, Stop called from inside a callback,
 // lane appends (in order and out of order), and ticker creation,
-// Stop and Reset — and runs them through diffKernel (felprop_test.go),
+// Stop and restart — and runs them through diffKernel (felprop_test.go),
 // so every fired callback is checked against the sorted-slice
 // reference and Processed(), Pending() and NextEventTimes() are
 // compared after every operation. On top of the differential check:
@@ -118,9 +118,9 @@ func FuzzKernelOps(f *testing.F) {
 				case 1:
 					d.stopTicker(dt)
 				case 2:
-					d.resetTicker(dt, period)
+					d.restartTicker(dt, period)
 				default:
-					d.resetTicker(dt, 0) // a non-positive period leaves it stopped
+					d.restartTicker(dt, 0) // a non-positive period starts it stopped
 				}
 			}
 			if now := k.Now(); now < last {

@@ -14,7 +14,7 @@ import "fmt"
 // minimum over the heap plus the lane heads is therefore always the
 // minimum the heap would hold had every item been scheduled directly:
 // fire order, sequence numbers and Processed() are identical, and the
-// dispatch loop (runLimit, Step, NextTime) needs no second path.
+// dispatch loop (Run, Step) needs no second path.
 //
 // What lanes buy is a smaller heap (thousands of pre-scheduled
 // arrivals, every ticker's pending tick and every queued server work

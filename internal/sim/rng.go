@@ -83,11 +83,6 @@ func (st *Stream) LogUniform(lo, hi float64) float64 {
 	return lo * math.Exp(st.rng.Float64()*math.Log(hi/lo))
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (st *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*st.rng.NormFloat64())
-}
-
 // Normal returns a normal variate.
 func (st *Stream) Normal(mu, sigma float64) float64 {
 	return mu + sigma*st.rng.NormFloat64()

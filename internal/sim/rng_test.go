@@ -248,15 +248,3 @@ func TestTickerDisabledOnNonPositivePeriod(t *testing.T) {
 	}
 	k.Run(100)
 }
-
-func TestTickerReset(t *testing.T) {
-	k := NewKernel()
-	var fires []Time
-	tk := NewTicker(k, 10, func() { fires = append(fires, k.Now()) })
-	k.Run(25) // fires at 10, 20
-	tk.Reset(100)
-	k.Run(200) // fires at 125
-	if len(fires) != 3 || fires[2] != 125 {
-		t.Fatalf("after Reset fires = %v, want [10 20 125]", fires)
-	}
-}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -85,6 +87,47 @@ func TestClockAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
+// Run advances the clock to its horizon only forward, and never over a
+// live event still pending inside the window. A Run halted by Stop leaves the clock at the halting event
+// until a later Run has executed what remains.
+func TestAdvanceTo(t *testing.T) {
+	k := NewKernel()
+	k.Run(7)
+	if k.Now() != 7 {
+		t.Fatalf("Now = %v after Run(7), want 7", k.Now())
+	}
+	if n := k.Run(6); n != 0 || k.Now() != 7 {
+		t.Fatalf("Run(6) after Run(7): %d events, clock %v; want 0 events, clock 7", n, k.Now())
+	}
+	k.Schedule(10, k.Stop)
+	k.Schedule(12, func() {})
+	if n := k.Run(20); n != 1 || k.Now() != 10 {
+		t.Fatalf("stopped Run(20): %d events, clock %v; want 1 event, clock 10", n, k.Now())
+	}
+	if n := k.Run(20); n != 1 || k.Now() != 20 {
+		t.Fatalf("resumed Run(20): %d events, clock %v; want 1 event, clock 20", n, k.Now())
+	}
+}
+
+// Cancelled events, on the heap or queued in a ticker lane, never hold
+// the clock back from the horizon and never count as processed.
+func TestAdvanceToIgnoresCancelledEvents(t *testing.T) {
+	k := NewKernel()
+	k.Cancel(k.Schedule(3, func() {}))
+	k.Cancel(k.Schedule(9, func() {}))
+	tk := NewTicker(k, 2, func() { t.Fatalf("stopped ticker fired") })
+	tk.Stop()
+	if n := k.Run(8); n != 0 {
+		t.Fatalf("Run(8) executed %d cancelled events", n)
+	}
+	if k.Now() != 8 {
+		t.Fatalf("Now = %v, want 8", k.Now())
+	}
+	if k.Processed() != 0 || k.Pending() != 0 {
+		t.Fatalf("Processed = %d, Pending = %d; want 0 and 0", k.Processed(), k.Pending())
+	}
+}
+
 func TestCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
@@ -132,6 +175,58 @@ func TestStopFromEvent(t *testing.T) {
 	k.Run(100)
 	if count != 10 {
 		t.Fatalf("resumed run fired %d total, want 10", count)
+	}
+}
+
+// TestWindowedRunMatchesSerialRun pins that Run is resumable: slicing
+// a run into successive Run windows, with horizons that land on event
+// times, executes exactly the events, in exactly the order, of one Run
+// to the final horizon, and leaves the clock in the same place.
+func TestWindowedRunMatchesSerialRun(t *testing.T) {
+	prop := func(seed int64, windowsRaw uint8) bool {
+		build := func(k *Kernel, log *[]int) {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 200; i++ {
+				id := i
+				at := Time(rng.Intn(64)) / 2
+				follow := Time(rng.Intn(8)) / 2
+				k.Schedule(at, func() {
+					*log = append(*log, id)
+					if follow > 0 {
+						k.After(follow, func() { *log = append(*log, -id) })
+					}
+				})
+			}
+		}
+		var serialLog []int
+		serial := NewKernel()
+		build(serial, &serialLog)
+		nSerial := serial.Run(30)
+
+		var winLog []int
+		win := NewKernel()
+		build(win, &winLog)
+		var nWin uint64
+		step := Time(1 + windowsRaw%9)
+		for h := step; h < 30; h += step {
+			nWin += win.Run(h)
+		}
+		nWin += win.Run(30)
+
+		if nSerial != nWin {
+			t.Fatalf("seed %d step %v: serial ran %d events, windowed %d", seed, step, nSerial, nWin)
+		}
+		if !reflect.DeepEqual(serialLog, winLog) {
+			t.Fatalf("seed %d step %v: orders diverge", seed, step)
+		}
+		if serial.Now() != win.Now() || serial.Pending() != win.Pending() {
+			t.Fatalf("seed %d step %v: end states diverge: clock %v vs %v, pending %d vs %d",
+				seed, step, serial.Now(), win.Now(), serial.Pending(), win.Pending())
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -211,13 +306,22 @@ func TestPendingCountsLiveEvents(t *testing.T) {
 	}
 }
 
+// TestRunAll pins the drain idiom: Run(Infinity) executes every pending
+// event however far apart they lie, including the events their
+// callbacks schedule on the way, and leaves nothing pending.
 func TestRunAll(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	k.Schedule(1e12, func() { count++ })
-	k.Schedule(1, func() { count++ })
-	if n := k.RunAll(); n != 2 || count != 2 {
-		t.Fatalf("RunAll ran %d events (count %d), want 2", n, count)
+	k.Schedule(1, func() {
+		count++
+		k.After(1e15, func() { count++ })
+	})
+	if n := k.Run(Infinity); n != 3 || count != 3 {
+		t.Fatalf("Run(Infinity) ran %d events (count %d), want 3", n, count)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run(Infinity), want 0", k.Pending())
 	}
 }
 

@@ -48,7 +48,7 @@ func NewTicker(k *Kernel, period Time, fn func()) *Ticker {
 func (t *Ticker) fire() {
 	t.armed = false
 	t.fn()
-	if !t.done && !t.armed { // fn may have stopped or reset us
+	if !t.done { // fn may have stopped us
 		t.arm()
 	}
 }
@@ -75,21 +75,6 @@ func (t *Ticker) Stop() {
 // Stopped reports whether the ticker has been stopped or was created
 // disabled.
 func (t *Ticker) Stopped() bool { return t.done }
-
-// Period returns the configured period.
-func (t *Ticker) Period() Time { return t.period }
-
-// Reset stops the ticker and restarts it with a new period, firing one
-// new period from now. A non-positive period leaves it stopped.
-func (t *Ticker) Reset(period Time) {
-	t.Stop()
-	t.period = period
-	if period > 0 {
-		t.lane = t.k.tickerLane(period)
-		t.done = false
-		t.arm()
-	}
-}
 
 // tickerLane returns the lane shared by every ticker of the period,
 // creating it on first use.

@@ -52,10 +52,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 // ticker while its rearm is pending at the head of its lane. The
 // cancelled head's proxy struct is recycled by the free list and handed
 // to an unrelated event; a second (stale) Stop must not cancel that
-// successor. This is exactly the interleaving the parallel executor's
-// barrier makes routine — cross-shard deliveries land between a tick
-// and its sibling events — so the contract is pinned here at kernel
-// level.
+// successor.
 func TestTickerStopRacingPendingRearm(t *testing.T) {
 	k := NewKernel()
 	var ticks []Time
@@ -114,23 +111,49 @@ func TestTickerStopInCallbackThenStaleStop(t *testing.T) {
 	}
 }
 
+// TestTickerReset checks the period-change idiom, Stop followed by a
+// fresh NewTicker: the new ticker fires one new period after the
+// change, on its own lane, and the stopped one never fires again.
+func TestTickerReset(t *testing.T) {
+	k := NewKernel()
+	var fires []Time
+	tick := func() { fires = append(fires, k.Now()) }
+	tk := NewTicker(k, 10, tick)
+	k.Run(25) // fires at 10, 20
+	tk.Stop()
+	tk = NewTicker(k, 100, tick)
+	k.Run(200) // fires at 125
+	if !reflect.DeepEqual(fires, []Time{10, 20, 125}) {
+		t.Fatalf("after the period change fires = %v, want [10 20 125]", fires)
+	}
+	if tk.Stopped() {
+		t.Fatalf("restarted ticker reports stopped")
+	}
+}
+
+// TestTickerResetAfterStop restarts a ticker stopped earlier, moving it
+// to a shorter period's lane, then restarts it with a non-positive
+// period, which leaves it disabled.
 func TestTickerResetAfterStop(t *testing.T) {
 	k := NewKernel()
 	var got []Time
-	tk := NewTicker(k, 4, func() { got = append(got, k.Now()) })
+	tick := func() { got = append(got, k.Now()) }
+	tk := NewTicker(k, 4, tick)
 	k.Run(5) // one tick at 4
 	tk.Stop()
-	tk.Reset(2) // restart from t=5: ticks at 7, 9, ...
-	k.Run(9)
-	if !reflect.DeepEqual(got, []Time{4, 7, 9}) {
-		t.Fatalf("ticks = %v, want [4 7 9]", got)
+	k.Run(6)
+	tk = NewTicker(k, 2, tick) // restart from t=6: ticks at 8, 10, ...
+	k.Run(10)
+	if !reflect.DeepEqual(got, []Time{4, 8, 10}) {
+		t.Fatalf("ticks = %v, want [4 8 10]", got)
 	}
-	tk.Reset(0)
+	tk.Stop()
+	tk = NewTicker(k, 0, tick)
 	if !tk.Stopped() {
-		t.Fatalf("Reset(0) left the ticker running")
+		t.Fatalf("a restart with period 0 left the ticker running")
 	}
 	k.Run(50)
 	if len(got) != 3 {
-		t.Fatalf("ticks after Reset(0): %v", got)
+		t.Fatalf("ticks after the period-0 restart: %v", got)
 	}
 }

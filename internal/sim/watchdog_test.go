@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,5 +99,69 @@ func TestNextEventTimes(t *testing.T) {
 	}
 	if all := k.NextEventTimes(100); len(all) != 5 {
 		t.Fatalf("NextEventTimes(100) returned %d times, want 5", len(all))
+	}
+}
+
+// TestNextTimeReportsEarliestLiveEvent checks that the diagnostic peek
+// reports the earliest live event across the heap and the ticker lanes,
+// skipping cancelled events and stopped tickers.
+func TestNextTimeReportsEarliestLiveEvent(t *testing.T) {
+	k := NewKernel()
+	if got := k.NextEventTimes(1); len(got) != 0 {
+		t.Fatalf("NextEventTimes(1) = %v on an empty kernel", got)
+	}
+	e1 := k.Schedule(2, func() {})
+	k.Schedule(5, func() {})
+	tk := NewTicker(k, 3, func() {})
+	for _, step := range []struct {
+		name string
+		do   func()
+		want Time
+	}{
+		{"initially", func() {}, 2},
+		{"after cancelling the head", func() { k.Cancel(e1) }, 3},
+		{"after stopping the ticker", tk.Stop, 5},
+	} {
+		step.do()
+		if got := k.NextEventTimes(1); len(got) != 1 || got[0] != step.want {
+			t.Fatalf("%s: NextEventTimes(1) = %v, want [%v]", step.name, got, step.want)
+		}
+	}
+	if k.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", k.Pending())
+	}
+}
+
+// TestNextTimeIsBehaviourInvisible checks that peeking at the future
+// event list, before a run and from inside running callbacks as the
+// audit dump does, leaves the run unchanged: the same events fire in
+// the same order.
+func TestNextTimeIsBehaviourInvisible(t *testing.T) {
+	run := func(peek bool) ([]int, uint64, Time) {
+		k := NewKernel()
+		var got []int
+		note := func(id int) {
+			got = append(got, id)
+			if peek {
+				k.NextEventTimes(16)
+			}
+		}
+		for i, at := range []Time{4, 1, 3, 3, 6} {
+			i := i
+			k.Schedule(at, func() { note(i) })
+		}
+		k.Cancel(k.Schedule(5, func() { note(99) }))
+		NewTicker(k, 2, func() { note(-1) })
+		if peek {
+			k.NextEventTimes(16)
+		}
+		k.Run(7)
+		return got, k.Processed(), k.Now()
+	}
+	plain, plainN, plainNow := run(false)
+	peeked, peekedN, peekedNow := run(true)
+	if !reflect.DeepEqual(plain, peeked) || plainN != peekedN || plainNow != peekedNow {
+		t.Fatalf("peeking changed the run: %v (%d events, clock %v) vs %v (%d events, clock %v)",
+			plain, plainN, plainNow, peeked, peekedN, peekedNow)
 	}
 }
