@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint depscheck test race bench benchcheck gobench chaos chaos-service crashtest loadtest
+.PHONY: check build vet lint depscheck test race fuzz bench benchcheck gobench chaos chaos-service crashtest loadtest
 
 # The gate CI runs: vet + stdlib-only dependency check + determinism
 # lint + full test suite + race + the fixed-seed chaos sweep + the
@@ -46,6 +46,14 @@ test: build
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/service/...
+
+# Kernel fuzz smoke: 30 s of coverage-guided fuzzing of the dispatch
+# loop (FuzzKernelOps against its sorted-slice reference). `go test`
+# only replays the seed corpus; this explores past it. Not part of
+# `make check`, which stays within its time budget; CI's full job runs
+# it.
+fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzKernelOps$$' -fuzztime 30s
 
 # Refresh the committed benchmark baseline: run the regression harness
 # (internal/perfbench) and overwrite BENCH_sim.json with its report.

@@ -82,6 +82,19 @@ func DefaultCosts() CostModel {
 
 // Validate reports the first nonsensical cost.
 func (c CostModel) Validate() error {
+	if err := allFinite([]param{
+		{"UpdateBatchBase", c.UpdateBatchBase},
+		{"UpdatePer", c.UpdatePer},
+		{"DecisionBase", c.DecisionBase},
+		{"DecisionPer", c.DecisionPer},
+		{"Message", c.Message},
+		{"EstimatorPer", c.EstimatorPer},
+		{"TriggerCheck", c.TriggerCheck},
+		{"JobControl", c.JobControl},
+		{"SchedulerSpeed", c.SchedulerSpeed},
+	}); err != nil {
+		return err
+	}
 	switch {
 	case c.UpdateBatchBase < 0 || c.UpdatePer < 0 || c.DecisionBase < 0 ||
 		c.DecisionPer < 0 || c.Message < 0 || c.EstimatorPer < 0 ||
@@ -122,17 +135,12 @@ func DefaultEnablers() Enablers {
 
 // Validate reports the first out-of-range enabler.
 func (e Enablers) Validate() error {
-	for _, v := range []struct {
-		name string
-		val  float64
-	}{
+	if err := allFinite([]param{
 		{"UpdateInterval", e.UpdateInterval},
 		{"LinkDelayScale", e.LinkDelayScale},
 		{"VolunteerInterval", e.VolunteerInterval},
-	} {
-		if !finite(v.val) {
-			return fmt.Errorf("grid: %s must be finite, got %v", v.name, v.val)
-		}
+	}); err != nil {
+		return err
 	}
 	switch {
 	case e.UpdateInterval <= 0:
@@ -196,6 +204,18 @@ func DefaultProtocol() Protocol {
 
 // Validate reports the first out-of-range protocol constant.
 func (p Protocol) Validate() error {
+	if err := allFinite([]param{
+		{"ThresholdLoad", p.ThresholdLoad},
+		{"RUSDelta", p.RUSDelta},
+		{"Psi", p.Psi},
+		{"SuppressDelta", p.SuppressDelta},
+		{"BidWindow", p.BidWindow},
+		{"ReservationTTL", p.ReservationTTL},
+		{"MiddlewareTime", p.MiddlewareTime},
+		{"EstimatorInterval", p.EstimatorInterval},
+	}); err != nil {
+		return err
+	}
 	switch {
 	case p.Lp < 1:
 		return fmt.Errorf("grid: Lp must be >= 1, got %d", p.Lp)
@@ -266,12 +286,23 @@ type FaultModel struct {
 	MaxRetries int
 }
 
-// finite reports whether x is a usable parameter value (neither NaN nor
-// an infinity). Validation rejects non-finite values explicitly:
-// comparisons like f.ResourceMTBF < 0 are false for NaN, which would
-// otherwise let NaN slip through range checks.
-func finite(x float64) bool {
-	return !math.IsNaN(x) && !math.IsInf(x, 0)
+// param is one named float parameter, for allFinite.
+type param struct {
+	name string
+	val  float64
+}
+
+// allFinite reports the first parameter that is not a usable value
+// (NaN or an infinity). Validation rejects non-finite values
+// explicitly: comparisons like f.ResourceMTBF < 0 are false for NaN,
+// which would otherwise let NaN slip through range checks.
+func allFinite(ps []param) error {
+	for _, p := range ps {
+		if math.IsNaN(p.val) || math.IsInf(p.val, 0) {
+			return fmt.Errorf("grid: %s must be finite, got %v", p.name, p.val)
+		}
+	}
+	return nil
 }
 
 // Enabled reports whether any fault process is active.
@@ -289,10 +320,7 @@ func (f FaultModel) protocolFaults() bool {
 
 // Validate reports the first nonsensical fault parameter.
 func (f FaultModel) Validate() error {
-	for _, v := range []struct {
-		name string
-		val  float64
-	}{
+	if err := allFinite([]param{
 		{"ResourceMTBF", f.ResourceMTBF},
 		{"RepairTime", f.RepairTime},
 		{"UpdateLossProb", f.UpdateLossProb},
@@ -304,10 +332,8 @@ func (f FaultModel) Validate() error {
 		{"LinkOutageMTBF", f.LinkOutageMTBF},
 		{"LinkOutageDuration", f.LinkOutageDuration},
 		{"RetryTimeout", f.RetryTimeout},
-	} {
-		if !finite(v.val) {
-			return fmt.Errorf("grid: %s must be finite, got %v", v.name, v.val)
-		}
+	}); err != nil {
+		return err
 	}
 	switch {
 	case f.ResourceMTBF < 0:
@@ -417,6 +443,19 @@ func (c Config) Validate() error {
 	}
 	if c.TopoNodes != 0 && c.TopoNodes < c.Spec.Nodes() {
 		return fmt.Errorf("grid: TopoNodes %d below spec minimum %d", c.TopoNodes, c.Spec.Nodes())
+	}
+	if err := c.Links.Validate(); err != nil {
+		return err
+	}
+	if err := allFinite([]param{
+		{"ServiceRate", c.ServiceRate},
+		{"Horizon", c.Horizon},
+		{"Drain", c.Drain},
+		{"MsgBytes", c.MsgBytes},
+		{"UpdateBytes", c.UpdateBytes},
+		{"JobBytes", c.JobBytes},
+	}); err != nil {
+		return err
 	}
 	if c.ServiceRate <= 0 {
 		return fmt.Errorf("grid: ServiceRate must be positive, got %v", c.ServiceRate)

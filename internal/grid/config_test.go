@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -86,5 +87,52 @@ func TestFaultModelValidateRanges(t *testing.T) {
 	var zero FaultModel
 	if zero.Enabled() || zero.protocolFaults() {
 		t.Error("zero fault model must report disabled")
+	}
+}
+
+// TestConfigValidateRejectsNonFinite sets every float field reachable
+// from Config — its own and those of its nested parameter structs — to
+// NaN and to +Inf in turn. Range checks written "x <= 0" are false for
+// NaN, and an infinite horizon or rate runs to the event budget, so
+// Validate must reject each with an error naming the field.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	base := testConfig()
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base config invalid: %v", err)
+	}
+	type field struct {
+		path  string
+		index []int
+	}
+	var fields []field
+	var walk func(typ reflect.Type, path string, index []int)
+	walk = func(typ reflect.Type, path string, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			sf := typ.Field(i)
+			idx := append(append([]int(nil), index...), i)
+			switch sf.Type.Kind() {
+			case reflect.Float64:
+				fields = append(fields, field{path + sf.Name, idx})
+			case reflect.Struct:
+				walk(sf.Type, path+sf.Name+".", idx)
+			}
+		}
+	}
+	walk(reflect.TypeOf(base), "", nil)
+	if len(fields) < 50 {
+		t.Fatalf("found only %d float fields: %v", len(fields), fields)
+	}
+	for _, f := range fields {
+		name := f.path[strings.LastIndex(f.path, ".")+1:]
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := base
+			reflect.ValueOf(&cfg).Elem().FieldByIndex(f.index).SetFloat(bad)
+			err := cfg.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", f.path, bad)
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: error does not name the field: %v", f.path, bad, err)
+			}
+		}
 	}
 }

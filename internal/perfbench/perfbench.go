@@ -109,6 +109,7 @@ func kernelMetrics() []Metric {
 	add("kernel/steady", testing.Benchmark(benchKernelSteady))
 	add("kernel/cancel", testing.Benchmark(benchKernelCancel))
 	add("kernel/ticker", testing.Benchmark(benchTickerCycle))
+	add("kernel/lanes", testing.Benchmark(benchKernelLanes))
 	return out
 }
 
@@ -173,6 +174,56 @@ func benchTickerCycle(b *testing.B) {
 	}
 	if n == 0 {
 		b.Fatal("ticker never fired")
+	}
+}
+
+// benchKernelLanes is the event mix of a figure sweep, where most
+// events are lane items: about 150 self-rescheduling plain events in
+// flight over a deep event heap, 240 tickers at staggered phases
+// sharing one lane, a self-refilling arrival lane, and 24 sparse server
+// lanes fed by two plain submitters. BenchmarkKernelLanes in
+// internal/sim mirrors it.
+func benchKernelLanes(b *testing.B) {
+	k := sim.NewKernel()
+	noop := func() {}
+	for i := 0; i < 150; i++ {
+		var fn func()
+		d := sim.Time(20 + i%61)
+		fn = func() { k.After(d, fn) }
+		k.Schedule(sim.Time(i)/3, fn)
+	}
+	const period = 40
+	for i := 0; i < 240; i++ {
+		k.Schedule(sim.Time(i)*period/240, func() { sim.NewTicker(k, period, noop) })
+	}
+	arrivals := sim.NewLane(k)
+	var arrive func()
+	arrive = func() { arrivals.Append(k.Now()+0.7, arrive) }
+	arrivals.Append(0, arrive)
+	servers := make([]*sim.Lane, 24)
+	busy := make([]sim.Time, len(servers))
+	for i := range servers {
+		servers[i] = sim.NewLane(k)
+	}
+	for j := 0; j < 2; j++ {
+		next := j
+		var submit func()
+		submit = func() {
+			s := next % len(servers)
+			next += 2
+			busy[s] = max(busy[s], k.Now()) + 3
+			servers[s].Append(busy[s], noop)
+			k.After(1.3, submit)
+		}
+		k.Schedule(0, submit)
+	}
+	for k.Now() < 2*period { // start every ticker, warm the rings
+		k.Step()
+	}
+	b.ResetTimer()
+	target := k.Processed() + uint64(b.N)
+	for k.Processed() < target {
+		k.Step()
 	}
 }
 

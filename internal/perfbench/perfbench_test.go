@@ -107,6 +107,7 @@ func TestHarnessSmoke(t *testing.T) {
 		"kernel/steady/allocs_per_event",
 		"kernel/cancel/allocs_per_event",
 		"kernel/ticker/allocs_per_event",
+		"kernel/lanes/allocs_per_event",
 		"engine/CENTRAL/events",
 		"engine/LOWEST/allocs_per_event",
 		"service/loadgen/executions",

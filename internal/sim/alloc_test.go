@@ -93,7 +93,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 }
 
 // TestSharedTickerLaneRearmZeroAlloc: tickers of one period share a
-// lane; once its ring is warm a tick (fire, promote the next head,
+// lane; once its ring is warm a tick (fire, re-key the lane's slot,
 // rearm at the tail) allocates nothing.
 func TestSharedTickerLaneRearmZeroAlloc(t *testing.T) {
 	k := NewKernel()

@@ -1,14 +1,20 @@
 package sim
 
-// This file is the kernel's future event list: a 4-ary implicit
-// min-heap ordered by (time, sequence), with lazy deletion of cancelled
-// events and a free list that recycles Event structs.
+// This file is the kernel's future event list: two 4-ary implicit
+// min-heaps ordered by (time, sequence). The event heap holds plain
+// scheduled events, with lazy deletion of cancelled ones and a free
+// list that recycles Event structs. The lane heap holds one slot per
+// FIFO lane (lane.go) that has a live item, keyed by the lane head's
+// reserved (time, sequence); a lane item fires and is released without
+// ever entering the event heap. Both heaps share one sift-up and one
+// sift-down over []slot.
 //
-// The heap holds pointer-free slots — the key inline plus the event's
-// id in fel.evs — not *Event. A sift moves slots level by level, and
-// moving a pointer costs a GC write barrier whenever the collector is
-// marking, which in this allocation-heavy workload is much of the
-// time; comparing inline keys also skips a dereference per child.
+// The heaps hold pointer-free slots — the key inline plus an id: the
+// event's index in fel.evs, or the lane's index in Kernel.lanes. A sift
+// moves slots level by level, and moving a pointer costs a GC write
+// barrier whenever the collector is marking, which in this
+// allocation-heavy workload is much of the time; comparing inline keys
+// also skips a dereference per child.
 //
 // Why not container/heap: the interface-based heap routes every push
 // and pop through heap.Interface method calls and `any` conversions on
@@ -18,19 +24,20 @@ package sim
 // the child scan inside one cache line, and compiles to direct slice
 // indexing with no boxing.
 //
-// Fire-order invariance: (time, sequence) is a total order over events,
-// so the pop sequence of any correct min-heap over the same event set
-// is identical regardless of internal array layout. Replacing the
-// binary heap, deleting lazily, and compacting are therefore all
-// behaviour-invisible; the golden outputs and chaos fingerprints pin
-// this.
+// Fire-order invariance: (time, sequence) is a total order over events
+// and lane items, so the pop sequence of any correct min-heap over the
+// same set is identical regardless of internal array layout, and the
+// smaller of the two roots under that order is the minimum one heap
+// over both sets would hold. Splitting the heap, deleting lazily, and
+// compacting are therefore all behaviour-invisible; the golden outputs
+// and chaos fingerprints pin this.
 
 // compactMin is the smallest number of lazily-deleted events that can
 // trigger a compaction sweep; below it the dead weight is too small to
 // be worth rebuilding the heap.
 const compactMin = 64
 
-// slot is one heap entry: the event's key inline plus its id.
+// slot is one heap entry: a key inline plus the id of what it keys.
 type slot struct {
 	at  Time
 	seq uint64
@@ -47,39 +54,33 @@ func (a slot) before(b slot) bool {
 
 // fel is the future event list.
 type fel struct {
-	ev  []slot
+	ev  []slot   // the event heap
 	evs []*Event // every Event the kernel ever allocated, by id
-	// dead counts cancelled events still buried in the heap. Cancel
-	// marks and counts; pop and compact collect.
+	// dead counts cancelled events still buried in the event heap.
+	// Cancel marks and counts; pop and compact collect.
 	dead int
+	// lanes is the lane heap: one slot per lane holding a live item.
+	lanes []slot
 }
 
-// live returns the number of pending non-cancelled events.
+// live returns the number of pending non-cancelled events in the event
+// heap.
 func (f *fel) live() int { return len(f.ev) - f.dead }
 
-// top returns the earliest event without removing it.
-func (f *fel) top() *Event { return f.evs[f.ev[0].id] }
-
-// push inserts e, sifting it up to its (time, sequence) position.
-func (f *fel) push(e *Event) {
-	e.inFEL = true
-	s := slot{at: e.at, seq: e.seq, id: e.id}
-	i := len(f.ev)
-	f.ev = append(f.ev, s)
-	for i > 0 {
-		p := (i - 1) >> 2
-		ps := f.ev[p]
-		if !s.before(ps) {
-			break
-		}
-		f.ev[i] = ps
-		i = p
-	}
-	f.ev[i] = s
+// laneFirst reports whether the lane heap's root fires before the event
+// heap's root. At least one heap must be non-empty.
+func (f *fel) laneFirst() bool {
+	return len(f.ev) == 0 || len(f.lanes) > 0 && f.lanes[0].before(f.ev[0])
 }
 
-// pop removes and returns the earliest event. The caller must know the
-// list is non-empty.
+// push inserts e into the event heap.
+func (f *fel) push(e *Event) {
+	e.inFEL = true
+	f.ev = heapAdd(f.ev, slot{at: e.at, seq: e.seq, id: e.id})
+}
+
+// pop removes and returns the event heap's earliest event. The caller
+// must know the heap is non-empty.
 func (f *fel) pop() *Event {
 	root := f.evs[f.ev[0].id]
 	root.inFEL = false
@@ -87,36 +88,74 @@ func (f *fel) pop() *Event {
 	last := f.ev[n]
 	f.ev = f.ev[:n]
 	if n > 0 {
-		f.siftDown(last, 0)
+		siftDown(f.ev, last, 0)
 	}
 	return root
 }
 
-// siftDown places s at index i, walking it down past smaller children.
-func (f *fel) siftDown(s slot, i int) {
-	n := len(f.ev)
+// heapAdd appends s to heap h and sifts it up to its place.
+func heapAdd(h []slot, s slot) []slot {
+	h = append(h, s)
+	siftUp(h, s, len(h)-1)
+	return h
+}
+
+// heapDel removes the slot at index i of heap h, refilling the hole
+// with the last slot sifted up or down to its place.
+func heapDel(h []slot, i int) []slot {
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if i < n {
+		if i > 0 && last.before(h[(i-1)>>2]) {
+			siftUp(h, last, i)
+		} else {
+			siftDown(h, last, i)
+		}
+	}
+	return h
+}
+
+// siftUp places s at index i of h, walking it up past later parents.
+func siftUp(h []slot, s slot, i int) {
+	for i > 0 {
+		p := (i - 1) >> 2
+		ps := h[p]
+		if !s.before(ps) {
+			break
+		}
+		h[i] = ps
+		i = p
+	}
+	h[i] = s
+}
+
+// siftDown places s at index i of h, walking it down past earlier
+// children.
+func siftDown(h []slot, s slot, i int) {
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		m, ms := c, f.ev[c]
+		m, ms := c, h[c]
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if f.ev[j].before(ms) {
-				m, ms = j, f.ev[j]
+			if h[j].before(ms) {
+				m, ms = j, h[j]
 			}
 		}
 		if !ms.before(s) {
 			break
 		}
-		f.ev[i] = ms
+		h[i] = ms
 		i = m
 	}
-	f.ev[i] = s
+	h[i] = s
 }
 
 // compact removes every cancelled event in one sweep and re-heapifies
@@ -137,7 +176,7 @@ func (k *Kernel) compact() {
 	f.ev = live
 	f.dead = 0
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		f.siftDown(f.ev[i], i)
+		siftDown(live, live[i], i)
 	}
 }
 
@@ -158,19 +197,12 @@ func (k *Kernel) recycle(e *Event) {
 }
 
 // newEvent takes a struct off the free list (or allocates the list's
-// very first events) and initializes it. In steady state — the regime
-// every grid run reaches within one ticker period — Schedule performs
-// zero heap allocations.
+// very first events) and initializes it under the next sequence number.
+// In steady state — the regime every grid run reaches within one ticker
+// period — Schedule performs zero heap allocations.
 func (k *Kernel) newEvent(at Time, fn func()) *Event {
-	e := k.eventAt(at, k.seq, fn)
+	seq := k.seq
 	k.seq++
-	return e
-}
-
-// eventAt initializes a free-list Event under an explicit sequence
-// number: newEvent passes the next one, a lane (lane.go) the one its
-// head item reserved at append time.
-func (k *Kernel) eventAt(at Time, seq uint64, fn func()) *Event {
 	if n := len(k.free); n > 0 {
 		e := k.fel.evs[k.free[n-1]]
 		k.free = k.free[:n-1]

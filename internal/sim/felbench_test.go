@@ -75,3 +75,53 @@ func BenchmarkTickerCycle(b *testing.B) {
 		k.Step()
 	}
 }
+
+// BenchmarkKernelLanes mirrors perfbench's kernel/lanes, the event mix
+// of a figure sweep: about 150 self-rescheduling plain events in flight
+// over a deep event heap, 240 tickers at staggered phases sharing one
+// lane, a self-refilling arrival lane, and 24 sparse server lanes fed
+// by two plain submitters. Most events are lane items.
+func BenchmarkKernelLanes(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	noop := func() {}
+	for i := 0; i < 150; i++ {
+		var fn func()
+		d := Time(20 + i%61)
+		fn = func() { k.After(d, fn) }
+		k.Schedule(Time(i)/3, fn)
+	}
+	const period = 40
+	for i := 0; i < 240; i++ {
+		k.Schedule(Time(i)*period/240, func() { NewTicker(k, period, noop) })
+	}
+	arrivals := NewLane(k)
+	var arrive func()
+	arrive = func() { arrivals.Append(k.Now()+0.7, arrive) }
+	arrivals.Append(0, arrive)
+	servers := make([]*Lane, 24)
+	busy := make([]Time, len(servers))
+	for i := range servers {
+		servers[i] = NewLane(k)
+	}
+	for j := 0; j < 2; j++ {
+		next := j
+		var submit func()
+		submit = func() {
+			s := next % len(servers)
+			next += 2
+			busy[s] = max(busy[s], k.Now()) + 3
+			servers[s].Append(busy[s], noop)
+			k.After(1.3, submit)
+		}
+		k.Schedule(0, submit)
+	}
+	for k.Now() < 2*period {
+		k.Step()
+	}
+	b.ResetTimer()
+	target := k.Processed() + uint64(b.N)
+	for k.Processed() < target {
+		k.Step()
+	}
+}

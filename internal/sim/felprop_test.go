@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// Differential test of the future event list: the kernel (implicit
-// 4-ary heap, lazy deletion, free-list recycling, FIFO lanes, tickers
+// Differential test of the future event list: the kernel (an implicit
+// 4-ary event heap with lazy deletion and free-list recycling, FIFO
+// lanes released in place from a second heap of lane heads, tickers
 // sharing a lane per period) is driven alongside a trivially correct
 // reference model — a flat slice popped by linear scan for the minimum
 // (time, insertion order), in which every lane item and every tick is a
@@ -18,7 +19,9 @@ import (
 // cancellations of the event the reference says fires next
 // (cancel-at-head, including a ticker's tick at the head of its lane),
 // and cancel-then-reschedule churn deep enough to cross the
-// lazy-deletion compaction threshold.
+// lazy-deletion compaction threshold. Eight lanes plus five ticker
+// periods give the lane heap more than one level, so a ticker Stop
+// re-keys or removes a slot below its root.
 //
 // diffKernel is shared with FuzzKernelOps.
 
@@ -135,6 +138,21 @@ func (d *diffKernel) appendLane(ln *diffLane, at Time) {
 	ln.last = at
 }
 
+// spinLane appends a lane item that, when it fires, appends itself to
+// its own lane again, n times in all: at the current time unless a
+// later item is already queued, so a lone spinner is a zero-delay cycle
+// for the watchdog to catch.
+func (d *diffKernel) spinLane(ln *diffLane, at Time, n int) {
+	id := d.add(at)
+	ln.l.Append(at, func() {
+		d.fire(id)
+		if n > 1 {
+			d.spinLane(ln, max(ln.last, d.k.Now()), n-1)
+		}
+	})
+	ln.last = at
+}
+
 // cancel cancels a live plain event; lane items and ticks have no
 // handle, and a spent handle's lifetime is over.
 func (d *diffKernel) cancel(i int) {
@@ -241,12 +259,12 @@ func TestFELDifferentialAgainstSortedSlice(t *testing.T) {
 
 func runFELDifferential(t *testing.T, seed int64) {
 	rng := NewSource(seed).Stream("felprop")
-	d := newDiffKernel(t, 3)
+	d := newDiffKernel(t, 8)
 	k := d.k
-	// Two tickers share period 1 (one lane), one runs at 2.5; restarts
-	// move them between lanes.
-	periods := []Time{1, 2.5, 4}
-	for _, p := range []Time{1, 2.5, 1} {
+	// Two tickers share period 1 (one lane), the others run on lanes of
+	// their own; restarts move them between lanes.
+	periods := []Time{1, 2.5, 4, 6, 9.5}
+	for _, p := range []Time{1, 2.5, 1, 4, 6, 9.5} {
 		d.newTicker(p)
 	}
 	// pendingAt picks the time of a random live record at or after
@@ -326,6 +344,17 @@ func runFELDifferential(t *testing.T, seed int64) {
 				d.restartTicker(dt, periods[rng.Intn(len(periods))])
 			default:
 				d.restartTicker(dt, dt.period)
+			}
+		case x < 0.68:
+			// Cancel burst: a batch scheduled past everything pending
+			// and withdrawn again, enough dead weight to trigger a
+			// compaction sweep.
+			first := len(d.all)
+			for j := 0; j < compactMin+16; j++ {
+				d.schedule(k.Now()+10+rng.Float64()*10, nil)
+			}
+			for j := first; j < len(d.all); j++ {
+				d.cancel(j)
 			}
 		default:
 			if !k.Step() && len(d.live) > 0 {

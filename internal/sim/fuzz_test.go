@@ -7,8 +7,10 @@ import (
 // FuzzKernelOps decodes an arbitrary byte stream into a sequence of
 // kernel operations — schedules at equal/past/future times, double
 // cancels, steps, bounded runs, Stop called from inside a callback,
-// lane appends (in order and out of order), and ticker creation,
-// Stop and restart — and runs them through diffKernel (felprop_test.go),
+// lane appends (in order and out of order), ticker creation, Stop and
+// restart, a lane item that spins at zero delay until the watchdog
+// trips, and a run on a small event budget — over eight lanes plus up
+// to four ticker lanes, and runs them through diffKernel (felprop_test.go),
 // so every fired callback is checked against the sorted-slice
 // reference and Processed(), Pending() and NextEventTimes() are
 // compared after every operation. On top of the differential check:
@@ -29,10 +31,11 @@ func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{7, 0, 7, 1, 7, 0, 0, 7, 9, 4, 4, 4, 4})
 	f.Add([]byte{9, 0, 9, 0, 9, 4, 5, 5, 9, 1, 9, 6, 5, 30, 9, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := newDiffKernel(t, 2)
+		d := newDiffKernel(t, 8)
 		k := d.k
-		k.MaxEvents = 50_000
-		k.StallEvents = 10_000
+		const maxEvents, spins = 50_000, 300
+		k.MaxEvents = maxEvents
+		k.StallEvents = 256
 		arg := func(i int) byte {
 			if i+1 < len(data) {
 				return data[i+1]
@@ -49,9 +52,20 @@ func FuzzKernelOps(f *testing.F) {
 			fn()
 		}
 		stopped := false // a callback called k.Stop during the current run
+		// run is a bounded Run, which leaves no live event at or before
+		// its limit unless something stopped it.
+		run := func(until Time) {
+			t.Helper()
+			stopped = false
+			k.Run(until)
+			if next := d.next(); next != -1 && d.all[next].at <= until &&
+				!stopped && !k.Stalled && !k.Overflowed {
+				t.Fatalf("Run(%v) left record %d due at %v", until, next, d.all[next].at)
+			}
+		}
 		last := k.Now()
 		for i := 0; i < len(data); i++ {
-			switch data[i] % 10 {
+			switch data[i] % 12 {
 			case 0: // schedule at the current time (zero-delay tie)
 				d.schedule(k.Now(), nil)
 			case 1: // schedule in the future
@@ -78,14 +92,8 @@ func FuzzKernelOps(f *testing.F) {
 			case 4:
 				k.Step()
 			case 5: // bounded run
-				stopped = false
-				until := k.Now() + Time(arg(i))
+				run(k.Now() + Time(arg(i)))
 				i++
-				k.Run(until)
-				if next := d.next(); next != -1 && d.all[next].at <= until &&
-					!stopped && !k.Stalled && !k.Overflowed {
-					t.Fatalf("Run(%v) left record %d due at %v", until, next, d.all[next].at)
-				}
 			case 6: // stop from inside a callback
 				stopped = false
 				d.schedule(k.Now()+Time(arg(i)%8), func() { stopped = true; k.Stop() })
@@ -122,6 +130,20 @@ func FuzzKernelOps(f *testing.F) {
 				default:
 					d.restartTicker(dt, 0) // a non-positive period starts it stopped
 				}
+			case 10: // a lane item that re-appends itself at now, past the watchdog
+				ln := d.lanes[int(arg(i))%len(d.lanes)]
+				i++
+				d.spinLane(ln, max(ln.last, k.Now()), spins)
+			case 11: // a bounded run on a budget of a few events
+				a := arg(i)
+				i++
+				budget := k.Processed() + uint64(a%8)
+				k.MaxEvents = budget
+				run(k.Now() + Time(a>>3))
+				if k.Overflowed && k.Processed() != budget {
+					t.Fatalf("overflowed at %d events, budget %d", k.Processed(), budget)
+				}
+				k.MaxEvents, k.Overflowed = maxEvents, false
 			}
 			if now := k.Now(); now < last {
 				t.Fatalf("clock moved backwards: %v -> %v", last, now)

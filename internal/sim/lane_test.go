@@ -8,7 +8,8 @@ import (
 
 // TestLaneInterleavesWithHeap: lane items fire in (time, seq) order
 // with plain events, each under the sequence number it took at append
-// time, and only the head occupies the future event list.
+// time; the events fill the event heap and only the lane's head has a
+// slot, in the lane heap.
 func TestLaneInterleavesWithHeap(t *testing.T) {
 	k := NewKernel()
 	l := NewLane(k)
@@ -19,8 +20,8 @@ func TestLaneInterleavesWithHeap(t *testing.T) {
 	l.Append(2, note("lane@2 second"))
 	k.Schedule(1, note("heap@1"))
 	l.Append(5, note("lane@5"))
-	if n := len(k.fel.ev); n != 3 {
-		t.Fatalf("FEL holds %d entries, want 3 (two events plus one lane head)", n)
+	if n, m := len(k.fel.ev), len(k.fel.lanes); n != 2 || m != 1 {
+		t.Fatalf("event heap holds %d slots and lane heap %d, want 2 plain events and 1 lane head", n, m)
 	}
 	if k.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", k.Pending())

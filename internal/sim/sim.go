@@ -1,20 +1,23 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // It replaces the Parsec simulation environment used by the paper: a
-// single-threaded event loop with an implicit 4-ary-heap future event
-// list plus order-preserving FIFO lanes (lane.go), a simulated clock,
+// single-threaded event loop with a two-heap future event list — an
+// implicit 4-ary heap of plain events and a second one holding the
+// heads of order-preserving FIFO lanes (lane.go) — a simulated clock,
 // cancellable events, and named deterministic random number streams.
 // Determinism is total: two runs with the same seed and the same
 // schedule of calls produce identical event orders, because ties in
-// event time are broken by a monotonically increasing sequence number.
+// event time are broken by a monotonically increasing sequence number,
+// and the dispatch loop fires the smaller of the two heap roots under
+// that one (time, sequence) order.
 //
 // The kernel is the cost center of the whole reproduction (every figure
 // re-runs the grid simulation hundreds of times inside the annealing
 // tuner), so its hot path is allocation-free in steady state: Event
 // structs are recycled through a free list once they fire or their
-// cancellation is collected, and the future event list is an implicit
-// heap with no interface boxing (see fel.go and DESIGN.md, "Kernel
-// performance").
+// cancellation is collected, lane items fire without any Event, and
+// both heaps are implicit heaps with no interface boxing (see fel.go
+// and DESIGN.md, "Kernel performance").
 package sim
 
 import (
@@ -37,9 +40,10 @@ const Infinity Time = math.MaxFloat64
 // cancelled event, until the kernel collects it). The kernel recycles
 // retired Event structs, so retaining a handle past that point and
 // cancelling it later may cancel an unrelated future event — a model
-// bug, just like scheduling in the past. Tickers hold no Event: their
-// ticks are lane items (lane.go), and a ticker drops its lane position
-// the moment its tick fires.
+// bug, just like scheduling in the past. Lane items never use an
+// Event: they fire from the lane heap (lane.go). So tickers hold no
+// Event either; a ticker keeps its tick's absolute lane position and
+// drops it the moment the tick fires.
 type Event struct {
 	at       Time
 	seq      uint64
@@ -66,10 +70,11 @@ type Kernel struct {
 	processed uint64
 	stopped   bool
 
-	// lanes lists every FIFO lane on this kernel (lane.go), for the
-	// diagnostic NextEventTimes; laneWaiting counts their live items
-	// queued behind the heads (each head is in the FEL as a proxy).
-	// tickLanes shares one lane among all tickers of a period.
+	// lanes lists every FIFO lane on this kernel (lane.go), indexed by
+	// the id of the lane's slot in the lane heap. laneWaiting counts
+	// their live items queued behind the heads; each head is counted by
+	// its lane's slot instead. tickLanes shares one lane among all
+	// tickers of a period.
 	lanes       []*Lane
 	laneWaiting int
 	tickLanes   map[Time]*Lane
@@ -103,16 +108,16 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of live (non-cancelled) events waiting to
-// fire: those in the future event list plus lane items behind their
-// lane's head.
-func (k *Kernel) Pending() int { return k.fel.live() + k.laneWaiting }
+// fire: the live plain events, one head per lane slot, and the lane
+// items waiting behind the heads.
+func (k *Kernel) Pending() int { return k.fel.live() + len(k.fel.lanes) + k.laneWaiting }
 
 // Schedule arranges for fn to run at absolute simulated time at.
-// Scheduling in the past panics: it is always a model bug.
+// Scheduling in the past, or at NaN, panics: it is always a model bug.
 //
 //lint:hotpath kernel/steady gates Schedule at zero allocations per event in steady state
 func (k *Kernel) Schedule(at Time, fn func()) *Event {
-	if at < k.now {
+	if !(at >= k.now) {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
@@ -125,12 +130,12 @@ func (k *Kernel) Schedule(at Time, fn func()) *Event {
 	return e
 }
 
-// After arranges for fn to run d time units from now. Negative delays
-// panic.
+// After arranges for fn to run d time units from now. Negative and NaN
+// delays panic.
 //
 //lint:hotpath every periodic process reschedules through After; kernel/steady gates it at zero allocations
 func (k *Kernel) After(d Time, fn func()) *Event {
-	if d < 0 {
+	if !(d >= 0) {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
@@ -164,10 +169,19 @@ func (k *Kernel) Stop() { k.stopped = true }
 //
 //lint:hotpath the dispatch loop body; every simulated event passes through it
 func (k *Kernel) Step() bool {
-	for len(k.fel.ev) > 0 {
-		e := k.fel.pop()
+	f := &k.fel
+	for len(f.ev) > 0 || len(f.lanes) > 0 {
+		if f.laneFirst() {
+			s := f.lanes[0]
+			k.now = s.at
+			k.processed++
+			k.noteProgress(s.at)
+			k.lanes[s.id].release()()
+			return true
+		}
+		e := f.pop()
 		if e.canceled {
-			k.fel.dead--
+			f.dead--
 			k.recycle(e)
 			continue
 		}
@@ -208,41 +222,56 @@ func (k *Kernel) noteProgress(at Time) {
 //lint:hotpath the bounded dispatch loop; kernel/steady and every engine bench run inside it
 func (k *Kernel) Run(until Time) uint64 {
 	k.stopped = false
+	f := &k.fel
 	var n uint64
-	for len(k.fel.ev) > 0 && !k.stopped {
+	for (len(f.ev) > 0 || len(f.lanes) > 0) && !k.stopped {
 		if k.MaxEvents != 0 && k.processed >= k.MaxEvents {
 			k.Overflowed = true
 			break
 		}
-		next := k.fel.top()
-		if next.canceled {
-			k.fel.pop()
-			k.fel.dead--
-			k.recycle(next)
-			continue
+		// The next item is the lane heap's root or the event heap's. It
+		// leaves its heap only once the horizon and the watchdog let it
+		// fire: a watchdog trip leaves it pending, so a diagnostic dump
+		// (NextEventTimes) still shows the work the model was spinning
+		// on, and it does not count as processed.
+		lane := f.laneFirst()
+		var e *Event
+		var at Time
+		if lane {
+			at = f.lanes[0].at
+		} else {
+			e = f.evs[f.ev[0].id]
+			if e.canceled {
+				f.pop()
+				f.dead--
+				k.recycle(e)
+				continue
+			}
+			at = e.at
 		}
-		if next.at > until {
+		if at > until {
 			break
 		}
-		k.fel.pop()
-		k.now = next.at
-		k.noteProgress(next.at)
+		k.now = at
+		k.noteProgress(at)
 		if k.Stalled {
-			// Watchdog tripped: leave the offending event pending so a
-			// diagnostic dump (NextEventTimes) still shows the work the
-			// model was spinning on, and do not count it as processed.
-			k.fel.push(next)
 			break
 		}
 		k.processed++
 		n++
-		next.fn()
-		k.recycle(next)
+		if lane {
+			k.lanes[f.lanes[0].id].release()()
+		} else {
+			f.pop()
+			e.fn()
+			k.recycle(e)
+		}
 	}
 	if k.Stalled {
 		return n
 	}
-	if k.now < until && (len(k.fel.ev) == 0 || k.fel.ev[0].at > until) {
+	if k.now < until && (len(f.ev) == 0 || f.ev[0].at > until) &&
+		(len(f.lanes) == 0 || f.lanes[0].at > until) {
 		// Advance the clock to the horizon so rate-style metrics
 		// (work per unit time) are computed over the full window.
 		k.now = until
@@ -276,7 +305,7 @@ func (k *Kernel) NextEventTimes(n int) []Time {
 		}
 	}
 	for _, l := range k.lanes {
-		times = l.waitingTimes(times)
+		times = l.liveTimes(times)
 	}
 	sortTimes(times)
 	if len(times) > n {

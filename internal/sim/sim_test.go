@@ -252,6 +252,43 @@ func TestNegativeAfterPanics(t *testing.T) {
 	k.After(-1, func() {})
 }
 
+// TestNaNTimePanics: a NaN time fails every ordered comparison, so a
+// guard written as "at < now" would let it into the heap, where it
+// breaks the (time, sequence) order. Schedule, After and Lane.Append
+// must panic on NaN and leave no trace: no sequence number taken,
+// nothing pending, nothing processed.
+func TestNaNTimePanics(t *testing.T) {
+	k := NewKernel()
+	l := NewLane(k)
+	k.Schedule(2, func() {})
+	l.Append(3, func() {})
+	k.Run(1)
+	seq, pending, processed := k.seq, k.Pending(), k.Processed()
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Schedule", func() { k.Schedule(nan, func() {}) }},
+		{"After", func() { k.After(nan, func() {}) }},
+		{"Lane.Append", func() { l.Append(nan, func() {}) }},
+	} {
+		name, call := c.name, c.call
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			call()
+		}()
+		if k.seq != seq || k.Pending() != pending || k.Processed() != processed {
+			t.Errorf("%s(NaN) left a trace: seq %d (want %d), pending %d (want %d), processed %d (want %d)",
+				name, k.seq, seq, k.Pending(), pending, k.Processed(), processed)
+		}
+	}
+}
+
 func TestNilFuncPanics(t *testing.T) {
 	k := NewKernel()
 	defer func() {
@@ -274,6 +311,32 @@ func TestMaxEvents(t *testing.T) {
 	}
 	if k.Processed() != 5 {
 		t.Fatalf("processed %d events, want 5", k.Processed())
+	}
+}
+
+// TestMaxEventsWithLaneHeadAtRoot: the budget check runs before
+// anything leaves a heap, so a lane head at the root when the budget
+// runs out stays pending at its slot, and the clock stays at the last
+// event fired.
+func TestMaxEventsWithLaneHeadAtRoot(t *testing.T) {
+	k := NewKernel()
+	k.MaxEvents = 3
+	l := NewLane(k)
+	for at := Time(1); at <= 5; at++ {
+		l.Append(at, func() {})
+	}
+	k.Schedule(10, func() {})
+	if n := k.Run(100); n != 3 || !k.Overflowed {
+		t.Fatalf("Run processed %d events (overflowed %v), want 3 and an overflow", n, k.Overflowed)
+	}
+	if k.Now() != 3 {
+		t.Fatalf("clock at %v after the overflow, want 3", k.Now())
+	}
+	if len(k.fel.lanes) != 1 || k.fel.lanes[0].at != 4 {
+		t.Fatalf("lane heap %v, want the lane's slot keyed at t=4", k.fel.lanes)
+	}
+	if got := k.NextEventTimes(5); !reflect.DeepEqual(got, []Time{4, 5, 10}) || k.Pending() != 3 {
+		t.Fatalf("pending %d at %v, want 3 at [4 5 10]", k.Pending(), got)
 	}
 }
 

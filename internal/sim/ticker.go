@@ -7,8 +7,8 @@ package sim
 //
 // All tickers of one period on one kernel share a FIFO lane (lane.go):
 // a rearm lands at now+period, and fl(t+p) is monotone in t, so the
-// shared lane stays sorted and only its head occupies the future event
-// list.
+// shared lane stays sorted and only its head has a slot in the lane
+// heap.
 type Ticker struct {
 	k      *Kernel
 	period Time

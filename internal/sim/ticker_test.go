@@ -49,10 +49,11 @@ func TestTickerStopFromCallback(t *testing.T) {
 
 // TestTickerStopRacingPendingRearm is the handle-lifetime contract
 // under fire: a sibling event at the same timestamp as a tick stops the
-// ticker while its rearm is pending at the head of its lane. The
-// cancelled head's proxy struct is recycled by the free list and handed
-// to an unrelated event; a second (stale) Stop must not cancel that
-// successor.
+// ticker while its rearm is pending at the head of its lane. A ticker
+// holds no Event, only the absolute lane position of its pending tick,
+// and a position below the lane's head never names a live item again.
+// So a second (stale) Stop is a no-op: it must not cancel an unrelated
+// event scheduled after the first Stop.
 func TestTickerStopRacingPendingRearm(t *testing.T) {
 	k := NewKernel()
 	var ticks []Time
@@ -68,12 +69,10 @@ func TestTickerStopRacingPendingRearm(t *testing.T) {
 		t.Fatalf("ticks = %v, want [5]", ticks)
 	}
 
-	// Run past t=10 so the cancelled rearm surfaces and its struct goes
-	// back to the free list...
+	// Run past t=10, where the cancelled rearm would have fired...
 	k.Run(12)
-	// ...then hand that struct to an unrelated event. A stale Stop on
-	// the ticker must not reach through the recycled handle and cancel
-	// it.
+	// ...then schedule an unrelated event. A stale Stop on the ticker
+	// must not cancel it.
 	fired := false
 	k.Schedule(20, func() { fired = true })
 	tk.Stop()
@@ -88,9 +87,9 @@ func TestTickerStopRacingPendingRearm(t *testing.T) {
 
 // TestTickerStopInCallbackThenStaleStop covers the other rearm race:
 // fn itself stops the ticker mid-tick, so the rearm never happens and
-// the firing tick's lane item and proxy event retire when the callback
-// returns. The ticker must drop its lane position so a later Stop
-// cannot cancel whatever event next reuses the proxy's struct.
+// the firing tick's lane item has already retired. The ticker must
+// drop its lane position, and a later Stop must be a no-op that leaves
+// the next scheduled event alone.
 func TestTickerStopInCallbackThenStaleStop(t *testing.T) {
 	k := NewKernel()
 	var tk *Ticker
@@ -100,8 +99,6 @@ func TestTickerStopInCallbackThenStaleStop(t *testing.T) {
 		t.Fatalf("ticker retained its lane position after an in-callback Stop")
 	}
 
-	// The retired proxy event's struct is on the free list; the next
-	// schedule reuses it.
 	fired := false
 	k.Schedule(8, func() { fired = true })
 	tk.Stop()

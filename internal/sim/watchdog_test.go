@@ -39,6 +39,37 @@ func TestWatchdogStopsZeroDelayLoop(t *testing.T) {
 	}
 }
 
+// TestWatchdogStopsZeroDelayLaneLoop is the same livelock through a
+// lane: an item that appends to its own lane at now. The watchdog runs
+// before the item leaves the lane heap, so the spinning item stays
+// pending at its slot, unprocessed, with the clock at its time.
+func TestWatchdogStopsZeroDelayLaneLoop(t *testing.T) {
+	k := NewKernel()
+	k.StallEvents = 100
+	l := NewLane(k)
+	var spin func()
+	spin = func() { l.Append(k.Now(), spin) }
+	l.Append(5, spin)
+	k.Schedule(9, func() {})
+	n := k.Run(1000)
+	if !k.Stalled {
+		t.Fatal("kernel did not detect the zero-delay lane loop")
+	}
+	if n != 99 || k.Processed() != 99 {
+		t.Fatalf("run processed %d events (%d in total), want 99: the stalling item must not count",
+			n, k.Processed())
+	}
+	if k.Now() != 5 {
+		t.Fatalf("stalled at t=%v, want 5", k.Now())
+	}
+	if got := k.NextEventTimes(4); !reflect.DeepEqual(got, []Time{5, 9}) || k.Pending() != 2 {
+		t.Fatalf("pending %d at %v, want the spinning item at 5 and the event at 9", k.Pending(), got)
+	}
+	if len(k.fel.lanes) != 1 || k.fel.lanes[0].at != 5 {
+		t.Fatalf("lane heap %v, want the spinning item's slot at t=5", k.fel.lanes)
+	}
+}
+
 func TestWatchdogToleratesBurstsBelowThreshold(t *testing.T) {
 	k := NewKernel()
 	k.StallEvents = 100

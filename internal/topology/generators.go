@@ -21,7 +21,21 @@ func DefaultLinkParams() LinkParams {
 	return LinkParams{MinLatency: 0.2, MaxLatency: 2.0, MinBandwidth: 50, MaxBandwidth: 200}
 }
 
-func (p LinkParams) validate() error {
+// Validate reports the first non-finite bound or bad range.
+func (p LinkParams) Validate() error {
+	for _, v := range []struct {
+		name string
+		val  float64
+	}{
+		{"MinLatency", p.MinLatency},
+		{"MaxLatency", p.MaxLatency},
+		{"MinBandwidth", p.MinBandwidth},
+		{"MaxBandwidth", p.MaxBandwidth},
+	} {
+		if math.IsNaN(v.val) || math.IsInf(v.val, 0) {
+			return fmt.Errorf("topology: %s must be finite, got %v", v.name, v.val)
+		}
+	}
 	if p.MinLatency <= 0 || p.MaxLatency < p.MinLatency {
 		return fmt.Errorf("topology: bad latency range [%v,%v]", p.MinLatency, p.MaxLatency)
 	}
@@ -46,7 +60,7 @@ func PowerLaw(n, m int, lp LinkParams, st *sim.Stream) (*Graph, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("topology: PowerLaw needs m >= 1, got %d", m)
 	}
-	if err := lp.validate(); err != nil {
+	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
 	g := NewGraph(n)
@@ -105,7 +119,7 @@ func Waxman(n int, alpha, beta float64, lp LinkParams, st *sim.Stream) (*Graph, 
 	if alpha <= 0 || alpha > 1 || beta <= 0 || beta > 1 {
 		return nil, fmt.Errorf("topology: Waxman needs alpha,beta in (0,1], got %v,%v", alpha, beta)
 	}
-	if err := lp.validate(); err != nil {
+	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
 	type pt struct{ x, y float64 }
@@ -180,7 +194,7 @@ func RingOfCliques(cliques, cliqueSize int, lp LinkParams, st *sim.Stream) (*Gra
 	if cliques < 1 || cliqueSize < 1 {
 		return nil, fmt.Errorf("topology: RingOfCliques needs positive sizes, got %d,%d", cliques, cliqueSize)
 	}
-	if err := lp.validate(); err != nil {
+	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
 	n := cliques * cliqueSize

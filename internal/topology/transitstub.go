@@ -68,7 +68,7 @@ func TransitStub(p TransitStubParams, lp LinkParams, st *sim.Stream) (*Graph, er
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := lp.validate(); err != nil {
+	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
 	g := NewGraph(p.Nodes())

@@ -141,6 +141,28 @@ func DefaultParams() Params {
 
 // Validate reports the first configuration error.
 func (p Params) Validate() error {
+	for _, v := range []struct {
+		name string
+		val  float64
+	}{
+		{"ArrivalRate", p.ArrivalRate},
+		{"Horizon", p.Horizon},
+		{"RuntimeMin", p.RuntimeMin},
+		{"RuntimeMax", p.RuntimeMax},
+		{"TCPU", p.TCPU},
+		{"BenefitMin", p.BenefitMin},
+		{"BenefitMax", p.BenefitMax},
+		{"OverestimateMax", p.OverestimateMax},
+		{"WeibullShape", p.WeibullShape},
+		{"DiurnalAmplitude", p.DiurnalAmplitude},
+		{"DiurnalPeriod", p.DiurnalPeriod},
+		{"CancelProb", p.CancelProb},
+	} {
+		// Range checks like p.ArrivalRate <= 0 are false for NaN.
+		if math.IsNaN(v.val) || math.IsInf(v.val, 0) {
+			return fmt.Errorf("workload: %s must be finite, got %v", v.name, v.val)
+		}
+	}
 	switch {
 	case p.ArrivalRate <= 0:
 		return fmt.Errorf("workload: ArrivalRate must be positive, got %v", p.ArrivalRate)
