@@ -19,7 +19,7 @@ vet:
 	if [ -n "$$out" ]; then echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
 
 # The custom determinism/model-coverage analyzers (see DESIGN.md,
-# "Determinism invariants"). One process runs all eight: the full-
+# "Determinism invariants"). One process runs all six: the full-
 # source typecheck and the call graph are built once and shared, so
 # adding an analyzer costs its traversal, not another load. Exits
 # non-zero on any finding; the JSON report is the CI artifact.

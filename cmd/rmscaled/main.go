@@ -31,9 +31,13 @@
 // address, so resubmitting an already-known spec joins the existing
 // work instead of rerunning it. With -wait, submit streams status
 // updates until the experiment is terminal and then fetches the
-// result; a 429 or 503 refusal (saturated queue, draining daemon,
-// open circuit breaker) is retried with capped jittered backoff
-// honoring the server's Retry-After hint.
+// result. For up to -retry-for it retries a 429 or 503 refusal
+// (saturated queue, draining daemon, open circuit breaker) with capped
+// jittered backoff honoring the server's Retry-After hint, reopens a
+// stream the daemon closed early, and waits out a result the daemon is
+// re-running. submit, status and fetch speak to the daemon through
+// internal/service/client, the client the load and chaos harnesses
+// use too.
 //
 // loadtest needs no daemon: it starts an in-process one and drives the
 // scale-qualifying load iteration from internal/service/loadgen
@@ -58,21 +62,21 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"rmscale/internal/service"
 	"rmscale/internal/service/chaos"
+	"rmscale/internal/service/client"
 	"rmscale/internal/service/crash"
 	"rmscale/internal/service/loadgen"
 )
@@ -88,11 +92,11 @@ func main() {
 	case "serve":
 		err = serveCmd(args)
 	case "submit":
-		err = submitCmd(args)
+		err = submitCmd(args, os.Stdout, os.Stderr)
 	case "status":
-		err = queryCmd(args, "")
+		err = statusCmd(args, os.Stdout)
 	case "fetch":
-		err = queryCmd(args, "/result")
+		err = fetchCmd(args, os.Stdout)
 	case "loadtest":
 		err = loadtestCmd(args)
 	case "chaos":
@@ -180,7 +184,7 @@ func serveCmd(args []string) error {
 }
 
 // submitCmd builds a spec from flags, posts it, and optionally waits.
-func submitCmd(args []string) error {
+func submitCmd(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
 	kind := fs.String("kind", "sim", "spec kind: sim, case or churn")
@@ -190,8 +194,8 @@ func submitCmd(args []string) error {
 	caseN := fs.Int("case", 0, "case/churn: experiment case 1..4")
 	fidelity := fs.String("fidelity", "", "case/churn: smoke, quick or full")
 	wait := fs.Bool("wait", false, "stream status until terminal, then fetch the result")
-	client := fs.String("client", "rmscaled-cli", "client identity for fairness accounting")
-	retryFor := fs.Duration("retry-for", 2*time.Minute, "with -wait: how long to retry 429/503 refusals before giving up")
+	who := fs.String("client", "rmscaled-cli", "client identity for fairness accounting")
+	retryFor := fs.Duration("retry-for", client.DefaultRetryFor, "with -wait: how long to retry 429/503 refusals, reopen a closed stream and wait for a re-run result before giving up")
 	fs.Parse(args)
 
 	spec := service.ExperimentSpec{
@@ -201,157 +205,90 @@ func submitCmd(args []string) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return err
+	c := &client.Client{Base: *addr, ID: *who}
+	if *wait {
+		c.RetryFor = *retryFor
+		c.Refused = func(code int, d time.Duration) {
+			fmt.Fprintf(stderr, "rmscaled: submit refused (HTTP %d), retrying in %v\n", code, d.Round(time.Millisecond))
+		}
 	}
-	body, err := postWithBackoff(strings.TrimRight(*addr, "/")+"/v1/experiments",
-		payload, *client, spec.String(), *wait, *retryFor)
+	body, err := c.Submit(spec)
 	if err != nil {
+		var herr *client.HTTPError
+		if !*wait && errors.As(err, &herr) && herr.Refusal() {
+			err = fmt.Errorf("%w (rerun with -wait to back off and retry)", err)
+		}
 		return err
-	}
-	var st service.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		return fmt.Errorf("decoding status: %w", err)
 	}
 	if !*wait {
-		os.Stdout.Write(body)
-		return nil
-	}
-	if err := streamUntilDone(*addr, st.ID, os.Stderr); err != nil {
+		_, err = stdout.Write(body)
 		return err
 	}
-	return fetchTo(*addr, st.ID, os.Stdout)
-}
-
-// postWithBackoff POSTs the submission. When retry is set (-wait), a
-// 429 or 503 refusal — saturated queue, draining daemon, open circuit
-// breaker — backs off and retries until the budget runs out, honoring
-// the server's Retry-After hint capped at maxSubmitBackoff, with
-// deterministic jitter so a herd of waiting clients spreads out.
-func postWithBackoff(url string, payload []byte, client, spec string, retry bool, budget time.Duration) ([]byte, error) {
-	deadline := time.Now().Add(budget)
-	for attempt := 1; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(string(payload)))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Rmscale-Client", client)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			return body, nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if !retry {
-				return nil, fmt.Errorf("submit: HTTP %d: %s (rerun with -wait to back off and retry)",
-					resp.StatusCode, strings.TrimSpace(string(body)))
-			}
-			d := submitBackoff(spec, attempt, resp.Header.Get("Retry-After"))
-			if time.Now().Add(d).After(deadline) {
-				return nil, fmt.Errorf("submit: still refused after %v (last: HTTP %d: %s)",
-					budget, resp.StatusCode, strings.TrimSpace(string(body)))
-			}
-			fmt.Fprintf(os.Stderr, "rmscaled: submit refused (HTTP %d), retrying in %v\n", resp.StatusCode, d.Round(time.Millisecond))
-			time.Sleep(d)
-		default:
-			return nil, fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-	}
-}
-
-// maxSubmitBackoff caps one refusal backoff regardless of the
-// server's Retry-After hint.
-const maxSubmitBackoff = 5 * time.Second
-
-// submitBackoff sizes one refusal backoff: the server's Retry-After
-// when sent (else a linear ramp), capped, plus deterministic jitter
-// hashed from (spec, attempt) — no global RNG, reproducible, and
-// distinct clients de-synchronize because their specs differ.
-func submitBackoff(spec string, attempt int, retryAfter string) time.Duration {
-	d := time.Duration(attempt) * 250 * time.Millisecond
-	if sec, err := strconv.Atoi(retryAfter); err == nil && sec > 0 {
-		d = time.Duration(sec) * time.Second
-	}
-	if d > maxSubmitBackoff {
-		d = maxSubmitBackoff
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", spec, attempt)
-	return d + time.Duration(h.Sum64()%uint64(d/4+1))
-}
-
-// streamUntilDone follows the experiment's stream, echoing each status
-// line, and fails if the experiment does.
-func streamUntilDone(addr, id string, w io.Writer) error {
-	resp, err := http.Get(strings.TrimRight(addr, "/") + "/v1/experiments/" + id + "/stream")
+	id, err := spec.ID()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("stream: HTTP %d", resp.StatusCode)
-	}
-	dec := json.NewDecoder(resp.Body)
-	var st service.Status
-	for {
-		if err := dec.Decode(&st); err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
+	fin, err := c.Watch(id, func(st service.Status) bool {
 		b, _ := json.Marshal(st)
-		fmt.Fprintf(w, "%s\n", b)
-		if st.State.Terminal() {
-			break
-		}
-	}
-	if st.State != service.StateDone {
-		return fmt.Errorf("experiment %s failed: %s", id, st.Error)
-	}
-	return nil
-}
-
-func fetchTo(addr, id string, w io.Writer) error {
-	resp, err := http.Get(strings.TrimRight(addr, "/") + "/v1/experiments/" + id + "/result")
+		fmt.Fprintf(stderr, "%s\n", b)
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("fetch %s: HTTP %d: %s", id, resp.StatusCode, strings.TrimSpace(string(body)))
+	if fin.State != service.StateDone {
+		return fmt.Errorf("experiment %s failed: %s", id, fin.Error)
 	}
-	_, err = io.Copy(w, resp.Body)
+	b, err := c.Result(id)
+	if err != nil {
+		return err
+	}
+	_, err = stdout.Write(b)
 	return err
 }
 
-// queryCmd implements status (path "") and fetch (path "/result").
-func queryCmd(args []string, path string) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("want exactly one experiment ID, got %d args", fs.NArg())
-	}
-	id := fs.Arg(0)
-	if path == "/result" {
-		return fetchTo(*addr, id, os.Stdout)
-	}
-	resp, err := http.Get(strings.TrimRight(*addr, "/") + "/v1/experiments/" + id)
+// statusCmd prints an experiment's status snapshot.
+func statusCmd(args []string, stdout io.Writer) error {
+	c, id, err := queryArgs("status", args)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s: HTTP %d: %s", id, resp.StatusCode, strings.TrimSpace(string(body)))
+	st, err := c.Status(id)
+	if err != nil {
+		return err
 	}
-	os.Stdout.Write(body)
-	return nil
+	b, err := json.Marshal(st)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(stdout, "%s\n", b)
+	return err
+}
+
+// fetchCmd prints an experiment's stored result payload.
+func fetchCmd(args []string, stdout io.Writer) error {
+	c, id, err := queryArgs("fetch", args)
+	if err != nil {
+		return err
+	}
+	b, err := c.Result(id)
+	if err != nil {
+		return err
+	}
+	_, err = stdout.Write(b)
+	return err
+}
+
+// queryArgs parses the flags and the one experiment ID of status and
+// fetch, which ask once and do not retry.
+func queryArgs(name string, args []string) (*client.Client, string, error) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		return nil, "", fmt.Errorf("want exactly one experiment ID, got %d args", fs.NArg())
+	}
+	return &client.Client{Base: *addr}, fs.Arg(0), nil
 }
 
 // loadtestCmd runs one in-process load iteration and prints Metrics.

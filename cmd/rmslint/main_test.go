@@ -10,14 +10,14 @@ import (
 	"rmscale/internal/lint"
 )
 
-// TestRegistersAllEightAnalyzers pins the multichecker's roster: the
-// suite the binary runs must contain exactly the five local
-// determinism and model-coverage analyzers plus the three call-graph
-// analyzers, in their documented order.
-func TestRegistersAllEightAnalyzers(t *testing.T) {
+// TestRegistersAllSixAnalyzers pins the multichecker's roster: the
+// suite the binary runs must contain exactly the three local
+// map-order, concurrency and model-coverage analyzers plus the three
+// call-graph analyzers, in their documented order.
+func TestRegistersAllSixAnalyzers(t *testing.T) {
 	want := []string{
-		"nowallclock", "noglobalrand", "mapiterorder", "nokernelgoroutines",
-		"rmsexhaustive", "detertaint", "hotalloc", "locksafe",
+		"mapiterorder", "nokernelgoroutines", "rmsexhaustive",
+		"detertaint", "hotalloc", "locksafe",
 	}
 	suite := lint.Suite(lint.DefaultConfig)
 	if len(suite) != len(want) {

@@ -11,9 +11,10 @@ import "sort"
 // honest against the packages that actually exist.
 type Config struct {
 	// SimVisible lists the packages whose behaviour is visible inside
-	// a simulation run: virtual time only (nowallclock) and named RNG
-	// streams only (noglobalrand). Wall-clock reads or global RNG
-	// draws here would break byte-identical reproducibility.
+	// a simulation run: virtual time only and named RNG streams only,
+	// whether the source is referenced here or reached through calls
+	// (detertaint). Wall-clock reads or global RNG draws here would
+	// break byte-identical reproducibility.
 	SimVisible []string
 
 	// Kernel lists the deterministic-kernel packages where goroutines,
@@ -72,11 +73,13 @@ var DefaultConfig = Config{
 		"rmscale/internal/stats",
 		"rmscale/internal/audit",
 		"rmscale/internal/audit/chaos",
-		// The daemon and its load harness never let wall time or global
-		// RNG leak into simulation results; their few legitimate
-		// real-time reads (request timestamps, latency measurement,
-		// admission backoff) carry //lint:allow annotations at the site.
+		// The daemon, its client and its harnesses never let wall time
+		// or global RNG leak into simulation results; their few
+		// legitimate real-time reads (request timestamps, latency
+		// measurement, retry backoff) carry //lint:allow annotations at
+		// the site.
 		"rmscale/internal/service",
+		"rmscale/internal/service/client",
 		"rmscale/internal/service/loadgen",
 		"rmscale/internal/service/chaos",
 		// The crash-consistency harness replays the persistence layer on
@@ -103,8 +106,10 @@ var DefaultConfig = Config{
 		// executes stays single-threaded underneath. Listing it here
 		// forces each concurrency site to justify itself with an
 		// annotation instead of letting sync primitives creep in
-		// unreviewed.
+		// unreviewed. The client needs none: concurrency is its
+		// callers' business.
 		"rmscale/internal/service",
+		"rmscale/internal/service/client",
 		"rmscale/internal/service/loadgen",
 		"rmscale/internal/service/chaos",
 		// Crash enumeration is deliberately single-threaded: one op
@@ -114,8 +119,9 @@ var DefaultConfig = Config{
 	},
 	// Map-iteration order can leak into any rendered table, figure,
 	// JSON file or checkpoint, so the whole module is covered — the
-	// "rmscale/..." subtree entry includes internal/service/chaos and
-	// internal/service/loadgen (verified by TestConfigMatchesModule).
+	// "rmscale/..." subtree entry includes internal/service/chaos,
+	// internal/service/client and internal/service/loadgen (verified by
+	// TestConfigMatchesModule).
 	MapOrder:   []string{"rmscale/..."},
 	Exhaustive: []string{"rmscale/..."},
 
@@ -129,6 +135,7 @@ var DefaultConfig = Config{
 	// (nokernelgoroutines), so listing it here would be vacuous.
 	LockSafe: []string{
 		"rmscale/internal/service",
+		"rmscale/internal/service/client",
 		"rmscale/internal/service/loadgen",
 		"rmscale/internal/service/chaos",
 		"rmscale/internal/service/crash",

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
@@ -9,23 +10,59 @@ import (
 	"rmscale/internal/lint/callgraph"
 )
 
-// DeterTaint is the interprocedural companion to nowallclock and
-// noglobalrand: those two flag direct wall-clock reads and global-RNG
-// draws inside simulation-visible packages, but a helper package
-// outside the SimVisible list can read time.Now and hand the result
-// back across the boundary without either noticing. DeterTaint closes
-// that hole on the call graph — a function is tainted when it calls a
-// wall-clock or global-RNG source, or (transitively) any tainted
-// module function, and every call from a simulation-visible package
-// into a tainted function is reported with the witness chain down to
-// the source.
+// wallClockNames are the package time identifiers that read the real
+// clock or arm real timers. Types, constants and pure-arithmetic
+// helpers (Duration, Unix, Date construction from literals) are fine;
+// anything that observes "now" or schedules against it is not.
+var wallClockNames = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"Tick":      true,
+	"AfterFunc": true,
+	"NewTimer":  true,
+	"NewTicker": true,
+}
+
+// randConstructors are the math/rand and math/rand/v2 identifiers
+// that build a new generator rather than touching the shared global
+// one. They are still flagged — every RNG in sim-visible code must
+// descend from a sim.Source named stream — but with a message that
+// points at the sanctioned construction site, which carries a
+// //lint:allow annotation.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true,
+}
+
+// DeterTaint owns the determinism invariant of simulation-visible
+// packages: virtual time comes from the kernel (sim.Kernel.Now), never
+// from package time, and every random draw comes from a sim.Source
+// named stream, never from the process-global math/rand state or an
+// ad-hoc generator. Otherwise identical seeds stop producing identical
+// runs.
+//
+// It reports two kinds of finding. A source referenced in the package
+// itself is the chain of length zero: the selector is matched, not the
+// call, so f := time.Now is caught too, while naming the math/rand
+// types stays allowed. A longer chain runs through the call graph: a
+// function is tainted when it calls a source, or (transitively) any
+// tainted module function, and every call from a simulation-visible
+// package into a tainted function is reported with the witness chain
+// down to the source — which catches a helper package outside the
+// SimVisible list that reads time.Now and hands the result back across
+// the boundary.
 //
 // Suppression works at both ends of a chain:
 //
-//   - at the source: a //lint:allow on the line of the time/rand call
-//     (for detertaint, or for nowallclock/noglobalrand — an exception
-//     already justified for the direct analyzers cuts the transitive
-//     taint too, so one annotation serves all three);
+//   - at the source: a //lint:allow detertaint on the line of the
+//     time/rand reference silences it and cuts the taint for every
+//     caller;
 //   - at the entry point: a //lint:allow detertaint on the reported
 //     call site in the simulation-visible package.
 //
@@ -35,9 +72,10 @@ import (
 func DeterTaint() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "detertaint",
-		Doc:  "flag sim-visible calls that transitively reach wall-clock or global-RNG sources through helper packages",
+		Doc:  "forbid wall-clock reads and global or ad-hoc RNGs in sim-visible packages, directly or through any chain of module calls",
 	}
 	a.Run = func(p *analysis.Pass) error {
+		reportSources(p)
 		g := passGraph(p)
 		t := taintOf(g)
 		for _, n := range g.Nodes() {
@@ -60,6 +98,44 @@ func DeterTaint() *analysis.Analyzer {
 		return nil
 	}
 	return a
+}
+
+// reportSources reports every wall-clock or math/rand reference in the
+// package's own files.
+func reportSources(p *analysis.Pass) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			path, name, ok := p.SelectorOf(sel)
+			if !ok {
+				return true
+			}
+			switch path {
+			case "time":
+				if wallClockNames[name] {
+					p.Reportf(sel.Pos(),
+						"time.%s reads the wall clock; sim-visible code must take virtual time from the simulation kernel", name)
+				}
+			case "math/rand", "math/rand/v2":
+				// Referring to the types (rand.Rand, rand.Source) is
+				// fine: the stream wrappers store them.
+				if _, isType := p.Info.Uses[sel.Sel].(*types.TypeName); isType {
+					return true
+				}
+				if randConstructors[name] {
+					p.Reportf(sel.Pos(),
+						"rand.%s builds an RNG outside the named-stream factory; draw from sim.RNG streams (or annotate the factory with //lint:allow detertaint <why>)", name)
+				} else {
+					p.Reportf(sel.Pos(),
+						"rand.%s uses the process-global RNG; sim-visible code must draw from sim.RNG named streams", name)
+				}
+			}
+			return true
+		})
+	}
 }
 
 // taintWitness records how a node became tainted: via is the next hop
@@ -105,11 +181,7 @@ func taintOf(g *callgraph.Graph) *taintState {
 	// the taint before it enters the graph. Directives are parsed per
 	// package through the same machinery ApplyDirectives uses, so the
 	// multiline-span and standalone/trailing rules match exactly.
-	cutNames := []string{"detertaint", "nowallclock", "noglobalrand"}
-	known := map[string]bool{}
-	for _, name := range cutNames {
-		known[name] = true
-	}
+	known := map[string]bool{"detertaint": true}
 	sup := suppressions{}
 	seen := map[*callgraph.Package]bool{}
 	for _, n := range g.Nodes() {
@@ -123,12 +195,7 @@ func taintOf(g *callgraph.Graph) *taintState {
 		}
 	}
 	cut := func(pos token.Pos) bool {
-		for _, name := range cutNames {
-			if sup.suppressed(g.Fset(), analysis.Diagnostic{Pos: pos, Analyzer: name}) {
-				return true
-			}
-		}
-		return false
+		return sup.suppressed(g.Fset(), analysis.Diagnostic{Pos: pos, Analyzer: "detertaint"})
 	}
 
 	// Seed: nodes that call a source directly on an unsuppressed line.
@@ -175,7 +242,7 @@ func taintOf(g *callgraph.Graph) *taintState {
 }
 
 // taintSource classifies a callee as a determinism-breaking source:
-// the wall-clock reads nowallclock bans, or any package-level
+// the wall-clock reads in wallClockNames, or any package-level
 // math/rand function (global draws and ad-hoc constructors alike —
 // methods on an already-constructed *rand.Rand are named-stream draws
 // and stay clean).

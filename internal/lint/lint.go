@@ -7,13 +7,15 @@
 // package those invariants lived in comments and were caught — after
 // the fact — by golden files. Now they fail the build.
 //
-// The suite has two tiers. Five analyzers are call-site local
-// (nowallclock, noglobalrand, mapiterorder, nokernelgoroutines,
-// rmsexhaustive): cheap, precise, package-scoped.
-// Three are interprocedural (detertaint, hotalloc, locksafe): they run
-// over a module-wide call graph (internal/lint/callgraph) the driver
-// builds once per run and shares across every (analyzer, package)
-// pass.
+// The suite has two tiers. Three analyzers are call-site local
+// (mapiterorder, nokernelgoroutines, rmsexhaustive): cheap, precise,
+// package-scoped. Three are interprocedural (detertaint, hotalloc,
+// locksafe): they run over a module-wide call graph
+// (internal/lint/callgraph) the driver builds once per run and shares
+// across every (analyzer, package) pass. detertaint owns the whole
+// determinism invariant: it reports a wall-clock or global-RNG source
+// referenced directly in a simulation-visible package as well as one
+// reached through any chain of calls.
 package lint
 
 import (
@@ -27,12 +29,10 @@ import (
 	"rmscale/internal/lint/load"
 )
 
-// Suite returns the eight analyzers in their fixed reporting order:
+// Suite returns the six analyzers in their fixed reporting order:
 // the local fast passes first, then the call-graph tier.
 func Suite(cfg Config) []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		NoWallClock(),
-		NoGlobalRand(),
 		MapIterOrder(),
 		NoKernelGoroutines(),
 		RMSExhaustive(EnumSpec{
@@ -49,8 +49,6 @@ func Suite(cfg Config) []*analysis.Analyzer {
 // packagesFor returns the config entry list governing one analyzer.
 func (cfg Config) packagesFor(name string) []string {
 	switch name {
-	case "nowallclock", "noglobalrand":
-		return cfg.SimVisible
 	case "mapiterorder":
 		return cfg.MapOrder
 	case "nokernelgoroutines":
@@ -58,8 +56,9 @@ func (cfg Config) packagesFor(name string) []string {
 	case "rmsexhaustive":
 		return cfg.Exhaustive
 	case "detertaint":
-		// The taint analyzer reports at simulation-visible entry
-		// points; the chains it follows may pass through any package.
+		// The taint analyzer reports sources and entry points in
+		// simulation-visible packages; the chains it follows may pass
+		// through any package.
 		return cfg.SimVisible
 	case "hotalloc":
 		return cfg.HotAlloc

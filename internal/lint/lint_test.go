@@ -12,12 +12,16 @@ import (
 	"rmscale/internal/lint/linttest"
 )
 
+// TestNoWallClock checks detertaint's direct wall-clock findings, the
+// chain of length zero.
 func TestNoWallClock(t *testing.T) {
-	linttest.Run(t, "testdata", lint.NoWallClock(), "nowallclock")
+	linttest.Run(t, "testdata", lint.DeterTaint(), "nowallclock")
 }
 
+// TestNoGlobalRand checks detertaint's direct global- and ad-hoc-RNG
+// findings.
 func TestNoGlobalRand(t *testing.T) {
-	linttest.Run(t, "testdata", lint.NoGlobalRand(), "noglobalrand")
+	linttest.Run(t, "testdata", lint.DeterTaint(), "noglobalrand")
 }
 
 func TestMapIterOrder(t *testing.T) {
@@ -59,8 +63,9 @@ func TestRMSExhaustive(t *testing.T) {
 	linttest.Run(t, "testdata", a, "modelenum", "rmsexhaustive")
 }
 
-// TestDeterTaint checks the transitive wall-clock/global-RNG taint
-// analyzer against a two-package fixture chain.
+// TestDeterTaint checks the wall-clock/global-RNG taint analyzer
+// against a two-package fixture chain: the sources themselves and every
+// call that reaches one.
 func TestDeterTaint(t *testing.T) {
 	linttest.Run(t, "testdata", lint.DeterTaint(), "detertaint/helper", "detertaint")
 }
@@ -83,7 +88,7 @@ func TestMalformedDirectives(t *testing.T) {
 	const src = `package p
 
 func f() {
-	//lint:allow nowallclock
+	//lint:allow detertaint
 	_ = 1
 	//lint:allow bogusanalyzer because reasons
 	_ = 2
@@ -169,7 +174,7 @@ func TestSuppressionStatementSpan(t *testing.T) {
 	const src = `package p
 
 func f(g func(int, int) int, ch chan int) {
-	//lint:allow nowallclock spans the wrapped call
+	//lint:allow detertaint spans the wrapped call
 	_ = g(
 		1,
 		2,
@@ -188,7 +193,7 @@ func f(g func(int, int) int, ch chan int) {
 
 	// A diagnostic on the wrapped call's third line (7) is covered by
 	// the directive anchored on the statement's first line (5).
-	span := analysis.Diagnostic{Pos: posOnLine(fset, f, 7), Message: "wall clock", Analyzer: "nowallclock"}
+	span := analysis.Diagnostic{Pos: posOnLine(fset, f, 7), Message: "wall clock", Analyzer: "detertaint"}
 	if out := lint.ApplyDirectives(fset, []*ast.File{f}, known, []analysis.Diagnostic{span}); len(out) != 0 {
 		t.Fatalf("multi-line statement span not covered: %+v", out)
 	}

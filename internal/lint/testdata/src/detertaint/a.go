@@ -39,7 +39,7 @@ func draw() int {
 }
 
 func pick() int {
-	return rand.Intn(10)
+	return rand.Intn(10) // want "rand\\.Intn uses the process-global RNG"
 }
 
 // ticker's one implementation is tainted, so interface dispatch is

@@ -26,6 +26,6 @@ func typeRefsAllowed(r *rand.Rand, s rand.Source) *rand.Rand {
 }
 
 func sanctionedFactory(seed int64) *rand.Rand {
-	//lint:allow noglobalrand fixture stand-in for the sim.Source named-stream factory
+	//lint:allow detertaint fixture stand-in for the sim.Source named-stream factory
 	return rand.New(rand.NewSource(seed))
 }

@@ -24,7 +24,7 @@ func allowed() time.Duration {
 }
 
 func annotated() {
-	//lint:allow nowallclock fixture exercising the escape hatch
+	//lint:allow detertaint fixture exercising the escape hatch
 	_ = time.Now()
-	_ = time.Now() //lint:allow nowallclock trailing directive form
+	_ = time.Now() //lint:allow detertaint trailing directive form
 }

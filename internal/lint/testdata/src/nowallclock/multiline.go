@@ -8,7 +8,7 @@ import "time"
 func consume(a int, t time.Time) int { return a }
 
 func suppressedSpan() int {
-	//lint:allow nowallclock fixture: sanctioned read on a wrapped line
+	//lint:allow detertaint fixture: sanctioned read on a wrapped line
 	return consume(
 		1,
 		time.Now(),

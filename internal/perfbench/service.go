@@ -95,15 +95,12 @@ func dedupHitAllocs() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for !st.State.Terminal() {
-		next, ok := d.Await(st.ID, st.State)
-		if !ok {
-			return 0, fmt.Errorf("perfbench: seeded experiment vanished")
-		}
-		st = next
+	st, ok := d.Wait(st.ID)
+	if !ok {
+		return 0, fmt.Errorf("perfbench: seeded experiment vanished")
 	}
 	if st.State != service.StateDone {
-		return 0, fmt.Errorf("perfbench: seeded experiment failed: %s", st.Error)
+		return 0, fmt.Errorf("perfbench: seeded experiment ended %s: %s", st.State, st.Error)
 	}
 	var submitErr error
 	allocs := testing.AllocsPerRun(200, func() {

@@ -9,7 +9,8 @@
 //     makes any later recomputation comparable).
 //  2. exec faults — a daemon whose executor panics, hangs past its
 //     deadline or fails transiently on scripted specs is driven over
-//     the real HTTP surface by concurrent clients that also hang up
+//     the real HTTP surface by concurrent clients — the
+//     internal/service/client users run — that also hang up
 //     mid-stream on schedule. Every experiment must still finish and
 //     fetch byte-identical to the reference; the daemon must stay
 //     alive and healthy.
@@ -38,14 +39,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	//lint:allow nokernelgoroutines the harness coordinates concurrent chaos clients against the daemon; the simulations inside stay single-threaded
 	"sync"
 	"time"
 
 	"rmscale/internal/fsutil"
-	"rmscale/internal/rms"
 	"rmscale/internal/service"
+	"rmscale/internal/service/client"
 )
 
 // Options configures one chaos run.
@@ -160,19 +160,6 @@ const (
 	faultError
 )
 
-// specAt derives the j-th distinct spec, the same rotation the load
-// harness uses: models cycle through the paper's roster, seeds
-// advance.
-func specAt(o Options, j int) service.ExperimentSpec {
-	names := rms.Names()
-	return service.ExperimentSpec{
-		Kind:    service.KindSim,
-		Model:   names[j%len(names)],
-		Seed:    o.Seed + int64(j),
-		Horizon: o.Horizon,
-	}
-}
-
 // faultAt is the j-th spec's scheduled fault (first match wins).
 func faultAt(o Options, j int) faultKind {
 	switch {
@@ -264,7 +251,7 @@ func Run(opts Options) (Report, error) {
 	r.specs = make([]service.ExperimentSpec, opts.Specs)
 	r.ids = make([]string, opts.Specs)
 	for j := range r.specs {
-		r.specs[j] = specAt(opts, j)
+		r.specs[j] = service.SpecAt(opts.Seed, opts.Horizon, j)
 		id, err := r.specs[j].ID()
 		if err != nil {
 			return r.rep, err
@@ -300,7 +287,7 @@ func (r *run) reference() error {
 		if err != nil {
 			return fmt.Errorf("chaos: reference submit %s: %w", spec, err)
 		}
-		fin := awaitTerminal(d, st.ID)
+		fin, _ := d.Wait(st.ID)
 		if fin.State != service.StateDone {
 			return fmt.Errorf("chaos: reference execution %s ended %s: %s", spec, fin.State, fin.Error)
 		}
@@ -312,22 +299,6 @@ func (r *run) reference() error {
 	}
 	r.logf("reference: %d specs executed fault-free", len(r.specs))
 	return nil
-}
-
-// awaitTerminal blocks until the experiment is terminal.
-func awaitTerminal(d *service.Daemon, id string) service.Status {
-	st, ok := d.Status(id)
-	if !ok {
-		return service.Status{}
-	}
-	for !st.State.Terminal() {
-		next, ok := d.Await(id, st.State)
-		if !ok || next.State == st.State {
-			return st
-		}
-		st = next
-	}
-	return st
 }
 
 // execFaults drives the daemon through executor and client faults
@@ -407,19 +378,19 @@ func (r *run) execFaults() error {
 		//lint:allow nokernelgoroutines one goroutine per concurrent chaos client is the harness's reason to exist
 		go func(c int) {
 			defer wg.Done()
-			cl := &chaosClient{base: base, id: fmt.Sprintf("chaos-%d", c)}
+			cl := &client.Client{Base: base, ID: fmt.Sprintf("chaos-%d", c), RetryFor: client.DefaultRetryFor}
 			for j := c; j < len(r.specs); j += o.Clients {
 				id := r.ids[j]
-				if err := cl.submit(r.specs[j]); err != nil {
+				if _, err := cl.Submit(r.specs[j]); err != nil {
 					errs[c] = err
 					return
 				}
-				disconnect := j%o.DisconnectEvery == 0
-				if disconnect {
-					cl.abandonStream(id)
+				if j%o.DisconnectEvery == 0 {
+					// The scripted disconnect: hang up after one line.
+					cl.Watch(id, func(service.Status) bool { return false })
 					disconnects[c]++
 				}
-				fin, err := cl.streamTerminal(id)
+				fin, err := cl.Watch(id, nil)
 				if err != nil {
 					errs[c] = err
 					return
@@ -428,7 +399,7 @@ func (r *run) execFaults() error {
 					errs[c] = fmt.Errorf("experiment %s ended %s under exec faults: %s", id, fin.State, fin.Error)
 					return
 				}
-				b, err := cl.fetch(id)
+				b, err := cl.Result(id)
 				if err != nil {
 					errs[c] = err
 					return
@@ -448,15 +419,8 @@ func (r *run) execFaults() error {
 	}
 
 	// The daemon is alive and honest about what it absorbed.
-	resp, err := http.Get(base + "/v1/healthz")
-	if err != nil {
-		r.failf("exec-faults: daemon unreachable after faults: %v", err)
-	} else {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			r.failf("exec-faults: healthz HTTP %d after faults", resp.StatusCode)
-		}
+	if _, err := (&client.Client{Base: base}).Health(); err != nil {
+		r.failf("exec-faults: daemon unhealthy after faults: %v", err)
 	}
 	s := d.Stats()
 	r.rep.ExecPanics = s.ExecPanics
@@ -556,7 +520,7 @@ func (r *run) restartFaults() error {
 	// Every spec must come back done with reference-identical bytes;
 	// the corrupted one via quarantine and re-execution.
 	for _, id := range r.ids {
-		fin := awaitTerminal(d, id)
+		fin, _ := d.Wait(id)
 		if fin.State != service.StateDone {
 			r.failf("restart-faults: %s ended %q after restart: %s", id, fin.State, fin.Error)
 			continue
@@ -564,7 +528,7 @@ func (r *run) restartFaults() error {
 		b, ok := d.Result(id)
 		if !ok {
 			// A self-healing miss: the fetch re-queued it; wait again.
-			awaitTerminal(d, id)
+			d.Wait(id)
 			b, ok = d.Result(id)
 		}
 		if !ok {
@@ -602,7 +566,7 @@ func (r *run) diskFaults() error {
 			r.failf("disk-faults: submit %s: %v", r.specs[j], err)
 			continue
 		}
-		fin := awaitTerminal(d, st.ID)
+		fin, _ := d.Wait(st.ID)
 		if fin.State != service.StateDone {
 			r.failf("disk-faults: %s ended %s under flaky writes: %s", st.ID, fin.State, fin.Error)
 			continue
@@ -625,144 +589,4 @@ func (r *run) diskFaults() error {
 	}
 	r.logf("disk-faults: %d specs served through %d injected write faults (degraded=%v)", n, fs.Faults(), r.rep.StoreDegraded)
 	return nil
-}
-
-// chaosClient is one HTTP chaos client: it submits with 429/503
-// backoff (honoring Retry-After), streams, disconnects on schedule
-// and fetches results.
-type chaosClient struct {
-	base string
-	id   string
-}
-
-// backoff sleeps the server's Retry-After hint, capped so chaos runs
-// stay fast; the hint's presence, not its full length, is what the
-// harness exercises.
-func (c *chaosClient) backoff(retryAfter string, attempt int) {
-	d := time.Duration(attempt) * 2 * time.Millisecond
-	if sec, err := strconv.Atoi(retryAfter); err == nil && sec > 0 {
-		d = time.Duration(sec) * time.Second
-	}
-	if d > 25*time.Millisecond {
-		d = 25 * time.Millisecond
-	}
-	//lint:allow nowallclock client-side admission backoff is real-time flow control outside any simulation
-	time.Sleep(d)
-}
-
-func (c *chaosClient) submit(spec service.ExperimentSpec) error {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	for attempt := 1; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/experiments", bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Rmscale-Client", c.id)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			return nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if attempt > 400 {
-				return fmt.Errorf("submit %s: still refused after %d attempts: %s", spec, attempt, body)
-			}
-			c.backoff(resp.Header.Get("Retry-After"), attempt)
-		default:
-			return fmt.Errorf("submit %s: HTTP %d: %s", spec, resp.StatusCode, body)
-		}
-	}
-}
-
-// abandonStream opens the status stream, reads one line and hangs up
-// — the scripted client disconnect.
-func (c *chaosClient) abandonStream(id string) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/experiments/"+id+"/stream", nil)
-	if err != nil {
-		return
-	}
-	req.Header.Set("X-Rmscale-Client", c.id)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var st service.Status
-	_ = json.NewDecoder(resp.Body).Decode(&st) // one line, then hang up
-}
-
-// streamTerminal follows the stream until the experiment is terminal.
-func (c *chaosClient) streamTerminal(id string) (service.Status, error) {
-	var last service.Status
-	for attempt := 1; ; attempt++ {
-		req, err := http.NewRequest(http.MethodGet, c.base+"/v1/experiments/"+id+"/stream", nil)
-		if err != nil {
-			return last, err
-		}
-		req.Header.Set("X-Rmscale-Client", c.id)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return last, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return last, fmt.Errorf("stream %s: HTTP %d", id, resp.StatusCode)
-		}
-		dec := json.NewDecoder(resp.Body)
-		for {
-			if err := dec.Decode(&last); err != nil {
-				break
-			}
-			if last.State.Terminal() {
-				resp.Body.Close()
-				return last, nil
-			}
-		}
-		resp.Body.Close()
-		// The daemon closed the stream without a terminal state (it was
-		// draining or the connection dropped); re-stream.
-		if attempt > 100 {
-			return last, fmt.Errorf("stream %s: no terminal state after %d streams", id, attempt)
-		}
-		c.backoff("", attempt)
-	}
-}
-
-func (c *chaosClient) fetch(id string) ([]byte, error) {
-	for attempt := 1; ; attempt++ {
-		req, err := http.NewRequest(http.MethodGet, c.base+"/v1/experiments/"+id+"/result", nil)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("X-Rmscale-Client", c.id)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return body, nil
-		case http.StatusConflict:
-			// Self-healing in flight: the result was missing and the
-			// daemon re-queued the work; wait for it.
-			if attempt > 400 {
-				return nil, fmt.Errorf("fetch %s: still unfinished after %d attempts", id, attempt)
-			}
-			c.backoff("", attempt)
-		default:
-			return nil, fmt.Errorf("fetch %s: HTTP %d: %s", id, resp.StatusCode, body)
-		}
-	}
 }

@@ -10,7 +10,7 @@ import "time"
 // deterministically. Nothing simulation-visible ever flows from it —
 // sim results depend only on the spec — which is why the wall-clock
 // reads below are sanctioned, annotated exceptions to the module's
-// nowallclock rule.
+// detertaint rule.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -27,17 +27,17 @@ type Clock interface {
 type realClock struct{}
 
 func (realClock) Now() time.Time {
-	//lint:allow nowallclock the daemon timestamps logs and measures request latency; simulation results never depend on wall time
+	//lint:allow detertaint the daemon timestamps logs and measures request latency; simulation results never depend on wall time
 	return time.Now()
 }
 
 func (realClock) Sleep(d time.Duration) {
-	//lint:allow nowallclock supervised-retry backoff is real-time flow control in the daemon, outside any simulation
+	//lint:allow detertaint supervised-retry backoff is real-time flow control in the daemon, outside any simulation
 	time.Sleep(d)
 }
 
 //lint:allow nokernelgoroutines the deadline timer channel is service-layer plumbing; no simulation state crosses it
 func (realClock) After(d time.Duration) <-chan time.Time {
-	//lint:allow nowallclock execution deadlines arm real timers in the daemon; the simulations they bound stay on virtual time
+	//lint:allow detertaint execution deadlines arm real timers in the daemon; the simulations they bound stay on virtual time
 	return time.After(d)
 }

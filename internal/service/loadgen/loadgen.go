@@ -2,7 +2,8 @@
 //
 // One iteration submits Objects experiment submissions drawn from
 // Distinct underlying specs through the full HTTP API with Clients
-// concurrent clients, waits for every distinct experiment to finish
+// concurrent clients — each the internal/service/client that
+// `rmscaled submit` runs — waits for every distinct experiment to finish
 // (via the streaming endpoint — no polling sleep), fetches every
 // result, and then audits the daemon's accounting:
 //
@@ -20,8 +21,6 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -30,26 +29,16 @@ import (
 	"sync"
 	"time"
 
-	"rmscale/internal/rms"
 	"rmscale/internal/service"
+	"rmscale/internal/service/client"
 	"rmscale/internal/stats"
 )
 
 // now is the harness's one wall-clock read site: client-observed
 // latency is wall time by definition.
 func now() time.Time {
-	//lint:allow nowallclock the load harness measures real client-observed latency; nothing simulation-visible flows from it
+	//lint:allow detertaint the load harness measures real client-observed latency; nothing simulation-visible flows from it
 	return time.Now()
-}
-
-// backoff pauses a client that was refused with 429 before it retries.
-func backoff(attempt int) {
-	d := time.Duration(attempt) * time.Millisecond
-	if d > 50*time.Millisecond {
-		d = 50 * time.Millisecond
-	}
-	//lint:allow nowallclock admission-control backoff is real-time flow control in the load client, outside any simulation
-	time.Sleep(d)
 }
 
 // Options configures one load iteration.
@@ -109,8 +98,8 @@ type Metrics struct {
 	DedupHits  int64 `json:"dedup_hits"`
 	StoreLen   int   `json:"store_len"`
 
-	// Client-side admission pressure: submissions that were refused
-	// with 429 and retried until accepted.
+	// Client-side admission pressure: submission attempts the daemon
+	// refused (429 or 503) and the client retried.
 	Retries429 int64 `json:"retries_429"`
 
 	// Latency percentiles in milliseconds, per request type.
@@ -129,116 +118,19 @@ type Metrics struct {
 	MaxQueueDepth int `json:"max_queue_depth"`
 }
 
-// specAt derives the j-th distinct spec: models rotate through the
-// paper's roster, seeds advance, the horizon keeps each simulation a
-// few milliseconds.
-func specAt(o Options, j int) service.ExperimentSpec {
-	names := rms.Names()
-	return service.ExperimentSpec{
-		Kind:    service.KindSim,
-		Model:   names[j%len(names)],
-		Seed:    o.Seed + int64(j),
-		Horizon: o.Horizon,
-	}
-}
-
-// client is one load worker's HTTP state plus locally collected
-// samples (merged after the join, so no lock contention during the
-// run).
-type client struct {
-	id      string
-	http    *http.Client
-	base    string
+// worker is one load client plus its locally collected samples
+// (merged after the join, so no lock contention during the run).
+type worker struct {
+	client.Client
 	submit  []float64
 	status  []float64
 	fetch   []float64
 	retries int64
 }
 
-func (c *client) get(path string, samples *[]float64) (int, []byte, error) {
-	t0 := now()
-	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("X-Rmscale-Client", c.id)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if samples != nil {
-		*samples = append(*samples, float64(now().Sub(t0).Microseconds())/1000)
-	}
-	return resp.StatusCode, body, err
-}
-
-// submitOne POSTs the spec, retrying on 429 until accepted.
-func (c *client) submitOne(spec service.ExperimentSpec) error {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	for attempt := 1; ; attempt++ {
-		t0 := now()
-		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/experiments", bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Rmscale-Client", c.id)
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			c.submit = append(c.submit, float64(now().Sub(t0).Microseconds())/1000)
-			return nil
-		case http.StatusTooManyRequests:
-			c.retries++
-			backoff(attempt)
-		default:
-			return fmt.Errorf("loadgen: submit %s: HTTP %d: %s", spec, resp.StatusCode, body)
-		}
-	}
-}
-
-// awaitDone streams the experiment's status until it is terminal.
-func (c *client) awaitDone(id string) error {
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/experiments/"+id+"/stream", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("X-Rmscale-Client", c.id)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: stream %s: HTTP %d", id, resp.StatusCode)
-	}
-	dec := json.NewDecoder(resp.Body)
-	var last service.Status
-	for {
-		if err := dec.Decode(&last); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return fmt.Errorf("loadgen: stream %s: %w", id, err)
-		}
-		if last.State.Terminal() {
-			break
-		}
-	}
-	if last.State != service.StateDone {
-		return fmt.Errorf("loadgen: experiment %s ended %s: %s", id, last.State, last.Error)
-	}
-	return nil
+// msSince is the wall time since t0 in milliseconds.
+func msSince(t0 time.Time) float64 {
+	return float64(now().Sub(t0).Microseconds()) / 1000
 }
 
 // Run drives one load iteration against the daemon at opts.BaseURL.
@@ -248,88 +140,45 @@ func Run(opts Options) (Metrics, error) {
 	}
 	ids := make([]string, opts.Distinct)
 	for j := range ids {
-		id, err := specAt(opts, j).ID()
+		id, err := service.SpecAt(opts.Seed, opts.Horizon, j).ID()
 		if err != nil {
 			return Metrics{}, err
 		}
 		ids[j] = id
 	}
 
-	clients := make([]*client, opts.Clients)
-	for c := range clients {
-		clients[c] = &client{
-			id:   fmt.Sprintf("loadgen-%d", c),
-			http: &http.Client{},
-			base: opts.BaseURL,
-		}
+	workers := make([]*worker, opts.Clients)
+	for c := range workers {
+		w := &worker{Client: client.Client{
+			Base: opts.BaseURL, ID: fmt.Sprintf("loadgen-%d", c), RetryFor: client.DefaultRetryFor,
+		}}
+		w.Refused = func(int, time.Duration) { w.retries++ }
+		workers[c] = w
 	}
 
 	start := now()
 	var wg sync.WaitGroup
 	errs := make([]error, opts.Clients)
-	for c := range clients {
+	for c := range workers {
 		wg.Add(1)
 		//lint:allow nokernelgoroutines one goroutine per concurrent load client is the harness's reason to exist
 		go func(c int) {
 			defer wg.Done()
-			cl := clients[c]
-			// Submission phase: worker c owns submissions i ≡ c (mod
-			// Clients); submission i carries spec i mod Distinct, so
-			// every spec is submitted ~Objects/Distinct times.
-			for i := c; i < opts.Objects; i += opts.Clients {
-				if err := cl.submitOne(specAt(opts, i%opts.Distinct)); err != nil {
-					errs[c] = err
-					return
-				}
-			}
-			// Completion phase: worker c waits on distinct specs j ≡ c
-			// (mod Clients) — one status poll for the latency sample,
-			// then the stream until terminal, then the result fetch.
-			for j := c; j < opts.Distinct; j += opts.Clients {
-				code, _, err := cl.get("/v1/experiments/"+ids[j], &cl.status)
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				if code != http.StatusOK {
-					errs[c] = fmt.Errorf("loadgen: status %s: HTTP %d", ids[j], code)
-					return
-				}
-				if err := cl.awaitDone(ids[j]); err != nil {
-					errs[c] = err
-					return
-				}
-				code, body, err := cl.get("/v1/experiments/"+ids[j]+"/result", &cl.fetch)
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				if code != http.StatusOK || len(body) == 0 {
-					errs[c] = fmt.Errorf("loadgen: result %s: HTTP %d (%d bytes)", ids[j], code, len(body))
-					return
-				}
-			}
+			errs[c] = workers[c].run(opts, c, ids)
 		}(c)
 	}
 	wg.Wait()
 	wall := now().Sub(start).Seconds()
 	for _, err := range errs {
 		if err != nil {
-			return Metrics{}, err
+			return Metrics{}, fmt.Errorf("loadgen: %w", err)
 		}
 	}
 
 	// Final accounting from the daemon, then the dedup audit.
-	code, body, err := clients[0].get("/v1/stats", nil)
+	st, err := workers[0].Stats()
 	if err != nil {
-		return Metrics{}, err
-	}
-	if code != http.StatusOK {
-		return Metrics{}, fmt.Errorf("loadgen: stats: HTTP %d", code)
-	}
-	var st service.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
-		return Metrics{}, fmt.Errorf("loadgen: decoding stats: %w", err)
+		return Metrics{}, fmt.Errorf("loadgen: %w", err)
 	}
 
 	m := Metrics{
@@ -346,15 +195,15 @@ func Run(opts Options) (Metrics, error) {
 		m.ObjectsPerSec = float64(opts.Objects) / wall
 	}
 	var submit, status, fetch []float64
-	for _, cl := range clients {
-		submit = append(submit, cl.submit...)
-		status = append(status, cl.status...)
-		fetch = append(fetch, cl.fetch...)
-		m.Retries429 += cl.retries
+	for _, w := range workers {
+		submit = append(submit, w.submit...)
+		status = append(status, w.status...)
+		fetch = append(fetch, w.fetch...)
+		m.Retries429 += w.retries
 	}
-	m.SubmitP50Ms, m.SubmitP99Ms = pctl(submit)
-	m.StatusP50Ms, m.StatusP99Ms = pctl(status)
-	m.FetchP50Ms, m.FetchP99Ms = pctl(fetch)
+	m.SubmitP50Ms, m.SubmitP99Ms = stats.Percentile(submit, 50), stats.Percentile(submit, 99)
+	m.StatusP50Ms, m.StatusP99Ms = stats.Percentile(status, 50), stats.Percentile(status, 99)
+	m.FetchP50Ms, m.FetchP99Ms = stats.Percentile(fetch, 50), stats.Percentile(fetch, 99)
 
 	// The audit: dedup must have collapsed every repeated submission.
 	switch {
@@ -376,12 +225,47 @@ func Run(opts Options) (Metrics, error) {
 	return m, nil
 }
 
-// pctl returns the p50 and p99 of the samples (0 when empty).
-func pctl(xs []float64) (p50, p99 float64) {
-	if len(xs) == 0 {
-		return 0, 0
+// run is worker c's share of the iteration, each call timed whole.
+func (w *worker) run(opts Options, c int, ids []string) error {
+	// Submission phase: worker c owns submissions i ≡ c (mod Clients);
+	// submission i carries spec i mod Distinct, so every spec is
+	// submitted ~Objects/Distinct times.
+	for i := c; i < opts.Objects; i += opts.Clients {
+		t0 := now()
+		_, err := w.Submit(service.SpecAt(opts.Seed, opts.Horizon, i%opts.Distinct))
+		w.submit = append(w.submit, msSince(t0))
+		if err != nil {
+			return err
+		}
 	}
-	return stats.Percentile(xs, 50), stats.Percentile(xs, 99)
+	// Completion phase: worker c waits on distinct specs j ≡ c (mod
+	// Clients) — one status poll for the latency sample, then the
+	// stream until terminal, then the result fetch.
+	for j := c; j < opts.Distinct; j += opts.Clients {
+		t0 := now()
+		_, err := w.Status(ids[j])
+		w.status = append(w.status, msSince(t0))
+		if err != nil {
+			return err
+		}
+		fin, err := w.Watch(ids[j], nil)
+		if err != nil {
+			return err
+		}
+		if fin.State != service.StateDone {
+			return fmt.Errorf("experiment %s ended %s: %s", ids[j], fin.State, fin.Error)
+		}
+		t0 = now()
+		body, err := w.Result(ids[j])
+		w.fetch = append(w.fetch, msSince(t0))
+		if err != nil {
+			return err
+		}
+		if len(body) == 0 {
+			return fmt.Errorf("result %s: empty payload", ids[j])
+		}
+	}
+	return nil
 }
 
 // RunInProcess starts a daemon with cfg, serves it on a loopback

@@ -517,20 +517,32 @@ func (d *Daemon) Result(id string) ([]byte, bool) {
 	return nil, false
 }
 
-// Await blocks until the experiment's state differs from last, is
-// terminal, or the daemon shuts down, and returns the then-current
-// snapshot. It reports false when the ID is unknown. Callers drive
-// streaming with it: write each returned status and stop once it is
-// terminal, or unchanged from last (which means the daemon closed and
-// no further transition can come).
-func (d *Daemon) Await(id string, last State) (Status, bool) {
-	return d.AwaitCtx(context.Background(), id, last)
+// Wait blocks until the experiment is terminal or the daemon closes,
+// and returns the then-current snapshot; after a close it may still be
+// queued or running. It reports false when the ID is unknown.
+func (d *Daemon) Wait(id string) (Status, bool) {
+	//lint:allow locksafe the final snapshot reads one bounded runstate.json under the lock; the state it reports must match the one the wait ended on
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for {
+		e, ok := d.exps[id]
+		if !ok {
+			return Status{}, false
+		}
+		if e.State.Terminal() || d.closed {
+			return d.statusLocked(e), true
+		}
+		d.cond.Wait()
+	}
 }
 
-// AwaitCtx is Await bounded by a context: when ctx is cancelled — a
-// streaming client hung up — the wait unblocks and reports false
-// instead of parking a goroutine on the condition variable until the
-// next unrelated state change.
+// AwaitCtx blocks until the experiment's state differs from last, is
+// terminal, or the daemon shuts down, and returns the then-current
+// snapshot; the status stream writes each one. It reports false when
+// the ID is unknown or ctx is cancelled — a streaming client hung up —
+// so the wait unblocks instead of parking a goroutine on the condition
+// variable until the next unrelated state change. A returned state
+// equal to last means the daemon closed and no transition can follow.
 func (d *Daemon) AwaitCtx(ctx context.Context, id string, last State) (Status, bool) {
 	if done := ctx.Done(); done != nil {
 		// Wake every cond waiter on cancellation; the mutex ensures the

@@ -17,19 +17,12 @@ func fakeExec(_ context.Context, spec ExperimentSpec, _ string) ([]byte, error) 
 // experiment reaches a terminal state.
 func waitTerminal(t *testing.T, d *Daemon, id string) Status {
 	t.Helper()
-	st, ok := d.Status(id)
+	st, ok := d.Wait(id)
 	if !ok {
 		t.Fatalf("unknown experiment %s", id)
 	}
-	for !st.State.Terminal() {
-		next, ok := d.Await(id, st.State)
-		if !ok {
-			t.Fatalf("experiment %s vanished while waiting", id)
-		}
-		if next.State == st.State {
-			t.Fatalf("daemon closed with %s still %s", id, st.State)
-		}
-		st = next
+	if !st.State.Terminal() {
+		t.Fatalf("daemon closed with %s still %s", id, st.State)
 	}
 	return st
 }

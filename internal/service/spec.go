@@ -131,3 +131,16 @@ func (s ExperimentSpec) ID() (string, error) {
 	}
 	return k.String(), nil
 }
+
+// SpecAt derives the j-th spec of the rotation the load and chaos
+// harnesses submit: models cycle through the paper's roster, seeds
+// advance from seed, and every run simulates horizon.
+func SpecAt(seed int64, horizon float64, j int) ExperimentSpec {
+	names := rms.Names()
+	return ExperimentSpec{
+		Kind:    KindSim,
+		Model:   names[j%len(names)],
+		Seed:    seed + int64(j),
+		Horizon: horizon,
+	}
+}

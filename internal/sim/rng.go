@@ -30,7 +30,7 @@ func (s *Source) Stream(name string) *Stream {
 	_, _ = h.Write([]byte(name))
 	const golden = uint64(0x9e3779b97f4a7c15)
 	sub := int64(h.Sum64() ^ (uint64(s.seed) * golden))
-	//lint:allow noglobalrand the named-stream factory is the single sanctioned rand.New site; the sub-seed derives deterministically from the master seed and stream name
+	//lint:allow detertaint the named-stream factory is the single sanctioned rand.New site; the sub-seed derives deterministically from the master seed and stream name
 	return &Stream{rng: rand.New(rand.NewSource(sub)), name: name}
 }
 
