@@ -73,7 +73,7 @@ type (
 	Message = grid.Message
 	// JobCtx is the envelope a job travels in.
 	JobCtx = grid.JobCtx
-	// Substrate is the shareable topology+routing build.
+	// Substrate is the shareable topology, routing and job-stream build.
 	Substrate = grid.Substrate
 	// SubstrateCache memoizes substrates for tuners.
 	SubstrateCache = grid.SubstrateCache
@@ -243,7 +243,8 @@ func NewEngineWith(cfg Config, p Policy, s *Substrate) (*Engine, error) {
 	return grid.NewWith(cfg, p, s)
 }
 
-// BuildSubstrate constructs the topology+routing substrate for a config.
+// BuildSubstrate constructs the topology, routing and job-stream substrate
+// for a config.
 func BuildSubstrate(cfg Config) (*Substrate, error) { return grid.BuildSubstrate(cfg) }
 
 // NewSubstrateCache returns an empty substrate cache.

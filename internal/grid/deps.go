@@ -100,6 +100,7 @@ func (e *Engine) startArrivals() {
 		}
 		e.admitJob(j)
 	}
+	lane.Grow(len(e.jobs))
 	for _, j := range e.jobs {
 		lane.Append(j.Arrival, arrive)
 	}

@@ -31,7 +31,6 @@ type Engine struct {
 	K       *sim.Kernel
 	Graph   *topology.Graph
 	Map     *topology.Mapping
-	Net     *routing.Matrix
 	Metrics *Metrics
 
 	Resources  []*Resource
@@ -80,10 +79,10 @@ func New(cfg Config, p Policy) (*Engine, error) {
 }
 
 // NewWith is New with an optional pre-built substrate (topology,
-// mapping, routing); tuners evaluating many enabler settings at one
-// scale factor share a substrate to avoid rebuilding routing tables.
-// Passing nil builds a fresh substrate. The substrate must match the
-// structural part of the config after the central-policy collapse.
+// mapping, routes, job streams); tuners evaluating many enabler
+// settings at one scale factor share a substrate to avoid rebuilding
+// them. Passing nil builds a fresh substrate. The substrate must match
+// the structural part of the config after the central-policy collapse.
 func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 	if p == nil {
 		return nil, fmt.Errorf("grid: nil policy")
@@ -127,18 +126,9 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 	e.Graph = sub.Graph
 	mp := sub.Map
 	e.Map = mp
-	e.Net = sub.Net
 
-	// Entities. Each one resolves its routing-matrix index here, once,
-	// so a message's delay is two slice lookups (see delay).
-	for _, nodes := range [][]int{mp.SchedulerNode, mp.ResourceNode, mp.EstimatorNode} {
-		for _, n := range nodes {
-			if _, ok := e.Net.Index[n]; !ok {
-				return nil, fmt.Errorf("grid: node %d is not a routed endpoint", n)
-			}
-		}
-	}
-	route := func(node int) int { return e.Net.Index[node] }
+	// Entities. Each one takes its rows of the substrate's route tables
+	// here, so a message's delay is one lookup (see delay).
 	e.localIdx = make([]int, mp.Resources())
 	for _, rs := range mp.ClusterResources {
 		for i, rid := range rs {
@@ -151,7 +141,8 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 		s := &Scheduler{
 			cluster: c,
 			node:    mp.SchedulerNode[c],
-			netIdx:  route(mp.SchedulerNode[c]),
+			toSched: sub.schedToSched[c],
+			toRes:   sub.schedToRes[c],
 			eng:     e,
 			views:   make([]resourceView, len(mp.ClusterResources[c])),
 			rand:    e.src.Stream(fmt.Sprintf("sched:%d", c)),
@@ -168,22 +159,26 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 	queues := make([]*JobCtx, resourceQueueSlots*mp.Resources())
 	for r := 0; r < mp.Resources(); r++ {
 		lo := r * resourceQueueSlots
-		e.Resources = append(e.Resources, &Resource{
+		res := &Resource{
 			id:      r,
 			node:    mp.ResourceNode[r],
-			netIdx:  route(mp.ResourceNode[r]),
+			toSched: sub.resToSched[r],
 			cluster: mp.ResourceCluster[r],
 			eng:     e,
 			queue:   queues[lo : lo : lo+resourceQueueSlots],
-		})
+		}
+		if sub.resToEst != nil {
+			res.toEst = sub.resToEst[r]
+		}
+		e.Resources = append(e.Resources, res)
 	}
 	for i := 0; i < cfg.Spec.Estimators; i++ {
 		est := &Estimator{
-			id:     i,
-			node:   mp.EstimatorNode[i],
-			netIdx: route(mp.EstimatorNode[i]),
-			eng:    e,
-			buffer: make([][]statusItem, cfg.Spec.Clusters),
+			id:      i,
+			node:    mp.EstimatorNode[i],
+			toSched: sub.estToSched[i],
+			eng:     e,
+			buffer:  make([][]statusItem, cfg.Spec.Clusters),
 		}
 		est.cpu.init(e.K, est.cpu.runGuarded)
 		e.Estimators = append(e.Estimators, est)
@@ -199,8 +194,8 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 		}
 	}
 
-	// Workload.
-	jobs, err := workload.Generate(cfg.Workload, e.src.Stream("workload"))
+	// Workload, shared with every engine on the substrate.
+	jobs, err := sub.jobStream(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +233,8 @@ func (e *Engine) Policy() Policy { return e.policy }
 // Scheduler returns cluster c's scheduler.
 func (e *Engine) Scheduler(c int) *Scheduler { return e.Schedulers[c] }
 
-// Jobs returns the generated workload (read-only by convention).
+// Jobs returns the workload. A generated workload is shared with every
+// engine built on the same substrate, so the jobs are read-only.
 func (e *Engine) Jobs() []*workload.Job { return e.jobs }
 
 // UseJobs replaces the generated workload with an explicit job list —
@@ -353,17 +349,13 @@ func (e *Engine) scheduleCrash(r *Resource) {
 	})
 }
 
-// delay computes the end-to-end network delay between two endpoints,
-// given by their routing-matrix indices, for a message of the given
-// size: routed path latency scaled by the LinkDelayScale enabler plus
-// the transmission time over the bottleneck link. The index is
-// injective over topology nodes, so equal indices are co-located
-// endpoints and the delay is zero.
-func (e *Engine) delay(from, to int, size float64) sim.Time {
-	if from == to {
-		return 0
-	}
-	d := e.Net.Latency[from][to]*e.Cfg.Enablers.LinkDelayScale + size/e.Net.Bandwidth[from][to]
+// delay computes the end-to-end network delay of a message of the
+// given size over route rt: path latency scaled by the LinkDelayScale
+// enabler plus the transmission time over the bottleneck link. A route
+// between co-located endpoints has latency 0 and bandwidth +Inf, so its
+// delay is zero.
+func (e *Engine) delay(rt routing.Route, size float64) sim.Time {
+	d := rt.Latency*e.Cfg.Enablers.LinkDelayScale + size/rt.Bandwidth
 	if d < 0 {
 		d = 0
 	}
@@ -385,11 +377,11 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	}
 	at := e.K.Now()
 	if len(e.Estimators) > 0 {
-		est := e.Estimators[r.id%len(e.Estimators)]
+		est := e.Estimators[estimatorOf(r.id, len(e.Estimators))]
 		if e.fs == nil || !est.down {
 			d := e.acquire(opEstimatorArrive)
 			d.est, d.rid, d.load, d.at = est, r.id, load, at
-			e.K.After(e.delay(r.netIdx, est.netIdx, e.Cfg.UpdateBytes), d.fire)
+			e.K.After(e.delay(r.toEst, e.Cfg.UpdateBytes), d.fire)
 			return
 		}
 		// Estimator death falls back to a direct scheduler update.
@@ -402,7 +394,7 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	}
 	d := e.acquire(opUpdateArrive)
 	d.sched, d.rid, d.load, d.at = s, r.id, load, at
-	e.K.After(e.delay(r.netIdx, s.netIdx, e.Cfg.UpdateBytes), d.fire)
+	e.K.After(e.delay(r.toSched, e.Cfg.UpdateBytes), d.fire)
 }
 
 // broadcastDigest distributes an estimator digest to every scheduler.
@@ -425,7 +417,7 @@ func (e *Engine) broadcastDigest(est *Estimator, dg *digest) {
 		e.Metrics.DigestsSent++
 		d := e.acquire(opDigestArrive)
 		d.sched, d.dg = s, dg
-		e.K.After(e.delay(est.netIdx, s.netIdx, e.Cfg.UpdateBytes*float64(dg.total())), d.fire)
+		e.K.After(e.delay(est.toSched[s.cluster], e.Cfg.UpdateBytes*float64(dg.total())), d.fire)
 	}
 }
 
@@ -444,7 +436,7 @@ func (e *Engine) deliverPolicy(from *Scheduler, m *Message) {
 	}
 	e.Metrics.PolicyMsgs++
 	dst := e.Schedulers[m.To]
-	net := e.delay(from.netIdx, dst.netIdx, e.Cfg.MsgBytes)
+	net := e.delay(from.toSched[m.To], e.Cfg.MsgBytes)
 	d := e.acquire(opMsgArrive)
 	d.sched, d.msg = dst, m
 	if e.fs != nil {
@@ -478,7 +470,7 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 		e.Tracer.Tracef("transfer", "job %d: cluster %d -> %d", ctx.Job.ID, from.cluster, to)
 	}
 	dst := e.Schedulers[to]
-	net := e.delay(from.netIdx, dst.netIdx, e.Cfg.JobBytes)
+	net := e.delay(from.toSched[to], e.Cfg.JobBytes)
 	// The arrival re-owns the job at dst: a no-op without faults, so one
 	// op serves both paths.
 	d := e.acquire(opJobArrive)
@@ -513,7 +505,7 @@ func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 	}
 	d := e.acquire(opDispatch)
 	d.res, d.ctx = r, ctx
-	e.K.After(e.delay(s.netIdx, r.netIdx, e.Cfg.JobBytes), d.fire)
+	e.K.After(e.delay(s.toRes[rid], e.Cfg.JobBytes), d.fire)
 }
 
 // bounce returns a job whose resource was down to its current cluster's

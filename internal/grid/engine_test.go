@@ -430,17 +430,17 @@ func TestDelayModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := e.Map.SchedulerNode[0]
-	b := e.Map.SchedulerNode[1]
-	if e.delay(a, a, 10) != 0 {
+	s0 := e.Schedulers[0]
+	if e.delay(s0.toSched[0], 10) != 0 {
 		t.Fatal("self delay must be 0")
 	}
-	d1 := e.delay(a, b, 1)
-	if d1 <= 0 {
-		t.Fatalf("delay = %v", d1)
+	rt := s0.toSched[1]
+	d1 := e.delay(rt, 1)
+	if d1 <= 0 || d1 != rt.Latency+1/rt.Bandwidth {
+		t.Fatalf("delay = %v over route %+v", d1, rt)
 	}
 	// Bigger payloads take longer (bandwidth term).
-	if d2 := e.delay(a, b, 1000); d2 <= d1 {
+	if d2 := e.delay(rt, 1000); d2 <= d1 {
 		t.Fatalf("payload size ignored: %v <= %v", d2, d1)
 	}
 	// The link delay scale enabler multiplies latency.
@@ -450,8 +450,8 @@ func TestDelayModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3 := e2.delay(a, b, 1); d3 <= d1 {
-		t.Fatalf("link delay scale ignored: %v <= %v", d3, d1)
+	if d3 := e2.delay(e2.Schedulers[0].toSched[1], 1); d3 != 3*rt.Latency+1/rt.Bandwidth {
+		t.Fatalf("link delay scale ignored: %v, want %v", d3, 3*rt.Latency+1/rt.Bandwidth)
 	}
 }
 

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"rmscale/internal/routing"
 	"rmscale/internal/sim"
 )
 
@@ -18,10 +19,11 @@ type statusItem struct {
 // cluster; each digest interval it flushes one digest per covered
 // cluster. Estimator CPU time counts into G like scheduler time.
 type Estimator struct {
-	id     int
-	node   int
-	netIdx int // routing-matrix index of node (Engine.delay)
-	eng    *Engine
+	id   int
+	node int
+	eng  *Engine
+	// toSched[c] is the route to cluster c's scheduler (Engine.delay).
+	toSched []routing.Route
 
 	cpu server
 	// buffer[cluster] holds updates pending digestion for that

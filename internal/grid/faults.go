@@ -157,7 +157,7 @@ func (e *Engine) rehomeOwned(s *Scheduler) {
 		if e.Tracer.On() {
 			e.Tracer.Tracef("fault", "job %d fails over: cluster %d -> %d", ctx.Job.ID, s.cluster, dst.cluster)
 		}
-		e.K.After(detect+e.delay(s.netIdx, dst.netIdx, e.Cfg.JobBytes), func() {
+		e.K.After(detect+e.delay(s.toSched[dst.cluster], e.Cfg.JobBytes), func() {
 			e.deliverToScheduler(dst, ctx)
 		})
 	}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"rmscale/internal/routing"
 	"rmscale/internal/sim"
 )
 
@@ -10,9 +11,11 @@ import (
 type Resource struct {
 	id      int
 	node    int // topology node
-	netIdx  int // routing-matrix index of node (Engine.delay)
 	cluster int
 	eng     *Engine
+	// toSched and toEst are the routes to the cluster's scheduler and to
+	// the resource's estimator, if any (Engine.delay).
+	toSched, toEst routing.Route
 
 	running *JobCtx
 	queue   []*JobCtx

@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 
+	"rmscale/internal/routing"
 	"rmscale/internal/sim"
 	"rmscale/internal/workload"
 )
@@ -33,8 +34,10 @@ type resourceView struct {
 type Scheduler struct {
 	cluster int
 	node    int
-	netIdx  int // routing-matrix index of node (Engine.delay)
 	eng     *Engine
+	// toSched[c] and toRes[r] are the routes to cluster c's scheduler
+	// and to resource r (Engine.delay).
+	toSched, toRes []routing.Route
 
 	cpu server
 	// views holds the believed state of the cluster's local resources,

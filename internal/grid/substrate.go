@@ -2,23 +2,38 @@ package grid
 
 import (
 	"fmt"
-	"sync" //lint:allow nokernelgoroutines the mutex guards the cross-run substrate memo shared by parallel tuner workers; substrates are immutable once built and carry no sim-time state
+	"sync" //lint:allow nokernelgoroutines the mutexes guard the cross-run substrate and job-stream memos shared by parallel tuner workers; a substrate's topology and routes never change once built, its job memo only grows, and none of it carries sim-time state
 
 	"rmscale/internal/routing"
 	"rmscale/internal/sim"
 	"rmscale/internal/topology"
+	"rmscale/internal/workload"
 )
 
 // Substrate is the expensive, enabler-independent part of a simulation
-// build: the topology graph, the grid role mapping, and the all-pairs
-// routing tables. The scaling enablers (update interval, neighbourhood
-// size, link delay scale, volunteering interval) do not affect it, so a
-// tuner evaluating many enabler settings at the same scale factor can
-// build the substrate once and share it across evaluations.
+// build: the topology graph, the grid role mapping, the routes the
+// engine sends messages over, and the job streams. The scaling enablers
+// (update interval, neighbourhood size, link delay scale, volunteering
+// interval) affect none of it, so a tuner evaluating many enabler
+// settings at the same scale factor can build the substrate once and
+// share it across evaluations.
 type Substrate struct {
 	Graph *topology.Graph
 	Map   *topology.Mapping
-	Net   *routing.Matrix
+
+	// The routes the engine reads, all carved from one backing array:
+	// schedToSched[c] and schedToRes[c] are scheduler c's rows over every
+	// scheduler and every resource, estToSched[i] is estimator i's row
+	// over the schedulers, and resToSched[r] and resToEst[r] are the
+	// routes from resource r to its cluster's scheduler and to its
+	// estimator (estimatorOf).
+	schedToSched, schedToRes, estToSched [][]routing.Route
+	resToSched, resToEst                 []routing.Route
+
+	// jobs memoises the job stream per workload: it depends only on the
+	// seed and the workload parameters.
+	mu   sync.Mutex
+	jobs map[workload.Params][]*workload.Job
 
 	seed  int64
 	nodes int
@@ -50,17 +65,95 @@ func BuildSubstrate(cfg Config) (*Substrate, error) {
 	if err != nil {
 		return nil, err
 	}
-	endpoints := append([]int(nil), mp.SchedulerNode...)
-	endpoints = append(endpoints, mp.ResourceNode...)
-	endpoints = append(endpoints, mp.EstimatorNode...)
-	net, err := routing.AllPairs(g, endpoints)
+	s := &Substrate{
+		Graph: g, Map: mp,
+		jobs: make(map[workload.Params][]*workload.Job),
+		seed: cfg.Seed, nodes: nodes, m: m, spec: cfg.Spec, links: cfg.Links,
+	}
+	if err := s.buildRoutes(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// buildRoutes fills the route tables, one early-stopping query per
+// endpoint over exactly the destinations the engine sends to.
+func (s *Substrate) buildRoutes() error {
+	mp := s.Map
+	C, R, E := len(mp.SchedulerNode), len(mp.ResourceNode), len(mp.EstimatorNode)
+	perRes := 1
+	if E > 0 {
+		perRes = 2
+	}
+	routes := make([]routing.Route, C*(C+R)+E*C+R*perRes)
+	carve := func(n int) []routing.Route {
+		row := routes[:n:n]
+		routes = routes[n:]
+		return row
+	}
+	router := routing.NewRouter(s.Graph)
+
+	// A scheduler dispatches to any resource (Scheduler.Dispatch is
+	// public), so its row spans the whole pool, not only its cluster.
+	schedDsts := append(append([]int(nil), mp.SchedulerNode...), mp.ResourceNode...)
+	s.schedToSched = make([][]routing.Route, C)
+	s.schedToRes = make([][]routing.Route, C)
+	for c, node := range mp.SchedulerNode {
+		row := carve(C + R)
+		if err := router.Routes(node, schedDsts, row); err != nil {
+			return err
+		}
+		s.schedToSched[c], s.schedToRes[c] = row[:C:C], row[C:]
+	}
+	s.estToSched = make([][]routing.Route, E)
+	for i, node := range mp.EstimatorNode {
+		s.estToSched[i] = carve(C)
+		if err := router.Routes(node, mp.SchedulerNode, s.estToSched[i]); err != nil {
+			return err
+		}
+	}
+	s.resToSched = carve(R)
+	if E > 0 {
+		s.resToEst = carve(R)
+	}
+	var dsts [2]int
+	var out [2]routing.Route
+	for r, node := range mp.ResourceNode {
+		dsts[0] = mp.SchedulerNode[mp.ResourceCluster[r]]
+		if E > 0 {
+			dsts[1] = mp.EstimatorNode[estimatorOf(r, E)]
+		}
+		if err := router.Routes(node, dsts[:perRes], out[:]); err != nil {
+			return err
+		}
+		s.resToSched[r] = out[0]
+		if E > 0 {
+			s.resToEst[r] = out[1]
+		}
+	}
+	return nil
+}
+
+// estimatorOf is the estimator resource rid reports its status to:
+// resources are dealt round-robin over the estimators.
+func estimatorOf(rid, estimators int) int { return rid % estimators }
+
+// jobStream returns the job stream for workload p, generating it on
+// first use exactly as a fresh engine would: from the substrate seed's
+// "workload" stream. Every engine built on the substrate shares the
+// list, so no run may mutate a job (UseJobs copies).
+func (s *Substrate) jobStream(p workload.Params) ([]*workload.Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if jobs, ok := s.jobs[p]; ok {
+		return jobs, nil
+	}
+	jobs, err := workload.Generate(p, sim.NewSource(s.seed).Stream("workload"))
 	if err != nil {
 		return nil, err
 	}
-	return &Substrate{
-		Graph: g, Map: mp, Net: net,
-		seed: cfg.Seed, nodes: nodes, m: m, spec: cfg.Spec, links: cfg.Links,
-	}, nil
+	s.jobs[p] = jobs
+	return jobs, nil
 }
 
 // Matches reports whether the substrate was built for the structural

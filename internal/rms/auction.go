@@ -35,6 +35,9 @@ type auctionState struct {
 	nextAuction int
 	open        map[int]*openAuction // auction id -> best bid so far
 	lastAuction sim.Time
+	// check is the scheduler's trigger check, bound once in Attach, so a
+	// status batch queues it without building a closure.
+	check func()
 }
 
 // Auction is the paper's AUCTION model (after Leland & Ott): initial
@@ -61,13 +64,16 @@ func (*Auction) Central() bool { return false }
 func (*Auction) UsesMiddleware() bool { return false }
 
 // Attach initializes the combined LOWEST + auction state.
-func (*Auction) Attach(e *grid.Engine) {
+func (a *Auction) Attach(e *grid.Engine) {
 	for c := 0; c < e.Clusters(); c++ {
-		e.Scheduler(c).State = &auctionState{
+		s := e.Scheduler(c)
+		st := &auctionState{
 			lowestState: lowestState{sessions: make(map[int]*lowestSession)},
 			open:        make(map[int]*openAuction),
 			lastAuction: -math.MaxFloat64,
 		}
+		st.check = func() { a.trigger(s, st) }
+		s.State = st
 	}
 }
 
@@ -83,33 +89,36 @@ func (a *Auction) OnJob(s *grid.Scheduler, ctx *grid.JobCtx) {
 // the rate status arrives: direct updates without estimators, digest
 // heartbeats with them — the Figure 4 coupling.
 func (a *Auction) OnStatus(s *grid.Scheduler, updated []int) {
-	st := auctionStateOf(s)
+	s.Exec(s.Engine().Cfg.Costs.TriggerCheck, auctionStateOf(s).check)
+}
+
+// trigger is the trigger check a status batch pays for. It reads the
+// config when it runs; the config is constant for the run.
+func (a *Auction) trigger(s *grid.Scheduler, st *auctionState) {
 	proto := s.Engine().Cfg.Protocol
 	cooldown := proto.BidWindow
 	if vi := s.Engine().Cfg.Enablers.VolunteerInterval; vi > cooldown {
 		cooldown = vi
 	}
-	s.Exec(s.Engine().Cfg.Costs.TriggerCheck, func() {
-		if s.Now()-st.lastAuction < cooldown {
-			return
+	if s.Now()-st.lastAuction < cooldown {
+		return
+	}
+	// Trigger on a believed-idle resource; T_l bounds how loaded a
+	// "near idle" resource may look before it stops counting.
+	_, least, ok := s.LeastLoadedLocal()
+	if !ok || least > 0 || least >= proto.ThresholdLoad {
+		return
+	}
+	st.lastAuction = s.Now()
+	id := st.nextAuction
+	st.nextAuction++
+	st.open[id] = &openAuction{bestLoad: -1, bestFrom: -1}
+	// Opening the auction costs a scan plus the invitations.
+	s.ExecDecision(len(s.LocalResources()), func() {
+		for _, p := range s.RandomPeers(proto.Lp) {
+			s.SendPolicy(p, msgAuctionInvite, id)
 		}
-		// Trigger on a believed-idle resource; T_l bounds how loaded a
-		// "near idle" resource may look before it stops counting.
-		_, least, ok := s.LeastLoadedLocal()
-		if !ok || least > 0 || least >= proto.ThresholdLoad {
-			return
-		}
-		st.lastAuction = s.Now()
-		id := st.nextAuction
-		st.nextAuction++
-		st.open[id] = &openAuction{bestLoad: -1, bestFrom: -1}
-		// Opening the auction costs a scan plus the invitations.
-		s.ExecDecision(len(s.LocalResources()), func() {
-			for _, p := range s.RandomPeers(proto.Lp) {
-				s.SendPolicy(p, msgAuctionInvite, id)
-			}
-			s.Engine().K.After(proto.BidWindow, func() { a.closeAuction(s, id) })
-		})
+		s.Engine().K.After(proto.BidWindow, func() { a.closeAuction(s, id) })
 	})
 }
 

@@ -6,193 +6,164 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
 	"rmscale/internal/topology"
 )
 
-// Table holds the routing state for one source node: latency, hop count
-// and next hop to every destination, plus the bottleneck (minimum)
-// bandwidth along the chosen path, which the message fabric uses for
-// transmission delay.
-type Table struct {
-	Source    int
-	Latency   []float64
-	Hops      []int
-	NextHop   []int
-	Bandwidth []float64 // bottleneck bandwidth along the path
+// Route describes the minimum-latency path from one node to another:
+// the summed link latency and the bottleneck (minimum) bandwidth along
+// it, which the message fabric uses for transmission delay. A node's
+// route to itself has latency 0 and bandwidth +Inf; an unreachable
+// node's has latency +Inf and bandwidth 0.
+type Route struct {
+	Latency   float64
+	Bandwidth float64
 }
 
-// SPF runs Dijkstra's algorithm from src over g. Unreachable nodes get
-// +Inf latency, hop count -1 and next hop -1.
-func SPF(g *topology.Graph, src int) (*Table, error) {
-	if src < 0 || src >= g.N {
-		return nil, fmt.Errorf("routing: source %d out of range [0,%d)", src, g.N)
-	}
-	t := &Table{
-		Source:    src,
-		Latency:   make([]float64, g.N),
-		Hops:      make([]int, g.N),
-		NextHop:   make([]int, g.N),
-		Bandwidth: make([]float64, g.N),
-	}
-	for i := range t.Latency {
-		t.Latency[i] = math.Inf(1)
-		t.Hops[i] = -1
-		t.NextHop[i] = -1
-	}
-	t.Latency[src] = 0
-	t.Hops[src] = 0
-	t.NextHop[src] = src
-	t.Bandwidth[src] = math.Inf(1)
+// Router answers route queries over one graph with Dijkstra's
+// algorithm. It keeps its scratch across queries, so a warm router
+// allocates nothing. A Router is not safe for concurrent use.
+type Router struct {
+	g    *topology.Graph
+	dist []float64
+	bw   []float64
+	// reached, settled and wanted stamp a node with the query (gen) that
+	// last reached it, settled it or asked for it, so a query never
+	// clears per-node state. A 64-bit count of queries does not wrap.
+	reached, settled, wanted []uint64
+	gen                      uint64
+	pq                       []nodeItem
+}
 
-	pq := &nodeQueue{{node: src, dist: 0}}
-	done := make([]bool, g.N)
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nodeItem)
-		u := item.node
-		if done[u] {
+// NewRouter returns a router over g.
+func NewRouter(g *topology.Graph) *Router {
+	return &Router{
+		g:       g,
+		dist:    make([]float64, g.N),
+		bw:      make([]float64, g.N),
+		reached: make([]uint64, g.N),
+		settled: make([]uint64, g.N),
+		wanted:  make([]uint64, g.N),
+	}
+}
+
+// Routes writes the route from src to dsts[i] into out[i]. dsts may
+// repeat nodes and may contain src. The search stops once every
+// destination is settled: link latencies are positive and relaxation is
+// strict, so a settled node's route never changes afterwards, and each
+// route equals the one a search over the whole graph finds, bit for
+// bit.
+func (r *Router) Routes(src int, dsts []int, out []Route) error {
+	n := r.g.N
+	if src < 0 || src >= n {
+		return fmt.Errorf("routing: source %d out of range [0,%d)", src, n)
+	}
+	if len(out) < len(dsts) {
+		return fmt.Errorf("routing: %d destinations but room for %d routes", len(dsts), len(out))
+	}
+	r.gen++
+	gen := r.gen
+	pending := 0
+	for _, d := range dsts {
+		if d < 0 || d >= n {
+			return fmt.Errorf("routing: destination %d out of range [0,%d)", d, n)
+		}
+		if r.wanted[d] != gen {
+			r.wanted[d] = gen
+			pending++
+		}
+	}
+
+	r.dist[src], r.bw[src], r.reached[src] = 0, math.Inf(1), gen
+	pq := append(r.pq[:0], nodeItem{node: src})
+	for len(pq) > 0 && pending > 0 {
+		var it nodeItem
+		pq, it = pop(pq)
+		u := it.node
+		if r.settled[u] == gen {
 			continue
 		}
-		done[u] = true
-		for _, e := range g.Adj[u] {
-			nd := t.Latency[u] + e.Latency
-			if nd < t.Latency[e.To] {
-				t.Latency[e.To] = nd
-				t.Hops[e.To] = t.Hops[u] + 1
-				bw := e.Bandwidth
-				if t.Bandwidth[u] < bw {
-					bw = t.Bandwidth[u]
-				}
-				t.Bandwidth[e.To] = bw
-				if u == src {
-					t.NextHop[e.To] = e.To
-				} else {
-					t.NextHop[e.To] = t.NextHop[u]
-				}
-				heap.Push(pq, nodeItem{node: e.To, dist: nd})
-			}
-		}
-	}
-	return t, nil
-}
-
-// Path reconstructs the node sequence from the table's source to dst by
-// repeated next-hop lookups. Returns nil when dst is unreachable.
-func (t *Table) Path(g *topology.Graph, dst int) []int {
-	if dst < 0 || dst >= g.N || t.NextHop[dst] == -1 {
-		return nil
-	}
-	// Walk from dst back using a forward SPF from each hop would be
-	// O(n^2); instead walk forward from source following next hops.
-	path := []int{t.Source}
-	cur := t.Source
-	for cur != dst {
-		// Next hop toward dst from cur: recompute via the invariant
-		// that the next hop from the source leads onto the shortest
-		// path; for intermediate nodes we step greedily along edges
-		// that keep us on a shortest path.
-		advanced := false
-		for _, e := range g.Adj[cur] {
-			if math.Abs((t.Latency[cur]+e.Latency)-t.Latency[e.To]) < 1e-9 &&
-				t.Hops[e.To] == t.Hops[cur]+1 && onPathTo(t, g, e.To, dst) {
-				cur = e.To
-				path = append(path, cur)
-				advanced = true
+		r.settled[u] = gen
+		if r.wanted[u] == gen {
+			if pending--; pending == 0 {
 				break
 			}
 		}
-		if !advanced {
-			return nil
-		}
-		if len(path) > g.N {
-			return nil
-		}
-	}
-	return path
-}
-
-// onPathTo reports whether some shortest path from the table's source to
-// dst passes through via. It checks the subpath-optimality condition
-// d(src,via) + d(via,dst) == d(src,dst) using a reverse SPF cache-free
-// check: we only need d(via,dst), computed by a bounded BFS-like probe.
-// For simplicity and because Path is a debugging/diagnostic helper (the
-// simulator itself uses only Latency/Hops/Bandwidth), we run a local SPF.
-func onPathTo(t *Table, g *topology.Graph, via, dst int) bool {
-	rt, err := SPF(g, via)
-	if err != nil {
-		return false
-	}
-	return math.Abs(t.Latency[via]+rt.Latency[dst]-t.Latency[dst]) < 1e-9
-}
-
-// Matrix holds all-pairs routing results for the node subset the grid
-// actually communicates between. Entry [i][j] describes the route from
-// node ids[i] to node ids[j].
-type Matrix struct {
-	// Index maps graph node id -> row/column in the matrix.
-	Index map[int]int
-	// IDs lists graph node ids in matrix order.
-	IDs       []int
-	Latency   [][]float64
-	Hops      [][]int
-	Bandwidth [][]float64
-}
-
-// AllPairs computes routes between every pair of the given endpoint
-// nodes (deduplicated). It runs one SPF per distinct endpoint, which for
-// the grid's schedulers+resources+estimators is far cheaper than a full
-// all-nodes product on large router graphs.
-func AllPairs(g *topology.Graph, endpoints []int) (*Matrix, error) {
-	m := &Matrix{Index: make(map[int]int)}
-	for _, u := range endpoints {
-		if u < 0 || u >= g.N {
-			return nil, fmt.Errorf("routing: endpoint %d out of range", u)
-		}
-		if _, dup := m.Index[u]; !dup {
-			m.Index[u] = len(m.IDs)
-			m.IDs = append(m.IDs, u)
+		du, bu := r.dist[u], r.bw[u]
+		for _, e := range r.g.Adj[u] {
+			v := e.To
+			dv := math.Inf(1)
+			if r.reached[v] == gen {
+				dv = r.dist[v]
+			}
+			nd := du + e.Latency
+			if !(nd < dv) {
+				continue
+			}
+			bw := e.Bandwidth
+			if bu < bw {
+				bw = bu
+			}
+			r.dist[v], r.bw[v], r.reached[v] = nd, bw, gen
+			pq = push(pq, nodeItem{node: v, dist: nd})
 		}
 	}
-	n := len(m.IDs)
-	m.Latency = make([][]float64, n)
-	m.Hops = make([][]int, n)
-	m.Bandwidth = make([][]float64, n)
-	for i, u := range m.IDs {
-		t, err := SPF(g, u)
-		if err != nil {
-			return nil, err
-		}
-		m.Latency[i] = make([]float64, n)
-		m.Hops[i] = make([]int, n)
-		m.Bandwidth[i] = make([]float64, n)
-		for j, v := range m.IDs {
-			m.Latency[i][j] = t.Latency[v]
-			m.Hops[i][j] = t.Hops[v]
-			m.Bandwidth[i][j] = t.Bandwidth[v]
+	r.pq = pq
+
+	for i, d := range dsts {
+		if r.reached[d] == gen {
+			out[i] = Route{Latency: r.dist[d], Bandwidth: r.bw[d]}
+		} else {
+			out[i] = Route{Latency: math.Inf(1)}
 		}
 	}
-	return m, nil
+	return nil
 }
 
-// nodeItem / nodeQueue implement the Dijkstra priority queue.
+// nodeItem is one entry of the Dijkstra priority queue.
 type nodeItem struct {
 	node int
 	dist float64
 }
 
-type nodeQueue []nodeItem
+// push and pop are container/heap's Push and Pop (its up and down)
+// specialised to nodeItem, with the same comparisons and swaps: items
+// pop in container/heap's order, which fixes every tie-break between
+// equal-latency paths and with it each route's bits.
+func push(q []nodeItem, it nodeItem) []nodeItem {
+	q = append(q, it)
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	return q
+}
 
-func (q nodeQueue) Len() int           { return len(q) }
-func (q nodeQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(nodeItem)) }
-func (q *nodeQueue) Pop() (popped any) { // named result clarifies the contract
-	old := *q
-	n := len(old)
-	popped = old[n-1]
-	*q = old[:n-1]
-	return popped
+func pop(q []nodeItem) ([]nodeItem, nodeItem) {
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
+			j = j2 // right child
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	return q[:n], q[n]
 }

@@ -21,46 +21,53 @@ func lineGraph(t *testing.T, n int) *topology.Graph {
 	return g
 }
 
-func TestSPFLine(t *testing.T) {
-	g := lineGraph(t, 5)
-	tab, err := SPF(g, 0)
-	if err != nil {
+// allNodes lists every node of g, the destination list of a search over
+// the whole graph.
+func allNodes(g *topology.Graph) []int {
+	ids := make([]int, g.N)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// fullSearch returns the routes from src to every node of g.
+func fullSearch(t testing.TB, g *topology.Graph, src int) []Route {
+	t.Helper()
+	out := make([]Route, g.N)
+	if err := NewRouter(g).Routes(src, allNodes(g), out); err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < 5; v++ {
-		if tab.Latency[v] != float64(v) {
-			t.Errorf("latency to %d = %v, want %d", v, tab.Latency[v], v)
-		}
-		if tab.Hops[v] != v {
-			t.Errorf("hops to %d = %d, want %d", v, tab.Hops[v], v)
+	return out
+}
+
+func TestSPFLine(t *testing.T) {
+	g := lineGraph(t, 5)
+	rt := fullSearch(t, g, 0)
+	for v := 1; v < 5; v++ {
+		if rt[v] != (Route{Latency: float64(v), Bandwidth: 100}) {
+			t.Errorf("route to %d = %+v, want latency %d, bandwidth 100", v, rt[v], v)
 		}
 	}
-	if tab.NextHop[4] != 1 {
-		t.Errorf("next hop to 4 = %d, want 1", tab.NextHop[4])
-	}
-	if tab.NextHop[0] != 0 || tab.Latency[0] != 0 {
-		t.Error("self route wrong")
+	if rt[0].Latency != 0 || !math.IsInf(rt[0].Bandwidth, 1) {
+		t.Errorf("self route = %+v, want latency 0, bandwidth +Inf", rt[0])
 	}
 }
 
 func TestSPFPrefersLowLatencyOverFewHops(t *testing.T) {
-	// 0-1-2 with latency 1 each, plus direct 0-2 with latency 5.
+	// 0-1-2 with latency 1 each, plus direct 0-2 with latency 5; the
+	// two-hop path is narrower, so its bandwidth shows which one won.
 	g := topology.NewGraph(3)
 	for _, e := range []struct {
-		u, v int
-		lat  float64
-	}{{0, 1, 1}, {1, 2, 1}, {0, 2, 5}} {
-		if err := g.AddEdge(e.u, e.v, e.lat, 100); err != nil {
+		u, v    int
+		lat, bw float64
+	}{{0, 1, 1, 100}, {1, 2, 1, 50}, {0, 2, 5, 100}} {
+		if err := g.AddEdge(e.u, e.v, e.lat, e.bw); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tab, err := SPF(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Latency[2] != 2 || tab.Hops[2] != 2 || tab.NextHop[2] != 1 {
-		t.Fatalf("route to 2: latency=%v hops=%d next=%d, want 2/2/1",
-			tab.Latency[2], tab.Hops[2], tab.NextHop[2])
+	if rt := fullSearch(t, g, 0)[2]; rt != (Route{Latency: 2, Bandwidth: 50}) {
+		t.Fatalf("route to 2 = %+v, want latency 2 over the two-hop path", rt)
 	}
 }
 
@@ -72,15 +79,12 @@ func TestSPFBottleneckBandwidth(t *testing.T) {
 	if err := g.AddEdge(1, 2, 1, 10); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := SPF(g, 0)
-	if err != nil {
-		t.Fatal(err)
+	rt := fullSearch(t, g, 0)
+	if rt[2].Bandwidth != 10 {
+		t.Fatalf("bottleneck to 2 = %v, want 10", rt[2].Bandwidth)
 	}
-	if tab.Bandwidth[2] != 10 {
-		t.Fatalf("bottleneck to 2 = %v, want 10", tab.Bandwidth[2])
-	}
-	if tab.Bandwidth[1] != 100 {
-		t.Fatalf("bottleneck to 1 = %v, want 100", tab.Bandwidth[1])
+	if rt[1].Bandwidth != 100 {
+		t.Fatalf("bottleneck to 1 = %v, want 100", rt[1].Bandwidth)
 	}
 }
 
@@ -89,152 +93,182 @@ func TestSPFUnreachable(t *testing.T) {
 	if err := g.AddEdge(0, 1, 1, 100); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := SPF(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(tab.Latency[2], 1) || tab.Hops[2] != -1 || tab.NextHop[2] != -1 {
-		t.Fatalf("unreachable node not marked: %v/%d/%d",
-			tab.Latency[2], tab.Hops[2], tab.NextHop[2])
+	if rt := fullSearch(t, g, 0)[2]; !math.IsInf(rt.Latency, 1) || rt.Bandwidth != 0 {
+		t.Fatalf("unreachable node not marked: %+v", rt)
 	}
 }
 
 func TestSPFBadSource(t *testing.T) {
 	g := lineGraph(t, 3)
-	if _, err := SPF(g, -1); err == nil {
+	r := NewRouter(g)
+	out := make([]Route, 1)
+	if err := r.Routes(-1, []int{0}, out); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := SPF(g, 3); err == nil {
+	if err := r.Routes(3, []int{0}, out); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }
 
-func TestPathReconstruction(t *testing.T) {
-	g := lineGraph(t, 5)
-	tab, err := SPF(g, 0)
-	if err != nil {
+func TestRoutesBadDestination(t *testing.T) {
+	g := lineGraph(t, 3)
+	r := NewRouter(g)
+	out := make([]Route, 2)
+	if err := r.Routes(0, []int{0, 9}, out); err == nil {
+		t.Error("out-of-range destination accepted")
+	}
+	if err := r.Routes(0, []int{-1}, out); err == nil {
+		t.Error("negative destination accepted")
+	}
+	if err := r.Routes(0, []int{0, 1, 2}, out); err == nil {
+		t.Error("destination list longer than out accepted")
+	}
+	// A rejected query leaves the router usable.
+	if err := r.Routes(0, []int{2, 1}, out); err != nil {
 		t.Fatal(err)
 	}
-	path := tab.Path(g, 4)
-	want := []int{0, 1, 2, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
+	if out[0].Latency != 2 || out[1].Latency != 1 {
+		t.Fatalf("routes after a rejected query = %+v", out)
 	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
+}
+
+func TestRoutesDuplicateDestinations(t *testing.T) {
+	g := lineGraph(t, 6)
+	out := make([]Route, 4)
+	if err := NewRouter(g).Routes(3, []int{0, 3, 5, 3}, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{3, 0, 2, 0} {
+		if out[i].Latency != want {
+			t.Fatalf("route %d = %+v, want latency %v", i, out[i], want)
 		}
 	}
-}
-
-func TestPathUnreachableNil(t *testing.T) {
-	g := topology.NewGraph(2)
-	tab, err := SPF(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Path(g, 1) != nil {
-		t.Fatal("unreachable path should be nil")
-	}
-	if tab.Path(g, 7) != nil {
-		t.Fatal("out-of-range path should be nil")
+	if out[1] != out[3] || !math.IsInf(out[1].Bandwidth, 1) {
+		t.Fatalf("self routes differ or have finite bandwidth: %+v, %+v", out[1], out[3])
 	}
 }
 
-func TestAllPairs(t *testing.T) {
-	g := lineGraph(t, 6)
-	m, err := AllPairs(g, []int{0, 3, 5, 3}) // duplicate 3 must dedup
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.IDs) != 3 {
-		t.Fatalf("IDs = %v, want 3 distinct", m.IDs)
-	}
-	i0, i3, i5 := m.Index[0], m.Index[3], m.Index[5]
-	if lat, hops := m.Latency[i0][i5], m.Hops[i0][i5]; lat != 5 || hops != 5 {
-		t.Fatalf("0->5 = %v,%d", lat, hops)
-	}
-	if lat := m.Latency[i3][i0]; lat != 3 {
-		t.Fatalf("3->0 = %v", lat)
-	}
-	if _, ok := m.Index[2]; ok {
-		t.Fatal("non-endpoint indexed")
-	}
-}
-
-func TestAllPairsBadEndpoint(t *testing.T) {
-	g := lineGraph(t, 3)
-	if _, err := AllPairs(g, []int{0, 9}); err == nil {
-		t.Fatal("out-of-range endpoint accepted")
-	}
-}
-
-// Property: SPF distances satisfy the triangle inequality over edges
-// (relaxation fixpoint) and symmetry on undirected graphs.
+// Property: search distances satisfy the triangle inequality over
+// edges (relaxation fixpoint) and symmetry on undirected graphs.
 func TestSPFOptimalityProperty(t *testing.T) {
 	src := sim.NewSource(4242)
 	g, err := topology.PowerLaw(80, 2, topology.DefaultLinkParams(), src.Stream("g"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := make([]*Table, g.N)
+	tables := make([][]Route, g.N)
 	for u := 0; u < g.N; u++ {
-		tables[u], err = SPF(g, u)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tables[u] = fullSearch(t, g, u)
 	}
 	// Fixpoint: no edge can relax any distance further.
 	for u := 0; u < g.N; u++ {
 		for _, e := range g.Adj[u] {
 			for s := 0; s < g.N; s++ {
-				if tables[s].Latency[e.To] > tables[s].Latency[u]+e.Latency+1e-9 {
+				if tables[s][e.To].Latency > tables[s][u].Latency+e.Latency+1e-9 {
 					t.Fatalf("edge %d-%d relaxes distance from %d", u, e.To, s)
 				}
 			}
 		}
 	}
-	// Symmetry: d(u,v) == d(v,u).
+	// Symmetry: d(u,v) == d(v,u) up to rounding — the two sums add the
+	// same link latencies in opposite order.
 	f := func(a, b uint8) bool {
 		u, v := int(a)%g.N, int(b)%g.N
-		return math.Abs(tables[u].Latency[v]-tables[v].Latency[u]) < 1e-9
+		return math.Abs(tables[u][v].Latency-tables[v][u].Latency) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: hop counts along reconstructed paths match the table.
-func TestPathLengthMatchesHops(t *testing.T) {
-	src := sim.NewSource(777)
-	g, err := topology.PowerLaw(40, 2, topology.DefaultLinkParams(), src.Stream("g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := SPF(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N; v++ {
-		p := tab.Path(g, v)
-		if p == nil {
-			t.Fatalf("no path to %d in connected graph", v)
+// sameBits reports whether two routes are equal bit for bit.
+func sameBits(a, b Route) bool {
+	return math.Float64bits(a.Latency) == math.Float64bits(b.Latency) &&
+		math.Float64bits(a.Bandwidth) == math.Float64bits(b.Bandwidth)
+}
+
+// Differential: a query that stops once its destinations are settled
+// returns exactly what a search over the whole graph does — latency and
+// bandwidth bit for bit — on one router reused across many queries.
+// The graphs include the 388-node shape of quick Case 1 at k=6.
+func TestRoutesEarlyStopMatchesFullSearch(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, m int
+		seed     int64
+	}{{40, 1, 1}, {80, 2, 2}, {200, 3, 3}, {388, 2, 4}} {
+		src := sim.NewSource(tc.seed)
+		g, err := topology.PowerLaw(tc.nodes, tc.m, topology.DefaultLinkParams(), src.Stream("g"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(p)-1 != tab.Hops[v] {
-			t.Fatalf("path to %d has %d hops, table says %d", v, len(p)-1, tab.Hops[v])
+		full := make([][]Route, g.N)
+		for u := range full {
+			full[u] = fullSearch(t, g, u)
+		}
+		pick := src.Stream("queries")
+		r := NewRouter(g)
+		dsts := make([]int, 0, 12)
+		out := make([]Route, 12)
+		for q := 0; q < 300; q++ {
+			s := pick.Intn(g.N)
+			dsts = dsts[:0]
+			for i, n := 0, pick.IntRange(1, 10); i < n; i++ {
+				dsts = append(dsts, pick.Intn(g.N))
+			}
+			if pick.Bool(0.3) {
+				dsts = append(dsts, s)
+			}
+			if pick.Bool(0.3) {
+				dsts = append(dsts, dsts[0])
+			}
+			if err := r.Routes(s, dsts, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range dsts {
+				if !sameBits(out[i], full[s][d]) {
+					t.Fatalf("%d nodes: route %d->%d = %+v, full search %+v", g.N, s, d, out[i], full[s][d])
+				}
+			}
 		}
 	}
 }
 
-func BenchmarkSPF1000(b *testing.B) {
-	src := sim.NewSource(5)
-	g, err := topology.PowerLaw(1000, 2, topology.DefaultLinkParams(), src.Stream("g"))
+func TestRoutesWarmZeroAlloc(t *testing.T) {
+	g, err := topology.PowerLaw(388, 2, topology.DefaultLinkParams(), sim.NewSource(9).Stream("g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(g)
+	dsts := allNodes(g)
+	out := make([]Route, len(dsts))
+	for s := 0; s < g.N; s++ { // grow the queue to every source's peak
+		if err := r.Routes(s, dsts, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		src = (src + 7) % g.N
+		if err := r.Routes(src, dsts[:50], out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Routes allocates %v per query, want 0", allocs)
+	}
+}
+
+func BenchmarkRoutes1000(b *testing.B) {
+	g, err := topology.PowerLaw(1000, 2, topology.DefaultLinkParams(), sim.NewSource(5).Stream("g"))
 	if err != nil {
 		b.Fatal(err)
 	}
+	r := NewRouter(g)
+	dsts := allNodes(g)[:100]
+	out := make([]Route, len(dsts))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SPF(g, i%g.N); err != nil {
+		if err := r.Routes(i%g.N, dsts, out); err != nil {
 			b.Fatal(err)
 		}
 	}

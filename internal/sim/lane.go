@@ -158,12 +158,30 @@ func (l *Lane) cancel(pos uint64) {
 	l.advance(i)
 }
 
-// grow doubles the ring, re-placing the live window under the new mask.
-func (l *Lane) grow() {
-	n := 2 * len(l.buf)
-	if n == 0 {
-		n = 16
+// Grow makes room for n more items, so the next n appends never grow
+// the ring. A caller that knows how many items it is about to append
+// sizes the ring once instead of doubling it up to that size.
+func (l *Lane) Grow(n int) {
+	if n <= 0 {
+		return
 	}
+	need := l.tail - l.head + uint64(n)
+	if need <= uint64(len(l.buf)) {
+		return
+	}
+	size := max(len(l.buf), 16)
+	for uint64(size) < need {
+		size *= 2
+	}
+	l.resize(size)
+}
+
+// grow doubles the ring.
+func (l *Lane) grow() { l.resize(max(2*len(l.buf), 16)) }
+
+// resize moves the live window into a ring of n slots, a power of two
+// at least as long as the window, re-placing it under the new mask.
+func (l *Lane) resize(n int) {
 	//lint:allow hotalloc amortized ring growth: a lane reaches its high-water mark early in a run and reuses the ring from then on
 	buf := make([]laneItem, n)
 	oldMask, newMask := uint64(len(l.buf)-1), uint64(n-1)

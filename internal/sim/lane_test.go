@@ -101,3 +101,42 @@ func TestLaneRingGrowthKeepsOrder(t *testing.T) {
 		t.Fatalf("fired %d of %d items", len(got), next)
 	}
 }
+
+// TestLaneGrowPresizes: Grow(n) on a lane whose live window wraps the
+// ring makes room for the next n appends in one resize — the ring
+// does not grow again while they land — and keeps FIFO order.
+func TestLaneGrowPresizes(t *testing.T) {
+	k := NewKernel()
+	l := NewLane(k)
+	var got []int
+	next := 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			id := next
+			next++
+			l.Append(Time(id/3), func() { got = append(got, id) })
+		}
+	}
+	push(10)
+	k.Run(1.5) // fires ids 0..5, leaving the window mid-ring
+	l.Grow(150)
+	size := len(l.buf)
+	if size < 154 {
+		t.Fatalf("Grow(150) with 4 live items left a ring of %d", size)
+	}
+	push(150)
+	l.Grow(0)
+	l.Grow(-1)
+	if len(l.buf) != size {
+		t.Fatalf("ring grew from %d to %d after Grow made room", size, len(l.buf))
+	}
+	k.Run(Infinity)
+	if len(got) != next {
+		t.Fatalf("fired %d of %d items", len(got), next)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("fire %d was item %d: FIFO order broken", i, id)
+		}
+	}
+}

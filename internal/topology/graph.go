@@ -43,7 +43,8 @@ func (g *Graph) AddEdge(u, v int, latency, bandwidth float64) error {
 	if u == v {
 		return fmt.Errorf("topology: self-loop at %d", u)
 	}
-	if latency <= 0 || bandwidth <= 0 {
+	// Routing relies on positive latencies; NaN fails these checks too.
+	if !(latency > 0) || !(bandwidth > 0) {
 		return fmt.Errorf("topology: edge %d-%d needs positive latency and bandwidth", u, v)
 	}
 	if g.HasEdge(u, v) {

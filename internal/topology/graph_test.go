@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 
 	"rmscale/internal/sim"
@@ -58,6 +59,12 @@ func TestAddEdgeRejections(t *testing.T) {
 	}
 	if err := g.AddEdge(0, 1, 1, 0); err == nil {
 		t.Error("zero bandwidth accepted")
+	}
+	if err := g.AddEdge(0, 1, math.NaN(), 1); err == nil {
+		t.Error("NaN latency accepted")
+	}
+	if err := g.AddEdge(0, 1, 1, math.NaN()); err == nil {
+		t.Error("NaN bandwidth accepted")
 	}
 	if err := g.AddEdge(0, 1, 1, 1); err != nil {
 		t.Fatal(err)

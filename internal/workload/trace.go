@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,24 +36,6 @@ func ReadTraceJSON(r io.Reader) (*Trace, error) {
 	var tr Trace
 	if err := json.NewDecoder(r).Decode(&tr); err != nil {
 		return nil, fmt.Errorf("workload: decode trace: %w", err)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return &tr, nil
-}
-
-// WriteGob serializes the trace in the compact gob encoding, the format
-// the benchmark harness caches traces in.
-func (tr *Trace) WriteGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(tr)
-}
-
-// ReadTraceGob parses a gob trace and validates its invariants.
-func ReadTraceGob(r io.Reader) (*Trace, error) {
-	var tr Trace
-	if err := gob.NewDecoder(r).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("workload: decode gob trace: %w", err)
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -42,21 +42,6 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceGobRoundTrip(t *testing.T) {
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := tr.WriteGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTraceGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != len(tr.Jobs) || !got.Jobs[len(got.Jobs)-1].Equal(tr.Jobs[len(tr.Jobs)-1]) {
-		t.Fatal("gob round trip lost data")
-	}
-}
-
 func TestReadTraceJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadTraceJSON(strings.NewReader("{broken")); err == nil {
 		t.Fatal("garbage accepted")
