@@ -35,6 +35,7 @@ import (
 	"rmscale/internal/audit"
 	"rmscale/internal/audit/chaos"
 	"rmscale/internal/experiments"
+	"rmscale/internal/fsutil"
 	"rmscale/internal/grid"
 	"rmscale/internal/rms"
 	"rmscale/internal/runner"
@@ -213,7 +214,7 @@ func RunChurnSpec(id int, fm FaultModel, spec RunSpec) (*ChurnResult, error) {
 // WriteFileAtomic writes data to path via a same-directory temp file
 // and rename, so an interrupted writer never leaves a truncated file.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return runner.WriteFileAtomic(path, data, perm)
+	return fsutil.WriteFileAtomic(path, data, perm)
 }
 
 // Fidelity levels for the experiment drivers.

@@ -13,10 +13,6 @@
 //	ablation         run the ablation studies (suppression, estimator
 //	                 layer, middleware, tuner, faults)
 //	tables           print Tables 1-5 (the experiment configurations)
-//	bench            run the benchmark-regression harness
-//	                 (internal/perfbench) and print its JSON report;
-//	                 with -check FILE, also gate the report against that
-//	                 committed baseline and exit non-zero on regression
 //
 // Flags:
 //
@@ -74,7 +70,6 @@ import (
 	"strings"
 
 	"rmscale"
-	"rmscale/internal/perfbench"
 )
 
 func main() {
@@ -99,8 +94,6 @@ func run(args []string, out io.Writer) (err error) {
 	loss := fs.Float64("loss", 0, "with -faults: status update loss probability")
 	chaosN := fs.Int("chaos", 0, "sweep this many random fault schedules under the invariant auditor")
 	chaosReplay := fs.String("chaos-replay", "", "re-run one chaos reproducer JSON file")
-	benchBaseline := fs.String("check", "", "with bench: baseline report to gate against")
-	benchTol := fs.Float64("tolerance", 0.10, "with bench -check: allowed relative regression on max-gated metrics")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -111,6 +104,10 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if (*mtbf != 0 || *loss != 0) && !*faults {
 		return fmt.Errorf("-mtbf and -loss need -faults: they extend the degraded-mode fault load")
+	}
+	write, err := figureWriter(*format)
+	if err != nil {
+		return err
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -131,18 +128,12 @@ func run(args []string, out io.Writer) (err error) {
 		return runChaos(*chaosN, *seed, *workers, *outDir, *verbose, out)
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("need exactly one command: case1, case2, case3, case4, all, ablation, tables or bench")
+		return fmt.Errorf("need exactly one command: case1, case2, case3, case4, all, ablation or tables")
 	}
 	cmd := fs.Arg(0)
-	if *benchBaseline != "" && cmd != "bench" {
-		return fmt.Errorf("-check needs the bench command")
-	}
 
 	if cmd == "tables" {
 		return printTables(out)
-	}
-	if cmd == "bench" {
-		return runBench(*benchBaseline, *benchTol, out)
 	}
 
 	fid, err := rmscale.ParseFidelity(*fidelity)
@@ -169,18 +160,7 @@ func run(args []string, out io.Writer) (err error) {
 				return err
 			}
 		}
-		switch *format {
-		case "csv":
-			return ss.WriteCSV(out)
-		case "json":
-			return ss.WriteJSON(out)
-		case "chart":
-			return ss.WriteChart(out, rmscale.ChartOptions{})
-		case "table":
-			return ss.WriteTable(out)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
-		}
+		return write(ss, out)
 	}
 
 	emitCase := func(r *rmscale.CaseResult) error {
@@ -301,42 +281,23 @@ func run(args []string, out io.Writer) (err error) {
 	}
 }
 
-// runBench runs the benchmark-regression harness and prints its JSON
-// report. With a baseline it additionally gates the gated metrics
-// (event counts exactly, allocation counts within the tolerance) and
-// fails on any violation — wall-clock metrics are never gated, so the
-// check is stable across machines.
-func runBench(baseline string, tolerance float64, out io.Writer) error {
-	rep, err := perfbench.Run()
-	if err != nil {
-		return err
+// figureWriter resolves -format to the figure writer it names. run
+// calls it with the other flag checks, so an unknown format fails
+// before a command writes any -resume or -out state.
+func figureWriter(format string) (func(*rmscale.SeriesSet, io.Writer) error, error) {
+	switch format {
+	case "csv":
+		return (*rmscale.SeriesSet).WriteCSV, nil
+	case "json":
+		return (*rmscale.SeriesSet).WriteJSON, nil
+	case "chart":
+		return func(ss *rmscale.SeriesSet, w io.Writer) error {
+			return ss.WriteChart(w, rmscale.ChartOptions{})
+		}, nil
+	case "table":
+		return (*rmscale.SeriesSet).WriteTable, nil
 	}
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	if baseline == "" {
-		return nil
-	}
-	f, err := os.Open(baseline)
-	if err != nil {
-		return err
-	}
-	base, err := perfbench.ReadReport(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if bad := perfbench.Compare(base, rep, tolerance); len(bad) > 0 {
-		for _, v := range bad {
-			fmt.Fprintln(os.Stderr, "bench:", v)
-		}
-		if base.Go != rep.Go {
-			fmt.Fprintf(os.Stderr, "bench: note: baseline was recorded with %s, this run uses %s; allocation counts shift across toolchains — refresh the baseline (make bench) if the code is unchanged\n", base.Go, rep.Go)
-		}
-		return fmt.Errorf("bench: %d metric(s) regressed against %s", len(bad), baseline)
-	}
-	fmt.Fprintf(os.Stderr, "bench: all gated metrics within budget of %s\n", baseline)
-	return nil
+	return nil, fmt.Errorf("unknown format %q", format)
 }
 
 // runChaos sweeps n random fault schedules across all RMS models under

@@ -112,6 +112,25 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownFormatFailsFirst: an unknown -format is refused with the
+// other flag checks, before the case runs, so it leaves no journal or
+// cache in the -resume directory.
+func TestUnknownFormatFailsFirst(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := run([]string{"-format", "xml", "-fidelity", "smoke", "-resume", dir, "case1"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `unknown format "xml"`) {
+		t.Fatalf("err = %v, want an unknown-format error", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("refused run left %s in the -resume directory", e.Name())
+	}
+}
+
 func TestSaveFigure(t *testing.T) {
 	dir := t.TempDir()
 	ss := &rmscale.SeriesSet{Title: "Figure 9: Test / Case (x)", XLabel: "k"}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"rmscale/internal/fsutil"
 	"rmscale/internal/runner"
 )
 
@@ -159,7 +160,7 @@ func (s Schedule) WriteJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	return runner.WriteFileAtomic(path, append(b, '\n'), 0o644)
+	return fsutil.WriteFileAtomic(path, append(b, '\n'), 0o644)
 }
 
 // ReadJSON loads and validates a schedule reproducer.

@@ -207,6 +207,3 @@ func Append(f File, b []byte) error {
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return WriteAtomic(RealFS{}, path, data, perm)
 }
-
-// AppendSync is Append under its historical name.
-func AppendSync(f File, b []byte) error { return Append(f, b) }

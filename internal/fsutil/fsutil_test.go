@@ -152,10 +152,10 @@ func TestAppendSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := AppendSync(f, []byte("a\n")); err != nil {
+	if err := Append(f, []byte("a\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendSync(f, []byte("b\n")); err != nil {
+	if err := Append(f, []byte("b\n")); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

@@ -80,7 +80,7 @@ type delivery struct {
 
 // acquire takes a record from the free list for a hop performing op.
 //
-//lint:hotpath every engine hop acquires its record here; engine/*/allocs_per_event pins the fabric allocation-free once the free list is warm
+//lint:hotpath every engine hop acquires its record here; TestEngineWarmStepZeroAlloc and TestPolicyMessageRoundTripAllocs pin the fabric allocation-free once the free list is warm
 func (e *Engine) acquire(op deliveryOp) *delivery {
 	var d *delivery
 	if n := len(e.free); n > 0 {
@@ -105,7 +105,7 @@ func (e *Engine) acquire(op deliveryOp) *delivery {
 // pay the same barriers); every acquire site sets all the operands its
 // op reads.
 //
-//lint:hotpath every engine hop fires through here; engine/*/allocs_per_event pins it allocation-free once the free list is warm
+//lint:hotpath every engine hop fires through here; TestEngineWarmStepZeroAlloc pins it allocation-free once the free list is warm
 func (d *delivery) run() {
 	e := d.eng
 	c := &e.Cfg.Costs

@@ -365,7 +365,7 @@ func (e *Engine) delay(rt routing.Route, size float64) sim.Time {
 // sendStatusUpdate routes one resource status update to its estimator
 // (when the estimator layer exists) or directly to its scheduler.
 //
-//lint:hotpath status updates dominate engine event volume; engine/*/allocs_per_event pins the fabric allocation-free once warm
+//lint:hotpath status updates dominate engine event volume; TestEngineWarmStepZeroAlloc pins them allocation-free once warm
 func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 	if e.Cfg.Faults.UpdateLossProb > 0 && e.faults.Bool(e.Cfg.Faults.UpdateLossProb) {
 		e.Metrics.UpdatesLost++
@@ -403,7 +403,7 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 // push models pay their trigger check per digest received, which is
 // what couples their overhead to the estimator count.
 //
-//lint:hotpath digest fan-out runs once per estimator period per scheduler; engine/*/allocs_per_event pins it allocation-free once warm
+//lint:hotpath digest fan-out runs once per estimator period per scheduler; TestEngineAllocBudgetEstimatorDigests budgets it
 func (e *Engine) broadcastDigest(est *Estimator, dg *digest) {
 	for _, s := range e.Schedulers {
 		if e.fs != nil && s.down {
@@ -428,7 +428,7 @@ func (e *Engine) broadcastDigest(est *Estimator, dg *digest) {
 // budget is simply gone — the session it belonged to stalls, exactly
 // the degradation the churn experiment measures.
 //
-//lint:hotpath every protocol message of every RMS model rides this path; engine/*/allocs_per_event pins it allocation-free once warm
+//lint:hotpath every protocol message of every RMS model rides this path; TestPolicyMessageRoundTripAllocs pins it allocation-free once warm
 func (e *Engine) deliverPolicy(from *Scheduler, m *Message) {
 	if m.To < 0 || m.To >= len(e.Schedulers) {
 		//lint:allow hotalloc panic path: fires once on a policy bug, never in a measured run
@@ -452,7 +452,7 @@ func (e *Engine) deliverPolicy(from *Scheduler, m *Message) {
 // budget bounces back to the sender — a job envelope is never lost to
 // the network.
 //
-//lint:hotpath job transfers scale with inter-cluster traffic; engine/*/allocs_per_event pins them allocation-free once warm
+//lint:hotpath job transfers scale with inter-cluster traffic; rms.TestDefaultRunEventsAndAllocs budgets them
 func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 	if !from.disown(ctx) {
 		// A crash moved this job to another home while the sending
@@ -497,7 +497,7 @@ func (e *Engine) route(net sim.Time, deliver func()) {
 
 // sendJobToResource carries a dispatched job to its resource.
 //
-//lint:hotpath every dispatched job crosses this hop; engine/*/allocs_per_event pins it allocation-free once warm
+//lint:hotpath every dispatched job crosses this hop; TestEngineWarmStepZeroAlloc pins it allocation-free once warm
 func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 	r := e.Resources[rid]
 	if e.Tracer.On() {
@@ -511,7 +511,7 @@ func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 // bounce returns a job whose resource was down to its current cluster's
 // scheduler for re-decision, or drops it after too many attempts.
 //
-//lint:hotpath re-decisions run at event rate under faults; engine/*/allocs_per_event budgets them
+//lint:hotpath re-decisions run at event rate under faults; no allocation test injects faults, so this static check is the path's only gate
 func (e *Engine) bounce(ctx *JobCtx) {
 	if ctx.Attempts >= maxJobAttempts {
 		e.dropJob(ctx)
@@ -528,7 +528,7 @@ func (e *Engine) bounce(ctx *JobCtx) {
 // dropJob gives up on a job; it counts as lost. Dependents are
 // released — a constraint on a lost job can never be satisfied.
 //
-//lint:hotpath terminal job accounting runs at event rate; engine/*/allocs_per_event budgets it
+//lint:hotpath terminal job accounting runs at event rate under faults; no allocation test injects faults, so this static check is the path's only gate
 func (e *Engine) dropJob(ctx *JobCtx) {
 	e.Metrics.JobsLost++
 	e.jobTerminated(ctx.Job.ID)
@@ -545,7 +545,7 @@ type middleware struct {
 // enqueue routes a message through the middleware: network delay to the
 // middleware, FIFO service, then delivery.
 //
-//lint:hotpath the S-I family funnels every message through this queue; engine/S-I/allocs_per_event pins it allocation-free once warm
+//lint:hotpath the S-I family funnels every message through this queue; TestPolicyMessageRoundTripAllocs pins it allocation-free once warm
 func (mw *middleware) enqueue(netDelay sim.Time, deliver func()) {
 	k := mw.eng.K
 	half := netDelay / 2
@@ -564,7 +564,7 @@ func (mw *middleware) arrive(deliver func(), fwd sim.Time) {
 // forward is the middleware's retire callback: a message whose service
 // completed starts the second half of its network leg.
 //
-//lint:hotpath the S-I family's service-completion path; engine/S-I/allocs_per_event budgets it
+//lint:hotpath the S-I family's service-completion path; TestPolicyMessageRoundTripAllocs pins it allocation-free once warm
 func (mw *middleware) forward() {
 	w := mw.cpu.next()
 	mw.eng.K.After(w.fwd, w.fn)

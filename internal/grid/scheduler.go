@@ -289,7 +289,7 @@ func (s *Scheduler) Dispatch(ctx *JobCtx, rid int) {
 // DispatchLeastLoaded charges a full-cluster decision scan and sends the
 // job to the believed least loaded local resource.
 //
-//lint:hotpath the decision hop of every job a policy places locally; engine/*/allocs_per_event pins it allocation-free once warm
+//lint:hotpath the decision hop of every job a policy places locally; TestEngineWarmStepZeroAlloc pins it allocation-free once warm
 func (s *Scheduler) DispatchLeastLoaded(ctx *JobCtx) {
 	d := s.eng.acquire(opDecide)
 	d.sched, d.ctx = s, ctx
@@ -324,7 +324,7 @@ func (s *Scheduler) SendPolicy(to int, kind int, payload any) {
 // TransferJob moves the job to a remote cluster's scheduler; it arrives
 // as a policy OnJob call with Hops incremented.
 //
-//lint:hotpath job transfers scale with inter-cluster traffic; engine/*/allocs_per_event pins them allocation-free once warm
+//lint:hotpath job transfers scale with inter-cluster traffic; rms.TestDefaultRunEventsAndAllocs budgets them
 func (s *Scheduler) TransferJob(ctx *JobCtx, to int) {
 	d := s.eng.acquire(opTransfer)
 	d.sched, d.ctx, d.rid = s, ctx, to

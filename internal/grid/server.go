@@ -48,7 +48,7 @@ func (sv *server) init(k *sim.Kernel, retire func()) {
 // submit accepts w for busy time units of service behind the work
 // already queued and returns the time its service starts.
 //
-//lint:hotpath every scheduler, estimator and middleware work item is queued here; engine/*/allocs_per_event pins it allocation-free once the ring is warm
+//lint:hotpath every scheduler, estimator and middleware work item is queued here; TestSchedulerExecZeroAlloc pins it allocation-free once the ring is warm
 func (sv *server) submit(now, busy sim.Time, w work) (start sim.Time) {
 	start = sv.busyUntil
 	if start < now {

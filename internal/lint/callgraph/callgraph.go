@@ -15,8 +15,8 @@
 //     module never compiles;
 //   - calls through function values (fields, parameters, locals) are
 //     recorded with no callee: the dynamic edge is a documented
-//     soundness limit, backstopped at runtime by the bench gates and
-//     the determinism goldens.
+//     soundness limit, backstopped at runtime by the allocation tests
+//     and the determinism goldens.
 //
 // Function literals are attributed to the enclosing declaration: a
 // closure's calls are the closure creator's calls, which matches how

@@ -148,7 +148,6 @@ var DefaultConfig = Config{
 	Exempt: map[string]string{
 		"rmscale/internal/runner":     "parallelizes whole single-threaded simulations; wall-clock scheduling and worker goroutines are its job, and sim-visibility stops at its API",
 		"rmscale/internal/fsutil/...": "filesystem plumbing beneath the store and journal (and the simulated crash filesystem that models it); blocking IO is its purpose and no simulation state flows through it",
-		"rmscale/internal/perfbench":  "benchmark harness; reads the wall clock by design to measure it",
 		"rmscale/internal/lint/...":   "the analyzers themselves; never linked into a simulation binary",
 	},
 

@@ -9,8 +9,11 @@ import (
 	"rmscale/internal/lint/callgraph"
 )
 
-// HotAlloc statically pins the allocation budgets BENCH_sim.json
-// guards dynamically. A function marked with a
+// HotAlloc statically checks the hot paths whose allocation budgets
+// tests pin at run time (the testing.AllocsPerRun tests in
+// internal/sim, internal/grid, internal/rms and internal/service; each
+// directive's reason names the test that measures its path). A
+// function marked with a
 //
 //	//lint:hotpath <reason>
 //
@@ -34,9 +37,9 @@ import (
 // Interface dispatch is deliberately not expanded here (unlike
 // detertaint): marking one engine call hot must not conscript all
 // seven RMS policy implementations into the zero-alloc regime — the
-// bench gates still cover dynamic targets. A construct that is
-// deliberate (a one-time cold-start allocation, an amortized growth)
-// carries //lint:allow hotalloc <reason> at the site.
+// run-time allocation tests still cover dynamic targets. A construct
+// that is deliberate (a one-time cold-start allocation, an amortized
+// growth) carries //lint:allow hotalloc <reason> at the site.
 func HotAlloc() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "hotalloc",

@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"runtime"
 	"testing"
 
 	"rmscale/internal/grid"
@@ -80,6 +81,91 @@ func TestAllModelsSmoke(t *testing.T) {
 			if m.UpdatesSuppressed == 0 {
 				t.Fatal("update suppression never triggered")
 			}
+		})
+	}
+}
+
+// defaultRuns pins each model's run of grid.DefaultConfig() at seed 1.
+// The event count must match exactly: the run is deterministic in the
+// seed, so a drift means the model's behaviour changed. The budget caps
+// allocations per event, build included, at the value measured when it
+// was set (in the comment) plus 10%, rounded down.
+var defaultRuns = map[string]struct {
+	events uint64
+	allocs float64
+}{
+	"CENTRAL": {15048, 0.0914}, // 0.0831
+	"LOWEST":  {18798, 0.2268}, // 0.2062
+	"RESERVE": {16615, 0.1596}, // 0.1452
+	"AUCTION": {27402, 0.3200}, // 0.2909
+	"S-I":     {20654, 0.2512}, // 0.2284
+	"R-I":     {16539, 0.1487}, // 0.1353
+	"Sy-I":    {23341, 0.1694}, // 0.1541
+}
+
+// newDefaultEngine builds the named model over grid.DefaultConfig() at
+// seed 1: the run TestDefaultRunEventsAndAllocs pins and BenchmarkEngine
+// times.
+func newDefaultEngine(tb testing.TB, model string) *grid.Engine {
+	tb.Helper()
+	p, err := ByName(model)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := grid.DefaultConfig()
+	cfg.Seed = 1
+	e, err := grid.New(cfg, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// TestDefaultRunEventsAndAllocs counts one run of every model, then
+// measures the allocations of a second build and run together.
+func TestDefaultRunEventsAndAllocs(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			pin, ok := defaultRuns[name]
+			if !ok {
+				t.Fatal("no pinned default run")
+			}
+			e := newDefaultEngine(t, name)
+			e.Run()
+			if n := e.K.Processed(); n != pin.events {
+				t.Fatalf("processed %d events, want %d", n, pin.events)
+			}
+			allocs := testing.AllocsPerRun(1, func() { newDefaultEngine(t, name).Run() })
+			if per := allocs / float64(pin.events); per > pin.allocs {
+				t.Errorf("build and run allocate %.4f times per event, budget %.4f", per, pin.allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkEngine times Run alone on each model's default-config
+// build, and reports ns/event and allocs/event. The allocations include
+// the build, as TestDefaultRunEventsAndAllocs budgets them.
+func BenchmarkEngine(b *testing.B) {
+	for _, name := range Names() {
+		b.Run(name, func(b *testing.B) {
+			var ms runtime.MemStats
+			var events, mallocs uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				e := newDefaultEngine(b, name)
+				b.StartTimer()
+				e.Run()
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - before
+				events += e.K.Processed()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 		})
 	}
 }

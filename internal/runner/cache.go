@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"rmscale/internal/fsutil"
 )
 
 // Key is a content address: the SHA-256 of the canonical encoding of
@@ -96,7 +98,7 @@ func (c *Cache) Put(k Key, v []byte) error {
 	if c.dir == "" {
 		return nil
 	}
-	return WriteFileAtomic(filepath.Join(c.dir, k.String()), v, 0o644)
+	return fsutil.WriteFileAtomic(filepath.Join(c.dir, k.String()), v, 0o644)
 }
 
 // Stats reports cumulative lookup hits and misses.

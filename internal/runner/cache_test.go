@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rmscale/internal/fsutil"
 )
 
 type keyCfg struct {
@@ -103,10 +105,10 @@ func TestCacheDiskFilesAreContentAddressed(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
-	if err := WriteFileAtomic(path, []byte("one"), 0o644); err != nil {
+	if err := fsutil.WriteFileAtomic(path, []byte("one"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("two"), 0o644); err != nil {
+	if err := fsutil.WriteFileAtomic(path, []byte("two"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

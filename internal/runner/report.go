@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"rmscale/internal/fsutil"
 )
 
 // runstateName is the machine-readable progress file inside a run
@@ -187,5 +189,5 @@ func (r *Reporter) flush(done bool) {
 	if err != nil {
 		return
 	}
-	_ = WriteFileAtomic(filepath.Join(r.dir, runstateName), append(b, '\n'), 0o644)
+	_ = fsutil.WriteFileAtomic(filepath.Join(r.dir, runstateName), append(b, '\n'), 0o644)
 }

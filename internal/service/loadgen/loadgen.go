@@ -13,11 +13,13 @@
 //   - no execution failed;
 //   - the result store holds exactly Distinct payloads.
 //
-// The audited counts are deterministic in the options, which is what
-// lets internal/perfbench gate them exactly; the latency percentiles,
-// throughput and queue-depth peaks it also reports are machine-load
-// facts, recorded ungated for trend reading — the same split
-// contiv/netplugin's policyScale and OSM's scale framework use.
+// The audited counts are deterministic in the options, so the audit
+// gates them exactly on every iteration, and `make loadtest` runs one
+// at the default, qualifying shape (1000 objects, 125 distinct, 8
+// clients). The latency percentiles, throughput and queue-depth peaks
+// it also reports are machine-load facts, recorded ungated for trend
+// reading — the same split contiv/netplugin's policyScale and OSM's
+// scale framework use.
 package loadgen
 
 import (
@@ -93,7 +95,7 @@ type Metrics struct {
 	Distinct int `json:"distinct"`
 	Clients  int `json:"clients"`
 
-	// Deterministic accounting (exact-gated in perfbench).
+	// Deterministic accounting, checked exactly by Run's audit.
 	Executions int64 `json:"executions"`
 	DedupHits  int64 `json:"dedup_hits"`
 	StoreLen   int   `json:"store_len"`
@@ -270,8 +272,7 @@ func (w *worker) run(opts Options, c int, ids []string) error {
 
 // RunInProcess starts a daemon with cfg, serves it on a loopback
 // listener, runs one load iteration against it and tears everything
-// down. It is what `rmscaled loadtest`, the perfbench service metrics
-// and `make loadtest` share.
+// down. It is what `rmscaled loadtest` and `make loadtest` run.
 func RunInProcess(opts Options, cfg service.Config) (Metrics, error) {
 	d, err := service.New(cfg)
 	if err != nil {

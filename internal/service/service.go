@@ -22,8 +22,9 @@
 // the executor, graceful drain on SIGTERM with journal checkpointing,
 // and structured request logging. The architectural precedent is
 // Nimrod/G's persistent experiment service; the qualification story
-// (thousands of objects per iteration, latency and dedup gates) lives
-// in the loadgen subpackage and internal/perfbench.
+// (thousands of objects per iteration, its dedup audit and latency
+// percentiles) lives in the loadgen subpackage, and TestDedupHitAllocs
+// budgets the dedup fast path's allocations.
 package service
 
 import (
@@ -430,7 +431,7 @@ func (d *Daemon) Submit(spec ExperimentSpec, client string) (Status, error) {
 // experiment or a stored result: bump the dedup accounting and
 // snapshot the status without executing anything. Callers hold d.mu.
 //
-//lint:hotpath service/dedup_hit/allocs gates this fast path; a dedup hit must answer within its allocation budget
+//lint:hotpath TestDedupHitAllocs budgets this fast path; a dedup hit must answer within its allocation budget
 func (d *Daemon) dedupLocked(e *Experiment) Status {
 	d.stats.Submitted++
 	if e.State == StateDone {

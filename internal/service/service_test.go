@@ -108,6 +108,49 @@ func TestDaemonDedupInflight(t *testing.T) {
 	}
 }
 
+// TestDedupHitAllocs budgets the dedup fast path: submitting an
+// already-stored spec, polling its status and fetching its result, the
+// request mix that dominates a saturated service. It calls the Daemon
+// directly, so the budget covers the daemon's bookkeeping, not
+// net/http's.
+func TestDedupHitAllocs(t *testing.T) {
+	const budget = 5
+	payload := []byte(`{"ok":true}`)
+	d, err := New(Config{Shards: 1, Exec: func(context.Context, ExperimentSpec, string) ([]byte, error) {
+		return payload, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	spec := ExperimentSpec{Kind: KindSim, Model: "LOWEST", Seed: 1}
+	st, err := d.Submit(spec, "seed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitTerminal(t, d, st.ID); st.State != StateDone {
+		t.Fatalf("seeded experiment ended %s: %s", st.State, st.Error)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		s, err := d.Submit(spec, "probe")
+		if err != nil || !s.Dedup {
+			t.Fatalf("dedup submit: %+v, %v", s, err)
+		}
+		if _, ok := d.Status(st.ID); !ok {
+			t.Fatalf("status lost %s", st.ID)
+		}
+		if _, ok := d.Result(st.ID); !ok {
+			t.Fatalf("result lost %s", st.ID)
+		}
+	})
+	if raceEnabled {
+		t.Skipf("the race detector adds allocations (%.0f measured); the budget of %d holds without it", allocs, budget)
+	}
+	if allocs > budget {
+		t.Errorf("dedup hit (submit, status, result) allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
 // TestDaemonAdmissionControl pins saturation behavior: a full queue
 // refuses new work with ErrSaturated and counts the rejection.
 func TestDaemonAdmissionControl(t *testing.T) {

@@ -10,18 +10,40 @@ import (
 // fails `go test`, machine-independently, instead of waiting for
 // someone to read a benchmark.
 
-// TestScheduleFireZeroAlloc: once the free list is warm, one
-// schedule→fire cycle performs zero heap allocations.
+// windowSteps is the measured window of the tests below: one long run
+// of kernel steps after warm-up.
+const windowSteps = 4096
+
+// stepAllocs counts the allocations of windowSteps kernel steps taken
+// as one run. AllocsPerRun divides by the run count in integers, so a
+// per-step measurement would hide an allocation made less often than
+// once a step.
+func stepAllocs(k *Kernel) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for i := 0; i < windowSteps; i++ {
+			k.Step()
+		}
+	})
+}
+
+// TestScheduleFireZeroAlloc: once the free list is warm, schedule→fire
+// cycles perform zero heap allocations, for a single self-rescheduling
+// event and for a steady population of 512 of them in flight.
 func TestScheduleFireZeroAlloc(t *testing.T) {
-	k := NewKernel()
-	var fn func()
-	fn = func() { k.After(1, fn) }
-	k.After(1, fn)
-	for k.Processed() < 64 { // warm the free list
-		k.Step()
-	}
-	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
-		t.Errorf("steady-state schedule->fire cycle allocates %.1f times, want 0", allocs)
+	for _, fan := range []int{1, 512} {
+		k := NewKernel()
+		for i := 0; i < fan; i++ {
+			var fn func()
+			fn = func() { k.After(1, fn) }
+			k.Schedule(Time(i)/Time(fan), fn)
+		}
+		for k.Processed() < uint64(64+4*fan) { // warm the free list
+			k.Step()
+		}
+		if allocs := stepAllocs(k); allocs != 0 {
+			t.Errorf("%d event(s) in flight: %d schedule->fire cycles allocate %.0f times, want 0",
+				fan, windowSteps, allocs)
+		}
 	}
 }
 
@@ -41,8 +63,8 @@ func TestCancelRecycleZeroAlloc(t *testing.T) {
 	for k.Processed() < 256 {
 		k.Step()
 	}
-	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
-		t.Errorf("steady-state cancel/replace cycle allocates %.1f times, want 0", allocs)
+	if allocs := stepAllocs(k); allocs != 0 {
+		t.Errorf("%d steady-state cancel/replace cycles allocate %.0f times, want 0", windowSteps, allocs)
 	}
 }
 
@@ -55,8 +77,8 @@ func TestTickerRearmZeroAlloc(t *testing.T) {
 	for k.Processed() < 64 {
 		k.Step()
 	}
-	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
-		t.Errorf("ticker rearm cycle allocates %.1f times, want 0", allocs)
+	if allocs := stepAllocs(k); allocs != 0 {
+		t.Errorf("%d ticker rearm cycles allocate %.0f times, want 0", windowSteps, allocs)
 	}
 	if n == 0 {
 		t.Fatal("ticker never fired")
@@ -84,8 +106,8 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	for k.Processed() < 64 {
 		k.Step()
 	}
-	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
-		t.Errorf("disabled-tracer event allocates %.1f times, want 0", allocs)
+	if allocs := stepAllocs(k); allocs != 0 {
+		t.Errorf("%d disabled-tracer events allocate %.0f times, want 0", windowSteps, allocs)
 	}
 	if tr.On() {
 		t.Fatal("nil tracer reports On")
@@ -105,13 +127,23 @@ func TestSharedTickerLaneRearmZeroAlloc(t *testing.T) {
 	for k.Processed() < 64 {
 		k.Step()
 	}
-	if allocs := testing.AllocsPerRun(200, func() { k.Step() }); allocs != 0 {
-		t.Errorf("shared-lane ticker rearm allocates %.1f times, want 0", allocs)
+	if allocs := stepAllocs(k); allocs != 0 {
+		t.Errorf("%d shared-lane ticker rearms allocate %.0f times, want 0", windowSteps, allocs)
 	}
 	if len(k.tickLanes) != 1 {
 		t.Fatalf("%d ticker lanes for one period, want 1", len(k.tickLanes))
 	}
 	if n == 0 {
 		t.Fatal("tickers never fired")
+	}
+}
+
+// TestKernelLanesZeroAlloc: the figure-sweep event mix of
+// newLanesMix, where most events are lane items, allocates nothing
+// once its rings are warm.
+func TestKernelLanesZeroAlloc(t *testing.T) {
+	k := newLanesMix()
+	if allocs := stepAllocs(k); allocs != 0 {
+		t.Errorf("%d steps of the lanes mix allocate %.0f times, want 0", windowSteps, allocs)
 	}
 }

@@ -6,8 +6,8 @@ import "testing"
 // steady-state population of self-rescheduling events, the pattern the
 // grid engine drives (tickers, Exec chains, message deliveries keep a
 // roughly constant number of events in flight while millions fire).
-// allocs/op here is allocs per event processed, the headline number the
-// perfbench baseline pins.
+// allocs/op here is allocs per event processed, the number
+// TestScheduleFireZeroAlloc pins at zero.
 func BenchmarkKernel(b *testing.B) {
 	const inflight = 512
 	b.ReportAllocs()
@@ -76,13 +76,13 @@ func BenchmarkTickerCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelLanes mirrors perfbench's kernel/lanes, the event mix
-// of a figure sweep: about 150 self-rescheduling plain events in flight
-// over a deep event heap, 240 tickers at staggered phases sharing one
-// lane, a self-refilling arrival lane, and 24 sparse server lanes fed
-// by two plain submitters. Most events are lane items.
-func BenchmarkKernelLanes(b *testing.B) {
-	b.ReportAllocs()
+// newLanesMix builds the event mix of a figure sweep, where most
+// events are lane items: about 150 self-rescheduling plain events in
+// flight over a deep event heap, 240 tickers at staggered phases
+// sharing one lane, a self-refilling arrival lane, and 24 sparse server
+// lanes fed by two plain submitters. It returns the kernel two ticker
+// periods in, with every ticker started and every ring warm.
+func newLanesMix() *Kernel {
 	k := NewKernel()
 	noop := func() {}
 	for i := 0; i < 150; i++ {
@@ -119,6 +119,14 @@ func BenchmarkKernelLanes(b *testing.B) {
 	for k.Now() < 2*period {
 		k.Step()
 	}
+	return k
+}
+
+// BenchmarkKernelLanes times the figure-sweep event mix of
+// newLanesMix; TestKernelLanesZeroAlloc pins its allocations at zero.
+func BenchmarkKernelLanes(b *testing.B) {
+	b.ReportAllocs()
+	k := newLanesMix()
 	b.ResetTimer()
 	target := k.Processed() + uint64(b.N)
 	for k.Processed() < target {

@@ -71,7 +71,7 @@ func (l *Lane) Append(at Time, fn func()) { l.append(at, fn) }
 // append is Append returning the item's position, the handle Ticker
 // keeps for cancel.
 //
-//lint:hotpath every ticker rearm, job arrival and queued server work item enters the kernel here; kernel/ticker and the engine gates pin it allocation-free once the ring is warm
+//lint:hotpath every ticker rearm, job arrival and queued server work item enters the kernel here; TestKernelLanesZeroAlloc and TestTickerRearmZeroAlloc pin it allocation-free once the ring is warm
 func (l *Lane) append(at Time, fn func()) uint64 {
 	k := l.k
 	if !(at >= l.last && at >= k.now) {

@@ -115,7 +115,7 @@ func (k *Kernel) Pending() int { return k.fel.live() + len(k.fel.lanes) + k.lane
 // Schedule arranges for fn to run at absolute simulated time at.
 // Scheduling in the past, or at NaN, panics: it is always a model bug.
 //
-//lint:hotpath kernel/steady gates Schedule at zero allocations per event in steady state
+//lint:hotpath TestScheduleFireZeroAlloc pins Schedule at zero allocations per event in steady state
 func (k *Kernel) Schedule(at Time, fn func()) *Event {
 	if !(at >= k.now) {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
@@ -133,7 +133,7 @@ func (k *Kernel) Schedule(at Time, fn func()) *Event {
 // After arranges for fn to run d time units from now. Negative and NaN
 // delays panic.
 //
-//lint:hotpath every periodic process reschedules through After; kernel/steady gates it at zero allocations
+//lint:hotpath every periodic process reschedules through After; TestScheduleFireZeroAlloc pins it at zero allocations
 func (k *Kernel) After(d Time, fn func()) *Event {
 	if !(d >= 0) {
 		//lint:allow hotalloc panic path: fires once on a model bug, never in a measured run
@@ -148,7 +148,7 @@ func (k *Kernel) After(d Time, fn func()) *Event {
 // until it surfaces or a compaction sweep collects it; either way its
 // struct returns to the free list.
 //
-//lint:hotpath kernel/cancel gates the cancel-heavy regime at zero allocations per event
+//lint:hotpath TestCancelRecycleZeroAlloc pins the cancel-heavy regime at zero allocations per event
 func (k *Kernel) Cancel(e *Event) {
 	if e == nil || e.canceled {
 		return
@@ -219,7 +219,7 @@ func (k *Kernel) noteProgress(at Time) {
 // until Stop is called, or until MaxEvents is exceeded. It returns the
 // number of events executed during this call.
 //
-//lint:hotpath the bounded dispatch loop; kernel/steady and every engine bench run inside it
+//lint:hotpath the bounded dispatch loop; every engine run drives it, so rms.TestDefaultRunEventsAndAllocs measures it
 func (k *Kernel) Run(until Time) uint64 {
 	k.stopped = false
 	f := &k.fel
