@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet lint depscheck test race fuzz gobench chaos chaos-service crashtest loadtest
+.PHONY: check build vet lint depscheck test race fuzz gobench chaos chaos-service crashtest loadtest benchtest
 
 # The gate CI runs: vet + stdlib-only dependency check + determinism
 # lint + full test suite + race + the fixed-seed chaos sweep + the
 # service chaos harness + the crash-consistency enumeration + the
-# rmscaled load iteration.
-check: vet depscheck lint test race chaos chaos-service crashtest loadtest
+# rmscaled load iteration + the benchmark's own test suite.
+check: vet depscheck lint test race chaos chaos-service crashtest loadtest benchtest
 
 build:
 	$(GO) build ./...
@@ -93,3 +93,10 @@ crashtest: build
 # match the shape exactly.
 loadtest: build
 	$(GO) run ./cmd/rmscaled loadtest -v > loadtest_report.json
+
+# The end-to-end benchmark's self-test. bench/ is a module of its own,
+# so `go test ./...` at the root skips it; its suite checks that the
+# sweep replay matches RunCaseSpec for every model, that the pinned
+# figure digests still hold and that the serve workloads run.
+benchtest:
+	cd bench && $(GO) test ./...

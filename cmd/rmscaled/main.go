@@ -141,7 +141,7 @@ func serveCmd(args []string) error {
 	storeMaxResults := fs.Int("store-max-results", 0, "result store GC: max retained payloads, LRU-evicted beyond (0 = unbounded)")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "result store GC: max memory-tier payload bytes (0 = unbounded)")
 	storeMaxAge := fs.Duration("store-max-age", 0, "result store GC: evict payloads untouched this long (0 = unbounded)")
-	storeMaxQuarantine := fs.Int("store-max-quarantine", 0, "max quarantined corrupt payloads kept for forensics, oldest evicted beyond (0 = default 64)")
+	storeMaxQuarantine := fs.Int("store-max-quarantine", 0, "max quarantined corrupt results kept for forensics, oldest evicted beyond (0 = default 64)")
 	fs.Parse(args)
 
 	var logw io.Writer = os.Stderr

@@ -267,6 +267,31 @@ func (h *file) Truncate(size int64) error {
 	return nil
 }
 
+// Overwrite replaces len(b) bytes of name's buffered content at off
+// in place, as a decaying disk or a stray writer would. It is recorded
+// as a write op and, like any write, survives a crash only once the
+// file is synced. The range must lie inside the file.
+func (f *FS) Overwrite(name string, off int, b []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.crashed {
+		return errCrashed
+	}
+	name = clean(name)
+	d := f.dir(name)
+	if d == nil || d.entries[filepath.Base(name)] == nil {
+		return notExist(name)
+	}
+	ino := d.entries[filepath.Base(name)]
+	if off < 0 || off+len(b) > len(ino.data) {
+		return fmt.Errorf("crashfs: overwrite %s [%d, %d) outside its %d bytes", name, off, off+len(b), len(ino.data))
+	}
+	f.step(Op{Kind: OpWrite, Path: name, N: len(b)})
+	copy(ino.data[off:], b)
+	f.lastWrite = ino
+	return nil
+}
+
 // OpenFile implements fsutil.FS for the flag subset the module uses.
 func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (fsutil.File, error) {
 	f.mu.Lock()

@@ -268,3 +268,45 @@ func TestSnapshotAndMaterializeIndependence(t *testing.T) {
 		t.Fatalf("original mutated: %q", got)
 	}
 }
+
+// TestOverwriteInPlace: an in-place overwrite is one traced write op,
+// changes only its range, is lost on a pessimal crash until the file
+// is synced, and yields no torn-append variants.
+func TestOverwriteInPlace(t *testing.T) {
+	fs := New(Options{Sector: 4})
+	f := write(t, fs, "/log", "line-one\nline-two\n")
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir("/"); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.OpCount()
+	if err := fs.Overwrite("/log", 5, []byte("ONE")); err != nil {
+		t.Fatal(err)
+	}
+	if ops := fs.Ops(); len(ops) != before+1 || ops[before].Kind != OpWrite {
+		t.Fatalf("overwrite traced as %v, want one write op", ops[before:])
+	}
+	if got, _ := readOn(t, fs, "/log"); got != "line-ONE\nline-two\n" {
+		t.Fatalf("buffered content %q", got)
+	}
+	if vs := fs.Variants(3); len(vs) != 2 {
+		t.Fatalf("an in-place overwrite produced torn variants: %v", vs)
+	}
+	if got, _ := readOn(t, fs.Materialize(Variant{Name: "pessimal"}), "/log"); got != "line-one\nline-two\n" {
+		t.Fatalf("unsynced overwrite survived a pessimal crash: %q", got)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readOn(t, fs.Materialize(Variant{Name: "pessimal"}), "/log"); got != "line-ONE\nline-two\n" {
+		t.Fatalf("synced overwrite lost: %q", got)
+	}
+	if err := fs.Overwrite("/log", 16, []byte("xyz")); err == nil {
+		t.Fatal("overwrite past the end of the file accepted")
+	}
+	if err := fs.Overwrite("/missing", 0, []byte("x")); err == nil {
+		t.Fatal("overwrite of a missing file accepted")
+	}
+}

@@ -123,6 +123,53 @@ func TestEngineWarmStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineFaultPathZeroAlloc: with every resource crashed, each
+// dispatched job bounces back to its scheduler for a re-decision until
+// its attempts run out and it is dropped. Once that loop is warm, a
+// long window of arrivals, re-decisions, bounces and drops allocates
+// nothing. A per-event budget over a whole faulted run could not see
+// one allocation per bounce: such a run pays 0.3 allocations per event
+// for its build alone.
+func TestEngineFaultPathZeroAlloc(t *testing.T) {
+	const warm, faultWarm, steps = 2000, 500, 4000
+	cfg := testConfig()
+	// Arrivals run well past the window: AllocsPerRun steps it twice
+	// (its warm-up, then the measured run), about 6000 time units.
+	cfg.Workload.Horizon, cfg.Horizon = 30000, 30000
+	cfg.Faults.RepairTime = 1e9 // nothing comes back inside the test
+	cfg.MaxEvents = warm
+	p := &stubPolicy{}
+	eng, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	for _, r := range eng.Resources {
+		r.crash()
+	}
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if !eng.K.Step() {
+				t.Fatal("engine ran out of events")
+			}
+		}
+	}
+	step(faultWarm) // warm the re-decision loop
+	decisions, lost := p.onJob, eng.Metrics.JobsLost
+	// One long run: AllocsPerRun divides in integers, so a stray
+	// allocation anywhere in the window shows.
+	if allocs := testing.AllocsPerRun(1, func() { step(steps) }); allocs != 0 {
+		t.Errorf("faulted engine allocates %.0f times in %d events, want 0", allocs, steps)
+	}
+	// A dropped job was decided maxJobAttempts times, all but the first
+	// after a bounce.
+	dropped, decided := eng.Metrics.JobsLost-lost, p.onJob-decisions
+	if dropped == 0 || decided < 2*dropped || eng.K.Now() >= cfg.Workload.Horizon {
+		t.Fatalf("window missed the fault path: %d jobs dropped after %d decisions, arrivals ended at %v, now %v",
+			dropped, decided, cfg.Workload.Horizon, eng.K.Now())
+	}
+}
+
 // TestPolicyMessageRoundTripAllocs: SendPolicy, the network, the
 // receiving Exec and OnMessage together allocate exactly the Message,
 // with and without the middleware hop.

@@ -511,7 +511,7 @@ func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 // bounce returns a job whose resource was down to its current cluster's
 // scheduler for re-decision, or drops it after too many attempts.
 //
-//lint:hotpath re-decisions run at event rate under faults; no allocation test injects faults, so this static check is the path's only gate
+//lint:hotpath re-decisions run at event rate under faults; TestEngineFaultPathZeroAlloc pins them allocation-free once warm
 func (e *Engine) bounce(ctx *JobCtx) {
 	if ctx.Attempts >= maxJobAttempts {
 		e.dropJob(ctx)
@@ -528,7 +528,7 @@ func (e *Engine) bounce(ctx *JobCtx) {
 // dropJob gives up on a job; it counts as lost. Dependents are
 // released — a constraint on a lost job can never be satisfied.
 //
-//lint:hotpath terminal job accounting runs at event rate under faults; no allocation test injects faults, so this static check is the path's only gate
+//lint:hotpath terminal job accounting runs at event rate under faults; TestEngineFaultPathZeroAlloc pins it allocation-free once warm
 func (e *Engine) dropJob(ctx *JobCtx) {
 	e.Metrics.JobsLost++
 	e.jobTerminated(ctx.Job.ID)

@@ -15,15 +15,15 @@
 //     fetch byte-identical to the reference; the daemon must stay
 //     alive and healthy.
 //  3. restart faults — the daemon's directory is damaged the way
-//     crashes damage it (a stored payload corrupted under its
+//     crashes damage it (a logged result corrupted under its
 //     checksum, the journal tail torn mid-record) and a fresh daemon
 //     reopens it. The valid prefix must resume, the corrupt result
 //     must quarantine and re-execute, the torn submission must rerun
 //     on resubmission — all byte-identical.
 //  4. disk faults — a daemon over a flaky filesystem (every k-th
-//     durable write fails) must degrade to memory-only operation,
-//     keep completing and serving work, and surface the degradation
-//     through its health endpoint rather than exiting.
+//     durable result write fails) must degrade to memory-only
+//     operation, keep completing and serving work, and surface the
+//     degradation through its health endpoint rather than exiting.
 //
 // Any violated assertion lands in Report.Failures; Run never panics
 // the harness on daemon misbehavior — CI wants the full list.
@@ -75,8 +75,8 @@ type Options struct {
 	// DisconnectEvery hangs up every k-th result stream after its
 	// first status line; <= 0 picks 4.
 	DisconnectEvery int
-	// FlakyWriteEvery fails every k-th durable write in the disk-fault
-	// phase; <= 0 picks 2.
+	// FlakyWriteEvery fails every k-th durable result write in the
+	// disk-fault phase; <= 0 picks 2.
 	FlakyWriteEvery int
 	// ExecTimeout is the chaos daemon's per-sim deadline (hung
 	// executions are cancelled at it); <= 0 picks 300ms.
@@ -173,14 +173,19 @@ func faultAt(o Options, j int) faultKind {
 	return faultNone
 }
 
-// FaultFS is the injectable filesystem fault: every k-th durable file
-// write fails; every other operation (journal appends included)
+// resultLogName is the result store's log file inside DIR/results.
+const resultLogName = "results.log"
+
+// FaultFS is the injectable filesystem fault: every k-th durable
+// result write — an atomic file write, or an append to the result
+// log — fails; every other operation (journal appends included)
 // passes through to the embedded real filesystem, so successful
 // writes are real writes.
 type FaultFS struct {
 	fsutil.RealFS
 
-	// Every fails each Every-th WriteFileAtomic; <= 0 never fails.
+	// Every fails each Every-th durable result write; <= 0 never
+	// fails.
 	Every int
 
 	mu     sync.Mutex
@@ -188,20 +193,36 @@ type FaultFS struct {
 	faults int
 }
 
+// fault counts one durable result write to path and reports the
+// injected error when it is scheduled to fail.
+func (f *FaultFS) fault(path string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.n++
+	if f.Every <= 0 || f.n%f.Every != 0 {
+		return nil
+	}
+	f.faults++
+	return fmt.Errorf("chaos: injected write fault on durable write #%d (%s)", f.n, filepath.Base(path))
+}
+
 // WriteFileAtomic counts the write and fails on schedule.
 func (f *FaultFS) WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	f.mu.Lock()
-	f.n++
-	fail := f.Every > 0 && f.n%f.Every == 0
-	if fail {
-		f.faults++
+	if err := f.fault(path); err != nil {
+		return err
 	}
-	n := f.n
-	f.mu.Unlock()
-	if fail {
-		return fmt.Errorf("chaos: injected write fault on durable write #%d (%s)", n, filepath.Base(path))
+	return f.RealFS.WriteFileAtomic(path, data, perm)
+}
+
+// AppendSync counts an append to the result log and fails it on
+// schedule; journal appends pass through.
+func (f *FaultFS) AppendSync(file fsutil.File, b []byte) error {
+	if filepath.Base(file.Name()) == resultLogName {
+		if err := f.fault(file.Name()); err != nil {
+			return err
+		}
 	}
-	return fsutil.RealFS{}.WriteFileAtomic(path, data, perm)
+	return f.RealFS.AppendSync(file, b)
 }
 
 // Faults reports how many writes were failed so far.
@@ -473,7 +494,7 @@ func (r *run) restartFaults() error {
 		return err
 	}
 
-	// Corrupt a different spec's stored payload under its checksum.
+	// Corrupt a different spec's logged payload under its checksum.
 	corruptID := ""
 	for _, id := range r.ids {
 		if id != tornID {
@@ -481,12 +502,18 @@ func (r *run) restartFaults() error {
 			break
 		}
 	}
-	ppath := filepath.Join(dir, "results", corruptID+".json")
-	pb, err := os.ReadFile(ppath)
+	lpath := filepath.Join(dir, "results", resultLogName)
+	lb, err := os.ReadFile(lpath)
 	if err != nil {
-		return fmt.Errorf("chaos: reading payload to corrupt: %w", err)
+		return fmt.Errorf("chaos: reading result log to corrupt: %w", err)
 	}
-	if err := os.WriteFile(ppath, append([]byte("rot:"), pb...), 0o644); err != nil {
+	rec := bytes.Index(lb, []byte(`{"id":"`+corruptID+`"`))
+	data := bytes.Index(lb[max(rec, 0):], []byte(`"data":"`))
+	if rec < 0 || data < 0 {
+		return fmt.Errorf("chaos: no logged result for %s", corruptID)
+	}
+	copy(lb[rec+data+len(`"data":"`):], "AAAA")
+	if err := os.WriteFile(lpath, lb, 0o644); err != nil {
 		return err
 	}
 

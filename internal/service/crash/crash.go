@@ -6,19 +6,20 @@
 // image, and asserts the recovery invariants DESIGN.md §7 promises:
 //
 //   - recovery always succeeds: no crash image makes OpenJournalFS or
-//     NewStore+Audit refuse to start;
+//     NewStore refuse to start;
 //   - the journal recovers to a valid prefix, and Dropped() agrees
 //     with an independent line-scan oracle over the raw bytes;
 //   - every record the recovered journal serves is byte-identical to
 //     what was journaled, and every acknowledged record survives;
 //   - every store entry is checksum-verified or absent/quarantined —
-//     corrupt or wrong bytes are never served;
+//     corrupt, misattributed or wrong bytes are never served;
 //   - acknowledged, durably-stored results are never lost (the
 //     invariant that catches a missing parent-dir fsync), except
 //     where the workload itself weakened the guarantee (GC eviction,
 //     deliberate corruption);
 //   - recovery is idempotent: recovering twice from any image leaves
-//     the disk byte-identical to recovering once;
+//     the disk byte-identical to recovering once, and the second
+//     store open repairs nothing;
 //   - re-executed (re-stored) results round-trip byte-identical to
 //     the fault-free reference.
 //
@@ -29,6 +30,8 @@ package crash
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,6 +47,12 @@ import (
 // svcDir is the simulated service directory; journal and results live
 // under it exactly as they do under a real rmscaled -dir.
 const svcDir = "/svc"
+
+// resultsDir and resultLog locate the store's disk tier under svcDir.
+const (
+	resultsDir = svcDir + "/results"
+	resultLog  = resultsDir + "/results.log"
+)
 
 // fingerprint guards the harness's journal format.
 const fingerprint = "crashtest/v1"
@@ -227,18 +236,58 @@ func (o *oracle) weaken(ids ...string) {
 	}
 }
 
-// rot corrupts id's stored payload in place, as a decaying disk
-// would; sync controls whether the damage itself is flushed.
+// rot damages id's record inside the result log in place, as a
+// decaying disk would: four payload characters change, the line's
+// framing and the other records do not, so only id is weakened. sync
+// controls whether the damage itself is flushed.
 func (o *oracle) rot(id string, sync bool) {
 	o.weaken(id)
-	f, err := o.fs.OpenFile(svcDir+"/results/"+id+".json", os.O_WRONLY|os.O_TRUNC, 0o644)
+	raw, err := o.fs.ReadFile(resultLog)
 	must(err)
-	_, err = f.Write([]byte(`{"rotted":"` + id + `"}` + "\n"))
-	must(err)
-	if sync {
-		must(f.Sync())
+	rec := bytes.Index(raw, []byte(`{"id":"`+id+`"`))
+	data := bytes.Index(raw[max(rec, 0):], []byte(`"data":"`))
+	if rec < 0 || data < 0 {
+		must(fmt.Errorf("rot: no logged payload for %s", id))
 	}
+	must(o.fs.Overwrite(resultLog, rec+data+len(`"data":"`), []byte("AAAA")))
+	if sync {
+		f, err := o.fs.OpenFile(resultLog, os.O_WRONLY, 0o644)
+		must(err)
+		must(f.Sync())
+		must(f.Close())
+	}
+}
+
+// legacyPair writes id's payload the way the earlier store generation
+// did — an atomic payload file, then (when sidecar) an atomic SHA-256
+// sidecar — and acknowledges it once that store's Put would have
+// returned.
+func (o *oracle) legacyPair(id string, size int, sidecar bool) {
+	b := payloadBytes(id, size)
+	o.storeRef[id] = b
+	must(o.fs.WriteFileAtomic(resultsDir+"/"+id+".json", b, 0o644))
+	if sidecar {
+		must(o.fs.WriteFileAtomic(resultsDir+"/"+id+".json.sha256", []byte(sha256Hex(b)+"\n"), 0o644))
+	}
+	o.storeAck[id] = o.fs.OpCount()
+}
+
+// legacyRot damages a stored legacy payload in place and flushes the
+// damage, so its sidecar no longer matches. The reference keeps the
+// true bytes, so serving the damaged ones is a finding.
+func (o *oracle) legacyRot(id string) {
+	o.weaken(id)
+	path := resultsDir + "/" + id + ".json"
+	must(o.fs.Overwrite(path, 2, []byte("XXXX")))
+	f, err := o.fs.OpenFile(path, os.O_WRONLY, 0o644)
+	must(err)
+	must(f.Sync())
 	must(f.Close())
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // workloads returns the canonical scenarios in reporting order.
@@ -276,8 +325,9 @@ func workloads() []*workload {
 			},
 		},
 		{
-			// LRU GC under a tight bound: eviction removes disk pairs,
-			// which weakens the survival guarantee for the evicted.
+			// LRU GC under a tight bound: eviction appends tombstones
+			// and compaction rewrites the log, which weakens the
+			// survival guarantee for the evicted.
 			name:       "gc-eviction",
 			maxResults: 2,
 			run: func(o *oracle) {
@@ -293,14 +343,16 @@ func workloads() []*workload {
 					o.put(st, id, 30+50*k)
 					stored = append(stored, id)
 				}
-				// A read reshuffles LRU order; promotion may evict too.
+				// A read reshuffles LRU order, so the next eviction
+				// takes gc04, not gc03.
+				st.Get("gc03")
 				o.weaken(stored...)
-				st.Get("gc00")
+				o.put(st, "gc05", 60)
 			},
 		},
 		{
-			// Disk corruption: reads quarantine rotted pairs, and the
-			// quarantine bound evicts the oldest beyond the cap.
+			// Disk corruption: the replay quarantines rotted records,
+			// and the quarantine bound evicts the oldest beyond the cap.
 			name:          "quarantine",
 			maxQuarantine: 2,
 			run: func(o *oracle) {
@@ -312,17 +364,14 @@ func workloads() []*workload {
 				o.rot("qaa", true)
 				o.rot("qbb", true)
 				o.rot("qcc", false) // damage still in the page cache
-				// Fresh store = empty memory tier: reads verify disk and
-				// quarantine the rot; the third quarantine exceeds the
-				// cap and evicts the oldest.
-				st2 := o.openStore()
-				for _, id := range ids {
-					st2.Get(id)
-				}
+				// A fresh store replays the log: each rotted record fails
+				// its checksum and is quarantined, the third exceeds the
+				// cap and evicts the oldest, and the log is rewritten.
+				o.openStore()
 			},
 		},
 		{
-			// Drain and restart: close, reopen, audit, keep working —
+			// Drain and restart: close, reopen, replay, keep working —
 			// the daemon lifecycle across incarnations.
 			name: "drain-restart",
 			run: func(o *oracle) {
@@ -335,10 +384,32 @@ func workloads() []*workload {
 				must(j.Close())
 				j2 := o.openJournal()
 				st2 := o.openStore()
-				st2.Audit()
 				o.record(j2, "runc", 80)
 				o.put(st2, "runc", 220)
 				must(j2.Close())
+			},
+		},
+		{
+			// A directory an earlier store generation wrote: payload +
+			// sidecar pairs, a payload whose sidecar never landed, a
+			// corrupt pair and an orphaned temp file. Opening folds the
+			// valid payloads into the log, quarantines the corrupt pair
+			// and removes every legacy file; the store keeps working.
+			name: "legacy-import",
+			run: func(o *oracle) {
+				must(o.fs.MkdirAll(resultsDir, 0o755))
+				o.legacyPair("lgaa", 60, true)
+				o.legacyPair("lgbb", 140, true)
+				o.legacyPair("lgcc", 90, false)
+				o.legacyPair("lgdd", 70, true)
+				o.legacyRot("lgdd")
+				f, err := o.fs.OpenFile(resultsDir+"/.lgee.json.tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
+				must(err)
+				_, err = f.Write([]byte(`{"partial":`))
+				must(err)
+				must(f.Close())
+				st := o.openStore()
+				o.put(st, "lgff", 110)
 			},
 		},
 	}
@@ -497,7 +568,6 @@ func checkState(o *oracle, v crashfs.Variant, prefix int, rep *Report, wrep *Wor
 	// Store: never serve wrong bytes; never lose an acknowledged,
 	// unweakened result; keep the quarantine bounded.
 	st := o.openStoreOn(disk)
-	st.Audit()
 	missing := []string{}
 	for _, id := range sortedKeys(o.storeRef) {
 		ref := o.storeRef[id]
@@ -528,13 +598,16 @@ func checkState(o *oracle, v crashfs.Variant, prefix int, rep *Report, wrep *Wor
 	}
 
 	// Idempotence: recovering twice from the same image must leave the
-	// disk byte-identical to recovering once.
+	// disk byte-identical to recovering once, and the second store open
+	// must find nothing to repair.
 	d2 := o.fs.Materialize(v)
 	o.recoverOn(d2)
 	s1 := d2.Snapshot()
-	o.recoverOn(d2)
+	a := o.recoverOn(d2)
 	s2 := d2.Snapshot()
 	ck(snapshotsEqual(s1, s2), "recovery is not idempotent: second recovery changed the disk")
+	ck(!a.Rewritten && a.Imported == 0 && a.Quarantined == 0 && a.TempsCleaned == 0,
+		"recovery is not idempotent: second store open repaired again: %+v", a)
 }
 
 // openStoreOn opens the workload-shaped store on an arbitrary disk.
@@ -550,14 +623,16 @@ func (o *oracle) openStoreOn(disk *crashfs.FS) *service.Store {
 	return st
 }
 
-// recoverOn runs one full recovery (journal open/close + store audit)
-// on disk, as a restarting daemon would.
-func (o *oracle) recoverOn(disk *crashfs.FS) {
+// recoverOn runs one full recovery (journal open/close + store open)
+// on disk, as a restarting daemon would, and returns the store's
+// open-time audit.
+func (o *oracle) recoverOn(disk *crashfs.FS) service.StoreAudit {
 	j, _, err := runner.OpenJournalFS(svcDir, fingerprint, disk)
 	must(err)
 	must(j.Close())
 	st := o.openStoreOn(disk)
-	st.Audit()
+	must(st.Close())
+	return st.Audit()
 }
 
 // journalOracle independently derives, from the raw bytes of a

@@ -17,8 +17,8 @@ func TestHarnessPassesOnCurrentCode(t *testing.T) {
 		t.Fatalf("crash enumeration found %d invariant violations; first: %v",
 			rep.FailureCount, rep.Failures[:min(3, len(rep.Failures))])
 	}
-	if len(rep.Workloads) != 5 {
-		t.Fatalf("ran %d workloads, want 5", len(rep.Workloads))
+	if len(rep.Workloads) != len(workloads()) {
+		t.Fatalf("ran %d workloads, want all %d", len(rep.Workloads), len(workloads()))
 	}
 	if rep.CrashPoints < 100 || rep.Checks < 1000 {
 		t.Fatalf("enumeration suspiciously small: %d crash points, %d checks", rep.CrashPoints, rep.Checks)

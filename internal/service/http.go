@@ -15,7 +15,8 @@ import (
 //
 //	POST /v1/experiments          submit an ExperimentSpec
 //	                              202 accepted {Status}; 200 dedup-done
-//	                              {Status}; 400 invalid spec; 429 queue
+//	                              {Status}; 400 invalid spec or unknown
+//	                              field; 413 body over 1 MiB; 429 queue
 //	                              saturated (Retry-After); 503 draining
 //	GET  /v1/experiments/{id}         poll status {Status}
 //	GET  /v1/experiments/{id}/result  fetch the stored result payload
@@ -38,6 +39,9 @@ func NewServer(d *Daemon) *Server { return &Server{d: d} }
 
 // retryAfterSec is the backoff hint sent with 429 and 503 responses.
 const retryAfterSec = 1
+
+// maxSpecBytes bounds a submission body.
+const maxSpecBytes = 1 << 20
 
 // Handler returns the service's HTTP handler with request logging
 // wired around every route.
@@ -80,14 +84,33 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads exactly one ExperimentSpec object from the body. A
+// misspelt field is an error, not a silently defaulted one, and so is
+// anything after the object.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (ExperimentSpec, error) {
 	var spec ExperimentSpec
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
 	}
-	if err := json.Unmarshal(body, &spec); err != nil {
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("unexpected data after the spec object")
+		}
+		return spec, err
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(w, r)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("spec body exceeds the %d-byte limit", tooBig.Limit)})
+		return
+	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding spec: %v", err)})
 		return
 	}
@@ -206,8 +229,12 @@ func (r *statusRecorder) Flush() {
 }
 
 // logRequests emits one structured JSON line per request through the
-// daemon's event log.
+// daemon's event log. Without a log it returns next itself, so an
+// unlogged daemon pays nothing per request.
 func (s *Server) logRequests(next http.Handler) http.Handler {
+	if s.d.cfg.Log == nil {
+		return next
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := s.d.clock.Now()
 		rec := &statusRecorder{ResponseWriter: w}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -18,15 +19,25 @@ import (
 	"rmscale/internal/fsutil"
 )
 
-// flakyWriteFS fails durable file writes (the store's path) while
-// letting journal appends and every other op through — a disk that
-// corrupts new files but still appends.
+// isResultLog reports whether f is the result store's log.
+func isResultLog(f fsutil.File) bool { return filepath.Base(f.Name()) == logName }
+
+// flakyWriteFS fails the store's durable writes (result log appends
+// and atomic rewrites) while letting journal appends and every other
+// op through.
 type flakyWriteFS struct {
 	fsutil.RealFS
 	err error
 }
 
 func (f flakyWriteFS) WriteFileAtomic(string, []byte, os.FileMode) error { return f.err }
+
+func (f flakyWriteFS) AppendSync(file fsutil.File, b []byte) error {
+	if isResultLog(file) {
+		return f.err
+	}
+	return f.RealFS.AppendSync(file, b)
+}
 
 // appendFailFS fails journal appends while letting store writes
 // through — durability lost mid-flight.
@@ -35,7 +46,12 @@ type appendFailFS struct {
 	err error
 }
 
-func (f appendFailFS) AppendSync(fsutil.File, []byte) error { return f.err }
+func (f appendFailFS) AppendSync(file fsutil.File, b []byte) error {
+	if isResultLog(file) {
+		return f.RealFS.AppendSync(file, b)
+	}
+	return f.err
+}
 
 // TestHTTPStreamClientDisconnectReleasesHandler pins the streaming
 // leak fix: a client hanging up mid-stream must release its parked

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -273,4 +275,159 @@ func TestHTTPResultStates(t *testing.T) {
 	}
 	close(release)
 	waitTerminal(t, d, st.ID)
+}
+
+// postBody posts a raw submission body.
+func postBody(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/experiments", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, b
+}
+
+// TestHTTPSubmitRefusesWhatItCannotHonour: an oversized body is
+// refused with 413 naming the limit, a misspelt field or trailing
+// bytes with 400 naming the problem — none of them is queued — and a
+// valid spec still answers 202, then 200 on its dedup.
+func TestHTTPSubmitRefusesWhatItCannotHonour(t *testing.T) {
+	d, err := New(Config{Shards: 1, Exec: fakeExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(NewServer(d).Handler())
+	defer srv.Close()
+
+	huge := append([]byte(`{"kind":"sim","model":"LOWEST","seed":1,"pad":"`), bytes.Repeat([]byte("x"), 2<<20)...)
+	huge = append(huge, `"}`...)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		code int
+		says string
+	}{
+		{"oversized", huge, http.StatusRequestEntityTooLarge, "1048576"},
+		{"misspelt field", []byte(`{"kind":"sim","model":"LOWEST","seed":1,"horizion":500}`), http.StatusBadRequest, `unknown field \"horizion`},
+		{"trailing object", []byte(`{"kind":"sim","model":"LOWEST","seed":1} {}`), http.StatusBadRequest, "after the spec"},
+		{"trailing garbage", []byte(`{"kind":"sim","model":"LOWEST","seed":1}x`), http.StatusBadRequest, "decoding spec"},
+	} {
+		resp, body := postBody(t, srv.URL, tc.body)
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.says) {
+			t.Errorf("%s: HTTP %d %s, want %d naming %s", tc.name, resp.StatusCode, body, tc.code, tc.says)
+		}
+	}
+	if s := d.Stats(); s.Submitted != 0 {
+		t.Fatalf("refused bodies were accepted: submitted = %d", s.Submitted)
+	}
+
+	valid := []byte(`{"kind":"sim","model":"LOWEST","seed":1,"horizon":500}` + "\n")
+	resp, body := postBody(t, srv.URL, valid)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid spec: HTTP %d %s, want 202", resp.StatusCode, body)
+	}
+	var st Status
+	mustDecode(t, body, &st)
+	if st.Spec.Horizon != 500 {
+		t.Fatalf("accepted spec %+v lost its horizon", st.Spec)
+	}
+	waitTerminal(t, d, st.ID)
+	if resp, body := postBody(t, srv.URL, valid); resp.StatusCode != http.StatusOK {
+		t.Fatalf("dedup of a done spec: HTTP %d %s, want 200", resp.StatusCode, body)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so allocation
+// counts see only the handler's own work.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestLogRequestsFreeWithoutLog: a daemon without a log hands each
+// request straight to the handler, so request logging allocates
+// nothing on top of it.
+func TestLogRequestsFreeWithoutLog(t *testing.T) {
+	d, err := New(Config{Shards: 1, Exec: fakeExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, d.Health())
+	})
+	w := &discardWriter{h: http.Header{}}
+	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
+	bare := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) })
+	logged := NewServer(d).logRequests(h)
+	if got := testing.AllocsPerRun(100, func() { logged.ServeHTTP(w, req) }); got != bare {
+		t.Fatalf("logRequests(h) allocates %.0f per request without a log, h alone %.0f", got, bare)
+	}
+}
+
+// lockedBuffer is a log sink safe for the daemon's goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) lines() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return strings.Split(strings.TrimSpace(b.buf.String()), "\n")
+}
+
+// TestLogRequestsWritesOneLine: with a log, each request writes one
+// "http" line carrying its method, path, status, bytes, duration and
+// client.
+func TestLogRequestsWritesOneLine(t *testing.T) {
+	var log lockedBuffer
+	d, err := New(Config{Shards: 1, Exec: fakeExec, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(NewServer(d).Handler())
+	defer srv.Close()
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Rmscale-Client", "probe")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	var got []map[string]any
+	for _, line := range log.lines() {
+		var ev map[string]any
+		mustDecode(t, []byte(line), &ev)
+		if ev["event"] == "http" {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("one request logged %d http lines: %v", len(got), got)
+	}
+	ev := got[0]
+	if ev["method"] != "GET" || ev["path"] != "/v1/healthz" || ev["status"] != float64(200) ||
+		ev["bytes"] != float64(n) || ev["client"] != "probe" {
+		t.Fatalf("http line = %v, want GET /v1/healthz 200 %d bytes from probe", ev, n)
+	}
+	if ms, ok := ev["dur_ms"].(float64); !ok || ms < 0 {
+		t.Fatalf("http line dur_ms = %v", ev["dur_ms"])
+	}
 }

@@ -33,12 +33,9 @@ func TestRestartReexecutesCorruptResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Damage the stored payload (bit rot, torn write) but leave its
-	// sidecar: the restart must detect the mismatch.
-	path := filepath.Join(dir, "results", st.ID+".json")
-	if err := os.WriteFile(path, append([]byte("damaged"), want...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Damage the logged payload (bit rot) under its old checksum: the
+	// restart's replay must detect the mismatch.
+	corruptOnDisk(t, dir, st.ID)
 
 	d2, err := New(Config{Dir: dir, Shards: 1, Exec: fakeExec})
 	if err != nil {
@@ -114,8 +111,7 @@ func TestRestartTruncatedJournalTail(t *testing.T) {
 	}
 	// Remove B's stored result too: the torn record must not resurrect
 	// it, and a resubmission must recompute identical bytes.
-	os.Remove(filepath.Join(dir, "results", stB.ID+".json"))
-	os.Remove(filepath.Join(dir, "results", stB.ID+".json.sha256"))
+	editLogRecord(t, dir, stB.ID, func([]byte) []byte { return nil })
 
 	d2, err := New(Config{Dir: dir, Shards: 1, Exec: exec})
 	if err != nil {

@@ -10,11 +10,13 @@
 //
 //   - identical specs from any number of clients dedupe to one
 //     execution, sharing one stored, byte-identical result;
-//   - the result store is immutable and shareable — an ID's payload
-//     never changes once written;
+//   - the result store is immutable — an ID's payload never changes
+//     once written; a disk-backed daemon commits each result with one
+//     synced append to its result log and serves every read from
+//     memory;
 //   - a restart resumes from the submission journal: accepted-but-
 //     unfinished experiments re-queue, finished ones are served from
-//     the store.
+//     the store, rebuilt from the result log.
 //
 // Production concerns are layered on top: a bounded job queue with
 // admission control (saturation is refused, not buffered), per-client
@@ -110,11 +112,11 @@ type Stats struct {
 	BreakerTrips    int64  `json:"breaker_trips"`              // times the circuit breaker opened
 	BreakerOpen     bool   `json:"breaker_open"`               // breaker currently shedding
 	Shed            int64  `json:"shed"`                       // submissions shed by the open breaker
-	Reexecuted      int64  `json:"reexecuted"`                 // done experiments re-queued after their result was lost (corrupt or evicted)
-	CorruptResults  int64  `json:"corrupt_results"`            // store entries that failed checksum verification (quarantined)
+	Reexecuted      int64  `json:"reexecuted"`                 // done experiments re-queued after GC evicted their result
+	CorruptResults  int64  `json:"corrupt_results"`            // stored results that failed checksum verification at open (quarantined)
 	EvictedResults  int64  `json:"evicted_results"`            // store entries evicted by GC
-	QuarantineLen   int    `json:"quarantine_len"`             // corrupt pairs currently held in quarantine
-	QuarantineGC    int64  `json:"quarantine_evicted"`         // quarantined pairs dropped by the quarantine bound
+	QuarantineLen   int    `json:"quarantine_len"`             // corrupt results currently held in quarantine
+	QuarantineGC    int64  `json:"quarantine_evicted"`         // quarantined results dropped by the quarantine bound
 	StoreBytes      int64  `json:"store_bytes"`                // memory-tier payload bytes
 	JournalDropped  int    `json:"journal_dropped"`            // corrupt journal tail lines dropped at startup
 	JournalSkipped  int    `json:"journal_skipped"`            // malformed journal records skipped at startup
@@ -178,7 +180,7 @@ type Config struct {
 	StoreMaxResults int
 	StoreMaxBytes   int64
 	StoreMaxAge     time.Duration
-	// StoreMaxQuarantine bounds the quarantine directory (oldest pairs
+	// StoreMaxQuarantine bounds the quarantine directory (oldest entries
 	// evicted first); <= 0 picks DefaultMaxQuarantine.
 	StoreMaxQuarantine int
 }
@@ -251,13 +253,14 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.cond = sync.NewCond(&d.mu)
 	if cfg.Dir != "" {
-		// Audit the disk tier before replaying the journal: corrupt
-		// entries are quarantined and orphaned temp files swept now, so
-		// resume sees the healed disk and the recovery summary below
-		// reports what a crash actually cost.
+		// NewStore has already replayed the result log: corrupt records
+		// are quarantined and orphaned temp files swept, so resume sees
+		// the healed store and the recovery summary below reports what
+		// a crash actually cost.
 		audit := store.Audit()
 		j, _, err := runner.OpenJournalFS(cfg.Dir, journalFingerprint, cfg.FS)
 		if err != nil {
+			store.Close()
 			return nil, err
 		}
 		d.journal = j
@@ -267,6 +270,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		if err := d.resume(); err != nil {
 			j.Close()
+			store.Close()
 			return nil, err
 		}
 		d.logEvent("recovery", map[string]any{
@@ -275,8 +279,9 @@ func New(cfg Config) (*Daemon, error) {
 			"journal_skipped":   d.stats.JournalSkipped,
 			"resumed":           d.stats.Resumed,
 			"store_verified":    audit.Verified,
+			"store_imported":    audit.Imported,
 			"store_quarantined": audit.Quarantined,
-			"store_backfilled":  audit.Backfilled,
+			"store_rewritten":   audit.Rewritten,
 			"temps_cleaned":     audit.TempsCleaned,
 		})
 	}
@@ -297,8 +302,9 @@ func New(cfg Config) (*Daemon, error) {
 // (bypassing admission control — it was admitted by the daemon
 // incarnation that journaled it), and finished ones are registered as
 // done so status and result queries keep answering across restarts.
-// Store.Has verifies disk checksums, so an experiment whose stored
-// result was corrupted re-executes instead of serving damaged bytes.
+// A result whose log record failed its checksum never reached the
+// store's memory tier, so that experiment re-executes instead of
+// serving damaged bytes.
 //
 // Malformed records — valid JSON lines that are not this daemon's
 // submissions, or whose spec no longer hashes to its own ID — are
@@ -359,15 +365,15 @@ func (d *Daemon) Submit(spec ExperimentSpec, client string) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	//lint:allow locksafe admission is atomic end to end: the dedup check, store probe, journal append and enqueue must decide as one unit, and the IO involved is one bounded read plus one appended line
+	//lint:allow locksafe admission is atomic end to end: the dedup check, store probe, journal append and enqueue must decide as one unit, and the IO involved is one appended line
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if e, ok := d.exps[id]; ok && e.State != StateFailed {
 		return d.dedupLocked(e), nil
 	}
 	if d.store.Has(id) {
-		// Stored by a previous daemon incarnation (or a sibling sharing
-		// the directory) that we have no in-process record of.
+		// Stored by a previous daemon incarnation that we have no
+		// in-process record of.
 		e := &Experiment{ID: id, Spec: spec, Client: client, State: StateDone}
 		d.exps[id] = e
 		return d.dedupLocked(e), nil
@@ -450,13 +456,15 @@ func (d *Daemon) afterEnqueueLocked(e *Experiment, client string, retry bool) {
 	if depth := d.queue.depth(); depth > d.stats.MaxQueueDepth {
 		d.stats.MaxQueueDepth = depth
 	}
-	event := "submit"
-	if retry {
-		event = "retry"
+	if d.cfg.Log != nil {
+		event := "submit"
+		if retry {
+			event = "retry"
+		}
+		d.logEvent(event, map[string]any{
+			"id": e.ID, "client": client, "spec": e.Spec.String(), "queue_depth": d.queue.depth(),
+		})
 	}
-	d.logEvent(event, map[string]any{
-		"id": e.ID, "client": client, "spec": e.Spec.String(), "queue_depth": d.queue.depth(),
-	})
 	d.cond.Broadcast()
 }
 
@@ -491,11 +499,11 @@ func (d *Daemon) statusLocked(e *Experiment) Status {
 // Result returns the stored result payload for a done experiment.
 //
 // Self-healing: a done experiment whose payload is no longer servable
-// — quarantined after failing checksum verification, or evicted by
-// store GC — is re-queued for execution on the spot (bypassing
-// admission control: it was admitted once already). The caller sees a
-// miss now and the byte-identical recomputed result after the re-run,
-// because the payload is a pure function of the content address.
+// — evicted by store GC — is re-queued for execution on the spot
+// (bypassing admission control: it was admitted once already). The
+// caller sees a miss now and the byte-identical recomputed result
+// after the re-run, because the payload is a pure function of the
+// content address.
 func (d *Daemon) Result(id string) ([]byte, bool) {
 	if b, ok := d.store.Get(id); ok {
 		return b, true
@@ -680,7 +688,9 @@ func (d *Daemon) shard(i int) {
 		if e == nil {
 			return
 		}
-		d.logEvent("exec", map[string]any{"shard": i, "id": e.ID, "spec": e.Spec.String()})
+		if d.cfg.Log != nil {
+			d.logEvent("exec", map[string]any{"shard": i, "id": e.ID, "spec": e.Spec.String()})
+		}
 		b, err := d.supervisedExec(i, e)
 		if err == nil {
 			d.store.Put(e.ID, b)
@@ -702,7 +712,9 @@ func (d *Daemon) shard(i int) {
 		} else {
 			e.State = StateDone
 			d.stats.Completed++
-			d.logEvent("done", map[string]any{"shard": i, "id": e.ID, "bytes": len(b)})
+			if d.cfg.Log != nil {
+				d.logEvent("done", map[string]any{"shard": i, "id": e.ID, "bytes": len(b)})
+			}
 		}
 		d.cond.Broadcast()
 		d.mu.Unlock()
@@ -726,8 +738,8 @@ func (d *Daemon) Drain() {
 	d.wg.Wait()
 }
 
-// Close drains the daemon and releases the journal. Safe to call more
-// than once.
+// Close drains the daemon and releases the journal and the result
+// log. Safe to call more than once.
 func (d *Daemon) Close() error {
 	d.Drain()
 	d.mu.Lock()
@@ -737,14 +749,19 @@ func (d *Daemon) Close() error {
 	d.journal = nil
 	d.mu.Unlock()
 	d.logEvent("close", nil)
+	err := d.store.Close()
 	if j != nil {
-		return j.Close()
+		if jerr := j.Close(); err == nil {
+			err = jerr
+		}
 	}
-	return nil
+	return err
 }
 
 // logEvent writes one structured JSON log line. Field maps marshal
-// with sorted keys, so log output is stable for tests.
+// with sorted keys, so log output is stable for tests. Per-experiment
+// call sites check cfg.Log first, so a daemon without a log builds no
+// field maps.
 func (d *Daemon) logEvent(event string, fields map[string]any) {
 	if d.cfg.Log == nil {
 		return

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,32 +19,47 @@ import (
 	"rmscale/internal/fsutil"
 )
 
+// logName is the result log inside DIR/results.
+const logName = "results.log"
+
 // Store is the shared result store: a content-addressed map from
-// experiment ID to result payload, with a memory tier and an optional
-// disk tier under dir/results. Because IDs are content addresses,
-// a payload is immutable once written — Put never changes the bytes
-// under an existing ID — so clients may cache fetched results forever
-// and two daemons pointed at one directory serve identical bytes.
+// experiment ID to result payload. The memory tier answers every Get
+// and Has. A disk-backed store also commits each result to one
+// append-only log, DIR/results/results.log, and rebuilds the memory
+// tier from it when it opens. Because IDs are content addresses, a
+// payload is immutable once written — Put never changes the bytes
+// under an existing ID — so clients may cache fetched results
+// forever. One daemon owns a directory, as the submission journal
+// already assumes.
 //
-// Integrity and lifecycle, layered on since the first version:
+// Integrity and lifecycle:
 //
-//   - every payload carries a SHA-256 sidecar (<id>.json.sha256); disk
-//     reads verify it and a mismatch quarantines the pair under
-//     dir/results/quarantine instead of serving the bytes — the daemon
-//     re-executes the spec on demand, which is safe precisely because
-//     the payload is a pure function of the ID;
+//   - each result is one JSON line {"id","sum","data"} committed with
+//     a single synced append; sum is the SHA-256 over the ID and the
+//     payload, so neither damaged bytes nor a damaged ID are ever
+//     served. The open-time replay quarantines such a line under
+//     DIR/results/quarantine and the daemon re-executes the spec on
+//     demand, which is safe precisely because the payload is a pure
+//     function of the ID. Line framing confines the damage: replay
+//     resynchronises at the next newline, and a torn final line (a
+//     crash mid-append) was never acknowledged;
+//   - whenever the log is not exactly its live records (a torn or
+//     damaged line, superseded records, tombstones, imported legacy
+//     files) it is rewritten once at open with fsutil.WriteAtomic, so
+//     a second recovery changes nothing; the same rewrite runs when
+//     dead bytes outweigh live ones, so the GC bounds bound the disk;
 //   - disk IO errors degrade the store to memory-only instead of
 //     failing requests: results stay servable for this incarnation,
 //     durability is surfaced as a health condition, not an outage;
 //   - optional GC (max results / max bytes / max age) evicts in
-//     least-recently-used order. Eviction is safe against in-flight
-//     fetches: a fetched slice stays valid (payloads are never
-//     mutated), and an evicted entry simply re-executes on its next
-//     submission.
+//     least-recently-used order and appends an unsynced tombstone per
+//     eviction. Eviction is safe against in-flight fetches: a fetched
+//     slice stays valid (payloads are never mutated), and an evicted
+//     entry simply re-executes on its next submission.
 type Store struct {
 	// Configuration, immutable after NewStore: declared above the
 	// mutex so the guarded-field discipline (locksafe) does not bind
-	// lock-free readers like payloadPath and readDisk to it.
+	// lock-free readers to it.
 	dir           string // "" = memory only
 	clock         Clock
 	fs            fsutil.FS
@@ -47,6 +67,8 @@ type Store struct {
 	maxBytes      int64
 	maxAge        time.Duration
 	maxQuarantine int
+	log           *resultLog // nil = memory only
+	audit         StoreAudit // the open-time replay
 
 	mu       sync.Mutex
 	mem      map[string]*storeEntry
@@ -55,8 +77,8 @@ type Store struct {
 	evicted  int64
 	corrupt  int64
 	qseq     int64  // last quarantine sequence number issued
-	qlen     int    // quarantined pairs currently on disk
-	qevicted int64  // quarantined pairs evicted by the bound
+	qlen     int    // quarantined entries currently on disk
+	qevicted int64  // quarantined entries evicted by the bound
 	degraded string // non-empty: disk tier is offline (mem-only mode)
 }
 
@@ -64,7 +86,68 @@ type Store struct {
 type storeEntry struct {
 	b       []byte
 	lastUse int64     // access sequence number
-	at      time.Time // when the payload was stored or promoted
+	at      time.Time // when the payload was stored or loaded
+}
+
+// entryRef is an ID with its payload: an entry GC evicted, awaiting
+// its tombstone, or a live one being rewritten into the log.
+type entryRef struct {
+	id string
+	b  []byte
+}
+
+// resultLog is the disk tier: the append handle of results.log and
+// the byte accounting that triggers compaction. Its mutex serialises
+// every log write, so records land in the order Put decided them
+// under Store.mu; Get, Has and dedup answers never take it.
+type resultLog struct {
+	path string
+
+	mu   sync.Mutex
+	f    fsutil.File // nil until the log exists and is open
+	live int64       // bytes of live records in the log
+	dead int64       // bytes of evicted records and tombstones
+}
+
+// logRecord is one line of results.log. A tombstone (Del) carries no
+// payload: it records an eviction.
+type logRecord struct {
+	ID   string `json:"id"`
+	Del  bool   `json:"del,omitempty"`
+	Sum  string `json:"sum"`
+	Data []byte `json:"data,omitempty"`
+}
+
+// recordSum is the checksum a log line carries: SHA-256 over a kind
+// byte, the ID, a NUL and the payload. Covering the ID means a line
+// whose ID was damaged cannot serve its bytes under another ID.
+func recordSum(id string, del bool, data []byte) string {
+	kind := byte('P')
+	if del {
+		kind = 'D'
+	}
+	h := sha256.New()
+	h.Write([]byte{kind})
+	h.Write([]byte(id))
+	h.Write([]byte{0})
+	h.Write(data)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// encodeRecord renders one log line, newline included.
+func encodeRecord(id string, del bool, data []byte) []byte {
+	// A struct of strings, a bool and bytes always marshals.
+	b, _ := json.Marshal(logRecord{ID: id, Del: del, Sum: recordSum(id, del, data), Data: data})
+	return append(b, '\n')
+}
+
+// decodeRecord parses and verifies one log line (without its newline).
+func decodeRecord(line []byte) (logRecord, bool) {
+	var r logRecord
+	if json.Unmarshal(line, &r) != nil || r.ID == "" || r.Sum != recordSum(r.ID, r.Del, r.Data) {
+		return logRecord{}, false
+	}
+	return r, true
 }
 
 // StoreConfig parameterizes a Store beyond its directory.
@@ -73,14 +156,14 @@ type StoreConfig struct {
 	Dir string
 	// MaxResults bounds how many payloads are retained; <= 0 is
 	// unlimited. Over the bound, least-recently-used entries are
-	// evicted (memory and disk).
+	// evicted (memory and log).
 	MaxResults int
 	// MaxBytes bounds the memory-tier payload bytes; <= 0 unlimited.
 	MaxBytes int64
-	// MaxAge evicts entries not stored/promoted within the window;
+	// MaxAge evicts entries not stored or loaded within the window;
 	// <= 0 unlimited.
 	MaxAge time.Duration
-	// MaxQuarantine bounds how many corrupt pairs the quarantine
+	// MaxQuarantine bounds how many corrupt entries the quarantine
 	// directory retains; beyond it the oldest are deleted. <= 0 picks
 	// the default (64) — the quarantine exists for forensics on recent
 	// corruption and must not grow without limit on a flaky disk.
@@ -107,256 +190,437 @@ type StoreStats struct {
 }
 
 // NewStore returns a store persisting under cfg.Dir/results, or a
-// purely in-memory store when cfg.Dir is empty.
+// purely in-memory store when cfg.Dir is empty. A disk-backed store
+// replays its log (and adopts any legacy files) before it returns; an
+// IO error there degrades it to memory-only rather than failing.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = realClock{}
 	}
-	fs := cfg.FS
-	if fs == nil {
-		fs = fsutil.RealFS{}
+	fsys := cfg.FS
+	if fsys == nil {
+		fsys = fsutil.RealFS{}
 	}
 	maxQ := cfg.MaxQuarantine
 	if maxQ <= 0 {
 		maxQ = DefaultMaxQuarantine
 	}
-	dir := ""
-	var qseq int64
-	var qlen int
-	if cfg.Dir != "" {
-		dir = filepath.Join(cfg.Dir, "results")
-		if err := fs.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: result store dir: %w", err)
-		}
-		qseq, qlen = scanQuarantine(fs, filepath.Join(dir, "quarantine"))
-	}
-	return &Store{
+	s := &Store{
 		mem:           make(map[string]*storeEntry),
 		clock:         clock,
-		fs:            fs,
-		dir:           dir,
+		fs:            fsys,
 		maxResults:    cfg.MaxResults,
 		maxBytes:      cfg.MaxBytes,
 		maxAge:        cfg.MaxAge,
 		maxQuarantine: maxQ,
-		qseq:          qseq,
-		qlen:          qlen,
-	}, nil
+	}
+	if cfg.Dir == "" {
+		return s, nil
+	}
+	s.dir = filepath.Join(cfg.Dir, "results")
+	if err := fsys.MkdirAll(s.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: result store dir: %w", err)
+	}
+	s.log = &resultLog{path: filepath.Join(s.dir, logName)}
+	s.open()
+	return s, nil
 }
 
-// scanQuarantine recovers the quarantine bookkeeping from disk: the
-// highest sequence number ever issued (so restarts keep names
-// monotonic and oldest-first eviction order intact) and how many
-// quarantined pairs are present.
-func scanQuarantine(fs fsutil.FS, qdir string) (qseq int64, qlen int) {
-	names, err := fs.ReadDir(qdir)
-	if err != nil {
-		return 0, 0
+// open rebuilds the memory tier from the log and any legacy files, and
+// rewrites the log once when it is not exactly its live records.
+func (s *Store) open() {
+	//lint:allow locksafe open runs inside NewStore, before the store is shared; the uncontended lock only keeps the guarded-field discipline
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.boundQuarantineLocked() // recovers the quarantine bookkeeping
+	raw, err := s.fs.ReadFile(s.log.path)
+	exists := err == nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		// A log that cannot be read must not be appended to either.
+		s.degraded = err.Error()
+		return
 	}
-	for _, n := range names {
-		if strings.HasSuffix(n, ".sha256") {
+	dirty := s.replayLocked(raw)
+	legacy := s.importLegacyLocked()
+	if len(s.gcLocked()) > 0 || s.audit.Imported > 0 {
+		dirty = true
+	}
+	var werr error
+	switch {
+	case dirty:
+		werr = s.log.rewriteLocked(s.fs, encodeLive(s.liveLocked()))
+		s.audit.Rewritten = werr == nil
+	case exists:
+		werr = s.log.reopenLocked(s.fs, int64(len(raw)))
+	}
+	if werr != nil {
+		s.degraded = werr.Error()
+	} else {
+		// The log durably holds every live record, so the legacy files
+		// can go.
+		for _, path := range legacy {
+			_ = s.fs.Remove(path)
+		}
+	}
+	s.boundQuarantineLocked()
+}
+
+// replayLocked loads the log's verified records into the memory tier
+// in log order and reports whether the log held anything but live
+// records. Callers hold s.mu.
+func (s *Store) replayLocked(raw []byte) (dirty bool) {
+	now := s.clock.Now()
+	for len(raw) > 0 {
+		i := bytes.IndexByte(raw, '\n')
+		if i < 0 {
+			return true // torn final line: its append never returned
+		}
+		line := raw[:i]
+		raw = raw[i+1:]
+		if len(line) == 0 {
+			dirty = true
 			continue
 		}
-		qlen++
-		var seq int64
-		if _, err := fmt.Sscanf(n, "q%d-", &seq); err == nil && seq > qseq {
-			qseq = seq
+		r, ok := decodeRecord(line)
+		switch {
+		case !ok:
+			dirty = true
+			s.quarantineLocked(logName, append(line[:len(line):len(line)], '\n'))
+		case r.Del:
+			dirty = true
+			if e, ok := s.mem[r.ID]; ok {
+				delete(s.mem, r.ID)
+				s.bytes -= int64(len(e.b))
+			}
+		default:
+			s.audit.Verified++
+			if old, dup := s.mem[r.ID]; dup {
+				dirty = true
+				s.bytes -= int64(len(old.b))
+			}
+			s.seq++
+			s.mem[r.ID] = &storeEntry{b: r.Data, lastUse: s.seq, at: now}
+			s.bytes += int64(len(r.Data))
 		}
 	}
-	return qseq, qlen
+	return dirty
 }
 
-// payloadPath and sumPath locate an ID's disk pair.
-func (s *Store) payloadPath(id string) string { return filepath.Join(s.dir, id+".json") }
-func (s *Store) sumPath(id string) string     { return filepath.Join(s.dir, id+".json.sha256") }
+// importLegacyLocked adopts the <id>.json / <id>.json.sha256 pairs an
+// earlier store generation wrote. A payload whose sidecar matches, or
+// one without a sidecar (a crash between the two writes), joins the
+// memory tier unless the log already holds its ID; a mismatch is
+// quarantined. Orphaned atomic-write temp files are swept. It returns
+// the legacy files to delete once the log holds their records (a
+// quarantined pair's included). Callers hold s.mu.
+func (s *Store) importLegacyLocked() (legacy []string) {
+	names, err := s.fs.ReadDir(s.dir)
+	if err != nil {
+		return nil
+	}
+	now := s.clock.Now()
+	for _, n := range names {
+		path := filepath.Join(s.dir, n)
+		switch {
+		case strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp"):
+			if s.fs.Remove(path) == nil {
+				s.audit.TempsCleaned++
+			}
+		case strings.HasSuffix(n, ".json.sha256"):
+			legacy = append(legacy, path)
+		case strings.HasSuffix(n, ".json"):
+			b, err := s.fs.ReadFile(path)
+			if err != nil {
+				continue
+			}
+			id := strings.TrimSuffix(n, ".json")
+			legacy = append(legacy, path)
+			if sum, err := s.fs.ReadFile(path + ".sha256"); err == nil && strings.TrimSpace(string(sum)) != sidecarSum(b) {
+				s.quarantineLocked(n, b)
+				continue
+			}
+			if _, ok := s.mem[id]; ok {
+				continue
+			}
+			s.seq++
+			s.mem[id] = &storeEntry{b: b, lastUse: s.seq, at: now}
+			s.bytes += int64(len(b))
+			s.audit.Imported++
+		}
+	}
+	return legacy
+}
 
-// checksum renders the payload digest the sidecar carries.
-func checksum(b []byte) string {
+// sidecarSum renders the payload digest a legacy sidecar carries.
+func sidecarSum(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// Get returns the payload stored under id. Disk hits are verified
-// against their checksum sidecar and promoted into the memory tier; a
-// corrupt pair is quarantined and reported as a miss so the daemon
-// re-executes instead of serving damaged bytes.
-func (s *Store) Get(id string) ([]byte, bool) {
-	s.mu.Lock()
-	if e, ok := s.mem[id]; ok {
-		s.seq++
-		e.lastUse = s.seq
-		b := e.b
-		s.mu.Unlock()
-		return b, true
-	}
-	s.mu.Unlock()
-	if s.dir == "" {
-		return nil, false
-	}
-	b, st := s.readDisk(id)
-	if !st.servable() {
-		return nil, false
-	}
-	//lint:allow locksafe promotion GC unlinks at most a few evicted files; it must stay atomic with the LRU accounting it rewrites
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, hit := s.mem[id]; hit { // racing promotion: keep the first
-		s.seq++
-		e.lastUse = s.seq
-		return e.b, true
-	}
-	s.seq++
-	s.mem[id] = &storeEntry{b: b, lastUse: s.seq, at: s.clock.Now()}
-	s.bytes += int64(len(b))
-	s.gcLocked()
-	return b, true
-}
+func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
-// diskState classifies what readDisk found for an ID.
-type diskState int
-
-const (
-	diskMissing    diskState = iota // no payload on disk
-	diskOK                          // payload verified against its sidecar
-	diskBackfilled                  // legacy payload adopted, sidecar written
-	diskCorrupt                     // checksum mismatch; pair quarantined
-)
-
-// servable reports whether the state carries valid payload bytes.
-func (st diskState) servable() bool { return st == diskOK || st == diskBackfilled }
-
-// readDisk loads and verifies the disk pair for id; corruption
-// quarantines it. A payload without a sidecar (written by a pre-
-// checksum store generation, or by a crash between payload and
-// sidecar writes) is accepted and its sidecar backfilled.
-func (s *Store) readDisk(id string) ([]byte, diskState) {
-	b, err := s.fs.ReadFile(s.payloadPath(id))
-	if err != nil {
-		return nil, diskMissing
-	}
-	sum, err := s.fs.ReadFile(s.sumPath(id))
-	if err != nil {
-		// Legacy entry: adopt it and give it a sidecar.
-		_ = s.fs.WriteFileAtomic(s.sumPath(id), []byte(checksum(b)+"\n"), 0o644)
-		return b, diskBackfilled
-	}
-	if strings.TrimSpace(string(sum)) != checksum(b) {
-		s.quarantine(id)
-		s.mu.Lock()
-		s.corrupt++
-		s.mu.Unlock()
-		return nil, diskCorrupt
-	}
-	return b, diskOK
-}
-
-// quarantine moves a corrupt disk pair aside so it cannot be served
-// again but stays available for forensics. Quarantined names carry a
-// monotonic sequence prefix ("q%08d-<name>") so lexicographic order
-// is arrival order, which is what lets the bound evict oldest-first.
-func (s *Store) quarantine(id string) {
-	qdir := filepath.Join(s.dir, "quarantine")
-	if err := s.fs.MkdirAll(qdir, 0o755); err != nil {
-		_ = s.fs.Remove(s.payloadPath(id))
-		_ = s.fs.Remove(s.sumPath(id))
+// quarantineLocked counts one corrupt result and keeps its bytes for
+// forensics as quarantine/q%08d-<name>, where name says where they
+// came from (the log, or a legacy payload file). The monotonic
+// sequence prefix makes the sorted listing arrival order, which is
+// what lets the bound evict oldest-first. Callers hold s.mu.
+func (s *Store) quarantineLocked(name string, data []byte) {
+	s.corrupt++
+	s.audit.Quarantined++
+	qdir := s.quarantineDir()
+	if s.fs.MkdirAll(qdir, 0o755) != nil {
 		return
 	}
-	s.mu.Lock()
 	s.qseq++
-	seq := s.qseq
-	s.qlen++
-	s.mu.Unlock()
-	for _, name := range []string{id + ".json", id + ".json.sha256"} {
-		dst := filepath.Join(qdir, fmt.Sprintf("q%08d-%s", seq, name))
-		if err := s.fs.Rename(filepath.Join(s.dir, name), dst); err != nil {
-			_ = s.fs.Remove(filepath.Join(s.dir, name))
-		}
-	}
-	s.boundQuarantine()
+	_ = s.fs.WriteFileAtomic(filepath.Join(qdir, fmt.Sprintf("q%08d-%s", s.qseq, name)), data, 0o644)
 }
 
-// boundQuarantine deletes the oldest quarantined pairs beyond
-// maxQuarantine and refreshes the quarantine accounting from the
-// directory itself (the directory is the truth after crashes or
-// concurrent quarantines).
-func (s *Store) boundQuarantine() {
-	qdir := filepath.Join(s.dir, "quarantine")
+// boundQuarantineLocked deletes the oldest quarantined entries beyond
+// maxQuarantine, sweeps temp files an interrupted quarantine copy left,
+// and refreshes the quarantine accounting from the directory itself:
+// how many entries it holds and the highest sequence number issued, so
+// restarts keep names monotonic. Earlier store generations quarantined
+// payload/sidecar pairs; a sidecar goes with its payload. Callers hold
+// s.mu.
+func (s *Store) boundQuarantineLocked() {
+	qdir := s.quarantineDir()
 	names, err := s.fs.ReadDir(qdir)
 	if err != nil {
 		return
 	}
-	var payloads []string // sorted by ReadDir; prefix makes that arrival order
+	var entries []string
 	for _, n := range names {
-		if !strings.HasSuffix(n, ".sha256") {
-			payloads = append(payloads, n)
+		switch {
+		case strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp"):
+			_ = s.fs.Remove(filepath.Join(qdir, n))
+		case strings.HasPrefix(n, "q") && !strings.HasSuffix(n, ".sha256"):
+			entries = append(entries, n)
+		}
+	}
+	if len(entries) > 0 {
+		var seq int64
+		if _, err := fmt.Sscanf(entries[len(entries)-1], "q%d", &seq); err == nil && seq > s.qseq {
+			s.qseq = seq
 		}
 	}
 	removed := 0
-	for i := 0; i < len(payloads)-s.maxQuarantine; i++ {
-		_ = s.fs.Remove(filepath.Join(qdir, payloads[i]))
-		_ = s.fs.Remove(filepath.Join(qdir, payloads[i]+".sha256"))
-		removed++
+	for ; removed < len(entries)-s.maxQuarantine; removed++ {
+		_ = s.fs.Remove(filepath.Join(qdir, entries[removed]))
+		_ = s.fs.Remove(filepath.Join(qdir, entries[removed]+".sha256"))
 	}
-	s.mu.Lock()
-	s.qlen = len(payloads) - removed
+	s.qlen = len(entries) - removed
 	s.qevicted += int64(removed)
-	s.mu.Unlock()
 }
 
-// Has reports whether a valid result is stored under id. Disk entries
-// are fully verified — a corrupt entry answers false (and is
-// quarantined), which is what makes restart resume re-execute damaged
-// work instead of trusting its completion marker.
+// Get returns the payload stored under id and marks it recently used.
+func (s *Store) Get(id string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.mem[id]
+	if !ok {
+		return nil, false
+	}
+	s.seq++
+	e.lastUse = s.seq
+	return e.b, true
+}
+
+// Has reports whether a valid result is stored under id. Corrupt log
+// records never reach the memory tier, which is what makes restart
+// resume re-execute damaged work instead of trusting its completion
+// marker.
 func (s *Store) Has(id string) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	_, ok := s.mem[id]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	if s.dir == "" {
-		return false
-	}
-	_, st := s.readDisk(id)
-	return st.servable()
+	return ok
 }
 
 // Put stores the payload under id in memory and, when disk-backed and
-// not degraded, atomically on disk with its checksum sidecar. A disk
-// IO failure (disk full, permission loss, flaky device) does not fail
-// the Put: the store drops to memory-only mode, remembers why, and the
-// daemon surfaces the condition through /healthz and /v1/stats. The
-// caller must not mutate b after the call.
+// not degraded, commits it to the log with one synced append (the
+// first Put creates the log). A Put of an ID already stored does no
+// IO. A disk IO failure (disk full, permission loss, flaky device)
+// does not fail the Put: the store drops to memory-only mode, remembers
+// why, and the daemon surfaces the condition through /healthz and
+// /v1/stats. The caller must not mutate b after the call.
 func (s *Store) Put(id string, b []byte) {
-	//lint:allow locksafe insertion GC unlinks at most a few evicted files; it must stay atomic with the LRU accounting it rewrites
-	s.mu.Lock()
-	if _, ok := s.mem[id]; !ok {
-		s.seq++
-		s.mem[id] = &storeEntry{b: b, lastUse: s.seq, at: s.clock.Now()}
-		s.bytes += int64(len(b))
-	}
-	s.gcLocked()
-	disk := s.dir != "" && s.degraded == ""
-	s.mu.Unlock()
-	if !disk {
+	if s.log == nil {
+		s.mu.Lock()
+		s.insertLocked(id, b)
+		s.mu.Unlock()
 		return
 	}
-	// Payload first, sidecar second: a crash between the two leaves a
-	// payload without sidecar, which reads as a legacy entry and gets
-	// its sidecar backfilled; the reverse order could pair a fresh
-	// sidecar with stale bytes and read as corruption.
-	err := s.fs.WriteFileAtomic(s.payloadPath(id), b, 0o644)
-	if err == nil {
-		err = s.fs.WriteFileAtomic(s.sumPath(id), []byte(checksum(b)+"\n"), 0o644)
+	//lint:allow locksafe the log mutex serialises log writes so records land in the order Put decides them under s.mu; Get, Has and dedup answers never take it, so no read waits on a flush
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	s.mu.Lock()
+	fresh, evicted := s.insertLocked(id, b)
+	s.mu.Unlock()
+	// Only a Put holding the log mutex degrades the store, so the
+	// answer cannot change before this Put writes.
+	if _, degraded := s.Degraded(); degraded {
+		return
+	}
+	err := s.log.commitLocked(s.fs, id, b, fresh, evicted)
+	if err == nil && s.log.dead > s.log.live {
+		s.mu.Lock()
+		live := s.liveLocked()
+		s.mu.Unlock()
+		err = s.log.rewriteLocked(s.fs, encodeLive(live))
 	}
 	if err != nil {
-		s.mu.Lock()
-		if s.degraded == "" {
-			s.degraded = err.Error()
-		}
-		s.mu.Unlock()
+		s.degrade(err)
 	}
+}
+
+// degrade takes the disk tier offline, keeping the first reason.
+func (s *Store) degrade(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.degraded == "" {
+		s.degraded = err.Error()
+	}
+}
+
+// insertLocked stores b under id unless the ID is already stored, then
+// runs GC. It reports whether the entry is new and survived GC (so its
+// record must be logged) and what GC evicted. Callers hold s.mu.
+func (s *Store) insertLocked(id string, b []byte) (fresh bool, evicted []entryRef) {
+	e, had := s.mem[id]
+	if !had {
+		s.seq++
+		e = &storeEntry{b: b, lastUse: s.seq, at: s.clock.Now()}
+		s.mem[id] = e
+		s.bytes += int64(len(b))
+	}
+	evicted = s.gcLocked()
+	if had || s.mem[id] == e {
+		return !had, evicted
+	}
+	// GC evicted the new entry itself; it never reached the log.
+	for i := range evicted {
+		if evicted[i].id == id {
+			evicted = append(evicted[:i], evicted[i+1:]...)
+			break
+		}
+	}
+	return false, evicted
+}
+
+// commitLocked writes one Put's lines: a tombstone per evicted entry,
+// then the new record when there is one. A record is one synced
+// append; tombstones alone are written without an fsync, since losing
+// one only resurrects a valid result. Callers hold l.mu.
+func (l *resultLog) commitLocked(fsys fsutil.FS, id string, b []byte, fresh bool, evicted []entryRef) error {
+	var out []byte
+	for _, e := range evicted {
+		tomb := encodeRecord(e.id, true, nil)
+		out = append(out, tomb...)
+		rec := int64(len(encodeRecord(e.id, false, e.b)))
+		l.live -= rec
+		l.dead += rec + int64(len(tomb))
+	}
+	var rec []byte
+	if fresh {
+		rec = encodeRecord(id, false, b)
+		out = append(out, rec...)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	if l.f == nil {
+		if err := l.createLocked(fsys); err != nil {
+			return err
+		}
+	}
+	if !fresh {
+		if _, err := l.f.Write(out); err != nil {
+			return fmt.Errorf("service: result log %s: %w", l.path, err)
+		}
+		return nil
+	}
+	if err := fsys.AppendSync(l.f, out); err != nil {
+		return err
+	}
+	l.live += int64(len(rec))
+	return nil
+}
+
+// createLocked creates the log on the first Put. The directory fsync
+// makes its entry durable before the first record is acknowledged.
+// Callers hold l.mu.
+func (l *resultLog) createLocked(fsys fsutil.FS) error {
+	f, err := fsys.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("service: result log: %w", err)
+	}
+	if err := fsys.SyncDir(filepath.Dir(l.path)); err != nil {
+		f.Close()
+		return fmt.Errorf("service: result log %s: syncing dir: %w", l.path, err)
+	}
+	l.f = f
+	return nil
+}
+
+// rewriteLocked atomically replaces the log with recs, exactly its
+// live records, and reopens it for appends. Callers hold l.mu.
+func (l *resultLog) rewriteLocked(fsys fsutil.FS, recs []byte) error {
+	if err := fsys.WriteFileAtomic(l.path, recs, 0o644); err != nil {
+		return err
+	}
+	return l.reopenLocked(fsys, int64(len(recs)))
+}
+
+// reopenLocked opens the existing log, holding live bytes of live
+// records and nothing else, for appends. Callers hold l.mu.
+func (l *resultLog) reopenLocked(fsys fsutil.FS, live int64) error {
+	if l.f != nil {
+		_ = l.f.Close() // every byte written through it was synced or is a tombstone
+		l.f = nil
+	}
+	f, err := fsys.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("service: result log: %w", err)
+	}
+	l.f, l.live, l.dead = f, live, 0
+	return nil
+}
+
+// liveLocked snapshots the memory tier least recently used first, the
+// order a rewritten log keeps so that replay restores it. Callers hold
+// s.mu.
+func (s *Store) liveLocked() []entryRef {
+	live := make([]entryRef, 0, len(s.mem))
+	for id, e := range s.mem { //lint:orderindependent entries are re-sorted by LRU order below
+		live = append(live, entryRef{id, e.b})
+	}
+	sort.Slice(live, func(i, j int) bool { return s.mem[live[i].id].lastUse < s.mem[live[j].id].lastUse })
+	return live
+}
+
+// encodeLive renders entries as log records, in order.
+func encodeLive(entries []entryRef) []byte {
+	var out []byte
+	for _, e := range entries {
+		out = append(out, encodeRecord(e.id, false, e.b)...)
+	}
+	return out
+}
+
+// Close releases the result log's file handle.
+func (s *Store) Close() error {
+	if s.log == nil {
+		return nil
+	}
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	if s.log.f == nil {
+		return nil
+	}
+	err := s.log.f.Close()
+	s.log.f = nil
+	return err
 }
 
 // Degraded reports whether the disk tier is offline and why.
@@ -367,24 +631,25 @@ func (s *Store) Degraded() (string, bool) {
 }
 
 // gcLocked evicts least-recently-used entries until the store is back
-// under its bounds. Callers hold s.mu. Eviction removes the memory
-// entry and the disk pair: an evicted ID re-executes on its next
-// submission, which content addressing makes byte-identical.
-func (s *Store) gcLocked() {
+// under its bounds and returns what it evicted, for the log's
+// tombstones: an evicted ID re-executes on its next submission, which
+// content addressing makes byte-identical. Callers hold s.mu.
+func (s *Store) gcLocked() []entryRef {
 	if s.maxResults <= 0 && s.maxBytes <= 0 && s.maxAge <= 0 {
-		return
+		return nil
 	}
-	type cand struct {
-		id      string
-		lastUse int64
-	}
-	var now time.Time
+	var evicted []entryRef
 	if s.maxAge > 0 {
-		now = s.clock.Now()
-		for id, e := range s.mem { //lint:orderindependent every expired entry is evicted regardless of visit order
+		now := s.clock.Now()
+		var expired []string
+		for id, e := range s.mem { //lint:orderindependent expired IDs are sorted before eviction
 			if now.Sub(e.at) > s.maxAge {
-				s.evictLocked(id)
+				expired = append(expired, id)
 			}
+		}
+		sort.Strings(expired)
+		for _, id := range expired {
+			evicted = append(evicted, s.evictLocked(id))
 		}
 	}
 	over := func() bool {
@@ -392,34 +657,24 @@ func (s *Store) gcLocked() {
 			(s.maxBytes > 0 && s.bytes > s.maxBytes)
 	}
 	if !over() {
-		return
+		return evicted
 	}
-	cands := make([]cand, 0, len(s.mem))
-	for id, e := range s.mem { //lint:orderindependent candidates are re-sorted by LRU order below
-		cands = append(cands, cand{id, e.lastUse})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lastUse < cands[j].lastUse })
-	for _, c := range cands {
+	for _, c := range s.liveLocked() {
 		if !over() {
-			return
+			break
 		}
-		s.evictLocked(c.id)
+		evicted = append(evicted, s.evictLocked(c.id))
 	}
+	return evicted
 }
 
-// evictLocked drops one entry from memory and disk. Callers hold s.mu.
-func (s *Store) evictLocked(id string) {
-	e, ok := s.mem[id]
-	if !ok {
-		return
-	}
+// evictLocked drops one entry from the memory tier. Callers hold s.mu.
+func (s *Store) evictLocked(id string) entryRef {
+	e := s.mem[id]
 	delete(s.mem, id)
 	s.bytes -= int64(len(e.b))
 	s.evicted++
-	if s.dir != "" {
-		_ = s.fs.Remove(s.payloadPath(id))
-		_ = s.fs.Remove(s.sumPath(id))
-	}
+	return entryRef{id, e.b}
 }
 
 // Len reports how many payloads the memory tier holds.
@@ -444,55 +699,19 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// StoreAudit summarizes one startup integrity pass over the disk
-// tier.
+// StoreAudit summarizes the open-time replay of the disk tier.
 type StoreAudit struct {
-	Verified     int `json:"verified"`      // payloads whose checksum matched (backfills included)
-	Backfilled   int `json:"backfilled"`    // payloads that were missing a sidecar and got one
-	Quarantined  int `json:"quarantined"`   // corrupt pairs moved to quarantine
-	TempsCleaned int `json:"temps_cleaned"` // orphaned atomic-write temp files removed
+	Verified     int  `json:"verified"`      // log records whose checksum matched
+	Imported     int  `json:"imported"`      // legacy payload files folded into the log
+	Quarantined  int  `json:"quarantined"`   // corrupt log lines and legacy pairs quarantined
+	TempsCleaned int  `json:"temps_cleaned"` // orphaned atomic-write temp files removed
+	Rewritten    bool `json:"rewritten"`     // the log was rewritten as exactly its live records
 }
 
-// Audit walks the disk tier once, verifying every payload against its
-// sidecar: corrupt pairs are quarantined immediately (instead of on
-// first read), sidecar-less payloads are adopted and backfilled,
-// orphaned atomic-write temp files (a crash between temp creation and
-// rename) are deleted, and the quarantine bound is re-asserted in
-// case a crash interrupted a previous eviction. It is idempotent: a
-// second pass over the same disk finds nothing to repair. The daemon
-// runs it at startup so post-crash healing happens — and is logged —
-// before the first request arrives.
-func (s *Store) Audit() StoreAudit {
-	var a StoreAudit
-	if s.dir == "" {
-		return a
-	}
-	names, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return a
-	}
-	for _, n := range names {
-		switch {
-		case strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp"):
-			if s.fs.Remove(filepath.Join(s.dir, n)) == nil {
-				a.TempsCleaned++
-			}
-		case strings.HasSuffix(n, ".json"):
-			id := strings.TrimSuffix(n, ".json")
-			switch _, st := s.readDisk(id); st {
-			case diskOK:
-				a.Verified++
-			case diskBackfilled:
-				a.Verified++
-				a.Backfilled++
-			case diskCorrupt:
-				a.Quarantined++
-			case diskMissing:
-				// Entry vanished between ReadDir and ReadFile; nothing
-				// to account.
-			}
-		}
-	}
-	s.boundQuarantine()
-	return a
-}
+// Audit reports what the open-time replay found and repaired: verified
+// records, adopted legacy files, quarantined corruption, swept temp
+// files, and whether the log was rewritten. Recovery is idempotent:
+// reopening the healed directory verifies the same records and repairs
+// nothing. The daemon logs it at startup, so post-crash healing is
+// visible before the first request arrives.
+func (s *Store) Audit() StoreAudit { return s.audit }
