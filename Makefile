@@ -48,16 +48,19 @@ race:
 	$(GO) test -race -count=1 ./internal/service/...
 
 # Kernel fuzz smoke: 30 s of coverage-guided fuzzing of the dispatch
-# loop (FuzzKernelOps against its sorted-slice reference). `go test`
-# only replays the seed corpus; this explores past it. Not part of
+# loop (FuzzKernelOps against its sorted-slice reference), then 30 s of
+# stream seeding (FuzzStreamMatchesMathRand: any sub-seed and any
+# Stream method draw exactly what math/rand draws). `go test` only
+# replays the seed corpora; this explores past them. Not part of
 # `make check`, which stays within its time budget; CI's full job runs
 # it.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzKernelOps$$' -fuzztime 30s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzStreamMatchesMathRand$$' -fuzztime 30s
 
-# Trend numbers: the go test benchmarks (kernel micro-benches, one
-# default-config engine run per RMS model and the full figure pipeline)
-# with allocation stats. The exact and allocation gates are ordinary
+# Trend numbers: the go test benchmarks (kernel micro-benches, stream
+# seeding, one default-config engine run per RMS model and the full
+# figure pipeline) with allocation stats. The exact and allocation gates are ordinary
 # tests in `make test`; paired end-to-end timings come from bench/.
 gobench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim ./internal/rms .

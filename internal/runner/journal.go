@@ -36,6 +36,7 @@ type Journal struct {
 	fs      fsutil.FS
 	entries map[string]json.RawMessage
 	dropped int
+	failed  error // the first failed append; nothing is appended after it
 }
 
 type journalHeader struct {
@@ -237,7 +238,9 @@ func (j *Journal) appendLine(v any) error {
 
 // Record journals v as the completion of the work unit id. Recording an
 // id that is already journaled is a no-op, which makes checkpointing
-// idempotent across resumed runs.
+// idempotent across resumed runs. After a failed append, which may
+// have left a torn line, Record appends nothing more and returns that
+// failure: a record behind a torn line would be lost to tail recovery.
 func (j *Journal) Record(id string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -248,7 +251,11 @@ func (j *Journal) Record(id string, v any) error {
 	if _, ok := j.entries[id]; ok {
 		return nil
 	}
+	if j.failed != nil {
+		return j.failed
+	}
 	if err := j.appendLine(journalRecord{ID: id, Data: data}); err != nil {
+		j.failed = err
 		return err
 	}
 	j.entries[id] = data

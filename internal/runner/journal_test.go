@@ -2,10 +2,13 @@ package runner
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rmscale/internal/fsutil"
 )
 
 type fakePoint struct {
@@ -135,6 +138,55 @@ func TestJournalRecordIdempotent(t *testing.T) {
 	}
 	if j.Len() != 1 {
 		t.Fatalf("duplicate record changed length: %d", j.Len())
+	}
+}
+
+// tornAppendFS writes half of each synced append and fails it while
+// armed, as a disk that fills up mid-write does.
+type tornAppendFS struct {
+	fsutil.RealFS
+	armed bool
+}
+
+var errTorn = errors.New("torn append")
+
+func (f *tornAppendFS) AppendSync(file fsutil.File, b []byte) error {
+	if f.armed {
+		f.armed = false
+		_, _ = file.Write(b[:len(b)/2])
+		return errTorn
+	}
+	return f.RealFS.AppendSync(file, b)
+}
+
+// TestJournalStopsAfterFailedAppend pins that no record is appended
+// behind a failed, possibly torn, append: tail recovery would drop it
+// with the torn line, after its Record had reported it durable.
+func TestJournalStopsAfterFailedAppend(t *testing.T) {
+	dir := t.TempDir()
+	fs := &tornAppendFS{}
+	j, _, err := OpenJournalFS(dir, "fp", fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(pointName(1), fakePoint{K: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed = true
+	if err := j.Record(pointName(2), fakePoint{K: 2}); !errors.Is(err, errTorn) {
+		t.Fatalf("torn append: %v", err)
+	}
+	if err := j.Record(pointName(3), fakePoint{K: 3}); !errors.Is(err, errTorn) {
+		t.Fatalf("record after a failed append: %v, want the append's failure", err)
+	}
+	j.Close()
+	j2, _, err := OpenJournal(dir, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Len() != 1 || j2.Dropped() != 1 {
+		t.Fatalf("len=%d dropped=%d, want the first record and the torn line dropped", j2.Len(), j2.Dropped())
 	}
 }
 

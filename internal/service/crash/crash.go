@@ -145,7 +145,7 @@ type oracle struct {
 	journalRef map[string][]byte // id -> exact journaled payload bytes
 	journalAck map[string]int    // id -> op count when Record returned
 	storeRef   map[string][]byte // id -> payload bytes handed to Put
-	storeAck   map[string]int    // id -> op count when the durable Put returned
+	storeAck   map[string]int    // id -> op count when the durable Put or batch returned
 	maybeGone  map[string]int    // id -> op count after which absence is legitimate
 }
 
@@ -211,17 +211,29 @@ func (o *oracle) record(j *runner.Journal, id string, size int) {
 	o.journalAck[id] = o.fs.OpCount()
 }
 
-// put stores id and registers the acknowledged reference bytes. The
-// store must not be degraded afterwards — on crashfs a Put either
-// completes or crashes, so degradation means a harness defect.
+// put stores id and registers the acknowledged reference bytes.
 func (o *oracle) put(st *service.Store, id string, size int) {
-	b := payloadBytes(id, size)
-	o.storeRef[id] = b
-	st.Put(id, b)
+	o.putBatch(st, []string{id}, []int{size})
+}
+
+// putBatch commits the ids' results, of the given payload sizes, as
+// one batch and acknowledges them all once it returns. The store must
+// not be degraded afterwards — on crashfs a commit either completes or
+// crashes, so degradation means a harness defect.
+func (o *oracle) putBatch(st *service.Store, ids []string, sizes []int) {
+	items := make([]service.StoreItem, len(ids))
+	for k, id := range ids {
+		b := payloadBytes(id, sizes[k])
+		o.storeRef[id] = b
+		items[k] = service.StoreItem{ID: id, Data: b}
+	}
+	st.PutBatch(items)
 	if why, degraded := st.Degraded(); degraded {
 		must(fmt.Errorf("store degraded during workload: %s", why))
 	}
-	o.storeAck[id] = o.fs.OpCount()
+	for _, id := range ids {
+		o.storeAck[id] = o.fs.OpCount()
+	}
 }
 
 // weaken marks ids as legitimately absent from any crash prefix that
@@ -304,6 +316,29 @@ func workloads() []*workload {
 					o.record(j, id, 20+70*k)
 					o.put(st, id, 40+90*k)
 				}
+				must(j.Close())
+			},
+		},
+		{
+			// Group commit of results, as the daemon's committer does
+			// it: the results the shards finish commit as one batch
+			// whose GC evictions append tombstones — including one for
+			// an earlier item of the same batch.
+			name:       "group-commit",
+			maxResults: 3,
+			run: func(o *oracle) {
+				j := o.openJournal()
+				st := o.openStore()
+				o.record(j, "grp00", 30)
+				o.put(st, "grp00", 50)
+				ids := []string{"grp01", "grp02", "grp03", "grp04"}
+				for k, id := range ids {
+					o.record(j, id, 20+40*k)
+				}
+				// Four results over a bound of three evict grp00, then
+				// grp01 from the batch itself.
+				o.weaken("grp00", "grp01")
+				o.putBatch(st, ids, []int{40, 100, 160, 220})
 				must(j.Close())
 			},
 		},

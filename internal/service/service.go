@@ -11,9 +11,9 @@
 //   - identical specs from any number of clients dedupe to one
 //     execution, sharing one stored, byte-identical result;
 //   - the result store is immutable — an ID's payload never changes
-//     once written; a disk-backed daemon commits each result with one
-//     synced append to its result log and serves every read from
-//     memory;
+//     once written; a disk-backed daemon commits the results its
+//     shards finish in batches, one synced append to its result log
+//     each, and serves every read from memory;
 //   - a restart resumes from the submission journal: accepted-but-
 //     unfinished experiments re-queue, finished ones are served from
 //     the store, rebuilt from the result log.
@@ -72,6 +72,11 @@ type Experiment struct {
 	Client string // client that first submitted it
 	State  State
 	Err    string // non-empty iff State == StateFailed
+
+	// journaled is done once the submitter's journal append has
+	// returned; a dedup join answers only after it. Its zero value,
+	// for an experiment with no append in flight, never waits.
+	journaled sync.WaitGroup
 }
 
 // Status is the client-visible snapshot of an experiment.
@@ -193,16 +198,32 @@ type Daemon struct {
 	exec    ExecFunc
 	clock   Clock
 
+	// journaling counts submissions appending their journal record;
+	// Close waits them out before it closes the journal. Add runs under
+	// mu, before draining is set.
+	journaling sync.WaitGroup
+
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     *sync.Cond // signalled on every experiment state change
+	commit   *sync.Cond // wakes the committer: work finished or a shard exited
 	exps     map[string]*Experiment
 	queue    *fairQueue
+	finished []finished // executions waiting for the committer
+	shardsUp int        // shards not yet exited
 	stats    Stats
 	brk      breaker
 	jDegrade string // non-empty: journaling lost to an IO error (why)
 	draining bool
 	closed   bool
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the shards and the committer
+}
+
+// finished is one execution a shard hands to the committer.
+type finished struct {
+	shard int
+	e     *Experiment
+	b     []byte
+	err   error
 }
 
 // submitRecord is the journaled form of one accepted submission.
@@ -252,6 +273,7 @@ func New(cfg Config) (*Daemon, error) {
 		d.exec = Executor{CaseWorkers: cfg.CaseWorkers}.Run
 	}
 	d.cond = sync.NewCond(&d.mu)
+	d.commit = sync.NewCond(&d.mu)
 	if cfg.Dir != "" {
 		// NewStore has already replayed the result log: corrupt records
 		// are quarantined and orphaned temp files swept, so resume sees
@@ -289,11 +311,14 @@ func New(cfg Config) (*Daemon, error) {
 		"dir": cfg.Dir, "shards": cfg.Shards, "queue_cap": cfg.QueueCap,
 		"resumed": d.stats.Resumed,
 	})
-	d.wg.Add(cfg.Shards)
+	d.shardsUp = cfg.Shards
+	d.wg.Add(cfg.Shards + 1)
 	for i := 0; i < cfg.Shards; i++ {
 		//lint:allow nokernelgoroutines worker shards parallelize whole experiments, the same layering as internal/runner; each shard's simulation remains single-threaded
 		go d.shard(i)
 	}
+	//lint:allow nokernelgoroutines the committer batches the shards' results into one synced log append; it runs no simulation
+	go d.committer()
 	return d, nil
 }
 
@@ -357,6 +382,12 @@ func (d *Daemon) resume() error {
 // joined in-flight work or an already stored result. Saturation
 // returns ErrSaturated; a draining daemon returns ErrDraining for new
 // work (dedup reads still succeed).
+//
+// Admission decides under the daemon mutex; an accepted submission's
+// journal record is appended after the mutex is released, and the
+// answer is sent only once that append has returned, so status, result
+// and dedup requests never queue behind a journal fsync. A dedup join
+// waits on the record of the submission it joined.
 func (d *Daemon) Submit(spec ExperimentSpec, client string) (Status, error) {
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
@@ -365,72 +396,98 @@ func (d *Daemon) Submit(spec ExperimentSpec, client string) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	//lint:allow locksafe admission is atomic end to end: the dedup check, store probe, journal append and enqueue must decide as one unit, and the IO involved is one appended line
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	st, e, write, err := d.admitLocked(spec, id, client)
+	d.mu.Unlock()
+	switch {
+	case write:
+		d.recordSubmission(e)
+	case e != nil:
+		e.journaled.Wait() // a join answers once the record it joined is written
+	}
+	return d.withProgress(st), err
+}
+
+// recordSubmission appends the journal record of e, a submission just
+// admitted, and then releases the answers waiting on it. A journal IO
+// failure (disk full, device gone) degrades to unjournaled operation
+// instead of refusing work: accepted experiments lose restart
+// durability — surfaced through /healthz and /v1/stats — but the daemon
+// keeps serving.
+func (d *Daemon) recordSubmission(e *Experiment) {
+	if err := d.journal.Record(expPrefix+e.ID, submitRecord{Spec: e.Spec, Client: e.Client}); err != nil {
+		d.mu.Lock()
+		if d.jDegrade == "" {
+			d.jDegrade = err.Error()
+			d.logEvent("journal_degraded", map[string]any{"error": err.Error()})
+		}
+		d.mu.Unlock()
+	}
+	e.journaled.Done()
+	d.journaling.Done()
+}
+
+// admitLocked decides one submission: a dedup answer, a refusal, a
+// retry of a failed experiment, or a fresh enqueue. It returns the
+// experiment the submission joined or created (nil when refused) and
+// whether this submission must append its journal record. Callers hold
+// d.mu.
+func (d *Daemon) admitLocked(spec ExperimentSpec, id, client string) (st Status, e *Experiment, write bool, err error) {
 	if e, ok := d.exps[id]; ok && e.State != StateFailed {
-		return d.dedupLocked(e), nil
+		return d.dedupLocked(e), e, false, nil
 	}
 	if d.store.Has(id) {
 		// Stored by a previous daemon incarnation that we have no
 		// in-process record of.
 		e := &Experiment{ID: id, Spec: spec, Client: client, State: StateDone}
 		d.exps[id] = e
-		return d.dedupLocked(e), nil
+		return d.dedupLocked(e), e, false, nil
 	}
 	if d.draining || d.closed {
-		return Status{}, ErrDraining
+		return Status{}, nil, false, ErrDraining
 	}
 	// Circuit breaker: consecutive executor failures shed new work
 	// (dedup reads above still answer) until the cooldown passes.
 	if !d.brk.allow(d.clock.Now()) {
 		d.stats.Shed++
 		d.logEvent("shed", map[string]any{"id": id, "client": client, "consec_failures": d.brk.consec})
-		return Status{}, fmt.Errorf("%w after %d consecutive execution failures", ErrShedding, d.brk.consec)
+		return Status{}, nil, false, fmt.Errorf("%w after %d consecutive execution failures", ErrShedding, d.brk.consec)
 	}
 	// Admission control: check capacity first so a refused submission
 	// leaves no trace in the journal.
 	if d.queue.depth() >= d.queue.cap {
 		d.stats.Rejected++
 		d.logEvent("reject", map[string]any{"id": id, "client": client, "queue_depth": d.queue.depth()})
-		return Status{}, fmt.Errorf("%w: %d queued (capacity %d)", ErrSaturated, d.queue.depth(), d.queue.cap)
+		return Status{}, nil, false, fmt.Errorf("%w: %d queued (capacity %d)", ErrSaturated, d.queue.depth(), d.queue.cap)
 	}
-	retry := false
 	if e, ok := d.exps[id]; ok && e.State == StateFailed {
 		// Resubmitting a failed spec retries it; the journal entry from
 		// the first acceptance still stands.
 		e.State = StateQueued
 		e.Err = ""
-		retry = true
 		if err := d.queue.push(client, e, false); err != nil {
 			e.State = StateFailed
-			return Status{}, err
+			return Status{}, nil, false, err
 		}
 		d.stats.Submitted++
-		d.afterEnqueueLocked(e, client, retry)
-		return d.statusLocked(e), nil
+		d.afterEnqueueLocked(e, client, true)
+		return d.statusLocked(e), e, false, nil
 	}
-	if d.journal != nil && d.jDegrade == "" {
-		if err := d.journal.Record(expPrefix+id, submitRecord{Spec: spec, Client: client}); err != nil {
-			// Journal IO failure (disk full, device gone): degrade to
-			// unjournaled operation instead of refusing work. Accepted
-			// experiments lose restart durability — surfaced through
-			// /healthz and /v1/stats — but the daemon keeps serving.
-			d.jDegrade = err.Error()
-			d.logEvent("journal_degraded", map[string]any{"error": err.Error()})
-		}
-	}
-	e := &Experiment{ID: id, Spec: spec, Client: client, State: StateQueued}
+	e = &Experiment{ID: id, Spec: spec, Client: client, State: StateQueued}
 	if err := d.queue.push(client, e, false); err != nil {
-		// Unreachable after the capacity check above, but keep the
-		// journal honest if it ever fires: the entry will simply resume
-		// on restart.
-		return Status{}, err
+		// Unreachable after the capacity check above; nothing was
+		// journaled yet.
+		return Status{}, nil, false, err
+	}
+	write = d.journal != nil && d.jDegrade == ""
+	if write {
+		e.journaled.Add(1)
+		d.journaling.Add(1)
 	}
 	d.exps[id] = e
 	d.stats.Submitted++
-	d.afterEnqueueLocked(e, client, retry)
-	return d.statusLocked(e), nil
+	d.afterEnqueueLocked(e, client, false)
+	return d.statusLocked(e), e, write, nil
 }
 
 // dedupLocked answers a submission that matched an existing
@@ -477,20 +534,25 @@ func (d *Daemon) Status(id string) (Status, bool) {
 	if !ok {
 		return Status{}, false
 	}
-	return d.statusLocked(e), true
+	return d.withProgress(d.statusLocked(e)), true
 }
 
-// statusLocked snapshots e; callers hold d.mu.
+// statusLocked snapshots e without its progress; callers hold d.mu.
 func (d *Daemon) statusLocked(e *Experiment) Status {
-	st := Status{ID: e.ID, State: e.State, Spec: e.Spec, Error: e.Err}
-	if e.State == StateRunning && d.cfg.Dir != "" {
-		//lint:allow hotalloc progress enrichment runs only for a live disk-backed run and already pays a file read; the dedup_hit gate measures the in-memory answer
-		if b, err := os.ReadFile(filepath.Join(d.expDir(e.ID), "runstate.json")); err == nil {
-			var snap runner.Snapshot
-			//lint:allow hotalloc decoding the snapshot is part of the same slow enrichment branch, dwarfed by the read above it
-			if json.Unmarshal(b, &snap) == nil {
-				st.Progress = &snap
-			}
+	return Status{ID: e.ID, State: e.State, Spec: e.Spec, Error: e.Err}
+}
+
+// withProgress attaches the runner's runstate.json to the snapshot of
+// a running case or churn experiment in a disk-backed daemon; a sim
+// run writes none.
+func (d *Daemon) withProgress(st Status) Status {
+	if st.State != StateRunning || d.cfg.Dir == "" || st.Spec.Kind == KindSim {
+		return st
+	}
+	if b, err := os.ReadFile(filepath.Join(d.expDir(st.ID), "runstate.json")); err == nil {
+		var snap runner.Snapshot
+		if json.Unmarshal(b, &snap) == nil {
+			st.Progress = &snap
 		}
 	}
 	return st
@@ -539,7 +601,7 @@ func (d *Daemon) Wait(id string) (Status, bool) {
 			return Status{}, false
 		}
 		if e.State.Terminal() || d.closed {
-			return d.statusLocked(e), true
+			return d.withProgress(d.statusLocked(e)), true
 		}
 		d.cond.Wait()
 	}
@@ -576,7 +638,7 @@ func (d *Daemon) AwaitCtx(ctx context.Context, id string, last State) (Status, b
 			return Status{}, false
 		}
 		if e.State != last || e.State.Terminal() || d.closed {
-			return d.statusLocked(e), true
+			return d.withProgress(d.statusLocked(e)), true
 		}
 		d.cond.Wait()
 	}
@@ -656,13 +718,21 @@ func (d *Daemon) expDir(id string) string {
 	return filepath.Join(d.cfg.Dir, "exps", id)
 }
 
-// nextQueued blocks until an experiment is available and marks it
-// running, or returns nil when the daemon is draining or closed.
-func (d *Daemon) nextQueued() *Experiment {
+// nextQueued hands the shard's finished execution, if any, to the
+// committer, then blocks until an experiment is available and marks it
+// running. When the daemon is draining or closed it counts the shard
+// out and returns nil.
+func (d *Daemon) nextQueued(done finished) *Experiment {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if done.e != nil {
+		d.finished = append(d.finished, done)
+		d.commit.Signal()
+	}
 	for {
 		if d.closed || d.draining {
+			d.shardsUp--
+			d.commit.Signal()
 			return nil
 		}
 		if e, ok := d.queue.pop(); ok {
@@ -677,14 +747,15 @@ func (d *Daemon) nextQueued() *Experiment {
 }
 
 // shard is one worker loop: pop, execute under supervision (panic
-// isolation, deadline, bounded retries), commit to the store, mark
-// terminal, feed the breaker. On drain it finishes its current
-// experiment and exits; queued work stays journaled for the next
-// incarnation.
+// isolation, deadline, bounded retries), hand the outcome to the
+// committer and pop the next experiment at once. On drain it finishes
+// its current experiment and exits; queued work stays journaled for
+// the next incarnation.
 func (d *Daemon) shard(i int) {
 	defer d.wg.Done()
+	var done finished
 	for {
-		e := d.nextQueued()
+		e := d.nextQueued(done)
 		if e == nil {
 			return
 		}
@@ -692,39 +763,82 @@ func (d *Daemon) shard(i int) {
 			d.logEvent("exec", map[string]any{"shard": i, "id": e.ID, "spec": e.Spec.String()})
 		}
 		b, err := d.supervisedExec(i, e)
-		if err == nil {
-			d.store.Put(e.ID, b)
-		}
+		done = finished{shard: i, e: e, b: b, err: err}
+	}
+}
+
+// committer commits what the shards finish. It takes every execution
+// waiting, stores the successful payloads with one batch commit (one
+// synced append to the result log), and only then marks the batch done
+// or failed, so a done experiment's result is always durable. A batch
+// is whatever waited when the commit began. It exits once every shard
+// has exited and nothing is left to commit.
+func (d *Daemon) committer() {
+	defer d.wg.Done()
+	var batch []finished
+	var items []StoreItem
+	for {
 		d.mu.Lock()
+		for len(d.finished) == 0 && d.shardsUp > 0 {
+			d.commit.Wait()
+		}
+		if len(d.finished) == 0 {
+			d.mu.Unlock()
+			return
+		}
+		batch, d.finished = d.finished, batch
+		d.mu.Unlock()
+		items = items[:0]
+		for _, f := range batch {
+			if f.err == nil {
+				items = append(items, StoreItem{ID: f.e.ID, Data: f.b})
+			}
+		}
+		if len(items) > 0 {
+			d.store.PutBatch(items)
+		}
+		d.publish(batch)
+		clear(batch)
+		batch = batch[:0]
+	}
+}
+
+// publish marks a committed batch terminal, feeds each outcome to the
+// breaker and wakes every waiter once.
+func (d *Daemon) publish(batch []finished) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, f := range batch {
+		e := f.e
 		d.stats.Running--
-		d.brk.record(err == nil, d.clock.Now())
+		d.brk.record(f.err == nil, d.clock.Now())
 		if d.brk.open && d.brk.trips > d.stats.BreakerTrips {
 			d.stats.BreakerTrips = d.brk.trips
 			d.logEvent("breaker_open", map[string]any{
 				"consec_failures": d.brk.consec, "cooldown_sec": d.cfg.BreakerCooldown.Seconds(),
 			})
 		}
-		if err != nil {
+		if f.err != nil {
 			e.State = StateFailed
-			e.Err = err.Error()
+			e.Err = f.err.Error()
 			d.stats.Failed++
-			d.logEvent("fail", map[string]any{"shard": i, "id": e.ID, "error": err.Error()})
+			d.logEvent("fail", map[string]any{"shard": f.shard, "id": e.ID, "error": f.err.Error()})
 		} else {
 			e.State = StateDone
 			d.stats.Completed++
 			if d.cfg.Log != nil {
-				d.logEvent("done", map[string]any{"shard": i, "id": e.ID, "bytes": len(b)})
+				d.logEvent("done", map[string]any{"shard": f.shard, "id": e.ID, "bytes": len(f.b)})
 			}
 		}
-		d.cond.Broadcast()
-		d.mu.Unlock()
 	}
+	d.cond.Broadcast()
 }
 
 // Drain begins a graceful shutdown: new work is refused (dedup reads
 // still answer), shards finish their current experiments and stop, and
 // everything still queued stays checkpointed in the journal for the
-// next start. Drain blocks until the shards have exited.
+// next start. Drain blocks until the shards have exited and the
+// committer has committed and published what they finished.
 func (d *Daemon) Drain() {
 	d.mu.Lock()
 	already := d.draining
@@ -738,20 +852,20 @@ func (d *Daemon) Drain() {
 	d.wg.Wait()
 }
 
-// Close drains the daemon and releases the journal and the result
-// log. Safe to call more than once.
+// Close drains the daemon, waits for submissions still appending
+// their journal record, and releases the journal and the result log.
+// Safe to call more than once.
 func (d *Daemon) Close() error {
 	d.Drain()
 	d.mu.Lock()
 	d.closed = true
 	d.cond.Broadcast()
-	j := d.journal
-	d.journal = nil
 	d.mu.Unlock()
+	d.journaling.Wait()
 	d.logEvent("close", nil)
 	err := d.store.Close()
-	if j != nil {
-		if jerr := j.Close(); err == nil {
+	if d.journal != nil {
+		if jerr := d.journal.Close(); err == nil {
 			err = jerr
 		}
 	}

@@ -35,14 +35,15 @@ const logName = "results.log"
 // Integrity and lifecycle:
 //
 //   - each result is one JSON line {"id","sum","data"} committed with
-//     a single synced append; sum is the SHA-256 over the ID and the
-//     payload, so neither damaged bytes nor a damaged ID are ever
-//     served. The open-time replay quarantines such a line under
-//     DIR/results/quarantine and the daemon re-executes the spec on
-//     demand, which is safe precisely because the payload is a pure
-//     function of the ID. Line framing confines the damage: replay
-//     resynchronises at the next newline, and a torn final line (a
-//     crash mid-append) was never acknowledged;
+//     the rest of its batch in a single synced append (PutBatch); sum
+//     is the SHA-256 over the ID and the payload, so neither damaged
+//     bytes nor a damaged ID are ever served. The open-time replay
+//     quarantines such a line under DIR/results/quarantine and the
+//     daemon re-executes the spec on demand, which is safe precisely
+//     because the payload is a pure function of the ID. Line framing
+//     confines the damage: replay resynchronises at the next newline,
+//     and a torn final line (a crash mid-append) was never
+//     acknowledged;
 //   - whenever the log is not exactly its live records (a torn or
 //     damaged line, superseded records, tombstones, imported legacy
 //     files) it is rewritten once at open with fsutil.WriteAtomic, so
@@ -437,32 +438,52 @@ func (s *Store) Has(id string) bool {
 	return ok
 }
 
-// Put stores the payload under id in memory and, when disk-backed and
-// not degraded, commits it to the log with one synced append (the
-// first Put creates the log). A Put of an ID already stored does no
-// IO. A disk IO failure (disk full, permission loss, flaky device)
-// does not fail the Put: the store drops to memory-only mode, remembers
-// why, and the daemon surfaces the condition through /healthz and
-// /v1/stats. The caller must not mutate b after the call.
+// StoreItem is one result of a batch commit: a payload and its ID.
+type StoreItem struct {
+	ID   string
+	Data []byte
+}
+
+// Put stores one result: a PutBatch of one.
 func (s *Store) Put(id string, b []byte) {
+	s.PutBatch([]StoreItem{{ID: id, Data: b}})
+}
+
+// PutBatch stores the payloads under their IDs in memory and, when
+// disk-backed and not degraded, commits the batch to the log with one
+// synced append (the first commit creates the log): the lines the same
+// Puts would write one by one, under one fsync. An ID already stored
+// does no IO. When PutBatch returns, every new result in the batch is
+// durable. A disk IO failure (disk full, permission loss, flaky
+// device) does not fail the batch: the store drops to memory-only
+// mode, remembers why, and the daemon surfaces the condition through
+// /healthz and /v1/stats. The caller must not mutate the payloads
+// after the call.
+func (s *Store) PutBatch(items []StoreItem) {
 	if s.log == nil {
 		s.mu.Lock()
-		s.insertLocked(id, b)
+		for _, it := range items {
+			s.insertLocked(it.ID, it.Data)
+		}
 		s.mu.Unlock()
 		return
 	}
-	//lint:allow locksafe the log mutex serialises log writes so records land in the order Put decides them under s.mu; Get, Has and dedup answers never take it, so no read waits on a flush
+	//lint:allow locksafe the log mutex serialises log writes so records land in the order PutBatch decides them under s.mu; Get, Has and dedup answers never take it, so no read waits on a flush
 	s.log.mu.Lock()
 	defer s.log.mu.Unlock()
+	var batch logBatch
 	s.mu.Lock()
-	fresh, evicted := s.insertLocked(id, b)
+	for _, it := range items {
+		fresh, evicted := s.insertLocked(it.ID, it.Data)
+		batch.add(it.ID, it.Data, fresh, evicted)
+	}
 	s.mu.Unlock()
-	// Only a Put holding the log mutex degrades the store, so the
-	// answer cannot change before this Put writes.
+	// Only a commit holding the log mutex degrades the store, so the
+	// answer cannot change before this batch writes.
 	if _, degraded := s.Degraded(); degraded {
 		return
 	}
-	err := s.log.commitLocked(s.fs, id, b, fresh, evicted)
+	err := s.log.commitLocked(s.fs, &batch)
 	if err == nil && s.log.dead > s.log.live {
 		s.mu.Lock()
 		live := s.liveLocked()
@@ -508,25 +529,36 @@ func (s *Store) insertLocked(id string, b []byte) (fresh bool, evicted []entryRe
 	return false, evicted
 }
 
-// commitLocked writes one Put's lines: a tombstone per evicted entry,
-// then the new record when there is one. A record is one synced
-// append; tombstones alone are written without an fsync, since losing
-// one only resurrects a valid result. Callers hold l.mu.
-func (l *resultLog) commitLocked(fsys fsutil.FS, id string, b []byte, fresh bool, evicted []entryRef) error {
-	var out []byte
+// logBatch is one commit's lines and their byte accounting.
+type logBatch struct {
+	out        []byte
+	live, dead int64 // changes to the log's live and dead bytes
+	synced     bool  // holds a record, so the commit is a synced append
+}
+
+// add appends one Put's lines: a tombstone per evicted entry, then the
+// record when the entry is new.
+func (b *logBatch) add(id string, data []byte, fresh bool, evicted []entryRef) {
 	for _, e := range evicted {
 		tomb := encodeRecord(e.id, true, nil)
-		out = append(out, tomb...)
+		b.out = append(b.out, tomb...)
 		rec := int64(len(encodeRecord(e.id, false, e.b)))
-		l.live -= rec
-		l.dead += rec + int64(len(tomb))
+		b.live -= rec
+		b.dead += rec + int64(len(tomb))
 	}
-	var rec []byte
 	if fresh {
-		rec = encodeRecord(id, false, b)
-		out = append(out, rec...)
+		rec := encodeRecord(id, false, data)
+		b.out = append(b.out, rec...)
+		b.live += int64(len(rec))
+		b.synced = true
 	}
-	if len(out) == 0 {
+}
+
+// commitLocked writes a batch. One holding a record is one synced
+// append; tombstones alone are written without an fsync, since losing
+// one only resurrects a valid result. Callers hold l.mu.
+func (l *resultLog) commitLocked(fsys fsutil.FS, b *logBatch) error {
+	if len(b.out) == 0 {
 		return nil
 	}
 	if l.f == nil {
@@ -534,16 +566,15 @@ func (l *resultLog) commitLocked(fsys fsutil.FS, id string, b []byte, fresh bool
 			return err
 		}
 	}
-	if !fresh {
-		if _, err := l.f.Write(out); err != nil {
+	if !b.synced {
+		if _, err := l.f.Write(b.out); err != nil {
 			return fmt.Errorf("service: result log %s: %w", l.path, err)
 		}
-		return nil
-	}
-	if err := fsys.AppendSync(l.f, out); err != nil {
+	} else if err := fsys.AppendSync(l.f, b.out); err != nil {
 		return err
 	}
-	l.live += int64(len(rec))
+	l.live += b.live
+	l.dead += b.dead
 	return nil
 }
 

@@ -521,6 +521,68 @@ func TestStorePutIOShape(t *testing.T) {
 	if n := fsys.take(); len(n) != 0 {
 		t.Fatalf("re-storing an ID issued %v, want no IO", n)
 	}
+	for _, k := range []int{2, 7} {
+		batch := make([]StoreItem, k)
+		for i := range batch {
+			batch[i] = StoreItem{ID: fmt.Sprintf("batch%d-%d", k, i), Data: []byte("payload")}
+		}
+		s.PutBatch(batch)
+		if n := fsys.take(); fmt.Sprint(n) != "map[AppendSync:1]" {
+			t.Fatalf("a batch of %d results issued %v, want exactly one AppendSync", k, n)
+		}
+	}
+}
+
+// TestStoreBatchMatchesPuts: a batch commit writes the bytes the same
+// Puts write one by one, GC tombstones included (f evicts c, an
+// earlier item of its own batch), and its replay is the live store.
+// The evicted payloads are small, so neither side compacts.
+func TestStoreBatchMatchesPuts(t *testing.T) {
+	big := func(c byte) []byte { return bytes.Repeat([]byte{c}, 1000) }
+	items := []StoreItem{
+		{ID: "c", Data: []byte("payload-c")},
+		{ID: "a", Data: []byte("payload-a")}, // already stored: no record
+		{ID: "d", Data: big('d')},
+		{ID: "e", Data: big('e')},
+		{ID: "f", Data: big('f')},
+	}
+	var logs [2][]byte
+	for side, batched := range []bool{false, true} {
+		dir := t.TempDir()
+		s := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 3})
+		s.Put("a", []byte("payload-a"))
+		s.Put("b", []byte("payload-b"))
+		if batched {
+			s.PutBatch(items)
+		} else {
+			for _, it := range items {
+				s.Put(it.ID, it.Data)
+			}
+		}
+		if why, degraded := s.Degraded(); degraded {
+			t.Fatalf("store degraded: %s", why)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "results", logName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[side] = b
+		s.Close()
+		re := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 3})
+		for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+			live, _ := s.Get(id)
+			replayed, _ := re.Get(id)
+			if !bytes.Equal(live, replayed) {
+				t.Fatalf("batched=%v: %s live %q, replayed %q", batched, id, live, replayed)
+			}
+		}
+	}
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Fatalf("batch log differs from one-by-one Puts:\n%s\nvs\n%s", logs[1], logs[0])
+	}
+	if n := bytes.Count(logs[1], []byte(`"del":true`)); n != 3 {
+		t.Fatalf("log holds %d tombstones, want 3 (a, b, c)", n)
+	}
 }
 
 // TestStoreConcurrentPuts: Puts, Gets and GC from several goroutines

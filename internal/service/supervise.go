@@ -109,16 +109,17 @@ func (d *Daemon) supervisedExec(shard int, e *Experiment) ([]byte, error) {
 	}
 	for attempt := 1; ; attempt++ {
 		o := d.runOnce(e, attempt)
-		d.mu.Lock()
 		switch o.kind {
-		case execPanic:
-			d.stats.ExecPanics++
-		case execTimeout:
-			d.stats.ExecTimeouts++
-		}
-		d.mu.Unlock()
-		if o.kind == execOK {
+		case execOK:
 			return o.b, nil
+		case execPanic:
+			d.mu.Lock()
+			d.stats.ExecPanics++
+			d.mu.Unlock()
+		case execTimeout:
+			d.mu.Lock()
+			d.stats.ExecTimeouts++
+			d.mu.Unlock()
 		}
 		if attempt >= attempts {
 			return nil, o.err

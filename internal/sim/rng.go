@@ -26,12 +26,25 @@ func (s *Source) Seed() int64 { return s.seed }
 // Stream returns the deterministic stream for name. Calling Stream twice
 // with the same name yields two streams that produce the same sequence.
 func (s *Source) Stream(name string) *Stream {
+	return newStream(name, subSeed(s.seed, name))
+}
+
+// subSeed derives the seed of the stream name under master seed.
+func subSeed(seed int64, name string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
 	const golden = uint64(0x9e3779b97f4a7c15)
-	sub := int64(h.Sum64() ^ (uint64(s.seed) * golden))
-	//lint:allow detertaint the named-stream factory is the single sanctioned rand.New site; the sub-seed derives deterministically from the master seed and stream name
-	return &Stream{rng: rand.New(rand.NewSource(sub)), name: name}
+	return int64(h.Sum64() ^ (uint64(seed) * golden))
+}
+
+// newStream builds the stream seeded with sub: the sequence of
+// rand.New(rand.NewSource(sub)), from a state built by jump-ahead.
+func newStream(name string, sub int64) *Stream {
+	st := &Stream{name: name}
+	st.src.Seed(sub)
+	//lint:allow detertaint the named-stream factory is the single sanctioned rand.New site; its source is seeded from the sub-seed, which derives deterministically from the master seed and stream name
+	st.rng = rand.New(&st.src)
+	return st
 }
 
 // Stream is a single deterministic random number stream with the
@@ -39,6 +52,7 @@ func (s *Source) Stream(name string) *Stream {
 type Stream struct {
 	rng  *rand.Rand
 	name string
+	src  lfgSource
 }
 
 // Name returns the name the stream was created under.
@@ -140,3 +154,146 @@ func (st *Stream) SampleInto(dst []int, n, k int) []int {
 	}
 	return m[:k]
 }
+
+// Stream seeding by jump-ahead.
+//
+// rand.NewSource(s) builds the 607-word state of an additive lagged
+// Fibonacci generator by stepping the Lehmer generator
+// x ← 48271·x mod (2³¹−1) from x₀ = s mod (2³¹−1): it discards 20
+// steps, then word i takes the next three, x₀·48271^(21+3i),
+// ^(22+3i) and ^(23+3i), as x<<40 ^ x<<20 ^ x, XORed with a constant
+// of its own (math/rand's "cooked" table). Those 1,841 dependent steps
+// dominate the cost of a stream. Each step's value is also x₀ times a
+// fixed power of 48271, so lfgSource.Seed multiplies x₀ by a power
+// table built once (independent multiplies, not a chain), and the
+// cooked table is read back at start-up from the first 607 outputs of
+// a rand.NewSource, through its public API. The state, and so every
+// draw, is the one rand.NewSource(s) builds.
+
+const (
+	lfgLen  = 607       // words in math/rand's generator state
+	lfgTap  = 273       // its shorter lag
+	lehmerM = 1<<31 - 1 // the seeding generator's prime modulus
+	lehmerA = 48271     // its multiplier
+	lehmerK = 20        // steps math/rand discards before word 0
+)
+
+var (
+	// seedPow[k] is 48271^(lehmerK+1+k) mod (2³¹−1): word i takes
+	// x₀ times seedPow[3i], seedPow[3i+1] and seedPow[3i+2].
+	seedPow [3 * lfgLen]uint64
+	// seedCooked[i] is the constant math/rand XORs into word i.
+	seedCooked [lfgLen]uint64
+)
+
+func init() {
+	p := uint64(1)
+	for k := 0; k < lehmerK; k++ {
+		p = mulMod(p, lehmerA)
+	}
+	for k := range seedPow {
+		p = mulMod(p, lehmerA)
+		seedPow[k] = p
+	}
+	//lint:allow detertaint start-up reads math/rand's constant table back through one fixed-seed source; no draw reaches a simulation
+	probe := initialState(rand.NewSource(1).(rand.Source64))
+	var plain lfgSource
+	plain.seedWords(1)
+	for i := range seedCooked {
+		seedCooked[i] = probe[i] ^ plain.vec[i]
+	}
+}
+
+// mulMod returns x·y mod (2³¹−1) for x, y < 2³¹, by the Mersenne
+// reduction 2³¹ ≡ 1: the product's high and low 31 bits add up to
+// the remainder, less one modulus at most.
+func mulMod(x, y uint64) uint64 {
+	p := x * y
+	r := p&lehmerM + p>>31
+	if r >= lehmerM {
+		r -= lehmerM
+	}
+	return r
+}
+
+// initialState recovers the state a math/rand generator was seeded
+// with from its first lfgLen outputs. Output n (from 1) is
+// y(n) = y(n−607) + y(n−273) mod 2⁶⁴, where y(n−607) for n ≤ 607 is
+// the seeded word in slot (334−n) mod 607 and y(m) for m ≤ 0 is a
+// seeded word too, so y(n−607) = y(n) − y(n−273), solved from the
+// last output down.
+func initialState(src rand.Source64) (vec [lfgLen]uint64) {
+	var out, y0 [lfgLen]uint64 // y0[n-1] = y(n−607)
+	for n := range out {
+		out[n] = src.Uint64()
+	}
+	for n := lfgLen; n >= 1; n-- {
+		var tap uint64 // y(n−273)
+		if lag := n - lfgTap; lag >= 1 {
+			tap = out[lag-1]
+		} else {
+			tap = y0[lag+lfgLen-1]
+		}
+		y0[n-1] = out[n-1] - tap
+	}
+	for n := 1; n <= lfgLen; n++ {
+		vec[(lfgLen-lfgTap-n+lfgLen)%lfgLen] = y0[n-1]
+	}
+	return vec
+}
+
+// lfgSource is math/rand's generator: the same state, steps and
+// outputs, seeded by jump-ahead. It implements rand.Source64.
+type lfgSource struct {
+	tap, feed int
+	vec       [lfgLen]uint64
+}
+
+// Seed sets the state rand.NewSource(seed) starts from.
+func (r *lfgSource) Seed(seed int64) {
+	r.tap, r.feed = 0, lfgLen-lfgTap
+	x := seed % lehmerM
+	if x < 0 {
+		x += lehmerM
+	}
+	if x == 0 {
+		// math/rand swaps a constant in for this one residue class;
+		// read its state back rather than copy the constant.
+		//lint:allow detertaint a seed ≡ 0 mod 2³¹−1 replays math/rand's own seeding of the same sub-seed, one state read back per stream
+		r.vec = initialState(rand.NewSource(seed).(rand.Source64))
+		return
+	}
+	r.seedWords(x)
+	for i := range r.vec {
+		r.vec[i] ^= seedCooked[i]
+	}
+}
+
+// seedWords fills the state with word i = x₀·48271^(21+3i) << 40 ^
+// x₀·48271^(22+3i) << 20 ^ x₀·48271^(23+3i), all mod 2³¹−1, for
+// 0 < x0 < 2³¹−1: the seeding before the cooked table.
+func (r *lfgSource) seedWords(x0 int64) {
+	x := uint64(x0)
+	for i := range r.vec {
+		p := seedPow[3*i : 3*i+3 : 3*i+3]
+		r.vec[i] = mulMod(x, p[0])<<40 ^ mulMod(x, p[1])<<20 ^ mulMod(x, p[2])
+	}
+}
+
+// Uint64 returns the next 64-bit output.
+func (r *lfgSource) Uint64() uint64 {
+	r.tap--
+	if r.tap < 0 {
+		r.tap += lfgLen
+	}
+	r.feed--
+	if r.feed < 0 {
+		r.feed += lfgLen
+	}
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return x
+}
+
+// Int63 returns the next output with its top bit cleared.
+func (r *lfgSource) Int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rmscale/internal/sim"
 )
@@ -79,21 +80,20 @@ func PowerLaw(n, m int, lp LinkParams, st *sim.Stream) (*Graph, error) {
 	}
 	// targets holds one entry per degree endpoint, so uniform sampling
 	// from it is degree-proportional sampling.
-	var targets []int
+	targets := make([]int, 0, seed*(seed-1)+2*m*(n-seed))
 	for u := 0; u < seed; u++ {
 		for i := 0; i < g.Degree(u); i++ {
 			targets = append(targets, u)
 		}
 	}
+	attached := make([]int, 0, min(m, n)) // this node's targets, in draw order
 	for u := seed; u < n; u++ {
-		seen := map[int]bool{}
-		var attached []int // kept in draw order for determinism
+		attached = attached[:0]
 		for len(attached) < m && len(attached) < u {
 			v := targets[st.Intn(len(targets))]
-			if v == u || seen[v] {
+			if v == u || slices.Contains(attached, v) {
 				continue
 			}
-			seen[v] = true
 			attached = append(attached, v)
 		}
 		for _, v := range attached {

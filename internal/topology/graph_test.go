@@ -196,6 +196,18 @@ func TestPowerLawDeterministic(t *testing.T) {
 	}
 }
 
+// TestPowerLawMExceedsN: an m far beyond n yields the seed clique on
+// all n nodes; no buffer is sized by m.
+func TestPowerLawMExceedsN(t *testing.T) {
+	g, err := PowerLaw(5, 1<<50, DefaultLinkParams(), stream("big-m"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Edges() != 10 || !g.Connected() {
+		t.Fatalf("n=5, m=2^50: %d edges, want the 10 of a 5-clique", g.Edges())
+	}
+}
+
 func TestPowerLawRejectsBadArgs(t *testing.T) {
 	if _, err := PowerLaw(1, 2, DefaultLinkParams(), stream("x")); err == nil {
 		t.Error("n=1 accepted")
