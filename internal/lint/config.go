@@ -106,8 +106,10 @@ var DefaultConfig = Config{
 		// executes stays single-threaded underneath. Listing it here
 		// forces each concurrency site to justify itself with an
 		// annotation instead of letting sync primitives creep in
-		// unreviewed. The client needs none: concurrency is its
-		// callers' business.
+		// unreviewed. The client starts no goroutine: each call runs
+		// its exchanges on its caller's goroutine, and its one sync
+		// primitive is the mutex over the process-wide set of idle
+		// connections, annotated at the import.
 		"rmscale/internal/service",
 		"rmscale/internal/service/client",
 		"rmscale/internal/service/loadgen",

@@ -31,12 +31,13 @@ func All() []grid.Policy {
 	return out
 }
 
-// Names lists the model names in the paper's order.
+// Names lists the model names in the paper's order, without building
+// the models.
 func Names() []string {
-	models := All()
-	out := make([]string, len(models))
-	for i, m := range models {
-		out[i] = m.Name()
+	ids := IDs()
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = id.String()
 	}
 	return out
 }

@@ -225,3 +225,17 @@ func TestSeedSensitivity(t *testing.T) {
 		t.Fatal("different seeds produced identical summaries")
 	}
 }
+
+// TestNamesMatchModels: Names reads the roster without building the
+// models, and must list each All() model's own Name in the same order.
+func TestNamesMatchModels(t *testing.T) {
+	names, models := Names(), All()
+	if len(names) != len(models) {
+		t.Fatalf("Names() lists %d models, All() builds %d", len(names), len(models))
+	}
+	for i, m := range models {
+		if names[i] != m.Name() {
+			t.Errorf("Names()[%d] = %q, All()[%d].Name() = %q", i, names[i], i, m.Name())
+		}
+	}
+}

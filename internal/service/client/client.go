@@ -19,18 +19,39 @@
 // deterministic jitter hashed from the client ID, the spec or
 // experiment ID, and the attempt, so a herd of clients spreads out
 // without a global RNG.
+//
+// A call runs each HTTP exchange on its caller's goroutine: it takes
+// an idle keep-alive connection to the daemon's host from one small
+// process-wide set, or dials one, writes the request and reads the
+// answer itself. The connection goes back to the set only when the
+// answer's body was read to its end and the answer did not say
+// "Connection: close"; the set keeps at most 8 connections, and the
+// longest idle goes first. Hanging up on a status stream closes its
+// connection, which is how the daemon's handler learns that the client
+// left. A request that fails on a reused idle connection before any
+// answer arrives is sent once more on a fresh dial: the daemon may
+// have closed the connection while it sat idle, and every rmscaled
+// route is idempotent (submissions are content-addressed), so the
+// resend is safe. The client speaks plain http://, which is all
+// `rmscaled serve` listens on, and reads no proxy settings from the
+// environment.
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	//lint:allow nokernelgoroutines the idle-connection set is shared by every concurrent call in the process; its mutex guards a slice of connections, no simulation state, and is never held across a dial, a close or IO
+	"sync"
 	"time"
 
 	"rmscale/internal/service"
@@ -47,9 +68,8 @@ const (
 	maxWait  = 5 * time.Second
 )
 
-// Client talks to one rmscaled daemon over the default HTTP transport.
-// A Client holds no connection state of its own; concurrent calls are
-// safe when Refused is.
+// Client talks to one rmscaled daemon. Its calls share the package's
+// idle connections; concurrent calls are safe when Refused is.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -146,9 +166,16 @@ func (c *Client) Watch(id string, each func(service.Status) bool) (service.Statu
 				break
 			}
 			last = st
-			if each != nil && !each(st) || st.State.Terminal() {
+			if each != nil && !each(st) {
 				// Closing an unread body drops the connection, which is
 				// what tells the daemon's handler the client hung up.
+				resp.Body.Close()
+				return st, nil
+			}
+			if st.State.Terminal() {
+				// The daemon ends the stream after a terminal status;
+				// reading to that end keeps the connection.
+				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				return st, nil
 			}
@@ -232,23 +259,163 @@ func (c *Client) getJSON(op, path string, v any) error {
 	return nil
 }
 
-// do sends one request with the client's identity.
+// do sends one request with the client's identity. The caller reads
+// the answer's body and closes it.
 func (c *Client) do(method, path string, payload []byte) (*http.Response, error) {
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequest(method, strings.TrimRight(c.Base, "/")+path, body)
+	u, err := url.Parse(strings.TrimRight(c.Base, "/") + path)
 	if err != nil {
 		return nil, err
 	}
+	if u.Scheme != "http" {
+		return nil, fmt.Errorf("%s: the rmscaled client speaks plain http only", c.Base)
+	}
+	req := &http.Request{Method: method, URL: u, Host: u.Host, Header: http.Header{}, ContentLength: int64(len(payload))}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if c.ID != "" {
 		req.Header.Set("X-Rmscale-Client", c.ID)
 	}
-	return http.DefaultClient.Do(req)
+	resp, err := exchange(req, payload)
+	if err != nil {
+		// The error reads as net/http's client would report it.
+		return nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}
+	}
+	return resp, nil
+}
+
+// maxIdle bounds the idle set, and so the idle connections to any one
+// host: the largest client count a harness runs at once (8 in `make
+// loadtest`).
+const maxIdle = 8
+
+// dialer bounds a dial as net/http's default transport does.
+var dialer = net.Dialer{Timeout: 30 * time.Second}
+
+// conn is one keep-alive connection to a daemon.
+type conn struct {
+	addr string // host:port, the idle set's key
+	nc   net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+}
+
+// idleSet is the process-wide set of idle connections, oldest first.
+type idleSet struct {
+	mu    sync.Mutex
+	conns []*conn
+}
+
+var idle idleSet
+
+// take removes and returns the most recently parked connection to
+// addr, or nil.
+func (s *idleSet) take(addr string) *conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.conns) - 1; i >= 0; i-- {
+		if cn := s.conns[i]; cn.addr == addr {
+			s.conns = append(s.conns[:i], s.conns[i+1:]...)
+			return cn
+		}
+	}
+	return nil
+}
+
+// put parks cn and returns the connection the bound leaves out, the
+// longest idle, for the caller to close; nil while the set has room.
+func (s *idleSet) put(cn *conn) *conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.conns = append(s.conns, cn)
+	if len(s.conns) <= maxIdle {
+		return nil
+	}
+	oldest := s.conns[0]
+	s.conns = append(s.conns[:0], s.conns[1:]...)
+	return oldest
+}
+
+// exchange sends req over an idle connection to its host, or a fresh
+// one, and reads the answer's head. A failure on an idle connection
+// sends req once more over a fresh dial.
+func exchange(req *http.Request, payload []byte) (*http.Response, error) {
+	addr := req.URL.Host
+	if req.URL.Port() == "" {
+		addr = net.JoinHostPort(req.URL.Hostname(), "80")
+	}
+	if cn := idle.take(addr); cn != nil {
+		if resp, err := cn.roundTrip(req, payload); err == nil {
+			return resp, nil
+		}
+		// The daemon may have closed the connection while it sat idle.
+		cn.nc.Close()
+	}
+	nc, err := dialer.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := (&conn{addr: addr, nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}).roundTrip(req, payload)
+	if err != nil {
+		nc.Close()
+		return nil, err
+	}
+	return resp, nil
+}
+
+// roundTrip writes req and reads the answer's head. The answer's body
+// owns the connection from then on.
+func (cn *conn) roundTrip(req *http.Request, payload []byte) (*http.Response, error) {
+	if payload != nil {
+		req.Body = io.NopCloser(bytes.NewReader(payload))
+	}
+	if err := req.Write(cn.bw); err != nil {
+		return nil, err
+	}
+	if err := cn.bw.Flush(); err != nil {
+		return nil, err
+	}
+	resp, err := http.ReadResponse(cn.br, req)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = &body{rc: resp.Body, cn: cn, keep: !resp.Close}
+	return resp, nil
+}
+
+// body is an answer's body. Closing it parks the connection for reuse
+// when the body was read to EOF and the answer allows keep-alive, and
+// otherwise closes the connection.
+type body struct {
+	rc   io.ReadCloser
+	cn   *conn
+	keep bool
+	eof  bool
+}
+
+func (b *body) Read(p []byte) (int, error) {
+	n, err := b.rc.Read(p)
+	if err == io.EOF {
+		b.eof = true
+	}
+	return n, err
+}
+
+// Close never closes rc: net/http's body would read the rest of the
+// answer first, and a status stream has no end until the client hangs
+// up.
+func (b *body) Close() error {
+	cn := b.cn
+	if cn == nil {
+		return nil
+	}
+	b.cn = nil
+	if b.eof && b.keep {
+		if cn = idle.put(cn); cn == nil {
+			return nil
+		}
+	}
+	return cn.nc.Close()
 }
 
 // readAll reads and closes the response body.

@@ -5,22 +5,29 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// requestNames are the net/http identifiers that build or send a
-// client request.
+// requestNames are the net/http identifiers that build, send or read
+// a client request: besides the client calls, the transports and
+// http.ReadResponse, with which a caller can run an exchange itself.
 var requestNames = map[string]bool{
 	"NewRequest": true, "NewRequestWithContext": true,
 	"Get": true, "Post": true, "Head": true, "DefaultClient": true,
+	"Transport": true, "DefaultTransport": true, "ReadResponse": true,
 }
 
+// requestLiterals are the net/http types whose composite literals
+// build a client or a request.
+var requestLiterals = map[string]bool{"Client": true, "Request": true}
+
 // requestSites lists the client-side net/http uses in one Go file: the
-// identifiers above and http.Client literals. Server-side use (Server,
-// Handler, ResponseWriter, status codes) is not listed.
+// identifiers and literals above. Server-side use (Server, Handler,
+// ResponseWriter, status codes) is not listed.
 func requestSites(fset *token.FileSet, path string) ([]string, error) {
 	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 	if err != nil {
@@ -54,8 +61,8 @@ func requestSites(fset *token.FileSet, path string) ([]string, error) {
 				sites = append(sites, fset.Position(n.Pos()).String()+": http."+n.Sel.Name)
 			}
 		case *ast.CompositeLit:
-			if isHTTP(n.Type, func(name string) bool { return name == "Client" }) {
-				sites = append(sites, fset.Position(n.Pos()).String()+": http.Client literal")
+			if isHTTP(n.Type, func(name string) bool { return requestLiterals[name] }) {
+				sites = append(sites, fset.Position(n.Pos()).String()+": http."+n.Type.(*ast.SelectorExpr).Sel.Name+" literal")
 			}
 		}
 		return true
@@ -105,5 +112,39 @@ func TestOnlyClientSendsRequests(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRequestSitesSeeExchanges: the scan also flags the net/http parts
+// with which a file could run an exchange itself, under any import
+// name.
+func TestRequestSitesSeeExchanges(t *testing.T) {
+	const src = `package p
+
+import web "net/http"
+
+var (
+	_ = web.ReadResponse
+	_ = &web.Transport{}
+	_ = web.DefaultTransport
+	_ = &web.Request{Method: "GET"}
+	_ = web.StatusOK
+)
+`
+	path := filepath.Join(t.TempDir(), "p.go")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sites, err := requestSites(token.NewFileSet(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range sites {
+		got = append(got, s[strings.Index(s, ": ")+2:])
+	}
+	want := "http.ReadResponse, http.Transport, http.DefaultTransport, http.Request literal"
+	if strings.Join(got, ", ") != want {
+		t.Fatalf("request sites %q, want %s", sites, want)
 	}
 }
