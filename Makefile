@@ -12,14 +12,17 @@ build:
 	$(GO) build ./...
 
 # go vet does not check formatting, so vet also fails when gofmt would
-# rewrite any tracked Go file (testdata fixtures are exempt).
+# rewrite any tracked Go file (testdata fixtures are exempt). bench/ is
+# a module of its own, which the root ./... skips, so it is vetted
+# from inside.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l $$(git ls-files '*.go' | grep -Ev '(^|/)testdata/')); \
 	if [ -n "$$out" ]; then echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
 
 # The custom determinism/model-coverage analyzers (see DESIGN.md,
-# "Determinism invariants"). One process runs all six: the full-
+# "Determinism invariants"). One process runs all seven: the full-
 # source typecheck and the call graph are built once and shared, so
 # adding an analyzer costs its traversal, not another load. Exits
 # non-zero on any finding; the JSON report is the CI artifact.

@@ -10,14 +10,14 @@ import (
 	"rmscale/internal/lint"
 )
 
-// TestRegistersAllSixAnalyzers pins the multichecker's roster: the
+// TestRegistersAllSevenAnalyzers pins the multichecker's roster: the
 // suite the binary runs must contain exactly the three local
-// map-order, concurrency and model-coverage analyzers plus the three
+// map-order, concurrency and model-coverage analyzers plus the four
 // call-graph analyzers, in their documented order.
-func TestRegistersAllSixAnalyzers(t *testing.T) {
+func TestRegistersAllSevenAnalyzers(t *testing.T) {
 	want := []string{
 		"mapiterorder", "nokernelgoroutines", "rmsexhaustive",
-		"detertaint", "hotalloc", "locksafe",
+		"detertaint", "hotalloc", "locksafe", "deadcode",
 	}
 	suite := lint.Suite(lint.DefaultConfig)
 	if len(suite) != len(want) {
@@ -76,12 +76,11 @@ func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the dependency graph")
 	}
-	var buf bytes.Buffer
-	n, err := lint.RunDir(".", []string{"."}, lint.DefaultConfig, &buf)
+	findings, err := lint.Run(".", []string{"."}, lint.DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("rmslint is not self-clean:\n%s", buf.String())
+	for _, f := range findings {
+		t.Errorf("rmslint is not self-clean: %s", f)
 	}
 }

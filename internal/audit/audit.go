@@ -66,19 +66,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// ParseMode parses a mode name as printed by String.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "off":
-		return Off, nil
-	case "record":
-		return Record, nil
-	case "failfast":
-		return FailFast, nil
-	}
-	return Off, fmt.Errorf("audit: unknown mode %q (off|record|failfast)", s)
-}
-
 // Check names identify which invariant a violation belongs to; the
 // shrinker preserves the first-failing check kind while minimizing.
 const (

@@ -167,15 +167,3 @@ func TestFingerprintIsStable(t *testing.T) {
 		t.Fatal("different violation lists share a fingerprint")
 	}
 }
-
-func TestModeRoundTrip(t *testing.T) {
-	for _, m := range []audit.Mode{audit.Off, audit.Record, audit.FailFast} {
-		got, err := audit.ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := audit.ParseMode("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-}

@@ -204,22 +204,6 @@ func (f *FS) OpCount() int {
 	return len(f.ops)
 }
 
-// Ops returns a copy of the recorded trace.
-func (f *FS) Ops() []Op {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Op, len(f.ops))
-	copy(out, f.ops)
-	return out
-}
-
-// Crashed reports whether the armed crash has fired.
-func (f *FS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // file is an open handle; operations route back through the FS so the
 // trace stays linearized.
 type file struct {

@@ -176,8 +176,8 @@ func TestCrashAtIsPrefixExact(t *testing.T) {
 	if got := fs.OpCount(); got != 2 {
 		t.Fatalf("op count after crash %d, want 2", got)
 	}
-	if !fs.Crashed() {
-		t.Fatal("Crashed() false after crash")
+	if !fs.crashed {
+		t.Fatal("crashed unset after crash")
 	}
 	if _, err := fs.ReadFile("/a"); err == nil {
 		t.Fatal("post-crash operation succeeded")
@@ -285,7 +285,7 @@ func TestOverwriteInPlace(t *testing.T) {
 	if err := fs.Overwrite("/log", 5, []byte("ONE")); err != nil {
 		t.Fatal(err)
 	}
-	if ops := fs.Ops(); len(ops) != before+1 || ops[before].Kind != OpWrite {
+	if ops := fs.ops; len(ops) != before+1 || ops[before].Kind != OpWrite {
 		t.Fatalf("overwrite traced as %v, want one write op", ops[before:])
 	}
 	if got, _ := readOn(t, fs, "/log"); got != "line-ONE\nline-two\n" {

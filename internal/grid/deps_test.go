@@ -82,15 +82,21 @@ func TestPrecedenceWithDAGWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := workload.DefaultDAGParams()
+	p := workload.DefaultParams()
 	// Run lighter than the stressed default so dependency chains can
 	// drain inside the window.
 	p.ArrivalRate = cfg.Workload.ArrivalRate * 0.7
 	p.Horizon = cfg.Workload.Horizon
 	p.Clusters = cfg.Workload.Clusters
-	jobs, err := workload.GenerateDAG(p, sim.NewSource(5).Stream("dag"))
+	jobs, err := workload.Generate(p, sim.NewSource(5).Stream("dag"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Make the stream a DAG in groups of five: the second job of each
+	// group waits for the first, the third for both.
+	for i := 0; i+2 < len(jobs); i += 5 {
+		jobs[i+1].Deps = []int{jobs[i].ID}
+		jobs[i+2].Deps = []int{jobs[i].ID, jobs[i+1].ID}
 	}
 	if err := e.UseJobs(jobs); err != nil {
 		t.Fatal(err)

@@ -25,8 +25,6 @@ type Resource struct {
 	// update; a clean resource suppresses its periodic update.
 	dirty        bool
 	lastSentLoad float64
-
-	ticker *sim.Ticker
 }
 
 // Load is the paper's loading condition: jobs in service plus queued.
@@ -117,7 +115,7 @@ func (r *Resource) startUpdates(tau float64, phase *sim.Stream) {
 	offset := phase.Uniform(0, tau)
 	r.eng.K.After(offset, func() {
 		r.tick()
-		r.ticker = sim.NewTicker(r.eng.K, tau, r.tick)
+		sim.NewTicker(r.eng.K, tau, r.tick)
 	})
 }
 

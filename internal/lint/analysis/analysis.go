@@ -56,18 +56,6 @@ type Diagnostic struct {
 	Analyzer    string
 }
 
-// Position resolves the diagnostic position against a file set.
-func (d Diagnostic) Position(fset *token.FileSet) token.Position {
-	return fset.Position(d.Pos)
-}
-
-// String renders the diagnostic in go vet's position format:
-// file:line:col: message (analyzer).
-func (d Diagnostic) format(fset *token.FileSet) string {
-	p := fset.Position(d.Pos)
-	return fmt.Sprintf("%s:%d:%d: %s (%s)", p.Filename, p.Line, p.Column, d.Message, d.Analyzer)
-}
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
@@ -130,14 +118,5 @@ func (p *Pass) SelectorOf(e ast.Expr) (path, name string, ok bool) {
 func (p *Pass) Diagnostics() []Diagnostic {
 	out := append([]Diagnostic(nil), p.diags...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	return out
-}
-
-// Format renders diagnostics one per line in vet's position format.
-func Format(fset *token.FileSet, diags []Diagnostic) []string {
-	out := make([]string, len(diags))
-	for i, d := range diags {
-		out[i] = d.format(fset)
-	}
 	return out
 }

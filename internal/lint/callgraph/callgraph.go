@@ -68,6 +68,7 @@ type Call struct {
 // summaries derived from it.
 type Graph struct {
 	fset  *token.FileSet
+	pkgs  []*Package
 	nodes map[*types.Func]*Node
 	order []*Node
 
@@ -78,6 +79,10 @@ type Graph struct {
 	// across per-package passes (taint sets, hot sets, blocking
 	// summaries), keyed by analyzer name.
 	Memo map[string]any
+
+	// Partial marks a graph over only part of the module, which lacks
+	// callers outside it; deadcode reports nothing on such a graph.
+	Partial bool
 }
 
 // Build constructs the graph over pkgs. Deterministic: nodes are in
@@ -85,6 +90,7 @@ type Graph struct {
 func Build(fset *token.FileSet, pkgs []*Package) *Graph {
 	g := &Graph{
 		fset:     fset,
+		pkgs:     pkgs,
 		nodes:    map[*types.Func]*Node{},
 		chaCache: map[string][]*Node{},
 		Memo:     map[string]any{},
@@ -126,6 +132,9 @@ func Build(fset *token.FileSet, pkgs []*Package) *Graph {
 
 // Fset returns the file set the graph's positions resolve against.
 func (g *Graph) Fset() *token.FileSet { return g.fset }
+
+// Packages returns the packages the graph was built over.
+func (g *Graph) Packages() []*Package { return g.pkgs }
 
 // Node returns the graph node for fn, or nil when fn has no module
 // body (standard library, interface method, external).

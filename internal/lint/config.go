@@ -167,6 +167,8 @@ var DefaultConfig = Config{
 // MapOrder, Exhaustive and HotAlloc lists do not count), exempt means
 // an Exempt entry opts it out. The config meta-test requires every
 // internal package to be one or the other.
+//
+//lint:allow deadcode test support: the config meta-test TestInternalPackagesClassified is its only caller
 func (cfg Config) Classified(pkgPath string) (curated, exempt bool) {
 	for _, list := range [][]string{cfg.SimVisible, cfg.Kernel, cfg.LockSafe} {
 		if appliesTo(list, pkgPath) {
@@ -182,10 +184,11 @@ func (cfg Config) Classified(pkgPath string) (curated, exempt bool) {
 }
 
 // appliesTo reports whether an entry list covers the package path.
-// An entry "m/..." covers m and everything below it.
+// An entry "m/..." covers m and everything below it, and "..." covers
+// every package.
 func appliesTo(entries []string, pkgPath string) bool {
 	for _, e := range entries {
-		if e == pkgPath {
+		if e == pkgPath || e == "..." {
 			return true
 		}
 		if root, ok := cutDots(e); ok {

@@ -89,7 +89,7 @@ func TestConfigMatchesModule(t *testing.T) {
 	// Type-check the enum package and verify the configured constants
 	// really are constants of the configured type.
 	fset := token.NewFileSet()
-	pkgs, err := load.Module(fset, "../..", cfg.EnumPkg)
+	pkgs, _, err := load.Module(fset, "../..", cfg.EnumPkg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,27 +9,28 @@
 //
 // The suite has two tiers. Three analyzers are call-site local
 // (mapiterorder, nokernelgoroutines, rmsexhaustive): cheap, precise,
-// package-scoped. Three are interprocedural (detertaint, hotalloc,
-// locksafe): they run over a module-wide call graph
+// package-scoped. Four are interprocedural (detertaint, hotalloc,
+// locksafe, deadcode): they run over a module-wide call graph
 // (internal/lint/callgraph) the driver builds once per run and shares
 // across every (analyzer, package) pass. detertaint owns the whole
 // determinism invariant: it reports a wall-clock or global-RNG source
 // referenced directly in a simulation-visible package as well as one
-// reached through any chain of calls.
+// reached through any chain of calls. deadcode reports the functions
+// under internal/ that no production root reaches, on a load of the
+// whole module only.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"io"
 
 	"rmscale/internal/lint/analysis"
 	"rmscale/internal/lint/callgraph"
 	"rmscale/internal/lint/load"
 )
 
-// Suite returns the six analyzers in their fixed reporting order:
+// Suite returns the seven analyzers in their fixed reporting order:
 // the local fast passes first, then the call-graph tier.
 func Suite(cfg Config) []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -43,6 +44,7 @@ func Suite(cfg Config) []*analysis.Analyzer {
 		DeterTaint(),
 		HotAlloc(),
 		LockSafe(),
+		DeadCode(),
 	}
 }
 
@@ -64,6 +66,9 @@ func (cfg Config) packagesFor(name string) []string {
 		return cfg.HotAlloc
 	case "locksafe":
 		return cfg.LockSafe
+	case "deadcode":
+		// The analyzer itself keeps to functions under internal/.
+		return []string{"..."}
 	default:
 		panic("lint: unknown analyzer " + name)
 	}
@@ -104,7 +109,7 @@ func (f Finding) String() string {
 // config, and returns the surviving findings in report order.
 func Run(dir string, patterns []string, cfg Config) ([]Finding, error) {
 	fset := token.NewFileSet()
-	pkgs, err := load.Module(fset, dir, patterns...)
+	pkgs, whole, err := load.Module(fset, dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +118,7 @@ func Run(dir string, patterns []string, cfg Config) ([]Finding, error) {
 		cgPkgs[i] = &callgraph.Package{Path: p.Path, Files: p.Files, Pkg: p.Pkg, Info: p.Info}
 	}
 	graph := callgraph.Build(fset, cgPkgs)
+	graph.Partial = !whole
 
 	suite := Suite(cfg)
 	known := KnownAnalyzers(cfg)
@@ -150,16 +156,6 @@ func findingOf(fset *token.FileSet, d analysis.Diagnostic) Finding {
 	return f
 }
 
-// RunDir is the vet-format entry point: it runs the suite and writes
-// one line per finding to w, returning the finding count.
-func RunDir(dir string, patterns []string, cfg Config, w io.Writer) (int, error) {
-	findings, err := Run(dir, patterns, cfg)
-	for _, f := range findings {
-		fmt.Fprintln(w, f.String())
-	}
-	return len(findings), err
-}
-
 // ApplyDirectives filters diagnostics through the files' //lint:
 // markers and appends diagnostics for malformed markers. Shared by
 // the CLI driver and the analysistest harness so fixtures exercise
@@ -182,5 +178,7 @@ func passGraph(p *analysis.Pass) *callgraph.Graph {
 	if g, ok := p.Shared.(*callgraph.Graph); ok && g != nil {
 		return g
 	}
-	return callgraph.Build(p.Fset, []*callgraph.Package{{Path: p.Pkg.Path(), Files: p.Files, Pkg: p.Pkg, Info: p.Info}})
+	g := callgraph.Build(p.Fset, []*callgraph.Package{{Path: p.Pkg.Path(), Files: p.Files, Pkg: p.Pkg, Info: p.Info}})
+	g.Partial = true
+	return g
 }

@@ -4,12 +4,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 
 	"rmscale/internal/lint"
 	"rmscale/internal/lint/analysis"
+	"rmscale/internal/lint/callgraph"
 	"rmscale/internal/lint/linttest"
+	"rmscale/internal/lint/load"
 )
 
 // TestNoWallClock checks detertaint's direct wall-clock findings, the
@@ -79,6 +82,63 @@ func TestHotAlloc(t *testing.T) {
 // TestLockSafe checks the service locking-discipline analyzer.
 func TestLockSafe(t *testing.T) {
 	linttest.Run(t, "testdata", lint.LockSafe(), "locksafe")
+}
+
+// TestDeadCode checks the reachability analyzer on a fixture module:
+// an API package, a main package and a library under internal/.
+func TestDeadCode(t *testing.T) {
+	linttest.Run(t, "testdata", lint.DeadCode(), "deadcode/internal/lib", "deadcode", "deadcode/cmd/tool")
+}
+
+// TestDeadCodeNeedsWholeModule pins deadcode's partial-load rule on
+// the module itself. A load of ./... is the whole module, and deadcode
+// reports linttest.Run there before directives apply, since only tests
+// call it. A load of that one package lacks the module's roots, so
+// deadcode reports nothing at all, linttest.Run included.
+func TestDeadCodeNeedsWholeModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the module twice")
+	}
+	raw := func(pattern string) (whole bool, msgs []string) {
+		t.Helper()
+		fset := token.NewFileSet()
+		pkgs, whole, err := load.Module(fset, "../..", pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg := make([]*callgraph.Package, len(pkgs))
+		for i, p := range pkgs {
+			cg[i] = &callgraph.Package{Path: p.Path, Files: p.Files, Pkg: p.Pkg, Info: p.Info}
+		}
+		g := callgraph.Build(fset, cg)
+		g.Partial = !whole
+		a := lint.DeadCode()
+		for _, p := range pkgs {
+			pass := &analysis.Pass{Analyzer: a, Fset: fset, Files: p.Files, Pkg: p.Pkg, Info: p.Info, Shared: g}
+			if err := a.Run(pass); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range pass.Diagnostics() {
+				msgs = append(msgs, d.Message)
+			}
+		}
+		return whole, msgs
+	}
+	const harness = "linttest.Run is unreachable"
+	whole, msgs := raw("./...")
+	if !whole {
+		t.Fatal("a load of ./... does not count as the whole module")
+	}
+	if !slices.ContainsFunc(msgs, func(m string) bool { return strings.HasPrefix(m, harness) }) {
+		t.Fatalf("the whole load does not report %q: %q", harness, msgs)
+	}
+	whole, msgs = raw("./internal/lint/linttest")
+	if whole {
+		t.Fatal("a load of one package counts as the whole module")
+	}
+	if len(msgs) != 0 {
+		t.Fatalf("a partial load reported %q", msgs)
+	}
 }
 
 // TestMalformedDirectives checks that broken //lint: markers are

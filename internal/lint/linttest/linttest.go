@@ -38,6 +38,8 @@ type expectation struct {
 // ones by their directory path) and checks a's diagnostics against
 // the fixtures' // want comments. Fixtures with intentional
 // violations live under testdata so the module build never sees them.
+//
+//lint:allow deadcode test support: the analyzer tests drive every fixture through this harness
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -88,7 +90,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	// so interprocedural analyzers see cross-package fixture chains.
 	var checked []*load.Package
 	for _, p := range pkgs {
-		pkg, err := load.Check(fset, p, files[p], load.Importer(typed))
+		pkg, err := load.Check(fset, p, files[p], typed)
 		if err != nil {
 			t.Fatalf("type-checking fixture %s: %v", p, err)
 		}
@@ -137,6 +139,8 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 
 // consume marks the first unmatched expectation pattern on the
 // diagnostic's line that matches its message.
+//
+//lint:allow deadcode test support: called by the fixture harness Run
 func consume(expects []*expectation, file string, line int, msg string) bool {
 	for _, e := range expects {
 		if e.file != file || e.line != line {
@@ -155,6 +159,8 @@ func consume(expects []*expectation, file string, line int, msg string) bool {
 // wantComments extracts `// want "re" ["re" ...]` clauses from a
 // file's comments. The clause expects one matching diagnostic per
 // quoted regexp on the comment's own line.
+//
+//lint:allow deadcode test support: called by the fixture harness Run
 func wantComments(fset *token.FileSet, f *ast.File) ([]*expectation, error) {
 	var out []*expectation
 	for _, cg := range f.Comments {
@@ -197,6 +203,8 @@ func wantComments(fset *token.FileSet, f *ast.File) ([]*expectation, error) {
 
 // nextStringLit returns the leading double-quoted Go string literal
 // of s, including its quotes.
+//
+//lint:allow deadcode test support: called by the fixture harness Run
 func nextStringLit(s string) (string, error) {
 	for i := 1; i < len(s); i++ {
 		switch s[i] {

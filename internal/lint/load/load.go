@@ -45,19 +45,39 @@ type listPkg struct {
 // and returns only the matched module packages, fully type-checked,
 // in `go list` order. Test files are not loaded: the determinism
 // invariants govern production code, while tests legitimately use
-// wall-clock timeouts and goroutines.
-func Module(fset *token.FileSet, dir string, patterns ...string) ([]*Package, error) {
-	pkgs, _, err := graph(fset, dir, patterns)
-	return pkgs, err
+// wall-clock timeouts and goroutines. whole reports whether the load
+// holds every package of the main module; a narrowed pattern leaves
+// callers outside it.
+func Module(fset *token.FileSet, dir string, patterns ...string) (pkgs []*Package, whole bool, err error) {
+	pkgs, _, err = graph(fset, dir, patterns)
+	if err != nil {
+		return nil, false, err
+	}
+	out, err := goList(dir, "-find", "-f", "{{if .Module}}{{if .Module.Main}}{{.ImportPath}}{{end}}{{end}}", "all")
+	if err != nil {
+		return nil, false, err
+	}
+	loaded := map[string]bool{}
+	for _, p := range pkgs {
+		loaded[p.Path] = true
+	}
+	for _, path := range strings.Fields(string(out)) {
+		if !loaded[path] {
+			return pkgs, false, nil
+		}
+	}
+	return pkgs, true, nil
 }
 
 // Deps type-checks the named import paths (typically the standard
 // library packages test fixtures import) together with their
-// dependency graphs and returns a path -> package map usable as a
-// types.Importer backing store.
-func Deps(fset *token.FileSet, dir string, paths ...string) (map[string]*types.Package, error) {
+// dependency graphs and returns them as an Importer, to which a
+// caller adds the packages it checks on top.
+//
+//lint:allow deadcode test support: the linttest fixture harness loads its standard-library imports here
+func Deps(fset *token.FileSet, dir string, paths ...string) (Importer, error) {
 	if len(paths) == 0 {
-		return map[string]*types.Package{"unsafe": types.Unsafe}, nil
+		return Importer{"unsafe": types.Unsafe}, nil
 	}
 	_, typed, err := graph(fset, dir, paths)
 	return typed, err
@@ -66,18 +86,10 @@ func Deps(fset *token.FileSet, dir string, paths ...string) (map[string]*types.P
 // graph lists patterns with -deps, type-checks the whole graph from
 // source in dependency order, and returns the non-standard packages
 // in list order plus the full path -> types map.
-func graph(fset *token.FileSet, dir string, patterns []string) ([]*Package, map[string]*types.Package, error) {
-	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	// CGO_ENABLED=0 keeps every listed package pure Go, so the whole
-	// graph — net, os, runtime — type-checks from source.
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+func graph(fset *token.FileSet, dir string, patterns []string) ([]*Package, Importer, error) {
+	out, err := goList(dir, append([]string{"-deps", "-json=ImportPath,Dir,GoFiles,Standard"}, patterns...)...)
 	if err != nil {
-		return nil, nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, nil, err
 	}
 
 	var listed []*listPkg
@@ -90,8 +102,7 @@ func graph(fset *token.FileSet, dir string, patterns []string) ([]*Package, map[
 		listed = append(listed, p)
 	}
 
-	typed := map[string]*types.Package{"unsafe": types.Unsafe}
-	imp := mapImporter(typed)
+	typed := Importer{"unsafe": types.Unsafe}
 	var pkgs []*Package
 	for _, lp := range listed {
 		if lp.ImportPath == "unsafe" {
@@ -101,7 +112,7 @@ func graph(fset *token.FileSet, dir string, patterns []string) ([]*Package, map[
 		for i, f := range lp.GoFiles {
 			files[i] = filepath.Join(lp.Dir, f)
 		}
-		p, err := Check(fset, lp.ImportPath, files, imp)
+		p, err := Check(fset, lp.ImportPath, files, typed)
 		if err != nil {
 			return nil, nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 		}
@@ -112,6 +123,22 @@ func graph(fset *token.FileSet, dir string, patterns []string) ([]*Package, map[
 		}
 	}
 	return pkgs, typed, nil
+}
+
+// goList runs `go list args...` in dir and returns its stdout.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	// CGO_ENABLED=0 keeps every listed package pure Go, so the whole
+	// graph — net, os, runtime — type-checks from source.
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return out, nil
 }
 
 // Check parses and type-checks one package from the named files,
@@ -143,17 +170,12 @@ func Check(fset *token.FileSet, path string, filenames []string, imp types.Impor
 	return &Package{Path: path, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// Importer wraps a path -> package map as a types.Importer, for
-// callers (like the analysistest harness) that assemble their own
-// package graphs around Check.
-func Importer(m map[string]*types.Package) types.Importer { return mapImporter(m) }
-
-// mapImporter resolves imports against an accumulating path -> package
+// Importer is a types.Importer over an accumulating path -> package
 // map; dependency-ordered loading guarantees the entry exists by the
 // time an importer asks for it.
-type mapImporter map[string]*types.Package
+type Importer map[string]*types.Package
 
-func (m mapImporter) Import(path string) (*types.Package, error) {
+func (m Importer) Import(path string) (*types.Package, error) {
 	if p, ok := m[path]; ok {
 		return p, nil
 	}

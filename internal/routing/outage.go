@@ -29,7 +29,6 @@ type Outages struct {
 	// windows[node] holds that endpoint's outage intervals sorted by
 	// start time; nodes without entries never fail.
 	windows map[int][]window
-	count   int
 }
 
 // PlanOutages samples outage windows for every endpoint over [0,
@@ -57,19 +56,10 @@ func PlanOutages(endpoints []int, mtbf, duration, horizon float64, src ExpSource
 		t := src.Exp(mtbf)
 		for t < horizon {
 			o.windows[n] = append(o.windows[n], window{start: t, end: t + duration})
-			o.count++
 			t += duration + src.Exp(mtbf)
 		}
 	}
 	return o, nil
-}
-
-// Windows reports the total number of planned outage windows.
-func (o *Outages) Windows() int {
-	if o == nil {
-		return 0
-	}
-	return o.count
 }
 
 // Severed reports whether the endpoint's access link is down at time t.

@@ -28,9 +28,6 @@ type TaskCtx struct {
 	w *worker
 }
 
-// Worker returns the index of the worker executing the task.
-func (tc *TaskCtx) Worker() int { return tc.w.id }
-
 // Spawn schedules a subtask. It is pushed onto the bottom of the
 // current worker's deque: the spawning worker continues depth-first
 // while idle workers steal from the top, which is the classic
@@ -59,14 +56,10 @@ type Pool struct {
 	closed  bool    // Wait called; no further Submit allowed
 	err     error   // first task error
 	errs    []error // every task error, in completion order (keep-going mode)
-	running map[int]string
 
 	// keepGoing, when set, stops a task error from cancelling the pool:
 	// the remaining tasks complete and Wait returns every error joined.
-	// retries is how many times a failed task is immediately re-run
-	// before its error counts.
 	keepGoing bool
-	retries   int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -96,7 +89,6 @@ func NewPool(ctx context.Context, n int, obs PoolObserver) *Pool {
 	p := &Pool{
 		ctx:      pctx,
 		cancel:   cancel,
-		running:  make(map[int]string),
 		observer: obs,
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -116,9 +108,6 @@ func NewPool(ctx context.Context, n int, obs PoolObserver) *Pool {
 	return p
 }
 
-// Workers reports the pool's worker count.
-func (p *Pool) Workers() int { return len(p.workers) }
-
 // SetKeepGoing selects the pool's failure discipline. Fail-fast (the
 // default) cancels everything on the first task error — right for
 // short runs where any failure voids the result. Keep-going lets the
@@ -129,19 +118,6 @@ func (p *Pool) SetKeepGoing(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.keepGoing = on
-}
-
-// SetTaskRetries sets how many times a failed or panicking task is
-// immediately re-run before its error counts (0, the default, means
-// one attempt only). Retries apply per task, not per pool. Call before
-// submitting work.
-func (p *Pool) SetTaskRetries(n int) {
-	if n < 0 {
-		n = 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.retries = n
 }
 
 // Submit enqueues a task on the shared injection queue. It panics if
@@ -243,22 +219,14 @@ func (p *Pool) run(w *worker) {
 		if !ok {
 			return
 		}
-		p.mu.Lock()
-		p.running[w.id] = t.ID
-		retries := p.retries
-		p.mu.Unlock()
 		if p.observer != nil {
 			p.observer.TaskStart(w.id, t.ID)
 		}
 		err := p.runTask(w, t)
-		for attempt := 0; err != nil && attempt < retries && p.ctx.Err() == nil; attempt++ {
-			err = p.runTask(w, t)
-		}
 		if p.observer != nil {
 			p.observer.TaskDone(w.id, t.ID, err)
 		}
 		p.mu.Lock()
-		delete(p.running, w.id)
 		if err != nil {
 			if p.err == nil {
 				p.err = err
@@ -287,15 +255,4 @@ func (p *Pool) runTask(w *worker, t Task) (err error) {
 		}
 	}()
 	return t.Run(&TaskCtx{Context: p.ctx, w: w})
-}
-
-// Running snapshots which task each worker is currently executing.
-func (p *Pool) Running() map[int]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[int]string, len(p.running))
-	for k, v := range p.running {
-		out[k] = v
-	}
-	return out
 }

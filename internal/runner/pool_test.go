@@ -30,8 +30,8 @@ func TestPoolRunsEveryTask(t *testing.T) {
 
 func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
 	p := NewPool(context.Background(), 0, nil)
-	if p.Workers() < 1 {
-		t.Fatalf("pool has %d workers", p.Workers())
+	if len(p.workers) < 1 {
+		t.Fatalf("pool has %d workers", len(p.workers))
 	}
 	p.Submit(Task{ID: "noop", Run: func(tc *TaskCtx) error { return nil }})
 	if err := p.Wait(); err != nil {
@@ -50,7 +50,7 @@ func TestPoolStealsSpawnedWork(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			tc.Spawn(Task{ID: fmt.Sprintf("child%d", i), Run: func(tc *TaskCtx) error {
 				mu.Lock()
-				workers[tc.Worker()]++
+				workers[tc.w.id]++
 				mu.Unlock()
 				time.Sleep(2 * time.Millisecond) // long enough for thieves to wake
 				return nil
@@ -175,41 +175,6 @@ func TestPoolKeepGoingCompletesRest(t *testing.T) {
 	}
 	if ran.Load() != 50 {
 		t.Fatalf("only %d of 50 healthy tasks completed after the failures", ran.Load())
-	}
-}
-
-// TestPoolTaskRetries: a task that fails transiently must be re-run up
-// to the retry budget and succeed without surfacing an error; one that
-// always fails surfaces its error after exhausting the budget.
-func TestPoolTaskRetries(t *testing.T) {
-	p := NewPool(context.Background(), 2, nil)
-	p.SetTaskRetries(2)
-	var flaky, stubborn atomic.Int64
-	p.Submit(Task{ID: "flaky", Run: func(tc *TaskCtx) error {
-		if flaky.Add(1) < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	}})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("flaky task failed despite retry budget: %v", err)
-	}
-	if flaky.Load() != 3 {
-		t.Fatalf("flaky task ran %d times, want 3", flaky.Load())
-	}
-
-	p = NewPool(context.Background(), 2, nil)
-	p.SetTaskRetries(2)
-	p.SetKeepGoing(true)
-	p.Submit(Task{ID: "stubborn", Run: func(tc *TaskCtx) error {
-		stubborn.Add(1)
-		return errors.New("permanent")
-	}})
-	if err := p.Wait(); err == nil {
-		t.Fatal("permanently failing task reported success")
-	}
-	if stubborn.Load() != 3 {
-		t.Fatalf("stubborn task ran %d times, want 3 (1 + 2 retries)", stubborn.Load())
 	}
 }
 

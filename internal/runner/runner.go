@@ -54,9 +54,6 @@ type Options struct {
 	// returns every error joined. Use for long sweeps where one bad
 	// point must not void ten hours of completed work.
 	KeepGoing bool
-	// TaskRetries re-runs a failed or panicking task up to this many
-	// extra times before its error counts.
-	TaskRetries int
 }
 
 // Run bundles one experiment execution: pool, cache, journal and
@@ -90,7 +87,6 @@ func Start(opts Options) (*Run, error) {
 	r.Report = NewReporter(cache, opts.Dir, opts.Log)
 	r.Pool = NewPool(opts.Context, opts.Workers, r.Report)
 	r.Pool.SetKeepGoing(opts.KeepGoing)
-	r.Pool.SetTaskRetries(opts.TaskRetries)
 	return r, nil
 }
 

@@ -33,11 +33,6 @@ type Variable struct {
 	Value func(k int) float64
 }
 
-// Linear returns a variable growing proportionally: base * k.
-func Linear(name string, base float64) Variable {
-	return Variable{Name: name, Value: func(k int) float64 { return base * float64(k) }}
-}
-
 // Enabler is one tunable scaling enabler y_i: a bounded search
 // dimension with a starting value.
 type Enabler struct {

@@ -7,16 +7,6 @@ import (
 	"rmscale/internal/anneal"
 )
 
-func TestLinearVariable(t *testing.T) {
-	v := Linear("nodes", 100)
-	if v.Value(1) != 100 || v.Value(6) != 600 {
-		t.Fatalf("Linear variable wrong: %v, %v", v.Value(1), v.Value(6))
-	}
-	if v.Name != "nodes" {
-		t.Fatal("name lost")
-	}
-}
-
 func TestEnablerValidate(t *testing.T) {
 	bad := []Enabler{
 		{Name: "a", Min: 5, Max: 1, Init: 3},

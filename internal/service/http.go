@@ -105,12 +105,14 @@ func decodeSpec(w http.ResponseWriter, r *http.Request) (ExperimentSpec, error) 
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := decodeSpec(w, r)
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("spec body exceeds the %d-byte limit", tooBig.Limit)})
-		return
-	case err != nil:
+	if err != nil {
+		// tooBig lives in the error branch: errors.As moves it to the
+		// heap, which a spec that decodes cleanly should not pay for.
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("spec body exceeds the %d-byte limit", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding spec: %v", err)})
 		return
 	}

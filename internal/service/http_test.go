@@ -381,6 +381,53 @@ func TestLogRequestsFreeWithoutLog(t *testing.T) {
 	}
 }
 
+// rewindBody is a request body the test rewinds between requests
+// without allocating.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// TestSubmitDedupHitAllocs pins one dedup-hit POST /v1/experiments
+// through the server's handler, without a log: the spec decode, the
+// daemon's dedup path and the JSON answer into a fresh recorder. A
+// spec that decodes cleanly takes no error-branch allocation.
+func TestSubmitDedupHitAllocs(t *testing.T) {
+	const budget = 25
+	d, err := New(Config{Shards: 1, Exec: fakeExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	h := NewServer(d).Handler()
+	spec := []byte(`{"kind":"sim","model":"LOWEST","seed":1}`)
+	body := rewindBody{bytes.NewReader(spec)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/experiments", body)
+	post := func() *httptest.ResponseRecorder {
+		body.Reset(spec)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	var st Status
+	if err := json.Unmarshal(post().Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitTerminal(t, d, st.ID); st.State != StateDone {
+		t.Fatalf("seeded experiment ended %s: %s", st.State, st.Error)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if rec := post(); rec.Code != http.StatusOK {
+			t.Fatalf("dedup submit answered %d: %s", rec.Code, rec.Body)
+		}
+	})
+	if raceEnabled {
+		t.Skipf("the race detector adds allocations (%.0f measured); the budget of %d holds without it", allocs, budget)
+	}
+	if allocs > budget {
+		t.Errorf("dedup-hit submit through the handler allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
 // lockedBuffer is a log sink safe for the daemon's goroutines.
 type lockedBuffer struct {
 	mu  sync.Mutex

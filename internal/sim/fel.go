@@ -84,12 +84,7 @@ func (f *fel) push(e *Event) {
 func (f *fel) pop() *Event {
 	root := f.evs[f.ev[0].id]
 	root.inFEL = false
-	n := len(f.ev) - 1
-	last := f.ev[n]
-	f.ev = f.ev[:n]
-	if n > 0 {
-		siftDown(f.ev, last, 0)
-	}
+	f.ev = heapPop(f.ev)
 	return root
 }
 
@@ -100,20 +95,14 @@ func heapAdd(h []slot, s slot) []slot {
 	return h
 }
 
-// heapDel removes the slot at index i of heap h, refilling the hole
-// with the last slot sifted up or down to its place.
-func heapDel(h []slot, i int) []slot {
+// heapPop removes the root of heap h, refilling it with the last slot
+// sifted down to its place.
+func heapPop(h []slot) []slot {
 	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	if i < n {
-		if i > 0 && last.before(h[(i-1)>>2]) {
-			siftUp(h, last, i)
-		} else {
-			siftDown(h, last, i)
-		}
+	if n > 0 {
+		siftDown(h[:n], h[n], 0)
 	}
-	return h
+	return h[:n]
 }
 
 // siftUp places s at index i of h, walking it up past later parents.

@@ -7,8 +7,8 @@ import (
 // FuzzKernelOps decodes an arbitrary byte stream into a sequence of
 // kernel operations — schedules at equal/past/future times, double
 // cancels, steps, bounded runs, Stop called from inside a callback,
-// lane appends (in order and out of order), ticker creation, Stop and
-// restart, a lane item that spins at zero delay until the watchdog
+// lane appends (in order and out of order), ticker creation on shared
+// periods, a lane item that spins at zero delay until the watchdog
 // trips, and a run on a small event budget — over eight lanes plus up
 // to four ticker lanes, and runs them through diffKernel (felprop_test.go),
 // so every fired callback is checked against the sorted-slice
@@ -23,7 +23,7 @@ import (
 func FuzzKernelOps(f *testing.F) {
 	// One of each opcode, a tie burst, a cancel-twice pair, a
 	// stop-inside-callback prefix, lane ties across both lanes and the
-	// heap, and ticker churn on a shared period.
+	// heap, and tickers on a shared period.
 	f.Add([]byte{0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 10, 1, 10, 1, 10, 4, 4, 4})
 	f.Add([]byte{6, 4, 1, 200, 5})
@@ -75,15 +75,10 @@ func FuzzKernelOps(f *testing.F) {
 				if k.Now() > 0 {
 					mustPanic("schedule in the past", func() { k.Schedule(k.Now()-1, func() {}) })
 				}
-			case 3: // cancel a live handle twice; a tick stops its ticker
+			case 3: // cancel a live handle twice
 				if len(d.all) > 0 {
 					id := int(arg(i)) % len(d.all)
 					i++
-					for _, dt := range d.tickers {
-						if dt.cur == id {
-							d.stopTicker(dt)
-						}
-					}
 					if r := d.all[id]; r.ev != nil && !r.fired && !r.canceled {
 						d.cancel(id)
 						k.Cancel(r.ev) // cancel twice: second must be a no-op
@@ -113,22 +108,11 @@ func FuzzKernelOps(f *testing.F) {
 				i++
 				back := max(ln.last, k.Now()) - 1
 				mustPanic("decreasing lane append", func() { ln.l.Append(back, func() {}) })
-			case 9: // ticker churn
+			case 9: // a new ticker, up to four, on one of four shared periods
 				a := arg(i)
 				i++
-				period := Time((a>>2)%4 + 1)
-				if len(d.tickers) == 0 || (a%4 == 0 && len(d.tickers) < 4) {
-					d.newTicker(period)
-					break
-				}
-				dt := d.tickers[int(a>>4)%len(d.tickers)]
-				switch a % 4 {
-				case 1:
-					d.stopTicker(dt)
-				case 2:
-					d.restartTicker(dt, period)
-				default:
-					d.restartTicker(dt, 0) // a non-positive period starts it stopped
+				if d.tickers < 4 {
+					d.newTicker(Time((a>>2)%4 + 1))
 				}
 			case 10: // a lane item that re-appends itself at now, past the watchdog
 				ln := d.lanes[int(arg(i))%len(d.lanes)]

@@ -20,9 +20,6 @@ func NewSource(seed int64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed returns the master seed.
-func (s *Source) Seed() int64 { return s.seed }
-
 // Stream returns the deterministic stream for name. Calling Stream twice
 // with the same name yields two streams that produce the same sequence.
 func (s *Source) Stream(name string) *Stream {

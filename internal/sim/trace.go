@@ -29,6 +29,8 @@ type TraceEvent struct {
 // NewTracer attaches a tracer to a kernel. limit bounds the number of
 // retained events (older events are dropped, counts keep accumulating);
 // zero means 64k.
+//
+//lint:allow deadcode only tests attach a tracer; in-program spans are to replace it, and the engine's tracer hooks go with it
 func NewTracer(k *Kernel, limit int) *Tracer {
 	if limit <= 0 {
 		limit = 64 * 1024

@@ -128,15 +128,6 @@ func (ss *SeriesSet) WriteJSON(w io.Writer) error {
 	return enc.Encode(ss)
 }
 
-// ReadSeriesSetJSON parses a set previously written with WriteJSON.
-func ReadSeriesSetJSON(r io.Reader) (*SeriesSet, error) {
-	var ss SeriesSet
-	if err := json.NewDecoder(r).Decode(&ss); err != nil {
-		return nil, fmt.Errorf("stats: decode series set: %w", err)
-	}
-	return &ss, nil
-}
-
 // RankByFinalY returns series names ordered by their final Y value,
 // smallest first. For normalized G(k) curves this ranks models from most
 // to least scalable, the comparison the paper draws from each figure.

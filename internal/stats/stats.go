@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics, percentiles, linear regression for
-// slope estimates, and an online accumulator for streaming measurements.
+// harness needs: percentiles, per-segment slopes, normalized curves, and
+// an online accumulator for streaming measurements.
 package stats
 
 import (
@@ -8,68 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance, or 0 when fewer than two
-// samples are available.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the total of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It panics on an empty input or an
@@ -94,33 +32,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// LinearFit returns the least-squares slope and intercept of y against x.
-// It requires len(x) == len(y) >= 2 and at least two distinct x values;
-// degenerate inputs return (0, mean(y)).
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) {
-		panic("stats: LinearFit length mismatch")
-	}
-	if len(x) < 2 {
-		return 0, Mean(y)
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy float64
-	for i := range x {
-		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
-	}
-	if sxx == 0 {
-		return 0, my
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
 }
 
 // Slopes returns the per-segment slope between consecutive points of a

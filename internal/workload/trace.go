@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"rmscale/internal/sim"
 )
 
 // Trace bundles a generated job stream with the parameters that produced
@@ -16,31 +14,10 @@ type Trace struct {
 	Jobs   []*Job `json:"jobs"`
 }
 
-// GenerateTrace generates jobs under p and wraps them in a Trace.
-func GenerateTrace(p Params, st *sim.Stream) (*Trace, error) {
-	jobs, err := Generate(p, st)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{Params: p, Jobs: jobs}, nil
-}
-
 // WriteJSON serializes the trace as JSON.
 func (tr *Trace) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(tr)
-}
-
-// ReadTraceJSON parses a JSON trace and validates its invariants.
-func ReadTraceJSON(r io.Reader) (*Trace, error) {
-	var tr Trace
-	if err := json.NewDecoder(r).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("workload: decode trace: %w", err)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return &tr, nil
 }
 
 // Validate checks trace invariants: sorted arrivals within the horizon,

@@ -53,7 +53,7 @@ type Job struct {
 	Class   Class
 	// Deps lists the IDs of jobs that must complete before this job
 	// may be scheduled (precedence constraints; empty in the paper's
-	// base model, populated by GenerateDAG).
+	// base model, set by callers of the engine's UseJobs).
 	Deps []int
 }
 
@@ -290,25 +290,4 @@ func gammaApprox(x float64) float64 {
 		a += coeffs[i] / (x + float64(i))
 	}
 	return math.Sqrt(2*math.Pi) * math.Pow(t, x+0.5) * math.Exp(-t) * a
-}
-
-// Total returns the summed runtime (useful-work content) of the jobs.
-func Total(jobs []*Job) float64 {
-	s := 0.0
-	for _, j := range jobs {
-		s += j.Runtime
-	}
-	return s
-}
-
-// Count returns how many jobs fall in each class.
-func Count(jobs []*Job) (local, remote int) {
-	for _, j := range jobs {
-		if j.Class == Local {
-			local++
-		} else {
-			remote++
-		}
-	}
-	return local, remote
 }

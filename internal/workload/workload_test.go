@@ -91,8 +91,13 @@ func TestClassMixMatchesTCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, remote := Count(jobs)
-	frac := float64(local) / float64(local+remote)
+	local := 0
+	for _, j := range jobs {
+		if j.Class == Local {
+			local++
+		}
+	}
+	frac := float64(local) / float64(len(jobs))
 	// Log-uniform on [10,3000] with threshold 700:
 	// P(LOCAL) = ln(700/10)/ln(3000/10) ≈ 0.745.
 	want := math.Log(700.0/10) / math.Log(3000.0/10)
@@ -172,21 +177,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("default params rejected: %v", err)
-	}
-}
-
-func TestTotalAndCount(t *testing.T) {
-	jobs := []*Job{
-		{Runtime: 100, Class: Local},
-		{Runtime: 900, Class: Remote},
-		{Runtime: 50, Class: Local},
-	}
-	if Total(jobs) != 1050 {
-		t.Fatalf("Total = %v", Total(jobs))
-	}
-	l, r := Count(jobs)
-	if l != 2 || r != 1 {
-		t.Fatalf("Count = %d,%d", l, r)
 	}
 }
 
