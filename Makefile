@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet lint depscheck test race fuzz gobench chaos chaos-service crashtest loadtest benchtest
+.PHONY: check build vet lint depscheck test examples race fuzz gobench chaos chaos-service crashtest loadtest benchtest
 
 # The gate CI runs: vet + stdlib-only dependency check + determinism
-# lint + full test suite + race + the fixed-seed chaos sweep + the
-# service chaos harness + the crash-consistency enumeration + the
-# rmscaled load iteration + the benchmark's own test suite.
-check: vet depscheck lint test race chaos chaos-service crashtest loadtest benchtest
+# lint + full test suite + the example programs + race + the
+# fixed-seed chaos sweep + the service chaos harness + the
+# crash-consistency enumeration + the rmscaled load iteration + the
+# benchmark's own test suite.
+check: vet depscheck lint test examples race chaos chaos-service crashtest loadtest benchtest
 
 build:
 	$(GO) build ./...
@@ -40,6 +41,15 @@ depscheck:
 
 test: build
 	$(GO) test ./...
+
+# The programs under examples/ are the library's executable contract:
+# rmslint's deadcode gate roots the module at them and at cmd/, so each
+# must also run to completion. Fails on the first non-zero exit.
+examples: build
+	@for d in examples/*; do \
+		echo "example: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Race-check the whole module; -short keeps the smoke-fidelity
 # experiment runs out of the race build, which would otherwise

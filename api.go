@@ -24,15 +24,16 @@
 //	fmt.Println(eng.Run())
 //
 // To measure scalability, implement or reuse an Evaluator and call
-// Measure, or run one of the paper's experiment cases with RunCase1
-// through RunCase4.
+// Measure, or run one of the paper's experiment cases with
+// RunCaseSpec. The programs under examples/ are the executable
+// contract of this surface: rmslint's deadcode gate roots the module
+// at them and at the binaries, so what no program calls is removed.
 package rmscale
 
 import (
 	"io"
 	"os"
 
-	"rmscale/internal/audit"
 	"rmscale/internal/audit/chaos"
 	"rmscale/internal/experiments"
 	"rmscale/internal/fsutil"
@@ -132,17 +133,9 @@ type (
 	RunSnapshot = runner.Snapshot
 )
 
-// Robustness layer (the audit subsystem): runtime invariant auditing
-// and the chaos harness that hunts for schedules breaking it.
+// Robustness layer: the chaos harness that hunts for fault schedules
+// breaking the runtime invariant auditor's checks.
 type (
-	// AuditMode selects off / record / fail-fast enforcement.
-	AuditMode = audit.Mode
-	// AuditConfig parameterizes an attached auditor.
-	AuditConfig = audit.Config
-	// Auditor checks the engine's conservation laws at runtime.
-	Auditor = audit.Auditor
-	// AuditViolation is one invariant breach observed at a checkpoint.
-	AuditViolation = audit.Violation
 	// ChaosSchedule is one runnable fault scenario (the reproducer
 	// JSON format).
 	ChaosSchedule = chaos.Schedule
@@ -162,19 +155,6 @@ type (
 	// ChaosResult summarizes a chaos sweep.
 	ChaosResult = chaos.Result
 )
-
-// Audit enforcement modes.
-const (
-	AuditOff      = audit.Off
-	AuditRecord   = audit.Record
-	AuditFailFast = audit.FailFast
-)
-
-// AttachAuditor wires a runtime invariant auditor into an engine. Call
-// it after NewEngine (and any scripted fault injection) and before Run.
-func AttachAuditor(e *Engine, cfg AuditConfig) (*Auditor, error) {
-	return audit.Attach(e, cfg)
-}
 
 // ChaosSweep generates random fault schedules, runs each against an
 // audited engine on the runner pool, replays every violation to
@@ -227,15 +207,6 @@ const (
 // DefaultConfig returns the base (k=1) stressed-grid configuration.
 func DefaultConfig() Config { return grid.DefaultConfig() }
 
-// DefaultCosts returns the calibrated per-operation cost model.
-func DefaultCosts() CostModel { return grid.DefaultCosts() }
-
-// DefaultEnablers returns a sane enabler starting point.
-func DefaultEnablers() Enablers { return grid.DefaultEnablers() }
-
-// DefaultProtocol returns the paper's protocol constants.
-func DefaultProtocol() Protocol { return grid.DefaultProtocol() }
-
 // NewEngine builds a runnable simulation for the config and policy.
 func NewEngine(cfg Config, p Policy) (*Engine, error) { return grid.New(cfg, p) }
 
@@ -243,10 +214,6 @@ func NewEngine(cfg Config, p Policy) (*Engine, error) { return grid.New(cfg, p) 
 func NewEngineWith(cfg Config, p Policy, s *Substrate) (*Engine, error) {
 	return grid.NewWith(cfg, p, s)
 }
-
-// BuildSubstrate constructs the topology, routing and job-stream substrate
-// for a config.
-func BuildSubstrate(cfg Config) (*Substrate, error) { return grid.BuildSubstrate(cfg) }
 
 // NewSubstrateCache returns an empty substrate cache.
 func NewSubstrateCache() *SubstrateCache { return grid.NewSubstrateCache() }
@@ -265,26 +232,6 @@ func NewCentral() Policy { return rms.NewCentral() }
 
 // NewLowest returns the LOWEST model.
 func NewLowest() Policy { return rms.NewLowest() }
-
-// NewReserve returns the RESERVE model.
-func NewReserve() Policy { return rms.NewReserve() }
-
-// NewAuction returns the AUCTION model.
-func NewAuction() Policy { return rms.NewAuction() }
-
-// NewSenderInitiated returns the S-I model.
-func NewSenderInitiated() Policy { return rms.NewSenderInitiated() }
-
-// NewReceiverInitiated returns the R-I model.
-func NewReceiverInitiated() Policy { return rms.NewReceiverInitiated() }
-
-// NewSymmetric returns the Sy-I model.
-func NewSymmetric() Policy { return rms.NewSymmetric() }
-
-// NewHierarchy returns the two-level hierarchical RMS — an extension
-// beyond the paper's seven models implementing its future-work item on
-// complex RMS architectures. It is not part of Models().
-func NewHierarchy() Policy { return rms.NewHierarchy() }
 
 // PaperBand returns the paper's isoefficiency band [0.38, 0.42].
 func PaperBand() Band { return scale.PaperBand() }
@@ -306,32 +253,6 @@ func ConditionReport(m *Measurement) (int, error) { return scale.ConditionReport
 
 // ParseFidelity converts "smoke", "quick" or "full".
 func ParseFidelity(s string) (Fidelity, error) { return experiments.ParseFidelity(s) }
-
-// RunCase1 reproduces Figure 2 (scaling the RP by network size).
-func RunCase1(f Fidelity, seed int64, progress func(string, Point)) (*CaseResult, error) {
-	return experiments.RunCase1(f, seed, progress)
-}
-
-// RunCase2 reproduces Figure 3 (scaling the RP by service rate).
-func RunCase2(f Fidelity, seed int64, progress func(string, Point)) (*CaseResult, error) {
-	return experiments.RunCase2(f, seed, progress)
-}
-
-// RunCase3 reproduces Figures 4, 6 and 7 (scaling the RMS by estimator
-// count).
-func RunCase3(f Fidelity, seed int64, progress func(string, Point)) (*CaseResult, error) {
-	return experiments.RunCase3(f, seed, progress)
-}
-
-// RunCase4 reproduces Figure 5 (scaling the RMS by L_p).
-func RunCase4(f Fidelity, seed int64, progress func(string, Point)) (*CaseResult, error) {
-	return experiments.RunCase4(f, seed, progress)
-}
-
-// RunAll runs all four cases.
-func RunAll(f Fidelity, seed int64, progress func(string, Point)) ([]*CaseResult, error) {
-	return experiments.RunAll(f, seed, progress)
-}
 
 // Workload layer.
 type (
@@ -409,13 +330,6 @@ const (
 // injection).
 func RunAblations(f Fidelity, seed int64) ([]*AblationResult, error) {
 	return experiments.AllAblations(f, seed)
-}
-
-// RPOverheadFigure derives the future-work h(k) curves from a case
-// result: scalability measured on the RP overhead instead of the RMS
-// overhead.
-func RPOverheadFigure(r *CaseResult) *SeriesSet {
-	return experiments.MeasureRPOverhead(r)
 }
 
 // PaperConstantsTable renders Table 1 (the common experiment

@@ -33,22 +33,21 @@ func TestModelsRoster(t *testing.T) {
 	}
 }
 
+// TestModelConstructors: Models builds one instance of every paper
+// model, in roster order; NewCentral and NewLowest build the two the
+// examples start from.
 func TestModelConstructors(t *testing.T) {
-	cases := map[string]rmscale.Policy{
-		"CENTRAL": rmscale.NewCentral(),
-		"LOWEST":  rmscale.NewLowest(),
-		"RESERVE": rmscale.NewReserve(),
-		"AUCTION": rmscale.NewAuction(),
-		"S-I":     rmscale.NewSenderInitiated(),
-		"R-I":     rmscale.NewReceiverInitiated(),
-		"Sy-I":    rmscale.NewSymmetric(),
-	}
-	for want, p := range cases {
-		if p.Name() != want {
-			t.Errorf("constructor for %q returned %q", want, p.Name())
+	cases := map[string]rmscale.Policy{}
+	for i, p := range rmscale.Models() {
+		if want := rmscale.ModelNames()[i]; p.Name() != want {
+			t.Errorf("model %d is %q, want %q", i, p.Name(), want)
 		}
+		cases[p.Name()] = p
 	}
-	if !rmscale.NewCentral().Central() {
+	if rmscale.NewCentral().Name() != "CENTRAL" || rmscale.NewLowest().Name() != "LOWEST" {
+		t.Error("constructor returned the wrong model")
+	}
+	if !rmscale.NewCentral().Central() || !cases["CENTRAL"].Central() {
 		t.Error("CENTRAL must report Central()")
 	}
 	if rmscale.NewLowest().Central() {
@@ -167,30 +166,16 @@ func TestParseFidelityFacade(t *testing.T) {
 	}
 }
 
-func TestRPOverheadFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("case run is slow")
-	}
-	r, err := rmscale.RunCase1(rmscale.Smoke, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := rmscale.RPOverheadFigure(r)
-	if len(ss.Series) != 7 {
-		t.Fatalf("series = %d", len(ss.Series))
-	}
-}
-
 func TestCaseResultFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	r, err := rmscale.RunCase3(rmscale.Smoke, 1, nil)
+	r, err := rmscale.RunCaseSpec(3, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ss := range []*rmscale.SeriesSet{
-		r.Figure(), r.NormalizedFigure(), r.ThroughputFigure(), r.ResponseFigure(),
+		r.Figure(), r.ThroughputFigure(), r.ResponseFigure(),
 	} {
 		if len(ss.Series) != 7 {
 			t.Fatalf("%q has %d series", ss.Title, len(ss.Series))
@@ -206,14 +191,10 @@ func TestCaseResultFigures(t *testing.T) {
 }
 
 func TestHierarchyViaFacade(t *testing.T) {
-	p := rmscale.NewHierarchy()
-	if p.Name() != "HIERARCHY" || p.Central() {
-		t.Fatalf("hierarchy surface wrong: %s central=%v", p.Name(), p.Central())
-	}
 	// Reachable by name (extension roster) but not in Models().
-	byName, err := rmscale.ModelByName("HIERARCHY")
-	if err != nil || byName.Name() != "HIERARCHY" {
-		t.Fatalf("ModelByName(HIERARCHY): %v %v", byName, err)
+	p, err := rmscale.ModelByName("HIERARCHY")
+	if err != nil || p.Name() != "HIERARCHY" || p.Central() {
+		t.Fatalf("ModelByName(HIERARCHY): %v %v", p, err)
 	}
 	for _, m := range rmscale.Models() {
 		if m.Name() == "HIERARCHY" {

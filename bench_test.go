@@ -53,7 +53,7 @@ func reportShape(b *testing.B, r *rmscale.CaseResult) {
 // the resource pool scales by network size (Case 1, Table 2).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := rmscale.RunCase1(rmscale.Smoke, benchSeed, nil)
+		r, err := rmscale.RunCaseSpec(1, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkFigure2(b *testing.B) {
 // scales by service rate (Case 2, Table 3).
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := rmscale.RunCase2(rmscale.Smoke, benchSeed, nil)
+		r, err := rmscale.RunCaseSpec(2, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ var case3Result *rmscale.CaseResult
 func runCase3(b *testing.B) *rmscale.CaseResult {
 	b.Helper()
 	if case3Result == nil {
-		r, err := rmscale.RunCase3(rmscale.Smoke, benchSeed, nil)
+		r, err := rmscale.RunCaseSpec(3, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkFigure4(b *testing.B) {
 // (Case 4, Table 5).
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := rmscale.RunCase4(rmscale.Smoke, benchSeed, nil)
+		r, err := rmscale.RunCaseSpec(4, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,9 +142,9 @@ func BenchmarkFigure6(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ss := r.ThroughputFigure()
-	if s := ss.Get("CENTRAL"); s != nil && len(s.Y) > 0 {
-		b.ReportMetric(s.Y[len(s.Y)-1], "central_thpt_final")
+	if m := r.Measurements["CENTRAL"]; m != nil && len(m.Points) > 0 {
+		th := m.Throughputs()
+		b.ReportMetric(th[len(th)-1], "central_thpt_final")
 	}
 }
 
@@ -158,9 +158,9 @@ func BenchmarkFigure7(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ss := r.ResponseFigure()
-	if s := ss.Get("CENTRAL"); s != nil && len(s.Y) > 0 {
-		b.ReportMetric(s.Y[len(s.Y)-1], "central_resp_final")
+	if m := r.Measurements["CENTRAL"]; m != nil && len(m.Points) > 0 {
+		rt := m.ResponseTimes()
+		b.ReportMetric(rt[len(rt)-1], "central_resp_final")
 	}
 }
 
@@ -250,12 +250,13 @@ func BenchmarkSingleSimulationCentral(b *testing.B) {
 }
 
 // BenchmarkSubstrateBuild times the topology + routing build that the
-// substrate cache amortizes across tuner evaluations.
+// substrate cache amortizes across tuner evaluations: a fresh cache
+// builds on every Get.
 func BenchmarkSubstrateBuild(b *testing.B) {
 	b.ReportAllocs()
 	cfg := rmscale.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := rmscale.BuildSubstrate(cfg); err != nil {
+		if _, err := rmscale.NewSubstrateCache().Get(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +266,7 @@ func BenchmarkSubstrateBuild(b *testing.B) {
 // once the substrate is shared — the regime the annealing tuner runs in.
 func BenchmarkSimulationWithSubstrateReuse(b *testing.B) {
 	cfg := rmscale.DefaultConfig()
-	sub, err := rmscale.BuildSubstrate(cfg)
+	sub, err := rmscale.NewSubstrateCache().Get(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,10 +22,11 @@
 //     counters (lost = retried + abandoned), and with faults neither
 //     configured nor scripted every fault counter is exactly zero.
 //
-// Three enforcement modes: Off (never attached), Record (violations
-// accumulate into Metrics/Summary), FailFast (first violation stops
-// the kernel and captures a diagnostic dump of the pending event queue
-// and per-node state).
+// Two modes: Off (never attached) and Record (violations accumulate
+// into Metrics/Summary while the run finishes). Every caller — the
+// experiments, the chaos sweep, the rmscaled executor and the
+// benchmark — records; a violation is a finding to replay and shrink,
+// not a reason to stop a run.
 package audit
 
 import (
@@ -33,7 +34,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"strings"
 
 	"rmscale/internal/grid"
 	"rmscale/internal/sim"
@@ -48,9 +48,6 @@ const (
 	// Record accumulates violations into Metrics.AuditViolations (and
 	// the Summary's count) while letting the run finish.
 	Record
-	// FailFast stops the kernel at the first violation and captures a
-	// diagnostic dump (pending events, per-node state, metrics).
-	FailFast
 )
 
 // String names the mode for flags and logs.
@@ -60,8 +57,6 @@ func (m Mode) String() string {
 		return "off"
 	case Record:
 		return "record"
-	case FailFast:
-		return "failfast"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -79,20 +74,22 @@ const (
 	CheckDrain         = "drain"
 )
 
-// Config parameterizes an auditor. The zero value of every field picks
-// a default derived from the run window.
+// Config parameterizes an auditor.
 type Config struct {
 	Mode Mode
-	// Interval between checkpoints; default window/64.
-	Interval sim.Time
-	// QueueBound is the largest tolerated scheduler/estimator work
-	// backlog; default 64x the window, generous enough that a
-	// legitimately saturated configuration (the tuner probes many)
-	// never trips it while a runaway feedback loop still does.
-	QueueBound sim.Time
-	// MaxViolations caps recorded violations per run; default 64.
-	MaxViolations int
 }
+
+// Checkpoints run every window/checkpointsPerWindow time units, where
+// window is the run's horizon plus drain. queueBoundWindows × window is
+// the largest tolerated scheduler/estimator work backlog, generous
+// enough that a legitimately saturated configuration (the tuner probes
+// many) never trips it while a runaway feedback loop still does. At
+// most maxViolations violations are recorded per run.
+const (
+	checkpointsPerWindow = 64
+	queueBoundWindows    = 64
+	maxViolations        = 64
+)
 
 // Violation is one invariant breach observed at a checkpoint.
 type Violation struct {
@@ -133,9 +130,7 @@ func snapshot(m *grid.Metrics) counters {
 // Auditor holds the check state for one engine run. Obtain one through
 // Attach; the zero value is inert.
 type Auditor struct {
-	e   *grid.Engine
-	cfg Config
-
+	e      *grid.Engine
 	window sim.Time
 
 	checks     int
@@ -143,9 +138,7 @@ type Auditor struct {
 	truncated  int
 	lastNow    sim.Time
 	prev       counters
-	halted     bool
 	finished   bool
-	dump       string
 }
 
 // Attach wires an auditor into the engine: a periodic checkpoint event
@@ -159,16 +152,7 @@ func Attach(e *grid.Engine, cfg Config) (*Auditor, error) {
 		return nil, fmt.Errorf("audit: nil engine")
 	}
 	window := e.Cfg.Horizon + e.Cfg.Drain
-	if cfg.Interval <= 0 {
-		cfg.Interval = window / 64
-	}
-	if cfg.QueueBound <= 0 {
-		cfg.QueueBound = 64 * window
-	}
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 64
-	}
-	a := &Auditor{e: e, cfg: cfg, window: window}
+	a := &Auditor{e: e, window: window}
 	if cfg.Mode == Off {
 		return a, nil
 	}
@@ -179,13 +163,13 @@ func Attach(e *grid.Engine, cfg Config) (*Auditor, error) {
 		return nil, fmt.Errorf("audit: engine already has an audit hook")
 	}
 	e.AuditHook = a.finish
-	sim.NewTicker(e.K, cfg.Interval, a.checkpoint)
+	sim.NewTicker(e.K, window/checkpointsPerWindow, a.checkpoint)
 	return a, nil
 }
 
-// violationf records one violation (subject to the MaxViolations cap).
+// violationf records one violation (subject to the maxViolations cap).
 func (a *Auditor) violationf(check, format string, args ...any) {
-	if len(a.violations) >= a.cfg.MaxViolations {
+	if len(a.violations) >= maxViolations {
 		a.truncated++
 		return
 	}
@@ -198,10 +182,9 @@ func (a *Auditor) violationf(check, format string, args ...any) {
 
 // checkpoint runs every invariant against the current engine state.
 func (a *Auditor) checkpoint() {
-	if a.halted || a.finished {
+	if a.finished {
 		return
 	}
-	before := len(a.violations)
 	a.checks++
 	a.checkTime()
 	a.checkProgress()
@@ -212,9 +195,6 @@ func (a *Auditor) checkpoint() {
 	a.checkFaultCounters()
 	a.prev = snapshot(a.e.Metrics)
 	a.publish()
-	if a.cfg.Mode == FailFast && len(a.violations) > before {
-		a.failFast()
-	}
 }
 
 // finish is the engine's AuditHook: the drain-time pass after the
@@ -224,16 +204,14 @@ func (a *Auditor) finish() {
 		return
 	}
 	a.finished = true
-	if !a.halted {
-		a.checks++
-		a.checkProgress()
-		a.checkAccounting()
-		a.checkConservation()
-		a.checkCensus()
-		a.checkFaultCounters()
-		a.checkDrain()
-	}
-	if a.truncated > 0 && len(a.violations) == a.cfg.MaxViolations {
+	a.checks++
+	a.checkProgress()
+	a.checkAccounting()
+	a.checkConservation()
+	a.checkCensus()
+	a.checkFaultCounters()
+	a.checkDrain()
+	if a.truncated > 0 && len(a.violations) == maxViolations {
 		a.violations[len(a.violations)-1].Detail += fmt.Sprintf(" (+%d more suppressed)", a.truncated)
 	}
 	a.publish()
@@ -330,16 +308,17 @@ func (a *Auditor) checkCensus() {
 }
 
 func (a *Auditor) checkQueueBound() {
+	bound := queueBoundWindows * a.window
 	for _, s := range a.e.Schedulers {
-		if d := s.QueueDelay(); d > a.cfg.QueueBound {
+		if d := s.QueueDelay(); d > bound {
 			a.violationf(CheckQueueBound, "scheduler %d backlog %v exceeds bound %v",
-				s.Cluster(), d, a.cfg.QueueBound)
+				s.Cluster(), d, bound)
 		}
 	}
 	for _, est := range a.e.Estimators {
-		if d := est.QueueDelay(); d > a.cfg.QueueBound {
+		if d := est.QueueDelay(); d > bound {
 			a.violationf(CheckQueueBound, "estimator %d backlog %v exceeds bound %v",
-				est.ID(), d, a.cfg.QueueBound)
+				est.ID(), d, bound)
 		}
 	}
 }
@@ -405,60 +384,6 @@ func (a *Auditor) publish() {
 	a.e.Metrics.AuditViolations = out
 }
 
-// failFast stops the kernel and captures the diagnostic dump.
-func (a *Auditor) failFast() {
-	a.halted = true
-	a.dump = a.buildDump()
-	a.e.K.Stop()
-}
-
-// maxDumpNodes bounds per-node sections of a diagnostic dump.
-const maxDumpNodes = 32
-
-// buildDump renders the pending event queue and per-node state at the
-// moment of a fail-fast stop.
-func (a *Auditor) buildDump() string {
-	var b strings.Builder
-	k := a.e.K
-	fmt.Fprintf(&b, "audit fail-fast at t=%.2f (checkpoint %d)\n", k.Now(), a.checks)
-	for _, v := range a.violations {
-		fmt.Fprintf(&b, "  violation: %s\n", v)
-	}
-	fmt.Fprintf(&b, "kernel: processed=%d pending=%d", k.Processed(), k.Pending())
-	if err := k.Err(); err != nil {
-		fmt.Fprintf(&b, " err=%q", err)
-	}
-	next := k.NextEventTimes(8)
-	fmt.Fprintf(&b, " next=%.2f\n", next)
-	fmt.Fprintf(&b, "schedulers (%d):\n", len(a.e.Schedulers))
-	for i, s := range a.e.Schedulers {
-		if i >= maxDumpNodes {
-			fmt.Fprintf(&b, "  ... %d more\n", len(a.e.Schedulers)-i)
-			break
-		}
-		fmt.Fprintf(&b, "  [%d] down=%v backlog=%.2f owned=%d parked=%d\n",
-			s.Cluster(), s.Down(), s.QueueDelay(), s.OwnedCount(), s.ParkedCount())
-	}
-	if n := len(a.e.Estimators); n > 0 {
-		fmt.Fprintf(&b, "estimators (%d):\n", n)
-		for i, est := range a.e.Estimators {
-			if i >= maxDumpNodes {
-				fmt.Fprintf(&b, "  ... %d more\n", n-i)
-				break
-			}
-			fmt.Fprintf(&b, "  [%d] down=%v backlog=%.2f\n", est.ID(), est.Down(), est.QueueDelay())
-		}
-	}
-	m := a.e.Metrics
-	fmt.Fprintf(&b, "metrics: arrived=%d admitted=%d completed=%d lost=%d F=%.1f G=%.1f H=%.1f wasted=%.1f\n",
-		m.JobsArrived, m.JobsAdmitted, m.JobsCompleted, m.JobsLost,
-		m.UsefulWork, m.RMSOverhead, m.RPOverhead, m.WastedWork)
-	fmt.Fprintf(&b, "fault counters: msgsLost=%d retries=%d abandoned=%d crashes=%d/%d failovers=%d parked=%d stale=%d\n",
-		m.MsgsLost, m.MsgRetries, m.MsgsAbandoned, m.SchedulerCrashes, m.EstimatorCrashes,
-		m.Failovers, m.JobsParked, m.StaleActions)
-	return b.String()
-}
-
 // Checks reports how many checkpoints ran.
 func (a *Auditor) Checks() int { return a.checks }
 
@@ -474,16 +399,6 @@ func (a *Auditor) ViolationStrings() []string {
 	}
 	return out
 }
-
-// OK reports whether no invariant was violated.
-func (a *Auditor) OK() bool { return len(a.violations) == 0 }
-
-// Halted reports whether a FailFast auditor stopped the run.
-func (a *Auditor) Halted() bool { return a.halted }
-
-// Dump returns the fail-fast diagnostic dump ("" unless FailFast
-// tripped).
-func (a *Auditor) Dump() string { return a.dump }
 
 // Err summarizes the audit outcome as an error, nil when clean.
 func (a *Auditor) Err() error {

@@ -38,7 +38,7 @@ func TestCleanRunPassesAllChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := e.Run()
-	if !a.OK() {
+	if len(a.Violations()) != 0 {
 		t.Fatalf("fault-free run violated invariants: %v", a.ViolationStrings())
 	}
 	if a.Checks() < 64 {
@@ -94,7 +94,7 @@ func TestRecordModeDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := e.Run()
-	if a.OK() {
+	if len(a.Violations()) == 0 {
 		t.Fatal("negative G went undetected")
 	}
 	if got := a.Violations()[0].Check; got != audit.CheckAccounting {
@@ -110,28 +110,6 @@ func TestRecordModeDetectsCorruption(t *testing.T) {
 	// Record mode lets the run finish.
 	if e.K.Now() < testConfig().Horizon {
 		t.Fatalf("record mode stopped the run early at t=%v", e.K.Now())
-	}
-}
-
-func TestFailFastHaltsWithDump(t *testing.T) {
-	e := newEngine(t)
-	e.K.Schedule(300, func() { e.Metrics.JobsCompleted += e.Metrics.JobsArrived + 1 })
-	a, err := audit.Attach(e, audit.Config{Mode: audit.FailFast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if !a.Halted() {
-		t.Fatal("fail-fast did not halt on a phantom completion")
-	}
-	if e.K.Now() >= testConfig().Horizon {
-		t.Fatalf("fail-fast let the run reach the horizon (t=%v)", e.K.Now())
-	}
-	dump := a.Dump()
-	for _, want := range []string{"fail-fast", "violation:", "kernel:", "schedulers (", "metrics:", "fault counters:"} {
-		if !strings.Contains(dump, want) {
-			t.Fatalf("diagnostic dump lacks %q:\n%s", want, dump)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"rmscale/internal/grid"
 	"rmscale/internal/rms"
 	"rmscale/internal/scale"
-	"rmscale/internal/stats"
 )
 
 // AblationRow is one variant of an ablation study: the design choice
@@ -239,23 +238,4 @@ func AllAblations(fid Fidelity, seed int64) ([]*AblationResult, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// MeasureRPOverhead implements the paper's future-work item (c):
-// measuring scalability from the RP overhead H(k) instead of the RMS
-// overhead G(k). It reuses a case measurement and reports the
-// normalized h(k) curves with their slopes.
-func MeasureRPOverhead(r *Result) *stats.SeriesSet {
-	ss := &stats.SeriesSet{
-		Title:  fmt.Sprintf("h(k) = H(k)/H(1), case %d (future-work extension)", r.Case),
-		XLabel: "k", YLabel: "h(k)",
-	}
-	for _, name := range r.Order {
-		m, ok := r.Measurements[name]
-		if !ok {
-			continue
-		}
-		ss.Add(stats.Series{Name: name, X: m.Ks(), Y: m.NormalizedH()})
-	}
-	return ss
 }

@@ -119,27 +119,29 @@ func TestAblateFaults(t *testing.T) {
 	}
 }
 
+// TestMeasureRPOverhead reads the paper's future-work item (c) off a
+// case result: scalability measured from the RP overhead h(k) instead
+// of the RMS overhead, which examples/measure prints.
 func TestMeasureRPOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	r, err := RunCase1(Smoke, 1, nil)
+	r, err := RunCaseSpec(1, RunSpec{Fidelity: Smoke, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := MeasureRPOverhead(r)
-	if len(ss.Series) != 7 {
-		t.Fatalf("series = %d", len(ss.Series))
+	if len(r.Measurements) != 7 {
+		t.Fatalf("measurements = %d", len(r.Measurements))
 	}
-	for _, s := range ss.Series {
-		if s.Y[0] != 1 {
-			t.Fatalf("%s h(1) = %v, want 1", s.Name, s.Y[0])
+	for _, name := range r.Order {
+		h := r.Measurements[name].NormalizedH()
+		if h[0] != 1 {
+			t.Fatalf("%s h(1) = %v, want 1", name, h[0])
 		}
 		// The RP is scalable in Case 1: h(k) must grow roughly with
 		// the workload, not explode.
-		last := s.Y[len(s.Y)-1]
-		if last <= 0 {
-			t.Fatalf("%s h(final) = %v", s.Name, last)
+		if last := h[len(h)-1]; last <= 0 {
+			t.Fatalf("%s h(final) = %v", name, last)
 		}
 	}
 }

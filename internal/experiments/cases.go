@@ -182,34 +182,3 @@ func Case4(fid Fidelity) caseDef {
 		},
 	}
 }
-
-// RunCase1 .. RunCase4 execute the cases at the given fidelity through
-// the runner subsystem with default execution options (GOMAXPROCS
-// workers, in-memory cache, no checkpointing). Progress, when non-nil,
-// receives (model, point) as tuning lands. Use RunCaseSpec for worker
-// count, disk caching, and checkpoint/resume control.
-
-// RunCase1 measures Figure 2.
-func RunCase1(fid Fidelity, seed int64, progress func(string, scale.Point)) (*Result, error) {
-	return RunCaseSpec(1, RunSpec{Fidelity: fid, Seed: seed, Progress: progress})
-}
-
-// RunCase2 measures Figure 3.
-func RunCase2(fid Fidelity, seed int64, progress func(string, scale.Point)) (*Result, error) {
-	return RunCaseSpec(2, RunSpec{Fidelity: fid, Seed: seed, Progress: progress})
-}
-
-// RunCase3 measures Figures 4, 6 and 7.
-func RunCase3(fid Fidelity, seed int64, progress func(string, scale.Point)) (*Result, error) {
-	return RunCaseSpec(3, RunSpec{Fidelity: fid, Seed: seed, Progress: progress})
-}
-
-// RunCase4 measures Figure 5.
-func RunCase4(fid Fidelity, seed int64, progress func(string, scale.Point)) (*Result, error) {
-	return RunCaseSpec(4, RunSpec{Fidelity: fid, Seed: seed, Progress: progress})
-}
-
-// RunAll executes all four cases on one shared pool.
-func RunAll(fid Fidelity, seed int64, progress func(string, scale.Point)) ([]*Result, error) {
-	return RunAllSpec(RunSpec{Fidelity: fid, Seed: seed, Progress: progress})
-}

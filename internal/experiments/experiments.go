@@ -123,21 +123,6 @@ func (r *Result) Figure() *stats.SeriesSet {
 	return ss
 }
 
-// NormalizedFigure assembles g(k) = G(k)/G(1) curves, which compare
-// growth factors independent of each model's base overhead.
-func (r *Result) NormalizedFigure() *stats.SeriesSet {
-	ss := &stats.SeriesSet{
-		Title:  r.Title + " (normalized)",
-		XLabel: "k", YLabel: "g(k) = G(k)/G(1)",
-	}
-	for _, name := range r.Order {
-		if m, ok := r.Measurements[name]; ok {
-			ss.Add(m.NormalizedSeries())
-		}
-	}
-	return ss
-}
-
 // ThroughputFigure assembles throughput curves (Figure 6 for Case 3).
 func (r *Result) ThroughputFigure() *stats.SeriesSet {
 	ss := &stats.SeriesSet{

@@ -91,7 +91,7 @@ func TestRunCase1Smoke(t *testing.T) {
 		t.Skip("case run is slow")
 	}
 	var progressed int
-	r, err := RunCase1(Smoke, 1, func(string, scale.Point) { progressed++ })
+	r, err := RunCaseSpec(1, RunSpec{Fidelity: Smoke, Seed: 1, Progress: func(string, scale.Point) { progressed++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRunCase2Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	r, err := RunCase2(Smoke, 1, nil)
+	r, err := RunCaseSpec(2, RunSpec{Fidelity: Smoke, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRunCase3Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	r, err := RunCase3(Smoke, 1, nil)
+	r, err := RunCaseSpec(3, RunSpec{Fidelity: Smoke, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRunCase4Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	r, err := RunCase4(Smoke, 1, nil)
+	r, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestCaseDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	a, err := RunCase4(Smoke, 5, nil)
+	a, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCase4(Smoke, 5, nil)
+	b, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"rmscale/internal/scale"
 )
 
 // TestProbeQuickCase runs one case at Quick fidelity and prints the
@@ -16,14 +14,11 @@ func TestProbeQuickCase(t *testing.T) {
 	if which == "" {
 		t.Skip("set RMSCALE_PROBE=<case> to run the calibration probe")
 	}
-	runs := map[string]func(Fidelity, int64, func(string, scale.Point)) (*Result, error){
-		"1": RunCase1, "2": RunCase2, "3": RunCase3, "4": RunCase4,
-	}
-	run, ok := runs[which]
+	id, ok := map[string]int{"1": 1, "2": 2, "3": 3, "4": 4}[which]
 	if !ok {
 		t.Fatalf("RMSCALE_PROBE=%q invalid", which)
 	}
-	r, err := run(Quick, 1, nil)
+	r, err := RunCaseSpec(id, RunSpec{Fidelity: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func tableBytes(t *testing.T, r *Result) []byte {
 	if err := r.Figure().WriteTable(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.NormalizedFigure().WriteTable(&buf); err != nil {
+	if err := r.ThroughputFigure().WriteTable(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

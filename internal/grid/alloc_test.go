@@ -2,6 +2,8 @@ package grid
 
 import (
 	"testing"
+
+	"rmscale/internal/sim"
 )
 
 // Allocation budget for the engine's protocol loops. The kernel itself
@@ -14,6 +16,28 @@ import (
 // into the scheduler/estimator/update paths fail the suite on any
 // machine, without a benchmark diff; the tests below pin the warm
 // fabric itself at zero.
+//
+// The tests fire events through Run, the dispatch loop every engine run
+// drives: a warm engine on a MaxEvents budget (runEvents), or a
+// hand-fed one to a horizon past everything it holds (drain).
+
+// runEvents fires the next n events through Run on a MaxEvents budget
+// and fails unless all n fired.
+func runEvents(t *testing.T, k *sim.Kernel, n int) {
+	t.Helper()
+	k.MaxEvents, k.Overflowed = k.Processed()+uint64(n), false
+	if got := k.Run(sim.Infinity); got != uint64(n) {
+		t.Fatalf("engine ran out of events after %d of %d", got, n)
+	}
+}
+
+// drainSpan is far longer than any chain of hops these tests start;
+// drain runs that far past now, so the clock stays finite for the next
+// cycle.
+const drainSpan = 1e6
+
+// drain fires every pending event of an engine that Run never started.
+func drain(k *sim.Kernel) { k.Run(k.Now() + drainSpan) }
 
 func runAllocProbe(t *testing.T, estimators int) (perEvent float64) {
 	t.Helper()
@@ -69,8 +93,9 @@ func TestSchedulerExecZeroAlloc(t *testing.T) {
 		// Two items queue behind each other, then both retire.
 		s.Exec(1, work)
 		s.Exec(1, work)
-		for s.cpu.n > 0 {
-			k.Step()
+		drain(k)
+		if s.cpu.n > 0 {
+			t.Fatalf("%d work items still queued", s.cpu.n)
 		}
 	}
 	for i := 0; i < 16; i++ { // grow the ring and warm the free list
@@ -107,13 +132,7 @@ func TestEngineWarmStepZeroAlloc(t *testing.T) {
 		t.Fatalf("warm-up processed %d events, want %d", eng.K.Processed(), warm)
 	}
 	jobs, statuses, done := p.onJob, p.onStatus, eng.Metrics.JobsCompleted
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < steps; i++ {
-			if !eng.K.Step() {
-				t.Fatal("engine ran out of events")
-			}
-		}
-	})
+	allocs := testing.AllocsPerRun(1, func() { runEvents(t, eng.K, steps) })
 	if allocs != 0 {
 		t.Errorf("warm engine allocates %.2f times per %d events, want 0", allocs, steps)
 	}
@@ -133,7 +152,7 @@ func TestEngineWarmStepZeroAlloc(t *testing.T) {
 func TestEngineFaultPathZeroAlloc(t *testing.T) {
 	const warm, faultWarm, steps = 2000, 500, 4000
 	cfg := testConfig()
-	// Arrivals run well past the window: AllocsPerRun steps it twice
+	// Arrivals run well past the window: AllocsPerRun runs it twice
 	// (its warm-up, then the measured run), about 6000 time units.
 	cfg.Workload.Horizon, cfg.Horizon = 30000, 30000
 	cfg.Faults.RepairTime = 1e9 // nothing comes back inside the test
@@ -147,18 +166,11 @@ func TestEngineFaultPathZeroAlloc(t *testing.T) {
 	for _, r := range eng.Resources {
 		r.crash()
 	}
-	step := func(n int) {
-		for i := 0; i < n; i++ {
-			if !eng.K.Step() {
-				t.Fatal("engine ran out of events")
-			}
-		}
-	}
-	step(faultWarm) // warm the re-decision loop
+	runEvents(t, eng.K, faultWarm) // warm the re-decision loop
 	decisions, lost := p.onJob, eng.Metrics.JobsLost
 	// One long run: AllocsPerRun divides in integers, so a stray
 	// allocation anywhere in the window shows.
-	if allocs := testing.AllocsPerRun(1, func() { step(steps) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1, func() { runEvents(t, eng.K, steps) }); allocs != 0 {
 		t.Errorf("faulted engine allocates %.0f times in %d events, want 0", allocs, steps)
 	}
 	// A dropped job was decided maxJobAttempts times, all but the first
@@ -182,8 +194,7 @@ func TestPolicyMessageRoundTripAllocs(t *testing.T) {
 		}
 		roundTrip := func() {
 			eng.Schedulers[0].SendPolicy(1, 0, nil)
-			for eng.K.Step() {
-			}
+			drain(eng.K)
 		}
 		for i := 0; i < 8; i++ { // warm the free list and the rings
 			roundTrip()

@@ -161,7 +161,6 @@ func NewWith(cfg Config, p Policy, sub *Substrate) (*Engine, error) {
 		lo := r * resourceQueueSlots
 		res := &Resource{
 			id:      r,
-			node:    mp.ResourceNode[r],
 			toSched: sub.resToSched[r],
 			cluster: mp.ResourceCluster[r],
 			eng:     e,
@@ -227,14 +226,13 @@ func buildPeers(self, clusters, size int, st *sim.Stream) []int {
 // Clusters returns the number of scheduler clusters.
 func (e *Engine) Clusters() int { return len(e.Schedulers) }
 
-// Policy returns the attached policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // Scheduler returns cluster c's scheduler.
 func (e *Engine) Scheduler(c int) *Scheduler { return e.Schedulers[c] }
 
 // Jobs returns the workload. A generated workload is shared with every
 // engine built on the same substrate, so the jobs are read-only.
+//
+//lint:allow deadcode test seam: rms.TestFaultStreamsIndependent compares the job streams of a clean and a faulted engine
 func (e *Engine) Jobs() []*workload.Job { return e.jobs }
 
 // UseJobs replaces the generated workload with an explicit job list —

@@ -351,8 +351,8 @@ func TestStealQueuedJob(t *testing.T) {
 	if got == nil || got.Job.ID != 3 {
 		t.Fatalf("steal returned %+v, want job 3", got)
 	}
-	if e.QueuedJobs(0) != 1 {
-		t.Fatalf("queued after steal = %d, want 1", e.QueuedJobs(0))
+	if n := len(r.queue); n != 1 {
+		t.Fatalf("queued after steal = %d, want 1", n)
 	}
 	// The running job must not be stealable.
 	e.StealQueuedJob(0)

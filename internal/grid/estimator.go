@@ -40,9 +40,6 @@ type Estimator struct {
 // ID returns the estimator index.
 func (e *Estimator) ID() int { return e.id }
 
-// Node returns the estimator's topology node.
-func (e *Estimator) Node() int { return e.node }
-
 // exec serializes work through the estimator CPU, charging G. A dead
 // estimator retires no work, and work queued before a crash dies with
 // it (the epoch guard).

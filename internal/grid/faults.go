@@ -309,16 +309,6 @@ func (s *Scheduler) disown(ctx *JobCtx) bool {
 	return false
 }
 
-// Down reports whether the scheduler is crashed.
-func (s *Scheduler) Down() bool { return s.down }
-
 // ParkedCount reports how many jobs are currently parked on the
 // scheduler waiting out its downtime.
 func (s *Scheduler) ParkedCount() int { return len(s.parked) }
-
-// OwnedCount reports how many jobs the scheduler is currently
-// responsible for (always 0 without armed protocol faults).
-func (s *Scheduler) OwnedCount() int { return len(s.owned) }
-
-// Down reports whether the estimator is crashed.
-func (e *Estimator) Down() bool { return e.down }

@@ -10,7 +10,6 @@ import (
 // change-suppressed status updates.
 type Resource struct {
 	id      int
-	node    int // topology node
 	cluster int
 	eng     *Engine
 	// toSched and toEst are the routes to the cluster's scheduler and to
@@ -35,18 +34,6 @@ func (r *Resource) Load() float64 {
 	}
 	return float64(n)
 }
-
-// ID returns the dense resource id.
-func (r *Resource) ID() int { return r.id }
-
-// Cluster returns the owning cluster.
-func (r *Resource) Cluster() int { return r.cluster }
-
-// Node returns the topology node hosting the resource.
-func (r *Resource) Node() int { return r.node }
-
-// Down reports whether the resource is crashed.
-func (r *Resource) Down() bool { return r.down }
 
 // enqueue accepts a dispatched job. Arrival at a crashed resource
 // bounces the job back to its origin scheduler.

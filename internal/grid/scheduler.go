@@ -72,17 +72,11 @@ type Scheduler struct {
 // Cluster returns the cluster this scheduler coordinates.
 func (s *Scheduler) Cluster() int { return s.cluster }
 
-// Node returns the scheduler's topology node.
-func (s *Scheduler) Node() int { return s.node }
-
 // Engine returns the owning engine.
 func (s *Scheduler) Engine() *Engine { return s.eng }
 
 // Now returns the simulated time.
 func (s *Scheduler) Now() sim.Time { return s.eng.K.Now() }
-
-// Rand returns this scheduler's deterministic random stream.
-func (s *Scheduler) Rand() *sim.Stream { return s.rand }
 
 // Peers returns the scheduler's neighborhood: the remote clusters it
 // may probe, sized by the NeighborhoodSize enabler.
@@ -115,6 +109,8 @@ func (s *Scheduler) LocalResources() []int {
 // View returns the last known load of a local resource and the time the
 // information was received. Resources outside the cluster (and local
 // ones never heard from) read as load 0 at t=0.
+//
+//lint:allow deadcode test seam: rms.TestHierarchyRemoteRoutesViaRoot reads a scheduler's view
 func (s *Scheduler) View(rid int) (load float64, at sim.Time) {
 	if s.eng.Map.ResourceCluster[rid] != s.cluster {
 		return 0, 0
@@ -158,9 +154,10 @@ func (s *Scheduler) mergeDigest(dg *digest) {
 }
 
 // InjectView installs status information directly, bypassing the
-// update machinery. It exists for policy tests and interactive
-// exploration: production information flows arrive through updates and
-// digests.
+// update machinery. It exists for policy tests: production information
+// flows arrive through updates and digests.
+//
+//lint:allow deadcode test seam: rms' loadCluster helper installs the loads its protocol tests start from
 func (s *Scheduler) InjectView(rid int, load float64, at sim.Time) {
 	s.mergeView(rid, load, at)
 }

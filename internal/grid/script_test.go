@@ -30,8 +30,8 @@ func TestScriptedSchedulerCrash(t *testing.T) {
 		t.Fatal("injection did not mark the engine as scripted")
 	}
 	var downAt150, upAt400 bool
-	e.K.Schedule(150, func() { downAt150 = e.Schedulers[1].Down() })
-	e.K.Schedule(400, func() { upAt400 = !e.Schedulers[1].Down() })
+	e.K.Schedule(150, func() { downAt150 = e.Schedulers[1].down })
+	e.K.Schedule(400, func() { upAt400 = !e.Schedulers[1].down })
 	e.Run()
 	if !downAt150 {
 		t.Fatal("scheduler 1 not down inside its scripted outage")

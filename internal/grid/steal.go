@@ -29,13 +29,3 @@ func (e *Engine) StealQueuedJob(cluster int) *JobCtx {
 	// high; the next status update heals it.
 	return ctx
 }
-
-// QueuedJobs reports how many dispatched jobs are waiting (not running)
-// in the cluster — the occupancy of the virtual wait queue.
-func (e *Engine) QueuedJobs(cluster int) int {
-	n := 0
-	for _, rid := range e.Map.ClusterResources[cluster] {
-		n += len(e.Resources[rid].queue)
-	}
-	return n
-}

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestSubstrateSharesJobStream(t *testing.T) {
 		t.Fatalf("shared stream has %d jobs, fresh generation %d", len(e1.Jobs()), len(want))
 	}
 	for i, j := range want {
-		if !j.Equal(e1.Jobs()[i]) {
+		if !reflect.DeepEqual(j, e1.Jobs()[i]) {
 			t.Fatalf("job %d differs from a fresh generation: %+v vs %+v", i, e1.Jobs()[i], j)
 		}
 	}

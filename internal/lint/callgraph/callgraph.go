@@ -8,7 +8,8 @@
 // Resolution is CHA-style (class-hierarchy analysis):
 //
 //   - direct calls (pkg.F, method calls on a concrete receiver) get
-//     exactly one target when the body lives in the module;
+//     exactly one target when the body lives in the module, a generic
+//     callee's declaration for a call of an instantiation;
 //   - interface method calls expand to every module-declared concrete
 //     type whose method set satisfies the interface — sound over the
 //     module's own types, deliberately blind to implementations the
@@ -215,9 +216,12 @@ func (g *Graph) resolveCall(info *types.Info, call *ast.CallExpr) *Call {
 	return &Call{Pos: call.Pos()}
 }
 
+// concreteCall resolves a static call. A method of an instantiated
+// generic type (Box[int].Get) is its own object, while the node map is
+// keyed by the declaration, so the callee maps back through Origin.
 func (g *Graph) concreteCall(call *ast.CallExpr, fn *types.Func) *Call {
 	c := &Call{Pos: call.Pos(), Callee: fn}
-	if n := g.nodes[fn]; n != nil {
+	if n := g.nodes[fn.Origin()]; n != nil {
 		c.Targets = []*Node{n}
 	}
 	return c

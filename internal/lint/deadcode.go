@@ -4,23 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"rmscale/internal/lint/analysis"
 	"rmscale/internal/lint/callgraph"
 )
 
-// DeadCode reports every function or method under internal/ that no
+// DeadCode reports every function or method in the load that no
 // production root reaches, so code that only its own tests call is
-// found mechanically instead of by hand. The roots are:
+// found mechanically instead of by hand. As with the Go team's
+// deadcode tool, a program is rooted at its mains, not at its exported
+// API: the binaries and examples are the library's executable
+// contract. The roots are:
 //
 //   - main and init of every main package in the load, and every init;
 //   - every function referenced in a package-level var initializer;
-//   - the exported API of the module's root package (the one whose
-//     path prefixes every other), closed over types: every exported
-//     method of a module type reachable from its exported declarations
-//     through alias targets, exported or embedded fields, parameters
-//     and results;
 //   - every method whose name and signature match a method of an
 //     interface a standard-library package in the load declares
 //     (String, Error, ServeHTTP, Read, Import, ...), because the
@@ -43,7 +40,7 @@ import (
 func DeadCode() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "deadcode",
-		Doc:  "report functions under internal/ that no production root reaches",
+		Doc:  "report functions that no production root reaches",
 	}
 	a.Run = func(p *analysis.Pass) error {
 		g, ok := p.Shared.(*callgraph.Graph)
@@ -52,7 +49,7 @@ func DeadCode() *analysis.Analyzer {
 		}
 		live := liveOf(g)
 		for _, n := range g.Nodes() {
-			if n.Pkg.Pkg != p.Pkg || live[n] || !underInternal(n.Pkg.Path) {
+			if n.Pkg.Pkg != p.Pkg || live[n] {
 				continue
 			}
 			p.Reportf(n.Decl.Pos(), "%s is unreachable from every production root", callgraph.FuncLabel(n.Fn))
@@ -60,10 +57,6 @@ func DeadCode() *analysis.Analyzer {
 		return nil
 	}
 	return a
-}
-
-func underInternal(path string) bool {
-	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
 }
 
 // liveOf computes (once per graph, memoized) the set of nodes some
@@ -83,7 +76,6 @@ func liveOf(g *callgraph.Graph) map[*callgraph.Node]bool {
 	}
 	r := &rootFinder{g: g, mark: mark}
 	r.mainsAndVars()
-	r.api()
 	r.stdInterfaces()
 	for len(work) > 0 {
 		n := work[len(work)-1]
@@ -159,101 +151,6 @@ func sameSignature(a, b *types.Signature) bool {
 	return a.Variadic() == b.Variadic() &&
 		types.Identical(a.Params(), b.Params()) &&
 		types.Identical(a.Results(), b.Results())
-}
-
-// api marks the exported methods of every module type reachable from
-// the root package's exported declarations, and its exported
-// functions.
-func (r *rootFinder) api() {
-	root := r.rootPackage()
-	if root == nil {
-		return
-	}
-	seen := map[types.Type]bool{}
-	var walk func(t types.Type)
-	walk = func(t types.Type) {
-		t = types.Unalias(t)
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		switch t := t.(type) {
-		case *types.Named:
-			for i := 0; i < t.NumMethods(); i++ {
-				if m := t.Method(i); m.Exported() {
-					r.mark(m)
-					walk(m.Type())
-				}
-			}
-			for i := 0; i < t.TypeArgs().Len(); i++ {
-				walk(t.TypeArgs().At(i))
-			}
-			walk(t.Underlying())
-		case *types.Pointer:
-			walk(t.Elem())
-		case *types.Slice:
-			walk(t.Elem())
-		case *types.Array:
-			walk(t.Elem())
-		case *types.Chan:
-			walk(t.Elem())
-		case *types.Map:
-			walk(t.Key())
-			walk(t.Elem())
-		case *types.Signature:
-			walk(t.Params())
-			walk(t.Results())
-		case *types.Tuple:
-			for i := 0; i < t.Len(); i++ {
-				walk(t.At(i).Type())
-			}
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				if f := t.Field(i); f.Exported() || f.Embedded() {
-					walk(f.Type())
-				}
-			}
-		case *types.Interface:
-			for i := 0; i < t.NumMethods(); i++ {
-				if m := t.Method(i); m.Exported() {
-					walk(m.Type())
-				}
-			}
-		}
-	}
-	scope := root.Pkg.Scope()
-	for _, name := range scope.Names() {
-		obj := scope.Lookup(name)
-		if !obj.Exported() {
-			continue
-		}
-		switch obj := obj.(type) {
-		case *types.Func:
-			r.mark(obj)
-			walk(obj.Type())
-		case *types.TypeName, *types.Var:
-			walk(obj.Type())
-		}
-	}
-}
-
-// rootPackage returns the package whose path prefixes every other
-// package's path in the graph, or nil when there is none.
-func (r *rootFinder) rootPackage() *callgraph.Package {
-	pkgs := r.g.Packages()
-	for _, cand := range pkgs {
-		ok := true
-		for _, p := range pkgs {
-			if p != cand && !strings.HasPrefix(p.Path, cand.Path+"/") {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return cand
-		}
-	}
-	return nil
 }
 
 // stdInterfaces marks every module method whose name and signature

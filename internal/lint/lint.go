@@ -16,8 +16,8 @@
 // determinism invariant: it reports a wall-clock or global-RNG source
 // referenced directly in a simulation-visible package as well as one
 // reached through any chain of calls. deadcode reports the functions
-// under internal/ that no production root reaches, on a load of the
-// whole module only.
+// that no main, init or standard-library interface call reaches, on a
+// load of the whole module only.
 package lint
 
 import (
@@ -67,7 +67,7 @@ func (cfg Config) packagesFor(name string) []string {
 	case "locksafe":
 		return cfg.LockSafe
 	case "deadcode":
-		// The analyzer itself keeps to functions under internal/.
+		// Every package: the root package's API is no root either.
 		return []string{"..."}
 	default:
 		panic("lint: unknown analyzer " + name)

@@ -85,7 +85,8 @@ func TestLockSafe(t *testing.T) {
 }
 
 // TestDeadCode checks the reachability analyzer on a fixture module:
-// an API package, a main package and a library under internal/.
+// a root package, a main package and a library under internal/. Only
+// the main is a root; the root package's exported API is not.
 func TestDeadCode(t *testing.T) {
 	linttest.Run(t, "testdata", lint.DeadCode(), "deadcode/internal/lib", "deadcode", "deadcode/cmd/tool")
 }

@@ -12,3 +12,5 @@ func main() {
 	e := deadcode.New()
 	fmt.Println(e.K != nil, lib.Label("x"), lib.Tally([]int{1, 2}))
 }
+
+func unused() {} // want "main\\.unused is unreachable from every production root"

@@ -2,16 +2,16 @@
 // alone. Never built by the module.
 package lib
 
-// Kernel is reached from the API through the exported field
+// Kernel is exposed by the root package's exported field
 // deadcode.Engine.K.
 type Kernel struct{ n int }
 
-// NewKernel is called from the API package.
+// NewKernel is called from the root package.
 func NewKernel() *Kernel { return &Kernel{} }
 
-// Step is an exported method of a type the API reaches: a root, though
-// nothing in the fixture calls it.
-func (k *Kernel) Step() { k.n++ }
+// Step is an exported method of a type the root package exposes, but
+// no main calls it.
+func (k *Kernel) Step() { k.n++ } // want "lib\\.Kernel\\.Step is unreachable from every production root"
 
 func (k *Kernel) reset() { k.n = 0 } // want "lib\\.Kernel\\.reset is unreachable from every production root"
 

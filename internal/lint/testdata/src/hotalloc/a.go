@@ -40,6 +40,7 @@ func Hot(buf []byte, n int, tr tracer) []byte {
 		tr.Emit(1, 2, 3) // guarded by the On() tracer idiom: exempt
 	}
 	_ = dep.Box(n)
+	_ = dep.Cell[int]{}.Get(n)
 	helper(n)
 	return grown
 }

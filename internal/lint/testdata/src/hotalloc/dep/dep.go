@@ -10,3 +10,12 @@ func Box(v int) any {
 }
 
 func eat(x any) any { return x }
+
+// Cell is a generic type. The hot call of Get names the instantiated
+// method Cell[int].Get, which the call graph maps back to this
+// declaration, so Get's body is on the hot path too.
+type Cell[T any] struct{ v T }
+
+func (c Cell[T]) Get(n int) []T {
+	return make([]T, n) // want "make allocates on the hot path rooted at //lint:hotpath hotalloc\\.Hot \\(via dep\\.Cell\\.Get\\)"
+}

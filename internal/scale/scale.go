@@ -226,11 +226,6 @@ func (m *Measurement) Series() stats.Series {
 	return stats.Series{Name: m.RMS, X: m.Ks(), Y: m.GCurve()}
 }
 
-// NormalizedSeries renders g(k) = G(k)/G(1).
-func (m *Measurement) NormalizedSeries() stats.Series {
-	return stats.Series{Name: m.RMS, X: m.Ks(), Y: m.NormalizedG()}
-}
-
 // Throughputs returns throughput per scale factor (Figure 6's Y axis).
 func (m *Measurement) Throughputs() []float64 {
 	out := make([]float64, len(m.Points))

@@ -147,10 +147,6 @@ func TestMeasurementDerivedCurves(t *testing.T) {
 	if nslopes[0] != 2 || nslopes[1] != 1 {
 		t.Fatalf("normalized slopes = %v", nslopes)
 	}
-	ns := m.NormalizedSeries()
-	if ns.Y[1] != 3 {
-		t.Fatalf("normalized series = %v", ns.Y)
-	}
 	// Segment 0: g grows 2x/k, f grows 1x/k: overhead outgrows work.
 	if m.ScalableAt(0) {
 		t.Error("segment 0 should be unscalable")

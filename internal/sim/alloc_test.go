@@ -10,25 +10,23 @@ import (
 // fails `go test`, machine-independently, instead of waiting for
 // someone to read a benchmark.
 
-// windowSteps is the measured window of the tests below: one long run
-// of kernel steps after warm-up.
-const windowSteps = 4096
+// windowEvents is the measured window of the tests below: one long Run
+// after warm-up, on a MaxEvents budget of that many events, through
+// the dispatch loop every engine run drives.
+const windowEvents = 4096
 
-// stepAllocs counts the allocations of windowSteps kernel steps taken
-// as one run. AllocsPerRun divides by the run count in integers, so a
-// per-step measurement would hide an allocation made less often than
-// once a step.
-func stepAllocs(k *Kernel) float64 {
-	return testing.AllocsPerRun(1, func() {
-		for i := 0; i < windowSteps; i++ {
-			k.Step()
-		}
-	})
+// windowAllocs counts the allocations of windowEvents events fired as
+// one budgeted Run. AllocsPerRun divides by the run count in integers,
+// so a per-event measurement would hide an allocation made less often
+// than once an event.
+func windowAllocs(k *Kernel) float64 {
+	return testing.AllocsPerRun(1, func() { runFor(k, windowEvents) })
 }
 
-// TestScheduleFireZeroAlloc: once the free list is warm, schedule→fire
-// cycles perform zero heap allocations, for a single self-rescheduling
-// event and for a steady population of 512 of them in flight.
+// TestScheduleFireZeroAlloc: once the callback slots' free list is
+// warm, schedule→fire cycles perform zero heap allocations, for a
+// single self-rescheduling event and for a steady population of 512 of
+// them in flight.
 func TestScheduleFireZeroAlloc(t *testing.T) {
 	for _, fan := range []int{1, 512} {
 		k := NewKernel()
@@ -37,34 +35,11 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 			fn = func() { k.After(1, fn) }
 			k.Schedule(Time(i)/Time(fan), fn)
 		}
-		for k.Processed() < uint64(64+4*fan) { // warm the free list
-			k.Step()
-		}
-		if allocs := stepAllocs(k); allocs != 0 {
+		runFor(k, uint64(64+4*fan)) // warm the free list
+		if allocs := windowAllocs(k); allocs != 0 {
 			t.Errorf("%d event(s) in flight: %d schedule->fire cycles allocate %.0f times, want 0",
-				fan, windowSteps, allocs)
+				fan, windowEvents, allocs)
 		}
-	}
-}
-
-// TestCancelRecycleZeroAlloc: the cancel-and-replace churn pattern
-// (every protocol timeout does this) is also allocation-free once warm,
-// including lazy-deletion bookkeeping.
-func TestCancelRecycleZeroAlloc(t *testing.T) {
-	k := NewKernel()
-	var pending *Event
-	var fn func()
-	fn = func() {
-		k.Cancel(pending)
-		pending = k.After(2, func() {})
-		k.After(1, fn)
-	}
-	k.After(1, fn)
-	for k.Processed() < 256 {
-		k.Step()
-	}
-	if allocs := stepAllocs(k); allocs != 0 {
-		t.Errorf("%d steady-state cancel/replace cycles allocate %.0f times, want 0", windowSteps, allocs)
 	}
 }
 
@@ -74,11 +49,9 @@ func TestTickerRearmZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	n := 0
 	NewTicker(k, 1, func() { n++ })
-	for k.Processed() < 64 {
-		k.Step()
-	}
-	if allocs := stepAllocs(k); allocs != 0 {
-		t.Errorf("%d ticker rearm cycles allocate %.0f times, want 0", windowSteps, allocs)
+	runFor(k, 64)
+	if allocs := windowAllocs(k); allocs != 0 {
+		t.Errorf("%d ticker rearm cycles allocate %.0f times, want 0", windowEvents, allocs)
 	}
 	if n == 0 {
 		t.Fatal("ticker never fired")
@@ -103,11 +76,9 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		k.After(1, fn)
 	}
 	k.After(1, fn)
-	for k.Processed() < 64 {
-		k.Step()
-	}
-	if allocs := stepAllocs(k); allocs != 0 {
-		t.Errorf("%d disabled-tracer events allocate %.0f times, want 0", windowSteps, allocs)
+	runFor(k, 64)
+	if allocs := windowAllocs(k); allocs != 0 {
+		t.Errorf("%d disabled-tracer events allocate %.0f times, want 0", windowEvents, allocs)
 	}
 	if tr.On() {
 		t.Fatal("nil tracer reports On")
@@ -124,11 +95,9 @@ func TestSharedTickerLaneRearmZeroAlloc(t *testing.T) {
 		NewTicker(k, 2, func() { n++ })
 		k.Run(k.Now() + 0.5) // stagger the phases along the shared lane
 	}
-	for k.Processed() < 64 {
-		k.Step()
-	}
-	if allocs := stepAllocs(k); allocs != 0 {
-		t.Errorf("%d shared-lane ticker rearms allocate %.0f times, want 0", windowSteps, allocs)
+	runFor(k, 64)
+	if allocs := windowAllocs(k); allocs != 0 {
+		t.Errorf("%d shared-lane ticker rearms allocate %.0f times, want 0", windowEvents, allocs)
 	}
 	if len(k.tickLanes) != 1 {
 		t.Fatalf("%d ticker lanes for one period, want 1", len(k.tickLanes))
@@ -143,7 +112,7 @@ func TestSharedTickerLaneRearmZeroAlloc(t *testing.T) {
 // once its rings are warm.
 func TestKernelLanesZeroAlloc(t *testing.T) {
 	k := newLanesMix()
-	if allocs := stepAllocs(k); allocs != 0 {
-		t.Errorf("%d steps of the lanes mix allocate %.0f times, want 0", windowSteps, allocs)
+	if allocs := windowAllocs(k); allocs != 0 {
+		t.Errorf("%d events of the lanes mix allocate %.0f times, want 0", windowEvents, allocs)
 	}
 }

@@ -2,19 +2,21 @@ package sim
 
 // This file is the kernel's future event list: two 4-ary implicit
 // min-heaps ordered by (time, sequence). The event heap holds plain
-// scheduled events, with lazy deletion of cancelled ones and a free
-// list that recycles Event structs. The lane heap holds one slot per
-// FIFO lane (lane.go) that has a live item, keyed by the lane head's
-// reserved (time, sequence); a lane item fires and is released without
-// ever entering the event heap. Both heaps share one sift-up and one
+// scheduled events; each one's callback waits in fel.fns under the id
+// of its slot, and a fired id returns to a free list for the next
+// Schedule. The lane heap holds one slot per FIFO lane (lane.go) that
+// has a pending item, keyed by the lane head's reserved
+// (time, sequence); a lane item fires and is released without ever
+// entering the event heap. Both heaps share one sift-up and one
 // sift-down over []slot.
 //
 // The heaps hold pointer-free slots — the key inline plus an id: the
-// event's index in fel.evs, or the lane's index in Kernel.lanes. A sift
-// moves slots level by level, and moving a pointer costs a GC write
-// barrier whenever the collector is marking, which in this
-// allocation-heavy workload is much of the time; comparing inline keys
-// also skips a dereference per child.
+// index of the event's callback in fel.fns, or the lane's index in
+// Kernel.lanes. A sift moves slots level by level, and moving a pointer
+// costs a GC write barrier whenever the collector is marking, which in
+// this allocation-heavy workload is much of the time; comparing inline
+// keys also skips a dereference per child. No event can be withdrawn,
+// so every slot in either heap is live.
 //
 // Why not container/heap: the interface-based heap routes every push
 // and pop through heap.Interface method calls and `any` conversions on
@@ -28,14 +30,9 @@ package sim
 // and lane items, so the pop sequence of any correct min-heap over the
 // same set is identical regardless of internal array layout, and the
 // smaller of the two roots under that order is the minimum one heap
-// over both sets would hold. Splitting the heap, deleting lazily, and
-// compacting are therefore all behaviour-invisible; the golden outputs
-// and chaos fingerprints pin this.
-
-// compactMin is the smallest number of lazily-deleted events that can
-// trigger a compaction sweep; below it the dead weight is too small to
-// be worth rebuilding the heap.
-const compactMin = 64
+// over both sets would hold. Splitting the heap is therefore
+// behaviour-invisible; the golden outputs and chaos fingerprints pin
+// this.
 
 // slot is one heap entry: a key inline plus the id of what it keys.
 type slot struct {
@@ -54,18 +51,12 @@ func (a slot) before(b slot) bool {
 
 // fel is the future event list.
 type fel struct {
-	ev  []slot   // the event heap
-	evs []*Event // every Event the kernel ever allocated, by id
-	// dead counts cancelled events still buried in the event heap.
-	// Cancel marks and counts; pop and compact collect.
-	dead int
-	// lanes is the lane heap: one slot per lane holding a live item.
+	ev   []slot   // the event heap
+	fns  []func() // each pending event's callback, by its slot id
+	free []int32  // ids of fns whose event fired
+	// lanes is the lane heap: one slot per lane holding a pending item.
 	lanes []slot
 }
-
-// live returns the number of pending non-cancelled events in the event
-// heap.
-func (f *fel) live() int { return len(f.ev) - f.dead }
 
 // laneFirst reports whether the lane heap's root fires before the event
 // heap's root. At least one heap must be non-empty.
@@ -73,19 +64,32 @@ func (f *fel) laneFirst() bool {
 	return len(f.ev) == 0 || len(f.lanes) > 0 && f.lanes[0].before(f.ev[0])
 }
 
-// push inserts e into the event heap.
-func (f *fel) push(e *Event) {
-	e.inFEL = true
-	f.ev = heapAdd(f.ev, slot{at: e.at, seq: e.seq, id: e.id})
+// push inserts fn into the event heap under s's key, taking an id off
+// the free list. Only the first events of a run grow fns; once the
+// list is warm a push allocates nothing.
+func (f *fel) push(s slot, fn func()) {
+	if n := len(f.free); n > 0 {
+		s.id = f.free[n-1]
+		f.free = f.free[:n-1]
+		f.fns[s.id] = fn
+	} else {
+		s.id = int32(len(f.fns))
+		f.fns = append(f.fns, fn)
+	}
+	f.ev = heapAdd(f.ev, s)
 }
 
-// pop removes and returns the event heap's earliest event. The caller
-// must know the heap is non-empty.
-func (f *fel) pop() *Event {
-	root := f.evs[f.ev[0].id]
-	root.inFEL = false
+// pop removes the event heap's root and returns its callback. The id
+// is free again before the callback runs, and its closure is dropped so
+// the table never pins model state. The caller must know the heap is
+// non-empty.
+func (f *fel) pop() func() {
+	id := f.ev[0].id
+	fn := f.fns[id]
+	f.fns[id] = nil
+	f.free = append(f.free, id)
 	f.ev = heapPop(f.ev)
-	return root
+	return fn
 }
 
 // heapAdd appends s to heap h and sifts it up to its place.
@@ -145,64 +149,4 @@ func siftDown(h []slot, s slot, i int) {
 		i = m
 	}
 	h[i] = s
-}
-
-// compact removes every cancelled event in one sweep and re-heapifies
-// in place (Floyd's O(n) build). The live events re-form a heap with a
-// different internal layout, but the pop order is fixed by the
-// (time, sequence) total order, so fire order is unchanged.
-func (k *Kernel) compact() {
-	f := &k.fel
-	live := f.ev[:0]
-	for _, s := range f.ev {
-		if e := f.evs[s.id]; e.canceled {
-			e.inFEL = false
-			k.recycle(e)
-			continue
-		}
-		live = append(live, s)
-	}
-	f.ev = live
-	f.dead = 0
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		siftDown(live, live[i], i)
-	}
-}
-
-// maybeCompact sweeps once the cancelled events outnumber the live
-// ones, bounding both the heap's dead weight and the amortized cost of
-// cancellation at O(1) per event.
-func (k *Kernel) maybeCompact() {
-	if d := k.fel.dead; d >= compactMin && d > len(k.fel.ev)/2 {
-		k.compact()
-	}
-}
-
-// recycle returns a retired Event struct to the free list. The closure
-// is dropped immediately so the free list never pins model state.
-func (k *Kernel) recycle(e *Event) {
-	e.fn = nil
-	k.free = append(k.free, e.id)
-}
-
-// newEvent takes a struct off the free list (or allocates the list's
-// very first events) and initializes it under the next sequence number.
-// In steady state — the regime every grid run reaches within one ticker
-// period — Schedule performs zero heap allocations.
-func (k *Kernel) newEvent(at Time, fn func()) *Event {
-	seq := k.seq
-	k.seq++
-	if n := len(k.free); n > 0 {
-		e := k.fel.evs[k.free[n-1]]
-		k.free = k.free[:n-1]
-		e.at = at
-		e.seq = seq
-		e.fn = fn
-		e.canceled = false
-		return e
-	}
-	//lint:allow hotalloc free-list cold start: each Event struct is allocated once here and recycled forever after
-	e := &Event{at: at, seq: seq, fn: fn, id: int32(len(k.fel.evs))}
-	k.fel.evs = append(k.fel.evs, e)
-	return e
 }

@@ -21,30 +21,7 @@ func BenchmarkKernel(b *testing.B) {
 		k.Schedule(Time(i%7), fn)
 	}
 	b.ResetTimer()
-	for k.Processed() < uint64(b.N) {
-		k.Step()
-	}
-}
-
-// BenchmarkKernelCancel measures the schedule+cancel path: every event
-// that fires schedules a sibling and cancels it again, so half the
-// scheduled load is lazily deleted — the superscheduler session pattern
-// (timeouts armed and disarmed per protocol round).
-func BenchmarkKernelCancel(b *testing.B) {
-	b.ReportAllocs()
-	k := NewKernel()
-	noop := func() {}
-	var fn func()
-	fn = func() {
-		victim := k.After(3, noop)
-		k.Cancel(victim)
-		k.After(1, fn)
-	}
-	k.Schedule(0, fn)
-	b.ResetTimer()
-	for k.Processed() < uint64(b.N) {
-		k.Step()
-	}
+	runFor(k, uint64(b.N))
 }
 
 // BenchmarkKernelBulk is the cold-start pattern: a large batch scheduled
@@ -64,16 +41,13 @@ func BenchmarkKernelBulk(b *testing.B) {
 }
 
 // BenchmarkTickerCycle measures one full ticker period: the rearm path
-// must not allocate once the kernel's free list is warm.
+// must not allocate once the period's lane is warm.
 func BenchmarkTickerCycle(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
-	ticks := 0
-	NewTicker(k, 1, func() { ticks++ })
+	NewTicker(k, 1, func() {})
 	b.ResetTimer()
-	for ticks < b.N {
-		k.Step()
-	}
+	runFor(k, uint64(b.N))
 }
 
 // newLanesMix builds the event mix of a figure sweep, where most
@@ -116,9 +90,7 @@ func newLanesMix() *Kernel {
 		}
 		k.Schedule(0, submit)
 	}
-	for k.Now() < 2*period {
-		k.Step()
-	}
+	k.Run(2 * period)
 	return k
 }
 
@@ -128,8 +100,5 @@ func BenchmarkKernelLanes(b *testing.B) {
 	b.ReportAllocs()
 	k := newLanesMix()
 	b.ResetTimer()
-	target := k.Processed() + uint64(b.N)
-	for k.Processed() < target {
-		k.Step()
-	}
+	runFor(k, uint64(b.N))
 }

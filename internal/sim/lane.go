@@ -18,13 +18,14 @@ import "fmt"
 //
 // Release in place: when a lane item fires, its lane's slot is the lane
 // heap's root. The slot is re-keyed to the next item and sifted down
-// once, or removed when the lane runs empty — no Event, no push and no
-// pop in the event heap. What lanes buy is a small event heap
+// once, or removed when the lane runs empty — no push and no pop in
+// the event heap. What lanes buy is a small event heap
 // (thousands of pre-scheduled arrivals, every ticker's pending tick and
 // every queued server work item collapse to one slot per lane, in a
-// heap of a few dozen) and no per-item Event or closure: a lane item is
-// three words in a reused ring buffer. A lane item has no handle and
-// is never cancelled, so every item between head and tail is live.
+// heap of a few dozen) and no per-item heap slot or closure: a lane
+// item is three words in a reused ring buffer. A lane item has no
+// handle and is never cancelled, so every item between head and tail
+// is live.
 
 // laneItem is one callback waiting in a lane under its reserved
 // (time, sequence) key. Release clears fn, so the ring never pins a
@@ -62,10 +63,9 @@ func NewLane(k *Kernel) *Lane {
 }
 
 // Append arranges for fn to run at absolute time at, exactly as
-// k.Schedule(at, fn) would, but without a handle: a lane item cannot
-// be cancelled. Appending a time earlier than the lane's newest item,
-// in the past, or NaN panics — it would break the order the lane
-// exists to exploit.
+// k.Schedule(at, fn) would. Appending a time earlier than the lane's
+// newest item, in the past, or NaN panics — it would break the order
+// the lane exists to exploit.
 //
 //lint:hotpath every ticker rearm, job arrival and queued server work item enters the kernel here; TestKernelLanesZeroAlloc and TestTickerRearmZeroAlloc pin it allocation-free once the ring is warm
 func (l *Lane) Append(at Time, fn func()) {
@@ -84,8 +84,6 @@ func (l *Lane) Append(at Time, fn func()) {
 	l.buf[l.tail&uint64(len(l.buf)-1)] = laneItem{at: at, seq: k.seq, fn: fn}
 	if l.tail == l.head {
 		k.fel.lanes = heapAdd(k.fel.lanes, slot{at: at, seq: k.seq, id: l.idx})
-	} else {
-		k.laneWaiting++
 	}
 	l.tail++
 	l.last = at
@@ -111,7 +109,6 @@ func (l *Lane) release() func() {
 		return fn
 	}
 	it = &l.buf[l.head&mask]
-	k.laneWaiting--
 	siftDown(k.fel.lanes, slot{at: it.at, seq: it.seq, id: l.idx}, 0)
 	return fn
 }
@@ -147,13 +144,4 @@ func (l *Lane) resize(n int) {
 		buf[p&newMask] = l.buf[p&oldMask]
 	}
 	l.buf = buf
-}
-
-// liveTimes appends the times of the lane's items, head included.
-func (l *Lane) liveTimes(ts []Time) []Time {
-	mask := uint64(len(l.buf) - 1)
-	for p := l.head; p != l.tail; p++ {
-		ts = append(ts, l.buf[p&mask].at)
-	}
-	return ts
 }

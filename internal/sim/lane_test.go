@@ -23,16 +23,16 @@ func TestLaneInterleavesWithHeap(t *testing.T) {
 	if n, m := len(k.fel.ev), len(k.fel.lanes); n != 2 || m != 1 {
 		t.Fatalf("event heap holds %d slots and lane heap %d, want 2 plain events and 1 lane head", n, m)
 	}
-	if k.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", k.Pending())
+	if n := pending(k); n != 5 {
+		t.Fatalf("pending = %d, want 5", n)
 	}
 	k.Run(10)
 	want := []string{"heap@1", "lane@2 first", "heap@2", "lane@2 second", "lane@5"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fire order %v, want %v", got, want)
 	}
-	if k.Processed() != 5 || k.Pending() != 0 {
-		t.Fatalf("processed %d pending %d, want 5 and 0", k.Processed(), k.Pending())
+	if k.Processed() != 5 || pending(k) != 0 {
+		t.Fatalf("processed %d pending %d, want 5 and 0", k.Processed(), pending(k))
 	}
 }
 
@@ -68,9 +68,9 @@ func TestLaneAppendDecreasingPanics(t *testing.T) {
 		}()
 		l.Append(5.5, func() {})
 	}()
-	if k.seq != seq || k.Pending() != 0 || k.Processed() != 1 {
+	if k.seq != seq || pending(k) != 0 || k.Processed() != 1 {
 		t.Fatalf("rejected appends left a trace: seq %d (want %d), pending %d, processed %d",
-			k.seq, seq, k.Pending(), k.Processed())
+			k.seq, seq, pending(k), k.Processed())
 	}
 }
 

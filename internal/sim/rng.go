@@ -120,9 +120,6 @@ func (st *Stream) Bool(p float64) bool { return st.rng.Float64() < p }
 // Perm returns a pseudo-random permutation of [0,n).
 func (st *Stream) Perm(n int) []int { return st.rng.Perm(n) }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (st *Stream) Shuffle(n int, swap func(i, j int)) { st.rng.Shuffle(n, swap) }
-
 // Sample returns k distinct values from [0,n) in random order. When
 // k >= n it returns a permutation of all n values.
 func (st *Stream) Sample(n, k int) []int {

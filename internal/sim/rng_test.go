@@ -224,7 +224,7 @@ func TestTickerFiresPeriodically(t *testing.T) {
 func TestTickerDisabledOnNonPositivePeriod(t *testing.T) {
 	k := NewKernel()
 	NewTicker(k, 0, func() { t.Fatal("disabled ticker fired") })
-	if n := k.Pending(); n != 0 {
+	if n := pending(k); n != 0 {
 		t.Fatalf("zero-period ticker left %d pending events", n)
 	}
 	k.Run(100)

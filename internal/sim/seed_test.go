@@ -35,11 +35,6 @@ var streamDraws = []struct {
 		return append(out, 0)
 	}},
 	{"Perm", func(st *Stream, out []float64) []float64 { return appendInts(out, st.Perm(9)) }},
-	{"Shuffle", func(st *Stream, out []float64) []float64 {
-		xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-		st.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		return appendInts(out, xs)
-	}},
 	{"Sample", func(st *Stream, out []float64) []float64 { return appendInts(out, st.Sample(20, 5)) }},
 	{"SampleInto", func(st *Stream, out []float64) []float64 {
 		var dst [20]int

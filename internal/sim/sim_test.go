@@ -4,10 +4,66 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// The kernel keeps no count of its pending items and no way to peek at
+// them, since no production caller reads either, and Run is its only
+// dispatch loop. Tests read the future event list and fire single
+// items through the helpers below.
+
+// pendingTimes returns the firing time of every pending item, plain
+// events and lane items alike, in time order.
+func pendingTimes(k *Kernel) []Time {
+	var ts []Time
+	for _, s := range k.fel.ev {
+		ts = append(ts, s.at)
+	}
+	for _, l := range k.lanes {
+		mask := uint64(len(l.buf) - 1)
+		for p := l.head; p != l.tail; p++ {
+			ts = append(ts, l.buf[p&mask].at)
+		}
+	}
+	slices.Sort(ts)
+	return ts
+}
+
+// pending returns the number of items waiting to fire.
+func pending(k *Kernel) int { return len(pendingTimes(k)) }
+
+// step fires the earliest pending item the way every engine run fires
+// events: through Run, on a one-event MaxEvents budget and with the
+// horizon at the item's time, so the clock stops where it fired. It
+// reports whether an item fired; a tripped watchdog fires nothing.
+func step(k *Kernel) bool {
+	f := &k.fel
+	if len(f.ev) == 0 && len(f.lanes) == 0 {
+		return false
+	}
+	var at Time
+	if f.laneFirst() {
+		at = f.lanes[0].at
+	} else {
+		at = f.ev[0].at
+	}
+	budget, over := k.MaxEvents, k.Overflowed
+	k.MaxEvents = k.processed + 1
+	n := k.Run(at)
+	k.MaxEvents, k.Overflowed = budget, over
+	return n == 1
+}
+
+// runFor fires the next n events through Run on a MaxEvents budget,
+// for kernels whose future event list never runs dry.
+func runFor(k *Kernel, n uint64) {
+	k.MaxEvents = k.processed + n
+	k.Run(Infinity)
+	k.MaxEvents, k.Overflowed = 0, false
+}
 
 func TestKernelStartsAtZero(t *testing.T) {
 	k := NewKernel()
@@ -88,8 +144,9 @@ func TestClockAdvancesToHorizonWhenIdle(t *testing.T) {
 }
 
 // Run advances the clock to its horizon only forward, and never over a
-// live event still pending inside the window. A Run halted by Stop leaves the clock at the halting event
-// until a later Run has executed what remains.
+// live event still pending inside the window. A Run halted by its
+// MaxEvents budget leaves the clock at the halting event until a later
+// Run has executed what remains.
 func TestAdvanceTo(t *testing.T) {
 	k := NewKernel()
 	k.Run(7)
@@ -99,80 +156,16 @@ func TestAdvanceTo(t *testing.T) {
 	if n := k.Run(6); n != 0 || k.Now() != 7 {
 		t.Fatalf("Run(6) after Run(7): %d events, clock %v; want 0 events, clock 7", n, k.Now())
 	}
-	k.Schedule(10, k.Stop)
+	k.Schedule(10, func() {})
 	k.Schedule(12, func() {})
-	if n := k.Run(20); n != 1 || k.Now() != 10 {
-		t.Fatalf("stopped Run(20): %d events, clock %v; want 1 event, clock 10", n, k.Now())
+	k.MaxEvents = 1
+	if n := k.Run(20); n != 1 || k.Now() != 10 || !k.Overflowed {
+		t.Fatalf("budgeted Run(20): %d events, clock %v, overflowed %v; want 1 event, clock 10, an overflow",
+			n, k.Now(), k.Overflowed)
 	}
+	k.MaxEvents, k.Overflowed = 0, false
 	if n := k.Run(20); n != 1 || k.Now() != 20 {
 		t.Fatalf("resumed Run(20): %d events, clock %v; want 1 event, clock 20", n, k.Now())
-	}
-}
-
-// Cancelled events never hold the clock back from the horizon and
-// never count as processed.
-func TestAdvanceToIgnoresCancelledEvents(t *testing.T) {
-	k := NewKernel()
-	k.Cancel(k.Schedule(3, func() {}))
-	k.Cancel(k.Schedule(9, func() {}))
-	if n := k.Run(8); n != 0 {
-		t.Fatalf("Run(8) executed %d cancelled events", n)
-	}
-	if k.Now() != 8 {
-		t.Fatalf("Now = %v, want 8", k.Now())
-	}
-	if k.Processed() != 0 || k.Pending() != 0 {
-		t.Fatalf("Processed = %d, Pending = %d; want 0 and 0", k.Processed(), k.Pending())
-	}
-}
-
-func TestCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	e := k.Schedule(5, func() { fired = true })
-	k.Cancel(e)
-	k.Run(10)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	k.Cancel(e) // repeat must not panic
-	k.Cancel(nil)
-}
-
-func TestCancelFromInsideEvent(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	var victim *Event
-	k.Schedule(1, func() { k.Cancel(victim) })
-	victim = k.Schedule(2, func() { fired = true })
-	k.Run(10)
-	if fired {
-		t.Fatal("event cancelled from another event still fired")
-	}
-}
-
-func TestStopFromEvent(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run(100)
-	if count != 3 {
-		t.Fatalf("Stop did not halt run: %d events fired, want 3", count)
-	}
-	// A later Run resumes.
-	k.Run(100)
-	if count != 10 {
-		t.Fatalf("resumed run fired %d total, want 10", count)
 	}
 }
 
@@ -217,9 +210,9 @@ func TestWindowedRunMatchesSerialRun(t *testing.T) {
 		if !reflect.DeepEqual(serialLog, winLog) {
 			t.Fatalf("seed %d step %v: orders diverge", seed, step)
 		}
-		if serial.Now() != win.Now() || serial.Pending() != win.Pending() {
+		if serial.Now() != win.Now() || pending(serial) != pending(win) {
 			t.Fatalf("seed %d step %v: end states diverge: clock %v vs %v, pending %d vs %d",
-				seed, step, serial.Now(), win.Now(), serial.Pending(), win.Pending())
+				seed, step, serial.Now(), win.Now(), pending(serial), pending(win))
 		}
 		return true
 	}
@@ -261,7 +254,7 @@ func TestNaNTimePanics(t *testing.T) {
 	k.Schedule(2, func() {})
 	l.Append(3, func() {})
 	k.Run(1)
-	seq, pending, processed := k.seq, k.Pending(), k.Processed()
+	seq, waiting, processed := k.seq, pending(k), k.Processed()
 	nan := math.NaN()
 	for _, c := range []struct {
 		name string
@@ -280,9 +273,9 @@ func TestNaNTimePanics(t *testing.T) {
 			}()
 			call()
 		}()
-		if k.seq != seq || k.Pending() != pending || k.Processed() != processed {
+		if k.seq != seq || pending(k) != waiting || k.Processed() != processed {
 			t.Errorf("%s(NaN) left a trace: seq %d (want %d), pending %d (want %d), processed %d (want %d)",
-				name, k.seq, seq, k.Pending(), pending, k.Processed(), processed)
+				name, k.seq, seq, pending(k), waiting, k.Processed(), processed)
 		}
 	}
 }
@@ -333,11 +326,14 @@ func TestMaxEventsWithLaneHeadAtRoot(t *testing.T) {
 	if len(k.fel.lanes) != 1 || k.fel.lanes[0].at != 4 {
 		t.Fatalf("lane heap %v, want the lane's slot keyed at t=4", k.fel.lanes)
 	}
-	if got := k.NextEventTimes(5); !reflect.DeepEqual(got, []Time{4, 5, 10}) || k.Pending() != 3 {
-		t.Fatalf("pending %d at %v, want 3 at [4 5 10]", k.Pending(), got)
+	if got := pendingTimes(k); !reflect.DeepEqual(got, []Time{4, 5, 10}) {
+		t.Fatalf("pending at %v, want [4 5 10]", got)
 	}
 }
 
+// TestStepDrainsInOrder: Run on a one-event budget fires exactly the
+// earliest event each time, so successive budgets drain the heap in
+// time order.
 func TestStepDrainsInOrder(t *testing.T) {
 	k := NewKernel()
 	var got []Time
@@ -346,24 +342,33 @@ func TestStepDrainsInOrder(t *testing.T) {
 		k.Schedule(at, func() { got = append(got, at) })
 	}
 	steps := 0
-	for k.Step() {
+	for step(k) {
 		steps++
+		if k.Processed() != uint64(steps) || len(got) != steps {
+			t.Fatalf("budget %d fired %d events", steps, len(got))
+		}
 	}
 	if steps != 3 {
-		t.Fatalf("Step drained %d events, want 3", steps)
+		t.Fatalf("one-event budgets drained %d events, want 3", steps)
 	}
 	if !sort.Float64sAreSorted(got) {
-		t.Fatalf("Step fired out of order: %v", got)
+		t.Fatalf("one-event budgets fired out of order: %v", got)
 	}
 }
 
+// TestPendingCountsLiveEvents: every scheduled event and lane item
+// waits in the future event list until it fires, and leaves it then.
 func TestPendingCountsLiveEvents(t *testing.T) {
 	k := NewKernel()
-	e1 := k.Schedule(1, func() {})
+	k.Schedule(1, func() {})
 	k.Schedule(2, func() {})
-	k.Cancel(e1)
-	if got := k.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1", got)
+	NewLane(k).Append(2, func() {})
+	if got := pending(k); got != 3 {
+		t.Fatalf("pending = %d, want 3", got)
+	}
+	k.Run(1)
+	if got := pending(k); got != 2 {
+		t.Fatalf("pending = %d after the first event fired, want 2", got)
 	}
 }
 
@@ -381,13 +386,13 @@ func TestRunAll(t *testing.T) {
 	if n := k.Run(Infinity); n != 3 || count != 3 {
 		t.Fatalf("Run(Infinity) ran %d events (count %d), want 3", n, count)
 	}
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after Run(Infinity), want 0", k.Pending())
+	if n := pending(k); n != 0 {
+		t.Fatalf("pending = %d after Run(Infinity), want 0", n)
 	}
 }
 
 // Property: any batch of events fires in nondecreasing time order, and
-// every non-cancelled event within the horizon fires exactly once.
+// every event within the horizon fires exactly once.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		k := NewKernel()

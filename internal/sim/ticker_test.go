@@ -22,7 +22,7 @@ func TestTickerNonPositivePeriodIsDisabled(t *testing.T) {
 	for _, period := range []Time{0, -1} {
 		k := NewKernel()
 		NewTicker(k, period, func() { t.Fatalf("period-%v ticker fired", period) })
-		if n := k.Pending(); n != 0 {
+		if n := pending(k); n != 0 {
 			t.Fatalf("period-%v ticker left %d pending events", period, n)
 		}
 		k.Run(100)

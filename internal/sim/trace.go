@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"sync" //lint:allow nokernelgoroutines the mutex guards debug-trace buffers a monitoring goroutine may read mid-run; it protects no simulation-visible state
 )
 
@@ -73,6 +71,8 @@ func (t *Tracer) Tracef(kind, format string, args ...any) {
 
 // Count returns how many events of the kind were recorded (including
 // any that aged out of the retained window).
+//
+//lint:allow deadcode read by the tests that attach a tracer: grid.TestEngineTracing and TestPrecedenceHoldsDependents
 func (t *Tracer) Count(kind string) int {
 	if t == nil {
 		return 0
@@ -83,6 +83,8 @@ func (t *Tracer) Count(kind string) int {
 }
 
 // Events returns a copy of the retained events in time order.
+//
+//lint:allow deadcode read by the tests that attach a tracer: grid.TestEngineTracing and TestPrecedenceHoldsDependents
 func (t *Tracer) Events() []TraceEvent {
 	if t == nil {
 		return nil
@@ -90,29 +92,4 @@ func (t *Tracer) Events() []TraceEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]TraceEvent(nil), t.events...)
-}
-
-// Kinds returns the recorded kinds, sorted.
-func (t *Tracer) Kinds() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.counts))
-	for k := range t.counts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Dump writes the retained events, one per line.
-func (t *Tracer) Dump(w io.Writer) error {
-	for _, e := range t.Events() {
-		if _, err := fmt.Fprintf(w, "%12.3f %-20s %s\n", e.At, e.Kind, e.Detail); err != nil {
-			return err
-		}
-	}
-	return nil
 }

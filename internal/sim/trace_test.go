@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTracerRecords(t *testing.T) {
 	k := NewKernel()
@@ -25,17 +21,13 @@ func TestTracerRecords(t *testing.T) {
 	if tr.Count("dispatch") != 1 || tr.Count("missing") != 0 {
 		t.Fatal("counts wrong")
 	}
-	kinds := tr.Kinds()
-	if len(kinds) != 2 || kinds[0] != "complete" || kinds[1] != "dispatch" {
-		t.Fatalf("kinds = %v", kinds)
-	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Trace("x", "y") // must not panic
 	tr.Tracef("x", "%d", 1)
-	if tr.Count("x") != 0 || tr.Events() != nil || tr.Kinds() != nil {
+	if tr.Count("x") != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer not inert")
 	}
 }
@@ -51,23 +43,5 @@ func TestTracerLimit(t *testing.T) {
 	}
 	if tr.Count("tick") != 100 {
 		t.Fatalf("count = %d, want 100 (counts survive eviction)", tr.Count("tick"))
-	}
-}
-
-func TestTracerDump(t *testing.T) {
-	k := NewKernel()
-	tr := NewTracer(k, 0)
-	tr.Trace("alpha", "one")
-	tr.Trace("beta", "two")
-	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "alpha") || !strings.Contains(out, "two") {
-		t.Fatalf("dump missing events:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 2 {
-		t.Fatal("dump line count wrong")
 	}
 }

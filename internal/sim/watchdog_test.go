@@ -24,7 +24,7 @@ func TestWatchdogStopsZeroDelayLoop(t *testing.T) {
 	}
 	// The offending event stays pending (visible to diagnostics) and is
 	// not counted as processed.
-	if k.Pending() == 0 {
+	if pending(k) == 0 {
 		t.Fatal("stall consumed the pending offender")
 	}
 	if n > 101 {
@@ -62,8 +62,8 @@ func TestWatchdogStopsZeroDelayLaneLoop(t *testing.T) {
 	if k.Now() != 5 {
 		t.Fatalf("stalled at t=%v, want 5", k.Now())
 	}
-	if got := k.NextEventTimes(4); !reflect.DeepEqual(got, []Time{5, 9}) || k.Pending() != 2 {
-		t.Fatalf("pending %d at %v, want the spinning item at 5 and the event at 9", k.Pending(), got)
+	if got := pendingTimes(k); !reflect.DeepEqual(got, []Time{5, 9}) {
+		t.Fatalf("pending at %v, want the spinning item at 5 and the event at 9", got)
 	}
 	if len(k.fel.lanes) != 1 || k.fel.lanes[0].at != 5 {
 		t.Fatalf("lane heap %v, want the spinning item's slot at t=5", k.fel.lanes)
@@ -113,35 +113,30 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestNextEventTimes: the event heap holds every scheduled time, and
+// its root is the earliest.
 func TestNextEventTimes(t *testing.T) {
 	k := NewKernel()
 	for _, at := range []Time{9, 3, 7, 1, 5} {
 		k.Schedule(at, func() {})
 	}
-	got := k.NextEventTimes(3)
-	want := []Time{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("NextEventTimes(3) = %v, want %v", got, want)
+	if got, want := pendingTimes(k), []Time{1, 3, 5, 7, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending times %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NextEventTimes(3) = %v, want %v", got, want)
-		}
-	}
-	if all := k.NextEventTimes(100); len(all) != 5 {
-		t.Fatalf("NextEventTimes(100) returned %d times, want 5", len(all))
+	if root := k.fel.ev[0].at; root != 1 {
+		t.Fatalf("event heap root at %v, want 1", root)
 	}
 }
 
-// TestNextTimeReportsEarliestLiveEvent checks that the diagnostic peek
-// reports the earliest live event across the heap and the ticker lanes,
-// skipping cancelled events.
+// TestNextTimeReportsEarliestLiveEvent checks that the earliest pending
+// time, across the event heap and the ticker lanes, follows the run as
+// events fire and ticks rearm.
 func TestNextTimeReportsEarliestLiveEvent(t *testing.T) {
 	k := NewKernel()
-	if got := k.NextEventTimes(1); len(got) != 0 {
-		t.Fatalf("NextEventTimes(1) = %v on an empty kernel", got)
+	if got := pendingTimes(k); len(got) != 0 {
+		t.Fatalf("pending times %v on an empty kernel", got)
 	}
-	e1 := k.Schedule(2, func() {})
+	k.Schedule(2, func() {})
 	k.Schedule(5, func() {})
 	NewTicker(k, 3, func() {})
 	for _, step := range []struct {
@@ -150,23 +145,23 @@ func TestNextTimeReportsEarliestLiveEvent(t *testing.T) {
 		want Time
 	}{
 		{"initially", func() {}, 2},
-		{"after cancelling the head", func() { k.Cancel(e1) }, 3},
+		{"after the head fires", func() { k.Run(2) }, 3},
 		{"after the tick rearms", func() { k.Run(4) }, 5},
 	} {
 		step.do()
-		if got := k.NextEventTimes(1); len(got) != 1 || got[0] != step.want {
-			t.Fatalf("%s: NextEventTimes(1) = %v, want [%v]", step.name, got, step.want)
+		if got := pendingTimes(k); len(got) == 0 || got[0] != step.want {
+			t.Fatalf("%s: pending times %v, want the earliest at %v", step.name, got, step.want)
 		}
 	}
-	if k.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", k.Pending())
+	if n := pending(k); n != 2 {
+		t.Fatalf("pending = %d, want 2", n)
 	}
 }
 
-// TestNextTimeIsBehaviourInvisible checks that peeking at the future
-// event list, before a run and from inside running callbacks as the
-// audit dump does, leaves the run unchanged: the same events fire in
-// the same order.
+// TestNextTimeIsBehaviourInvisible checks that reading the future
+// event list, before a run and from inside running callbacks, leaves
+// the run unchanged: the same events fire in the same order. Every
+// test that reads the list relies on that.
 func TestNextTimeIsBehaviourInvisible(t *testing.T) {
 	run := func(peek bool) ([]int, uint64, Time) {
 		k := NewKernel()
@@ -174,17 +169,16 @@ func TestNextTimeIsBehaviourInvisible(t *testing.T) {
 		note := func(id int) {
 			got = append(got, id)
 			if peek {
-				k.NextEventTimes(16)
+				pendingTimes(k)
 			}
 		}
-		for i, at := range []Time{4, 1, 3, 3, 6} {
+		for i, at := range []Time{4, 1, 3, 3, 6, 5} {
 			i := i
 			k.Schedule(at, func() { note(i) })
 		}
-		k.Cancel(k.Schedule(5, func() { note(99) }))
 		NewTicker(k, 2, func() { note(-1) })
 		if peek {
-			k.NextEventTimes(16)
+			pendingTimes(k)
 		}
 		k.Run(7)
 		return got, k.Processed(), k.Now()

@@ -18,23 +18,8 @@ type Series struct {
 	Y    []float64 `json:"y"`
 }
 
-// Append adds one point to the series.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
-
-// Normalized returns a copy of the series with Y divided by Y[0],
-// matching the paper's normalized overhead curves g(k).
-func (s *Series) Normalized() Series {
-	return Series{Name: s.Name, X: append([]float64(nil), s.X...), Y: Normalize(s.Y)}
-}
-
-// Slopes returns the per-segment slopes of the curve.
-func (s *Series) Slopes() []float64 { return Slopes(s.X, s.Y) }
 
 // SeriesSet is a group of curves sharing an X axis — one figure.
 type SeriesSet struct {
@@ -46,16 +31,6 @@ type SeriesSet struct {
 
 // Add appends a curve to the set.
 func (ss *SeriesSet) Add(s Series) { ss.Series = append(ss.Series, s) }
-
-// Get returns the curve with the given name, or nil.
-func (ss *SeriesSet) Get(name string) *Series {
-	for i := range ss.Series {
-		if ss.Series[i].Name == name {
-			return &ss.Series[i]
-		}
-	}
-	return nil
-}
 
 // Names returns the curve names in insertion order.
 func (ss *SeriesSet) Names() []string {

@@ -15,39 +15,35 @@ func sampleSet() *SeriesSet {
 }
 
 func TestSeriesAppendAndLen(t *testing.T) {
-	var s Series
-	s.Append(1, 10)
-	s.Append(2, 20)
+	s := Series{X: []float64{1, 2}, Y: []float64{10, 20}}
 	if s.Len() != 2 || s.X[1] != 2 || s.Y[1] != 20 {
 		t.Fatalf("unexpected series state: %+v", s)
 	}
 }
 
+// TestSeriesNormalized: a series' Y normalized as the paper's g(k)
+// curves are, leaving the series itself untouched.
 func TestSeriesNormalized(t *testing.T) {
 	s := Series{Name: "m", X: []float64{1, 2}, Y: []float64{5, 15}}
-	n := s.Normalized()
-	if n.Y[0] != 1 || n.Y[1] != 3 {
-		t.Fatalf("Normalized Y = %v", n.Y)
+	n := Normalize(s.Y)
+	if n[0] != 1 || n[1] != 3 {
+		t.Fatalf("normalized Y = %v", n)
 	}
 	if s.Y[0] != 5 {
-		t.Fatal("Normalized mutated the original")
+		t.Fatal("Normalize mutated the series")
 	}
 }
 
 func TestSeriesSlopes(t *testing.T) {
 	s := Series{X: []float64{1, 2, 3}, Y: []float64{0, 2, 6}}
-	sl := s.Slopes()
+	sl := Slopes(s.X, s.Y)
 	if len(sl) != 2 || sl[0] != 2 || sl[1] != 4 {
 		t.Fatalf("Slopes = %v", sl)
 	}
 }
 
 func TestSeriesSetGetAndNames(t *testing.T) {
-	ss := sampleSet()
-	if ss.Get("CENTRAL") == nil || ss.Get("nope") != nil {
-		t.Fatal("Get misbehaved")
-	}
-	names := ss.Names()
+	names := sampleSet().Names()
 	if len(names) != 2 || names[0] != "CENTRAL" || names[1] != "LOWEST" {
 		t.Fatalf("Names = %v", names)
 	}

@@ -72,33 +72,19 @@ func Normalize(xs []float64) []float64 {
 // Accumulator collects streaming observations with O(1) memory.
 // The zero value is ready to use.
 type Accumulator struct {
-	n        int
-	sum, ssq float64
-	min, max float64
+	n   int
+	sum float64
+	max float64
 }
 
 // Add records one observation.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 0 || x > a.max {
+		a.max = x
 	}
 	a.n++
 	a.sum += x
-	a.ssq += x * x
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Sum returns the running total.
-func (a *Accumulator) Sum() float64 { return a.sum }
 
 // Mean returns the running mean, or 0 when empty.
 func (a *Accumulator) Mean() float64 {
@@ -106,31 +92,6 @@ func (a *Accumulator) Mean() float64 {
 		return 0
 	}
 	return a.sum / float64(a.n)
-}
-
-// Variance returns the unbiased running variance, or 0 for n < 2.
-// Negative rounding artifacts are clamped to 0.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	m := a.Mean()
-	v := (a.ssq - float64(a.n)*m*m) / float64(a.n-1)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// StdDev returns the running standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest observation, or +Inf when empty.
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.Inf(1)
-	}
-	return a.min
 }
 
 // Max returns the largest observation, or -Inf when empty.

@@ -158,12 +158,3 @@ func (g *Graph) DegreeDistribution() DegreeStats {
 	}
 	return DegreeStats{Min: min, Max: max, Mean: mean, TailRatio: tr}
 }
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := NewGraph(g.N)
-	for u := range g.Adj {
-		out.Adj[u] = append([]Edge(nil), g.Adj[u]...)
-	}
-	return out
-}

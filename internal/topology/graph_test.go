@@ -142,19 +142,6 @@ func TestDegreeDistribution(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := NewGraph(3)
-	mustEdge(t, g, 0, 1)
-	c := g.Clone()
-	mustEdge(t, c, 1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("Clone aliases the original adjacency")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Fatal("Clone lost an edge")
-	}
-}
-
 func stream(name string) *sim.Stream { return sim.NewSource(1234).Stream(name) }
 
 func TestPowerLawProperties(t *testing.T) {

@@ -210,8 +210,9 @@ func MapGrid(g *Graph, spec GridSpec, st *sim.Stream) (*Mapping, error) {
 func (m *Mapping) Resources() int { return len(m.ResourceNode) }
 
 // Validate checks the structural invariants of a mapping: disjoint
-// roles, complete clusters, and consistent cross-references. It is used
-// by tests and by the engine before wiring a simulation.
+// roles, complete clusters, and consistent cross-references.
+//
+//lint:allow deadcode property-test oracle: TestMapGridProperty checks every generated mapping against it
 func (m *Mapping) Validate(g *Graph) error {
 	if len(m.Roles) != g.N {
 		return fmt.Errorf("topology: mapping covers %d nodes, graph has %d", len(m.Roles), g.N)

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -14,15 +12,11 @@ type Trace struct {
 	Jobs   []*Job `json:"jobs"`
 }
 
-// WriteJSON serializes the trace as JSON.
-func (tr *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
 // Validate checks trace invariants: sorted arrivals within the horizon,
 // positive runtimes, requested >= runtime, consistent classification,
 // benefit within bounds, and cluster ids in range.
+//
+//lint:allow deadcode property-test oracle: TestGenerateInvariantProperty checks every generated trace against it
 func (tr *Trace) Validate() error {
 	if err := tr.Params.Validate(); err != nil {
 		return err

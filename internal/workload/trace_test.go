@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -23,12 +23,12 @@ func sampleTrace(t *testing.T) *Trace {
 
 func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got Trace
-	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Validate(); err != nil {
@@ -37,7 +37,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if len(got.Jobs) != len(tr.Jobs) {
 		t.Fatalf("round trip job count %d != %d", len(got.Jobs), len(tr.Jobs))
 	}
-	if !got.Jobs[0].Equal(tr.Jobs[0]) {
+	if !reflect.DeepEqual(got.Jobs[0], tr.Jobs[0]) {
 		t.Fatalf("first job differs: %+v vs %+v", got.Jobs[0], tr.Jobs[0])
 	}
 	if got.Params != tr.Params {

@@ -61,26 +61,6 @@ type Job struct {
 // Arrival + Benefit*Runtime.
 func (j *Job) Deadline() sim.Time { return j.Arrival + j.Benefit*j.Runtime }
 
-// Equal reports whether two jobs are identical, including precedence
-// constraints.
-func (j *Job) Equal(o *Job) bool {
-	if j == nil || o == nil {
-		return j == o
-	}
-	if j.ID != o.ID || j.Arrival != o.Arrival || j.Runtime != o.Runtime ||
-		j.Requested != o.Requested || j.Benefit != o.Benefit ||
-		j.Partition != o.Partition || j.Cluster != o.Cluster || j.Class != o.Class ||
-		len(j.Deps) != len(o.Deps) {
-		return false
-	}
-	for i := range j.Deps {
-		if j.Deps[i] != o.Deps[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Params configures the synthetic generator. The zero value is not
 // usable; start from DefaultParams.
 type Params struct {
@@ -188,14 +168,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("workload: paper model fixes cancellation probability to 0, got %v", p.CancelProb)
 	}
 	return nil
-}
-
-// Scale returns a copy with the arrival rate multiplied by factor; the
-// paper scales the workload in the same proportion as every scaling
-// variable.
-func (p Params) Scale(factor float64) Params {
-	p.ArrivalRate *= factor
-	return p
 }
 
 // Generate produces the job stream for the configured horizon, sorted by
