@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet lint depscheck test examples race fuzz gobench chaos chaos-service crashtest loadtest benchtest
+.PHONY: check build vet lint depscheck test examples resume race fuzz gobench chaos chaos-service crashtest loadtest benchtest
 
 # The gate CI runs: vet + stdlib-only dependency check + determinism
-# lint + full test suite + the example programs + race + the
-# fixed-seed chaos sweep + the service chaos harness + the
-# crash-consistency enumeration + the rmscaled load iteration + the
-# benchmark's own test suite.
-check: vet depscheck lint test examples race chaos chaos-service crashtest loadtest benchtest
+# lint + full test suite + the example programs + the kill-and-resume
+# check + race + the fixed-seed chaos sweep + the service chaos
+# harness + the crash-consistency enumeration + the rmscaled load
+# iteration + the benchmark's own test suite.
+check: vet depscheck lint test examples resume race chaos chaos-service crashtest loadtest benchtest
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,33 @@ examples: build
 		echo "example: $$d"; \
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
+
+# Kill-and-resume: smoke case 4 runs once uninterrupted; then into a
+# -resume directory under SIGKILL after 0.05, 0.1 and 0.2 s (a kill
+# mid-write can orphan .tmp files in the cache); then to completion
+# from that directory. Its stdout must be cmp-equal to the
+# uninterrupted run's, and its sorted `tuned` lines on stderr
+# (evals= included) must match.
+resume: build
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/rmscale" ./cmd/rmscale && \
+	args="-fidelity smoke -seed 3 -j 4 -v" && \
+	"$$d/rmscale" $$args case4 > "$$d/want.out" 2> "$$d/want.err" && \
+	for t in 0.05 0.1 0.2; do \
+		timeout -s KILL $$t "$$d/rmscale" $$args -resume "$$d/run" case4 > /dev/null 2>&1; \
+		case $$? in \
+		0) echo "resume: finished before the kill at $$t s";; \
+		124|137) echo "resume: killed at $$t s";; \
+		*) echo "resume: the run under the $$t s kill failed"; exit 1;; \
+		esac; \
+	done && \
+	"$$d/rmscale" $$args -resume "$$d/run" case4 > "$$d/got.out" 2> "$$d/got.err" && \
+	cmp "$$d/want.out" "$$d/got.out" && \
+	grep '^tuned' "$$d/want.err" | sort > "$$d/want.tuned" && \
+	grep '^tuned' "$$d/got.err" | sort > "$$d/got.tuned" && \
+	cmp "$$d/want.tuned" "$$d/got.tuned" && \
+	echo "resume: stdout and tuned lines match the uninterrupted run" \
+		"($$(find "$$d/run" -name '*.tmp' | wc -l) orphaned .tmp files)"
 
 # Race-check the whole module; -short keeps the smoke-fidelity
 # experiment runs out of the race build, which would otherwise

@@ -39,7 +39,6 @@ import (
 	"rmscale/internal/fsutil"
 	"rmscale/internal/grid"
 	"rmscale/internal/rms"
-	"rmscale/internal/runner"
 	"rmscale/internal/scale"
 	"rmscale/internal/sim"
 	"rmscale/internal/stats"
@@ -51,12 +50,6 @@ import (
 type (
 	// Config describes one grid simulation run.
 	Config = grid.Config
-	// CostModel fixes per-operation RMS costs.
-	CostModel = grid.CostModel
-	// Enablers are the tunable scaling enablers y(k).
-	Enablers = grid.Enablers
-	// Protocol fixes the RMS protocol constants (Table 1 and friends).
-	Protocol = grid.Protocol
 	// FaultModel injects resource crashes and update loss.
 	FaultModel = grid.FaultModel
 	// GridSpec lays out clusters, cluster size and estimators.
@@ -65,8 +58,6 @@ type (
 	Engine = grid.Engine
 	// Summary condenses a run into the paper's accounting terms.
 	Summary = grid.Summary
-	// Metrics is the full in-run accounting.
-	Metrics = grid.Metrics
 	// Policy is the RMS model interface.
 	Policy = grid.Policy
 	// Scheduler is the per-cluster decision maker handed to policies.
@@ -101,14 +92,10 @@ type (
 	Point = scale.Point
 	// IsoAnalysis carries the closed-form isoefficiency constants.
 	IsoAnalysis = scale.IsoAnalysis
-	// Variable is a named scaling variable x(k).
-	Variable = scale.Variable
 )
 
 // Reporting layer.
 type (
-	// Series is one named curve.
-	Series = stats.Series
 	// SeriesSet is one figure (a set of curves over a shared axis).
 	SeriesSet = stats.SeriesSet
 	// ChartOptions sizes the terminal rendering of a figure.
@@ -121,17 +108,11 @@ type (
 	ChurnResult = experiments.ChurnResult
 )
 
-// Execution layer (the runner subsystem): parallel, cached,
-// checkpoint/resumable experiment execution.
-type (
-	// RunSpec configures experiment execution: worker count, run
-	// directory (disk cache + checkpoint journal + runstate.json),
-	// progress sinks and cancellation.
-	RunSpec = experiments.RunSpec
-	// RunSnapshot is the machine-readable progress state the runner
-	// writes to runstate.json.
-	RunSnapshot = runner.Snapshot
-)
+// RunSpec configures the execution layer (the runner subsystem):
+// worker count, run directory (content-addressed disk cache +
+// runstate.json), progress sinks and cancellation, for parallel,
+// cached, resumable experiment execution.
+type RunSpec = experiments.RunSpec
 
 // Robustness layer: the chaos harness that hunts for fault schedules
 // breaking the runtime invariant auditor's checks.
@@ -139,19 +120,10 @@ type (
 	// ChaosSchedule is one runnable fault scenario (the reproducer
 	// JSON format).
 	ChaosSchedule = chaos.Schedule
-	// ChaosCrash scripts one RMS-node outage.
-	ChaosCrash = chaos.Crash
-	// ChaosWindow scripts one protocol-loss interval.
-	ChaosWindow = chaos.Window
-	// ChaosCorruption scripts one metric falsification (self-test).
-	ChaosCorruption = chaos.Corruption
 	// ChaosReport is the audit outcome of one schedule run.
 	ChaosReport = chaos.Report
 	// ChaosOptions configures a chaos sweep.
 	ChaosOptions = chaos.Options
-	// ChaosFinding is one violating schedule with replay and shrink
-	// evidence.
-	ChaosFinding = chaos.Finding
 	// ChaosResult summarizes a chaos sweep.
 	ChaosResult = chaos.Result
 )
@@ -196,13 +168,6 @@ func RunChurnSpec(id int, fm FaultModel, spec RunSpec) (*ChurnResult, error) {
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return fsutil.WriteFileAtomic(path, data, perm)
 }
-
-// Fidelity levels for the experiment drivers.
-const (
-	Smoke = experiments.Smoke
-	Quick = experiments.Quick
-	Full  = experiments.Full
-)
 
 // DefaultConfig returns the base (k=1) stressed-grid configuration.
 func DefaultConfig() Config { return grid.DefaultConfig() }
@@ -260,8 +225,6 @@ type (
 	Job = workload.Job
 	// WorkloadParams configures the synthetic generator.
 	WorkloadParams = workload.Params
-	// Trace bundles generated jobs with their parameters.
-	Trace = workload.Trace
 	// SWFOptions configures Standard Workload Format import.
 	SWFOptions = workload.SWFOptions
 	// JWParams configures the Jogalekar-Woodside comparison metric.
@@ -314,16 +277,6 @@ func JogalekarWoodside(m *Measurement, p JWParams) (*JWResult, error) {
 
 // AblationResult is one ablation study's comparison table.
 type AblationResult = experiments.AblationResult
-
-// Tuner selects the optimizer for Measure: TunerAnneal (the paper's
-// simulated annealing) or TunerGrid (the exhaustive baseline).
-type Tuner = scale.Tuner
-
-// Tuner values.
-const (
-	TunerAnneal = scale.TunerAnneal
-	TunerGrid   = scale.TunerGrid
-)
 
 // RunAblations executes every ablation study (update suppression,
 // estimator layer, middleware provisioning, tuner choice, fault

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"rmscale"
+	"rmscale/internal/experiments"
+	"rmscale/internal/stats"
 )
 
 func TestModelsRoster(t *testing.T) {
@@ -161,7 +163,7 @@ func TestTablesViaFacade(t *testing.T) {
 
 func TestParseFidelityFacade(t *testing.T) {
 	f, err := rmscale.ParseFidelity("quick")
-	if err != nil || f != rmscale.Quick {
+	if err != nil || f != experiments.Quick {
 		t.Fatalf("ParseFidelity: %v %v", f, err)
 	}
 }
@@ -170,7 +172,7 @@ func TestCaseResultFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	r, err := rmscale.RunCaseSpec(3, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: 1})
+	r, err := rmscale.RunCaseSpec(3, rmscale.RunSpec{Fidelity: experiments.Smoke, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,7 @@ func TestPathSearchViaFacade(t *testing.T) {
 
 func TestChartViaFacade(t *testing.T) {
 	ss := &rmscale.SeriesSet{Title: "t", XLabel: "k", YLabel: "y"}
-	ss.Add(rmscale.Series{Name: "a", X: []float64{1, 2}, Y: []float64{1, 2}})
+	ss.Add(stats.Series{Name: "a", X: []float64{1, 2}, Y: []float64{1, 2}})
 	var buf bytes.Buffer
 	if err := ss.WriteChart(&buf, rmscale.ChartOptions{Width: 20, Height: 6}); err != nil {
 		t.Fatal(err)

@@ -14,11 +14,10 @@ package rmscale_test
 
 import (
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"rmscale"
+	"rmscale/internal/experiments"
 )
 
 // benchSeed keeps every figure bench deterministic.
@@ -53,7 +52,7 @@ func reportShape(b *testing.B, r *rmscale.CaseResult) {
 // the resource pool scales by network size (Case 1, Table 2).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := rmscale.RunCaseSpec(1, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
+		r, err := rmscale.RunCaseSpec(1, rmscale.RunSpec{Fidelity: experiments.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +69,7 @@ func BenchmarkFigure2(b *testing.B) {
 // scales by service rate (Case 2, Table 3).
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := rmscale.RunCaseSpec(2, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
+		r, err := rmscale.RunCaseSpec(2, rmscale.RunSpec{Fidelity: experiments.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +90,7 @@ var case3Result *rmscale.CaseResult
 func runCase3(b *testing.B) *rmscale.CaseResult {
 	b.Helper()
 	if case3Result == nil {
-		r, err := rmscale.RunCaseSpec(3, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
+		r, err := rmscale.RunCaseSpec(3, rmscale.RunSpec{Fidelity: experiments.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +118,7 @@ func BenchmarkFigure4(b *testing.B) {
 // (Case 4, Table 5).
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := rmscale.RunCaseSpec(4, rmscale.RunSpec{Fidelity: rmscale.Smoke, Seed: benchSeed})
+		r, err := rmscale.RunCaseSpec(4, rmscale.RunSpec{Fidelity: experiments.Smoke, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +189,7 @@ func BenchmarkTables2to5(b *testing.B) {
 func BenchmarkRunnerColdPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := rmscale.RunCaseSpec(4, rmscale.RunSpec{
-			Fidelity: rmscale.Smoke, Seed: benchSeed, Workers: 4,
+			Fidelity: experiments.Smoke, Seed: benchSeed, Workers: 4,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -198,18 +197,14 @@ func BenchmarkRunnerColdPath(b *testing.B) {
 }
 
 // BenchmarkRunnerCacheHit times the same case against a warm
-// content-addressed disk cache. The checkpoint journal is removed
-// between iterations so the run re-tunes end to end and the measured
-// speedup is the cache's alone, not journal adoption's.
+// content-addressed disk cache: every iteration re-tunes end to end,
+// and every evaluation is a cache hit.
 func BenchmarkRunnerCacheHit(b *testing.B) {
 	dir := b.TempDir()
 	warm := func() {
 		if _, err := rmscale.RunCaseSpec(4, rmscale.RunSpec{
-			Fidelity: rmscale.Smoke, Seed: benchSeed, Workers: 4, Dir: dir,
+			Fidelity: experiments.Smoke, Seed: benchSeed, Workers: 4, Dir: dir,
 		}); err != nil {
-			b.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, "journal.jsonl")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +281,7 @@ func BenchmarkSimulationWithSubstrateReuse(b *testing.B) {
 // schemes).
 func BenchmarkAblationSuppression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := rmscale.RunAblations(rmscale.Smoke, benchSeed)
+		rs, err := rmscale.RunAblations(experiments.Smoke, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

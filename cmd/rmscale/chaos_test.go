@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rmscale"
+	"rmscale/internal/audit/chaos"
 )
 
 func TestChaosSweepCommand(t *testing.T) {
@@ -49,7 +50,7 @@ func TestChaosReplayCommand(t *testing.T) {
 		Horizon:     400,
 		Drain:       200,
 		Util:        0.7,
-		Corruptions: []rmscale.ChaosCorruption{{Kind: "negative-overhead", At: 150}},
+		Corruptions: []chaos.Corruption{{Kind: "negative-overhead", At: 150}},
 	}
 	path := filepath.Join(dir, "repro.json")
 	if err := s.WriteJSON(path); err != nil {
@@ -69,7 +70,7 @@ func TestChaosReplayCommand(t *testing.T) {
 
 	// A fault-only schedule replays clean.
 	s.Corruptions = nil
-	s.SchedCrashes = []rmscale.ChaosCrash{{Target: 0, At: 100, Repair: 80}}
+	s.SchedCrashes = []chaos.Crash{{Target: 0, At: 100, Repair: 80}}
 	if err := s.WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@
 //	-format table|chart|csv|json output format (default table)
 //	-out DIR                     also save each figure as CSV+JSON files
 //	-j N                         worker-pool size (default GOMAXPROCS)
-//	-resume DIR                  checkpoint directory: journal completed
-//	                             (model, k) points there, cache
-//	                             simulations on disk, and resume an
-//	                             interrupted run with the same
-//	                             fidelity/seed from what it holds
+//	-resume DIR                  run directory: cache every evaluation
+//	                             there under its content address, so a
+//	                             rerun (after an interruption, or with
+//	                             another seed or fidelity) replays what
+//	                             it holds and simulates only the rest
 //	-v                           log tuning progress per (model, k) and
 //	                             runner job progress
 //	-faults                      degraded mode: re-run the case under a
@@ -86,7 +86,7 @@ func run(args []string, out io.Writer) (err error) {
 	format := fs.String("format", "table", "table, chart, csv or json")
 	outDir := fs.String("out", "", "also write each figure as CSV and JSON into this directory")
 	workers := fs.Int("j", 0, "worker-pool size; 0 picks GOMAXPROCS")
-	resumeDir := fs.String("resume", "", "checkpoint directory for journaling, disk caching and resuming")
+	resumeDir := fs.String("resume", "", "run directory: cache evaluations on disk and replay them on a rerun")
 	verbose := fs.Bool("v", false, "log tuning progress")
 	faults := fs.Bool("faults", false, "degraded mode: re-run the case under the churn fault load")
 	mtbf := fs.Float64("mtbf", 0, "with -faults: resource mean time between failures (0 disables)")

@@ -120,7 +120,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Outcome reports the best point found.
+// Outcome reports the best point found. Evals counts the distinct
+// points the search visited and CacheHit its revisits, whether or not
+// a shared EvalCache already held a point, so a search over a warm
+// cache reports exactly what a cold one does.
 type Outcome struct {
 	X        []float64
 	Result   Result
@@ -151,15 +154,20 @@ func Minimize(dims []Dim, start []float64, obj Objective, o Options) (Outcome, e
 		cache = make(mapCache)
 	}
 	out := Outcome{}
+	visited := make(map[string]bool)
 	evaluate := func(x []float64) Result {
 		key := PointKey(x)
-		if r, ok := cache.Get(key); ok {
+		if visited[key] {
 			out.CacheHit++
+		} else {
+			visited[key] = true
+			out.Evals++
+		}
+		if r, ok := cache.Get(key); ok {
 			return r
 		}
 		r := obj(x)
 		cache.Put(key, r)
-		out.Evals++
 		return r
 	}
 

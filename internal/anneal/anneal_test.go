@@ -195,11 +195,14 @@ func (c *sharedCache) Get(key string) (Result, bool) {
 func (c *sharedCache) Put(key string, r Result) { c.m[key] = r; c.puts++ }
 
 // TestEvalCacheHook checks that a caller-supplied cache replaces the
-// private memo: a second search over a warm cache performs zero fresh
-// evaluations yet lands on the identical outcome.
+// private memo: a second search over a warm cache calls the objective
+// zero times yet returns the first search's outcome, its counts
+// included.
 func TestEvalCacheHook(t *testing.T) {
 	dims := []Dim{{Name: "x", Min: -4, Max: 4}}
+	calls := 0
 	obj := func(x []float64) Result {
+		calls++
 		v := (x[0] - 1) * (x[0] - 1)
 		return Result{Cost: v, Feasible: true}
 	}
@@ -214,21 +217,26 @@ func TestEvalCacheHook(t *testing.T) {
 	if cache.puts == 0 {
 		t.Fatal("cache saw no evaluations")
 	}
-	if first.Evals == 0 {
-		t.Fatal("first search reported zero evaluations")
+	if first.Evals == 0 || first.Evals != calls {
+		t.Fatalf("first search reported %d evaluations for %d objective calls", first.Evals, calls)
 	}
 
+	calls = 0
 	second, err := Minimize(dims, nil, obj, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Evals != 0 {
-		t.Fatalf("warm search re-evaluated %d points", second.Evals)
+	if calls != 0 {
+		t.Fatalf("warm search called the objective %d times", calls)
 	}
-	if second.CacheHit == 0 {
-		t.Fatal("warm search reported no cache hits")
+	if cache.hits == 0 {
+		t.Fatal("warm search read nothing from the cache")
 	}
-	if second.X[0] != first.X[0] || second.Result.Cost != first.Result.Cost {
+	if second.Evals != first.Evals || second.CacheHit != first.CacheHit {
+		t.Fatalf("warm search counted evals=%d hits=%d, cold search %d and %d",
+			second.Evals, second.CacheHit, first.Evals, first.CacheHit)
+	}
+	if second.X[0] != first.X[0] || second.Result != first.Result {
 		t.Fatalf("warm search diverged: %v vs %v", second, first)
 	}
 }

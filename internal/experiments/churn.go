@@ -39,7 +39,7 @@ func ChurnFaults() grid.FaultModel {
 }
 
 // degraded returns def re-run under the fault load fm. The variant tag
-// keeps its journal IDs and cache scopes disjoint from the plain case.
+// keeps its task IDs and cache scopes disjoint from the plain case.
 func degraded(def caseDef, fm grid.FaultModel) caseDef {
 	base := def.config
 	def.variant = "churn"

@@ -160,8 +160,8 @@ type caseDef struct {
 	enablers []scale.Enabler
 	// variant distinguishes re-runs of the same case under modified
 	// conditions (e.g. "churn" for the degraded-mode experiment). It is
-	// folded into journal IDs and cache scopes only when non-empty, so
-	// plain cases keep their original journal format.
+	// folded into task IDs and cache scopes only when non-empty, so
+	// plain cases keep their original cache keys.
 	variant string
 	// config builds the grid configuration at scale k with the
 	// enablers applied.
@@ -246,9 +246,9 @@ func simulate(run *runner.Run, substrates *grid.SubstrateCache, fid Fidelity,
 
 // measureModel runs the scalability measurement procedure for a single
 // model over the case definition: the per-(model, k) tuning chain that
-// is one job of the runner's pool. Completed points are journaled as
-// they land, and journaled points from an interrupted prior run are
-// adopted without re-tuning.
+// is one job of the runner's pool. Every evaluation goes through the
+// run's content-addressed cache, so a rerun against a warm run
+// directory replays the chain from the cache without simulating.
 func measureModel(ctx context.Context, run *runner.Run, def caseDef, fid Fidelity,
 	seed int64, p grid.Policy, substrates *grid.SubstrateCache,
 	progress func(string, scale.Point)) (*scale.Measurement, error) {
@@ -318,7 +318,6 @@ func measureModel(ctx context.Context, run *runner.Run, def caseDef, fid Fidelit
 		Anneal:    opts,
 		WarmStart: true,
 	}
-	jid := func(k int) string { return pointID(def, name, k) }
 	spec.EvalCache = func(k int) anneal.EvalCache {
 		scope := fmt.Sprintf("case=%d|fid=%s|seed=%d|rms=%s|k=%d", def.id, fid, seed, name, k)
 		if def.variant != "" {
@@ -326,50 +325,11 @@ func measureModel(ctx context.Context, run *runner.Run, def caseDef, fid Fidelit
 		}
 		return &annealCache{cache: run.Cache, scope: scope}
 	}
-
-	// Adopt the journaled prefix of the k-chain, if any.
-	var journalErr error
-	if run.Journal != nil {
-		for _, k := range spec.Ks {
-			var pt scale.Point
-			ok, err := run.Journal.Lookup(jid(k), &pt)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			spec.Resume = append(spec.Resume, pt)
-		}
-		if len(spec.Resume) == len(spec.Ks) {
-			run.Report.JobResumed()
-		}
-	}
 	spec.Progress = func(pt scale.Point) {
-		if run.Journal != nil {
-			if err := run.Journal.Record(jid(pt.K), pt); err != nil && journalErr == nil {
-				journalErr = err
-			}
-		}
 		run.Report.PointDone()
 		if progress != nil {
 			progress(name, pt)
 		}
 	}
-
-	m, err := scale.Measure(ev, spec)
-	if err != nil {
-		return nil, err
-	}
-	if journalErr != nil {
-		return nil, journalErr
-	}
-	return m, nil
-}
-
-// pointID is the journal ID of one completed (case, model, k) point.
-// Variant-tagged definitions journal under a distinct prefix; plain
-// cases keep the original format, so old journals still resume.
-func pointID(def caseDef, rms string, k int) string {
-	return fmt.Sprintf("%s/%s/k=%d", def.name(), rms, k)
+	return scale.Measure(ev, spec)
 }

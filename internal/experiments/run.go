@@ -16,8 +16,7 @@ import (
 
 // RunSpec configures experiment execution through the runner
 // subsystem. The zero values of the execution fields reproduce the
-// legacy behaviour: GOMAXPROCS workers, in-memory caching only, no
-// checkpointing.
+// legacy behaviour: GOMAXPROCS workers, in-memory caching only.
 type RunSpec struct {
 	// Fidelity selects the runtime budget.
 	Fidelity Fidelity
@@ -26,13 +25,14 @@ type RunSpec struct {
 	Seed int64
 	// Workers sizes the work-stealing pool; <= 0 picks GOMAXPROCS.
 	Workers int
-	// Dir, when non-empty, is the run directory: completed (model, k)
-	// points are journaled there, simulation results are cached on
-	// disk, runstate.json tracks progress, and a rerun with the same
-	// Fidelity and Seed resumes from whatever the journal holds.
+	// Dir, when non-empty, is the run directory: every evaluation is
+	// cached on disk under its content address and runstate.json
+	// tracks progress. A rerun over the same directory replays what
+	// the cache holds and simulates only the rest; runs of any seed or
+	// fidelity may share one directory.
 	Dir string
 	// Progress, when non-nil, receives each tuned (model, point) as it
-	// lands (including points adopted from a resumed journal).
+	// lands.
 	Progress func(string, scale.Point)
 	// Log, when non-nil, receives the runner's per-job progress lines.
 	Log io.Writer
@@ -40,17 +40,11 @@ type RunSpec struct {
 	Context context.Context
 }
 
-// fingerprint identifies the run parameters a journal is only allowed
-// to resume into.
-func (s RunSpec) fingerprint() string {
-	return fmt.Sprintf("rmscale/v1 fid=%s seed=%d", s.Fidelity, s.Seed)
-}
-
 // Validate reports the first nonsensical execution parameter. Every
 // Run*Spec entry point validates up front, so a bad spec fails before
-// any journal or cache state is touched. Every message carries the
-// offending value and the spec it came from, so a rejected spec can be
-// fixed from the error alone.
+// any cache state is touched. Every message carries the offending
+// value and the spec it came from, so a rejected spec can be fixed
+// from the error alone.
 func (s RunSpec) Validate() error {
 	switch s.Fidelity {
 	case Smoke, Quick, Full:
@@ -62,17 +56,17 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("experiments: %s: Workers %d is negative; use 0 for GOMAXPROCS", s, s.Workers)
 	}
 	if s.Seed < 0 {
-		return fmt.Errorf("experiments: %s: Seed %d is negative; seeds are non-negative so journal fingerprints stay canonical", s, s.Seed)
+		// Refused as a caller error, most likely a stray minus sign:
+		// every recorded run and golden uses a non-negative seed.
+		return fmt.Errorf("experiments: %s: Seed %d is negative; seeds are non-negative", s, s.Seed)
 	}
 	return nil
 }
 
 // String renders the spec's identity fields — the ones that feed the
-// journal fingerprint and the simulation cache keys — in declaration
-// order. It is the human-readable twin of fingerprint(), for log lines
-// and hash-mismatch diagnostics; execution-only fields (Workers, Dir,
-// callbacks) are deliberately absent, exactly as they are absent from
-// the fingerprint.
+// simulation cache keys — in declaration order, for log lines and
+// diagnostics; execution-only fields (Workers, Dir, callbacks) are
+// deliberately absent, exactly as they are absent from the cache keys.
 func (s RunSpec) String() string {
 	return fmt.Sprintf("runspec{fidelity=%s seed=%d}", s.Fidelity, s.Seed)
 }
@@ -120,8 +114,10 @@ func RunCasesSpec(ids []int, spec RunSpec) ([]*Result, error) {
 	defs := make([]caseDef, len(ids))
 	for i, id := range ids {
 		if seen[id] {
-			// Duplicate IDs would share journal point IDs and silently
-			// overwrite each other's results.
+			// A caller error: the duplicate would tune every model of
+			// the case a second time, for an identical result, racing
+			// the first for the same cache entries, whose atomic disk
+			// writes assume one writer per path.
 			return nil, fmt.Errorf("experiments: duplicate case %d", id)
 		}
 		seen[id] = true
@@ -141,14 +137,13 @@ func runDefs(defs []caseDef, spec RunSpec) ([]*Result, error) {
 		return nil, err
 	}
 	run, err := runner.Start(runner.Options{
-		Workers:     spec.Workers,
-		Dir:         spec.Dir,
-		Fingerprint: spec.fingerprint(),
-		Log:         spec.Log,
-		Context:     spec.Context,
+		Workers: spec.Workers,
+		Dir:     spec.Dir,
+		Log:     spec.Log,
+		Context: spec.Context,
 		// One bad (model, k) point must not void a long sweep: the
-		// remaining models finish (and journal, when Dir is set) and the
-		// failure comes back joined from Wait.
+		// remaining models finish (and fill the cache, when Dir is set)
+		// and the failure comes back joined from Wait.
 		KeepGoing: true,
 	})
 	if err != nil {

@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,8 +16,7 @@ import (
 )
 
 // tableBytes renders the case's headline figure the way the CLI's
-// table format does — the byte-identity oracle for the determinism and
-// resume tests.
+// table format does.
 func tableBytes(t *testing.T, r *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -28,10 +29,32 @@ func tableBytes(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
+// checkSameResult is the byte-identity oracle for the determinism and
+// resume tests: the tables and json.Marshal of the whole result —
+// every tuned point's enablers, observation and evaluation count,
+// the bytes rmscaled stores — must equal the reference run's.
+func checkSameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if g, w := tableBytes(t, got), tableBytes(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("%s tables differ:\n--- want ---\n%s\n--- got ---\n%s", label, w, g)
+	}
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s result JSON differs:\n--- want ---\n%s\n--- got ---\n%s", label, w, g)
+	}
+}
+
 // TestDeterminismSerialParallelWarmCache is the regression test the
 // runner's contract hangs on: a Smoke case run serially, run with four
 // workers, and re-run against a warm content-addressed cache must
-// produce byte-identical tables for the same seed.
+// produce byte-identical results for the same seed.
 func TestDeterminismSerialParallelWarmCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
@@ -42,38 +65,31 @@ func TestDeterminismSerialParallelWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tableBytes(t, serial)
 
 	parallel, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: seed, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tableBytes(t, parallel); !bytes.Equal(got, want) {
-		t.Fatalf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
+	checkSameResult(t, "parallel run", parallel, serial)
 
-	// Warm the disk cache, then delete the journal so the third run
-	// re-tunes from scratch but against a fully warm cache — this
-	// isolates the cache path from journal adoption.
+	// Warm the disk cache, then re-tune end to end against it: every
+	// evaluation hits, and the counts must still read as a cold run's.
 	dir := t.TempDir()
-	if _, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: seed, Workers: 4, Dir: dir}); err != nil {
+	cold, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: seed, Workers: 4, Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "journal.jsonl")); err != nil {
-		t.Fatal(err)
-	}
+	checkSameResult(t, "run with a directory", cold, serial)
 	warm, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: seed, Workers: 4, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tableBytes(t, warm); !bytes.Equal(got, want) {
-		t.Fatalf("cache-warm output differs from serial:\n--- serial ---\n%s\n--- warm ---\n%s", want, got)
-	}
+	checkSameResult(t, "cache-warm run", warm, serial)
 }
 
 // TestCheckpointResumeRoundtrip kills a run partway through via
-// context cancellation, then resumes it from the journal and checks
-// the final tables are identical to an uninterrupted run's.
+// context cancellation, then resumes it from the run directory's cache
+// and checks the final result is identical to an uninterrupted run's.
 func TestCheckpointResumeRoundtrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
@@ -84,10 +100,9 @@ func TestCheckpointResumeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tableBytes(t, uninterrupted)
 
 	// First attempt: cancel after a handful of points have been
-	// journaled, mid-flight through the k-chains.
+	// tuned, mid-flight through the k-chains.
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	var points atomic.Int64
@@ -113,9 +128,18 @@ func TestCheckpointResumeRoundtrip(t *testing.T) {
 		t.Fatalf("cancelled too early: %d points", points.Load())
 	}
 
-	// The journal must hold the committed prefix.
-	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err != nil {
+	// The run directory holds the cache and the progress file, nothing
+	// else.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, ",") != "cache,runstate.json" {
+		t.Fatalf("run directory holds %v, want [cache runstate.json]", names)
 	}
 
 	// Resume with the same parameters.
@@ -123,32 +147,38 @@ func TestCheckpointResumeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tableBytes(t, resumed); !bytes.Equal(got, want) {
-		t.Fatalf("resumed output differs from uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
+	checkSameResult(t, "resumed run", resumed, uninterrupted)
 
-	// A second resume of the now-complete journal adopts everything.
+	// A second resume replays everything from the cache.
 	again, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: seed, Workers: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tableBytes(t, again); !bytes.Equal(got, want) {
-		t.Fatal("fully-journaled rerun differs")
-	}
+	checkSameResult(t, "fully cached rerun", again, uninterrupted)
 }
 
-// TestResumeRefusesDifferentParameters guards against replaying a
-// checkpoint into the wrong run shape.
-func TestResumeRefusesDifferentParameters(t *testing.T) {
+// TestSharedRunDirAcrossSeeds: runs of different seeds may share one
+// run directory. Seed 1, then seed 2, then seed 1 again into one
+// directory each return exactly what a fresh run of that seed does.
+func TestSharedRunDirAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	dir := t.TempDir()
-	if _, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: 1, Dir: dir}); err != nil {
-		t.Fatal(err)
+	fresh := make(map[int64]*Result)
+	for _, seed := range []int64{1, 2} {
+		r, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[seed] = r
 	}
-	if _, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: 2, Dir: dir}); err == nil {
-		t.Fatal("journal resumed under a different seed")
+	dir := t.TempDir()
+	for i, seed := range []int64{1, 2, 1} {
+		r, err := RunCaseSpec(4, RunSpec{Fidelity: Smoke, Seed: seed, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameResult(t, fmt.Sprintf("run %d (seed %d) in the shared directory", i+1, seed), r, fresh[seed])
 	}
 }
 
@@ -226,15 +256,15 @@ func TestRunSpecValidation(t *testing.T) {
 	if !strings.Contains(err.Error(), "-3") {
 		t.Fatalf("seed error %q does not name the offending value", err)
 	}
-	// The Run*Spec entry points must fail before touching any journal
-	// or cache state.
+	// The Run*Spec entry points must fail before touching any cache
+	// state.
 	if _, err := RunCaseSpec(1, RunSpec{Fidelity: Fidelity(99), Seed: 1}); err == nil {
 		t.Fatal("RunCaseSpec ran with an unknown fidelity")
 	}
 }
 
 // TestRunSpecString pins the diagnostic rendering: identity fields
-// only, matching what fingerprint() hashes.
+// only.
 func TestRunSpecString(t *testing.T) {
 	s := RunSpec{Fidelity: Quick, Seed: 7, Workers: 4, Dir: "/tmp/x"}
 	if got, want := s.String(), "runspec{fidelity=quick seed=7}"; got != want {
@@ -246,8 +276,7 @@ func TestRunCasesSpecRejectsDuplicatesAndEmpty(t *testing.T) {
 	if _, err := RunCasesSpec(nil, RunSpec{Fidelity: Smoke, Seed: 1}); err == nil {
 		t.Fatal("empty case list accepted")
 	}
-	// Duplicate IDs would share journal point IDs and silently overwrite
-	// each other's results.
+	// A duplicate would tune the case twice for an identical result.
 	if _, err := RunCasesSpec([]int{1, 2, 1}, RunSpec{Fidelity: Smoke, Seed: 1}); err == nil {
 		t.Fatal("duplicate case IDs accepted")
 	}

@@ -13,23 +13,22 @@ import (
 	"rmscale/internal/fsutil"
 )
 
-// journalName is the journal file inside a run directory.
+// journalName is the journal's file name within its directory.
 const journalName = "journal.jsonl"
 
 // journalVersion guards the on-disk format.
 const journalVersion = 1
 
-// Journal is the checkpoint log of a run: an append-only JSON-lines
-// file in which every completed unit of work is recorded under a
-// stable ID. Each record is written with a single append write, so an
-// interrupted run leaves at most one truncated final line, which the
-// loader discards; everything before it survives and seeds the resumed
-// run.
+// Journal is an append-only JSON-lines log in which every record is
+// committed under a stable ID; rmscaled journals each accepted
+// submission in one. Each record is written with a single append
+// write, so an interrupted writer leaves at most one truncated final
+// line, which the loader discards; everything before it survives and
+// is replayed on the next open.
 //
-// The first line is a header carrying a fingerprint of the run
-// parameters (fidelity, seed, ...). Resuming with a different
-// fingerprint is refused: a journal only ever replays into the exact
-// run shape that wrote it.
+// The first line is a header carrying a fingerprint of the writer's
+// format. Opening under a different fingerprint is refused: a journal
+// only ever replays into the writer that wrote it.
 type Journal struct {
 	mu      sync.Mutex
 	f       fsutil.File
@@ -51,18 +50,12 @@ type journalRecord struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// OpenJournal opens (or creates) the journal in dir. When a journal
-// with a matching fingerprint already exists its records are loaded
-// and resumed reports true; a fingerprint or version mismatch is an
-// error so stale checkpoints cannot silently corrupt a run.
-func OpenJournal(dir, fingerprint string) (j *Journal, resumed bool, err error) {
-	return OpenJournalFS(dir, fingerprint, fsutil.RealFS{})
-}
-
-// OpenJournalFS is OpenJournal with an injectable filesystem seam
-// (fault-injection harnesses script append failures through it, the
-// crash harness enumerates power cuts; nil means the real
-// filesystem).
+// OpenJournalFS opens (or creates) the journal in dir on the given
+// filesystem seam (fault-injection harnesses script append failures
+// through it, the crash harness enumerates power cuts; nil means the
+// real filesystem). When a journal with a matching fingerprint already
+// exists its records are loaded; a fingerprint or version mismatch is
+// an error so a foreign journal cannot silently corrupt a run.
 //
 // Tail recovery: a journal whose file ends in a truncated or garbled
 // line — the signature of a killed or faulty writer — is recovered to
@@ -75,16 +68,17 @@ func OpenJournal(dir, fingerprint string) (j *Journal, resumed bool, err error) 
 // fresh journal with every damaged line counted in Dropped; only a
 // VALID header naming the wrong fingerprint or version is refused,
 // because that is a caller error, not crash damage.
-func OpenJournalFS(dir, fingerprint string, fs fsutil.FS) (j *Journal, resumed bool, err error) {
+func OpenJournalFS(dir, fingerprint string, fs fsutil.FS) (*Journal, error) {
 	if fs == nil {
 		fs = fsutil.RealFS{}
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, false, fmt.Errorf("runner: run dir: %w", err)
+		return nil, fmt.Errorf("runner: journal dir: %w", err)
 	}
 	path := filepath.Join(dir, journalName)
 	entries := make(map[string]json.RawMessage)
 	dropped, validEnd := 0, int64(-1)
+	loaded := false
 	if b, err := fs.ReadFile(path); err == nil && len(b) > 0 {
 		hdr, recs, goodBytes, badLines, headerless := parseJournal(b)
 		if headerless {
@@ -92,16 +86,15 @@ func OpenJournalFS(dir, fingerprint string, fs fsutil.FS) (j *Journal, resumed b
 			validEnd = 0
 		} else {
 			if hdr.Header.Version != journalVersion {
-				return nil, false, fmt.Errorf("runner: journal %s has version %d, want %d",
+				return nil, fmt.Errorf("runner: journal %s has version %d, want %d",
 					path, hdr.Header.Version, journalVersion)
 			}
 			if hdr.Header.Fingerprint != fingerprint {
-				return nil, false, fmt.Errorf("runner: journal %s was written by a different run "+
-					"(journal %q, this run %q); pass a fresh -resume directory or rerun with the "+
-					"original parameters", path, hdr.Header.Fingerprint, fingerprint)
+				return nil, fmt.Errorf("runner: journal %s was written by a different run "+
+					"(journal %q, this run %q)", path, hdr.Header.Fingerprint, fingerprint)
 			}
 			entries = recs
-			resumed = true
+			loaded = true
 			if badLines > 0 {
 				dropped = badLines
 				validEnd = int64(goodBytes)
@@ -110,7 +103,7 @@ func OpenJournalFS(dir, fingerprint string, fs fsutil.FS) (j *Journal, resumed b
 	}
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, false, fmt.Errorf("runner: journal: %w", err)
+		return nil, fmt.Errorf("runner: journal: %w", err)
 	}
 	if validEnd >= 0 {
 		// Cut the garbage tail before the first append lands after it;
@@ -120,31 +113,31 @@ func OpenJournalFS(dir, fingerprint string, fs fsutil.FS) (j *Journal, resumed b
 		// the next power loss.
 		if err := f.Truncate(validEnd); err != nil {
 			f.Close()
-			return nil, false, fmt.Errorf("runner: journal %s: truncating corrupt tail: %w", path, err)
+			return nil, fmt.Errorf("runner: journal %s: truncating corrupt tail: %w", path, err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, false, fmt.Errorf("runner: journal %s: syncing truncated tail: %w", path, err)
+			return nil, fmt.Errorf("runner: journal %s: syncing truncated tail: %w", path, err)
 		}
 	}
-	j = &Journal{f: f, fs: fs, entries: entries, dropped: dropped}
-	if !resumed {
+	j := &Journal{f: f, fs: fs, entries: entries, dropped: dropped}
+	if !loaded {
 		var hdr journalHeader
 		hdr.Header.Version = journalVersion
 		hdr.Header.Fingerprint = fingerprint
 		if err := j.appendLine(hdr); err != nil {
 			f.Close()
-			return nil, false, err
+			return nil, err
 		}
 		// A fresh journal's directory entry must be durable before the
 		// first record is acknowledged, or a power cut could drop the
 		// whole file while its records count as committed.
 		if err := fs.SyncDir(dir); err != nil {
 			f.Close()
-			return nil, false, fmt.Errorf("runner: journal %s: syncing dir: %w", path, err)
+			return nil, fmt.Errorf("runner: journal %s: syncing dir: %w", path, err)
 		}
 	}
-	return j, resumed, nil
+	return j, nil
 }
 
 // parseJournal splits the file into header and records. Recovery is
@@ -236,9 +229,9 @@ func (j *Journal) appendLine(v any) error {
 	return nil
 }
 
-// Record journals v as the completion of the work unit id. Recording an
-// id that is already journaled is a no-op, which makes checkpointing
-// idempotent across resumed runs. After a failed append, which may
+// Record journals v under id. Recording an id that is already
+// journaled is a no-op, which makes journaling idempotent across
+// restarts. After a failed append, which may
 // have left a torn line, Record appends nothing more and returns that
 // failure: a record behind a torn line would be lost to tail recovery.
 func (j *Journal) Record(id string, v any) error {
@@ -260,21 +253,6 @@ func (j *Journal) Record(id string, v any) error {
 	}
 	j.entries[id] = data
 	return nil
-}
-
-// Lookup decodes the journaled payload for id into out, reporting
-// whether id was found.
-func (j *Journal) Lookup(id string, out any) (bool, error) {
-	j.mu.Lock()
-	data, ok := j.entries[id]
-	j.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return false, fmt.Errorf("runner: journal decode %s: %w", id, err)
-	}
-	return true, nil
 }
 
 // Each calls fn for every journaled record, in lexicographic ID order
@@ -302,7 +280,7 @@ func (j *Journal) Each(fn func(id string, data json.RawMessage) error) error {
 	return nil
 }
 
-// Len reports how many completed work units the journal holds.
+// Len reports how many records the journal holds.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

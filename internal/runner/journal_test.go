@@ -19,12 +19,12 @@ type fakePoint struct {
 
 func TestJournalRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	j, resumed, err := OpenJournal(dir, "fp1")
+	j, err := OpenJournalFS(dir, "fp1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed {
-		t.Fatal("fresh journal reported resumed")
+	if j.Len() != 0 {
+		t.Fatalf("fresh journal holds %d records", j.Len())
 	}
 	want := fakePoint{K: 2, G: 10.5, Enablers: []float64{40, 8, 1}}
 	if err := j.Record("case1/CENTRAL/k=2", want); err != nil {
@@ -34,35 +34,48 @@ func TestJournalRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, resumed, err := OpenJournal(dir, "fp1")
+	j2, err := OpenJournalFS(dir, "fp1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if !resumed {
-		t.Fatal("existing journal not resumed")
-	}
 	var got fakePoint
-	ok, err := j2.Lookup("case1/CENTRAL/k=2", &got)
-	if err != nil || !ok {
-		t.Fatalf("lookup: %v, %v", ok, err)
+	if !lookup(t, j2, "case1/CENTRAL/k=2", &got) {
+		t.Fatal("reopened journal lost the record")
 	}
 	if got.K != want.K || got.G != want.G || len(got.Enablers) != 3 {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
-	if ok, _ := j2.Lookup("missing", &got); ok {
+	if lookup(t, j2, "missing", &got) {
 		t.Fatal("lookup of missing id succeeded")
 	}
 }
 
+// lookup decodes the journaled payload for id into out through Each,
+// reporting whether id was found.
+func lookup(t *testing.T, j *Journal, id string, out any) bool {
+	t.Helper()
+	found := false
+	if err := j.Each(func(rid string, data json.RawMessage) error {
+		if rid != id {
+			return nil
+		}
+		found = true
+		return json.Unmarshal(data, out)
+	}); err != nil {
+		t.Fatalf("decoding %s: %v", id, err)
+	}
+	return found
+}
+
 func TestJournalFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, "fid=smoke seed=1")
+	j, err := OpenJournalFS(dir, "rmscaled/v1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, _, err := OpenJournal(dir, "fid=smoke seed=2"); err == nil {
+	if _, err := OpenJournalFS(dir, "rmscaled/v2", nil); err == nil {
 		t.Fatal("journal resumed under a different fingerprint")
 	} else if !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -74,7 +87,7 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 // survives, and the journal must accept new records afterwards.
 func TestJournalTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, "fp")
+	j, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,32 +109,29 @@ func TestJournalTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, resumed, err := OpenJournal(dir, "fp")
+	j2, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if !resumed {
-		t.Fatal("truncated journal not resumed")
-	}
 	if j2.Len() != 2 {
 		t.Fatalf("journal holds %d records after truncation, want 2", j2.Len())
 	}
 	var p fakePoint
-	if ok, _ := j2.Lookup(pointName(3), &p); ok {
+	if lookup(t, j2, pointName(3), &p) {
 		t.Fatal("truncated record resurrected")
 	}
 	if err := j2.Record(pointName(3), fakePoint{K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := j2.Lookup(pointName(3), &p); !ok || p.K != 3 {
+	if ok := lookup(t, j2, pointName(3), &p); !ok || p.K != 3 {
 		t.Fatalf("re-recorded point missing: %+v, %v", p, ok)
 	}
 }
 
 func TestJournalRecordIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, "fp")
+	j, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestJournalRecordIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p fakePoint
-	if ok, _ := j.Lookup("id", &p); !ok || p.G != 1 {
+	if ok := lookup(t, j, "id", &p); !ok || p.G != 1 {
 		t.Fatalf("re-record overwrote the committed value: %+v", p)
 	}
 	if j.Len() != 1 {
@@ -165,7 +175,7 @@ func (f *tornAppendFS) AppendSync(file fsutil.File, b []byte) error {
 func TestJournalStopsAfterFailedAppend(t *testing.T) {
 	dir := t.TempDir()
 	fs := &tornAppendFS{}
-	j, _, err := OpenJournalFS(dir, "fp", fs)
+	j, err := OpenJournalFS(dir, "fp", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestJournalStopsAfterFailedAppend(t *testing.T) {
 		t.Fatalf("record after a failed append: %v, want the append's failure", err)
 	}
 	j.Close()
-	j2, _, err := OpenJournal(dir, "fp")
+	j2, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +212,13 @@ func TestJournalRecoversHeaderlessGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json at all\nmore garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, resumed, err := OpenJournal(dir, "fp")
+	j, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatalf("headerless journal not recovered: %v", err)
 	}
 	defer j.Close()
-	if resumed {
-		t.Fatal("garbage journal reported as resumed")
+	if j.Len() != 0 {
+		t.Fatalf("garbage journal loaded %d records", j.Len())
 	}
 	if j.Dropped() != 2 {
 		t.Fatalf("Dropped() = %d, want 2 damaged lines", j.Dropped())
@@ -218,13 +228,13 @@ func TestJournalRecoversHeaderlessGarbage(t *testing.T) {
 	}
 	// The rewritten file must reopen cleanly with the record intact.
 	j.Close()
-	j2, resumed, err := OpenJournal(dir, "fp")
+	j2, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if !resumed || j2.Len() != 1 || j2.Dropped() != 0 {
-		t.Fatalf("reopen after recovery: resumed=%v len=%d dropped=%d", resumed, j2.Len(), j2.Dropped())
+	if j2.Len() != 1 || j2.Dropped() != 0 {
+		t.Fatalf("reopen after recovery: len=%d dropped=%d", j2.Len(), j2.Dropped())
 	}
 }
 
@@ -233,7 +243,7 @@ func pointName(i int) string {
 }
 
 func TestJournalEach(t *testing.T) {
-	j, _, err := OpenJournal(t.TempDir(), "fp-each")
+	j, err := OpenJournalFS(t.TempDir(), "fp-each", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +286,7 @@ func TestJournalEach(t *testing.T) {
 // reports the discarded lines.
 func TestJournalGarbledTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, "fp")
+	j, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +311,9 @@ func TestJournalGarbledTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, resumed, err := OpenJournal(dir, "fp")
+	j2, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !resumed {
-		t.Fatal("garbled journal not resumed")
 	}
 	if j2.Len() != 2 {
 		t.Fatalf("journal holds %d records after garbled tail, want 2", j2.Len())
@@ -320,7 +327,7 @@ func TestJournalGarbledTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, _, err := OpenJournal(dir, "fp")
+	j3, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +342,7 @@ func TestJournalGarbledTailRecovery(t *testing.T) {
 // keeping it would let the next append concatenate onto it.
 func TestJournalUnterminatedTail(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir, "fp")
+	j, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +360,7 @@ func TestJournalUnterminatedTail(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)-1], 0o644); err != nil { // drop only the final '\n'
 		t.Fatal(err)
 	}
-	j2, _, err := OpenJournal(dir, "fp")
+	j2, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +373,7 @@ func TestJournalUnterminatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, _, err := OpenJournal(dir, "fp")
+	j3, err := OpenJournalFS(dir, "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

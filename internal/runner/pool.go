@@ -112,8 +112,8 @@ func NewPool(ctx context.Context, n int, obs PoolObserver) *Pool {
 // default) cancels everything on the first task error — right for
 // short runs where any failure voids the result. Keep-going lets the
 // remaining tasks complete and Wait returns every error joined — right
-// for long sweeps where the completed points are journaled and one bad
-// point must not kill a ten-hour run. Call before submitting work.
+// for long sweeps where the completed evaluations are cached and one
+// bad point must not kill a ten-hour run. Call before submitting work.
 func (p *Pool) SetKeepGoing(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

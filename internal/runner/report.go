@@ -28,7 +28,6 @@ type WorkerStatus struct {
 type Snapshot struct {
 	JobsTotal    int            `json:"jobs_total"`
 	JobsDone     int            `json:"jobs_done"`
-	JobsResumed  int            `json:"jobs_resumed"`
 	Points       int            `json:"points_done"`
 	CacheHits    int64          `json:"cache_hits"`
 	CacheMisses  int64          `json:"cache_misses"`
@@ -59,7 +58,6 @@ type Reporter struct {
 	mu      sync.Mutex
 	total   int
 	done    int
-	resumed int
 	points  int
 	started time.Time
 	active  map[int]time.Time // worker -> task start
@@ -88,14 +86,6 @@ func (r *Reporter) AddTotal(n int) {
 	r.total += n
 	r.mu.Unlock()
 	r.flush(false)
-}
-
-// JobResumed counts a job that was satisfied from the checkpoint
-// journal without re-running.
-func (r *Reporter) JobResumed() {
-	r.mu.Lock()
-	r.resumed++
-	r.mu.Unlock()
 }
 
 // PointDone counts one completed (model, k) tuning point.
@@ -141,13 +131,12 @@ func (r *Reporter) snapshot(done bool) Snapshot {
 	defer r.mu.Unlock()
 	now := time.Now() //lint:allow detertaint elapsed/ETA fields of the progress snapshot; results carry no wall time
 	s := Snapshot{
-		JobsTotal:   r.total,
-		JobsDone:    r.done,
-		JobsResumed: r.resumed,
-		Points:      r.points,
-		ElapsedSec:  now.Sub(r.started).Seconds(),
-		ETASec:      -1,
-		Done:        done,
+		JobsTotal:  r.total,
+		JobsDone:   r.done,
+		Points:     r.points,
+		ElapsedSec: now.Sub(r.started).Seconds(),
+		ETASec:     -1,
+		Done:       done,
 	}
 	if r.cache != nil {
 		s.CacheHits, s.CacheMisses = r.cache.Stats()

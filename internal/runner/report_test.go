@@ -59,37 +59,40 @@ func TestReporterETA(t *testing.T) {
 	}
 }
 
-// TestRunEndToEnd drives the Run façade: submit tasks through the pool,
-// record to the journal, and confirm the final runstate lands.
+// TestRunEndToEnd drives the Run façade: submit tasks through the pool
+// into the disk cache, and confirm a second run over the directory
+// reads the cache and the final runstate lands.
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	run, err := Start(Options{Workers: 2, Dir: dir, Fingerprint: "fp", Context: context.Background()})
+	run, err := Start(Options{Workers: 2, Dir: dir, Context: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Resumed {
-		t.Fatal("fresh run reported resumed")
+	keys := make([]Key, 3)
+	for i := range keys {
+		if keys[i], err = KeyOf("test/v1", i); err != nil {
+			t.Fatal(err)
+		}
 	}
-	run.Report.AddTotal(3)
-	for i := 0; i < 3; i++ {
-		i := i
+	run.Report.AddTotal(len(keys))
+	for i, k := range keys {
+		i, k := i, k
 		run.Pool.Submit(Task{ID: "job", Run: func(tc *TaskCtx) error {
-			return run.Journal.Record(pointName(i+1), fakePoint{K: i + 1})
+			return run.Cache.Put(k, []byte{byte(i)})
 		}})
 	}
 	if err := run.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
-	run2, err := Start(Options{Workers: 1, Dir: dir, Fingerprint: "fp"})
+	run2, err := Start(Options{Workers: 1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !run2.Resumed {
-		t.Fatal("second run did not resume")
-	}
-	if run2.Journal.Len() != 3 {
-		t.Fatalf("journal lost records: %d", run2.Journal.Len())
+	for i, k := range keys {
+		if b, ok := run2.Cache.Get(k); !ok || len(b) != 1 || b[0] != byte(i) {
+			t.Fatalf("second run lost cache entry %d: %v, %v", i, b, ok)
+		}
 	}
 	if err := run2.Wait(); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,13 @@
 //     hash of the inputs (grid config, RMS model, enabler vector,
 //     seed, fidelity), with a memory tier and an optional disk tier,
 //     so the annealing tuner's repeated and overlapping evaluations —
-//     and whole re-runs — hit the cache instead of re-simulating;
-//   - a checkpoint journal (Journal): completed work units are
-//     committed atomically to an append-only log, and an interrupted
-//     run restarted with the same parameters resumes from the log and
-//     produces byte-identical final tables;
+//     and whole re-runs — hit the cache instead of re-simulating. The
+//     disk tier is the one persistent record of a run: an interrupted
+//     run restarted over the same directory replays what it holds and
+//     produces byte-identical results;
+//   - an append-only journal (Journal): records committed atomically
+//     under stable IDs, with tail recovery on reopen — rmscaled's
+//     submission journal;
 //   - a progress reporter (Reporter): jobs done/total, cache hit rate,
 //     ETA and per-worker current job, printed under -v and written
 //     machine-readably to runstate.json.
@@ -29,7 +31,6 @@ package runner
 
 import (
 	"context"
-	"fmt"
 	"io"
 )
 
@@ -37,69 +38,47 @@ import (
 type Options struct {
 	// Workers is the worker-pool size; <= 0 picks GOMAXPROCS.
 	Workers int
-	// Dir is the run directory holding the checkpoint journal, the
-	// disk cache tier, and runstate.json. Empty disables persistence:
-	// the cache stays in memory and nothing is journaled.
+	// Dir is the run directory holding the disk cache tier and
+	// runstate.json. Empty disables persistence: the cache stays in
+	// memory.
 	Dir string
-	// Fingerprint identifies the run parameters (fidelity, seed, ...).
-	// A journal written under a different fingerprint refuses to
-	// resume.
-	Fingerprint string
 	// Log, when non-nil, receives human-readable progress lines.
 	Log io.Writer
 	// Context cancels the run early; nil means Background.
 	Context context.Context
 	// KeepGoing stops a task error from cancelling the run: the
-	// remaining tasks complete (and journal, when Dir is set) and Wait
-	// returns every error joined. Use for long sweeps where one bad
-	// point must not void ten hours of completed work.
+	// remaining tasks complete (and fill the cache, when Dir is set)
+	// and Wait returns every error joined. Use for long sweeps where
+	// one bad point must not void ten hours of completed work.
 	KeepGoing bool
 }
 
-// Run bundles one experiment execution: pool, cache, journal and
-// reporter wired together.
+// Run bundles one experiment execution: pool, cache and reporter wired
+// together.
 type Run struct {
-	Pool    *Pool
-	Cache   *Cache
-	Journal *Journal // nil when Options.Dir is empty
-	Report  *Reporter
-
-	// Resumed reports whether a prior journal was found and loaded.
-	Resumed bool
+	Pool   *Pool
+	Cache  *Cache
+	Report *Reporter
 }
 
-// Start assembles a Run. When opts.Dir names a directory containing a
-// compatible journal, the run resumes from it.
+// Start assembles a Run. When opts.Dir names a directory that already
+// holds a disk cache, the run replays from it.
 func Start(opts Options) (*Run, error) {
 	cache, err := NewCache(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	r := &Run{Cache: cache}
-	if opts.Dir != "" {
-		j, resumed, err := OpenJournal(opts.Dir, opts.Fingerprint)
-		if err != nil {
-			return nil, err
-		}
-		r.Journal = j
-		r.Resumed = resumed
-	}
 	r.Report = NewReporter(cache, opts.Dir, opts.Log)
 	r.Pool = NewPool(opts.Context, opts.Workers, r.Report)
 	r.Pool.SetKeepGoing(opts.KeepGoing)
 	return r, nil
 }
 
-// Wait blocks until every submitted task finished, finalizes the
-// progress state, and closes the journal. It returns the first task
-// error.
+// Wait blocks until every submitted task finished and finalizes the
+// progress state. It returns the first task error.
 func (r *Run) Wait() error {
 	err := r.Pool.Wait()
 	r.Report.Finish()
-	if r.Journal != nil {
-		if cerr := r.Journal.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("runner: closing journal: %w", cerr)
-		}
-	}
 	return err
 }

@@ -31,20 +31,8 @@ type MeasureSpec struct {
 	// factor's tuned enablers, the natural continuation along the
 	// scaling path. The base factor starts from Enabler.Init.
 	WarmStart bool
-	// PenaltyWeight converts band violations into annealing energy;
-	// zero picks a weight that dominates typical overhead magnitudes.
-	PenaltyWeight float64
-	// Progress, when non-nil, receives each tuned point as it lands —
-	// including points adopted from Resume, so a resumed run logs the
-	// same sequence as the original.
+	// Progress, when non-nil, receives each tuned point as it lands.
 	Progress func(Point)
-	// Resume seeds the measurement with previously tuned points, e.g.
-	// from a checkpoint journal. The points must align with the
-	// leading scale factors of Ks; they are adopted verbatim without
-	// re-tuning and warm-starting continues from the last adopted
-	// point, so a resumed measurement is byte-identical to an
-	// uninterrupted one.
-	Resume []Point
 	// EvalCache, when non-nil, supplies the tuner's evaluation memo at
 	// each scale factor (the runner's persistent content-addressed
 	// cache), replacing the annealer's private per-search map.
@@ -68,14 +56,6 @@ func (s MeasureSpec) Validate() error {
 	}
 	if len(s.Enablers) == 0 {
 		return fmt.Errorf("scale: no enablers to tune")
-	}
-	if len(s.Resume) > len(s.Ks) {
-		return fmt.Errorf("scale: %d resume points for %d scale factors", len(s.Resume), len(s.Ks))
-	}
-	for i, p := range s.Resume {
-		if p.K != s.Ks[i] {
-			return fmt.Errorf("scale: resume point %d has k=%d, want k=%d", i, p.K, s.Ks[i])
-		}
 	}
 	for _, e := range s.Enablers {
 		if err := e.Validate(); err != nil {
@@ -104,20 +84,7 @@ func Measure(ev Evaluator, spec MeasureSpec) (*Measurement, error) {
 		start[i] = e.Init
 	}
 
-	for i, k := range spec.Ks {
-		if i < len(spec.Resume) {
-			// Adopt the checkpointed point without re-tuning; the
-			// warm-start chain continues from its tuned enablers.
-			p := spec.Resume[i]
-			m.Points = append(m.Points, p)
-			if spec.Progress != nil {
-				spec.Progress(p)
-			}
-			if spec.WarmStart {
-				start = append([]float64(nil), p.Enablers...)
-			}
-			continue
-		}
+	for _, k := range spec.Ks {
 		k := k
 		var evalErr error
 		obj := func(x []float64) anneal.Result {
@@ -126,12 +93,9 @@ func Measure(ev Evaluator, spec MeasureSpec) (*Measurement, error) {
 				evalErr = err
 				return anneal.Result{Cost: 0, Penalty: 1e18, Feasible: false}
 			}
-			weight := spec.PenaltyWeight
-			if weight == 0 {
-				// Dominant enough that a 1% efficiency shortfall
-				// outweighs halving the overhead.
-				weight = 100 * (obs.G + obs.F + 1)
-			}
+			// Band violations weigh enough that a 1% efficiency
+			// shortfall outweighs halving the overhead.
+			weight := 100 * (obs.G + obs.F + 1)
 			pen := spec.Band.Penalty(obs.Efficiency) * weight
 			return anneal.Result{
 				Cost:     obs.G,

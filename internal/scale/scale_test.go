@@ -329,71 +329,3 @@ func TestEvaluatorFunc(t *testing.T) {
 		t.Fatalf("EvaluatorFunc broken: %v %v", obs, err)
 	}
 }
-
-// TestMeasureResumeAdoptsPrefix checks checkpoint adoption: a
-// measurement resumed with the first points of a prior run re-tunes
-// only the remaining scale factors and reproduces the full run
-// exactly.
-func TestMeasureResumeAdoptsPrefix(t *testing.T) {
-	spec := MeasureSpec{
-		RMS:       "FAKE",
-		Ks:        []int{1, 2, 3},
-		Enablers:  []Enabler{{Name: "tau", Min: 1, Max: 100, Init: 10}},
-		Band:      PaperBand(),
-		Anneal:    anneal.Options{Iters: 30, Restarts: 1, Seed: 11},
-		WarmStart: true,
-	}
-	full, err := Measure(&fakeEvaluator{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	calls := 0
-	counting := EvaluatorFunc(func(k int, x []float64) (Observation, error) {
-		if k < 3 {
-			t.Fatalf("resumed measurement re-evaluated k=%d", k)
-		}
-		calls++
-		return (&fakeEvaluator{}).Evaluate(k, x)
-	})
-	spec.Resume = full.Points[:2]
-	var progressed []int
-	spec.Progress = func(p Point) { progressed = append(progressed, p.K) }
-	resumed, err := Measure(counting, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("resumed measurement evaluated nothing")
-	}
-	if len(resumed.Points) != 3 {
-		t.Fatalf("resumed points = %d", len(resumed.Points))
-	}
-	for i := range resumed.Points {
-		if resumed.Points[i].G != full.Points[i].G ||
-			resumed.Points[i].Enablers[0] != full.Points[i].Enablers[0] {
-			t.Fatalf("point %d diverged: %+v vs %+v", i, resumed.Points[i], full.Points[i])
-		}
-	}
-	if len(progressed) != 3 || progressed[0] != 1 || progressed[2] != 3 {
-		t.Fatalf("progress skipped adopted points: %v", progressed)
-	}
-}
-
-func TestMeasureResumeValidation(t *testing.T) {
-	spec := MeasureSpec{
-		RMS:      "FAKE",
-		Ks:       []int{1, 2},
-		Enablers: []Enabler{{Name: "tau", Min: 1, Max: 100, Init: 10}},
-		Band:     PaperBand(),
-		Anneal:   anneal.Options{Iters: 10, Restarts: 1, Seed: 1},
-	}
-	spec.Resume = []Point{{K: 2}}
-	if _, err := Measure(&fakeEvaluator{}, spec); err == nil {
-		t.Fatal("misaligned resume points accepted")
-	}
-	spec.Resume = []Point{{K: 1}, {K: 2}, {K: 3}}
-	if _, err := Measure(&fakeEvaluator{}, spec); err == nil {
-		t.Fatal("too many resume points accepted")
-	}
-}

@@ -162,7 +162,7 @@ func newOracle(fs *crashfs.FS, wl *workload) *oracle {
 
 // openJournal opens the workload journal on the oracle's filesystem.
 func (o *oracle) openJournal() *runner.Journal {
-	j, _, err := runner.OpenJournalFS(svcDir, fingerprint, o.fs)
+	j, err := runner.OpenJournalFS(svcDir, fingerprint, o.fs)
 	must(err)
 	return j
 }
@@ -573,7 +573,7 @@ func checkState(o *oracle, v crashfs.Variant, prefix int, rep *Report, wrep *Wor
 	// must agree with an independent scan of the raw bytes.
 	raw, _ := disk.ReadFile(svcDir + "/journal.jsonl")
 	wantKept, wantDropped := journalOracle(raw)
-	j, _, err := runner.OpenJournalFS(svcDir, fingerprint, disk)
+	j, err := runner.OpenJournalFS(svcDir, fingerprint, disk)
 	if !ck(err == nil, "journal recovery refused a crash image: %v", err) {
 		return
 	}
@@ -662,7 +662,7 @@ func (o *oracle) openStoreOn(disk *crashfs.FS) *service.Store {
 // on disk, as a restarting daemon would, and returns the store's
 // open-time audit.
 func (o *oracle) recoverOn(disk *crashfs.FS) service.StoreAudit {
-	j, _, err := runner.OpenJournalFS(svcDir, fingerprint, disk)
+	j, err := runner.OpenJournalFS(svcDir, fingerprint, disk)
 	must(err)
 	must(j.Close())
 	st := o.openStoreOn(disk)

@@ -13,7 +13,8 @@ import (
 
 // ExecFunc turns a validated spec into its result payload. dir, when
 // non-empty, is the experiment's private run directory (the runner
-// journals there and writes runstate.json for progress streaming).
+// caches evaluations there and writes runstate.json for progress
+// streaming, so a re-execution after a restart replays the cache).
 // The contract that makes the shared store sound: the payload must be
 // a pure function of the spec — byte-identical on every execution —
 // which the default executor guarantees by running seeded simulations

@@ -280,7 +280,7 @@ func New(cfg Config) (*Daemon, error) {
 		// the healed store and the recovery summary below reports what
 		// a crash actually cost.
 		audit := store.Audit()
-		j, _, err := runner.OpenJournalFS(cfg.Dir, journalFingerprint, cfg.FS)
+		j, err := runner.OpenJournalFS(cfg.Dir, journalFingerprint, cfg.FS)
 		if err != nil {
 			store.Close()
 			return nil, err
@@ -708,8 +708,8 @@ func (d *Daemon) retryAfterHint() int {
 	return d.brk.retryAfter(d.clock.Now())
 }
 
-// expDir is the experiment's private run directory (runner journal,
-// disk cache, runstate.json for case/churn kinds).
+// expDir is the experiment's private run directory (the runner's disk
+// cache and runstate.json, for case/churn kinds).
 func (d *Daemon) expDir(id string) string {
 	if d.cfg.Dir == "" {
 		return ""
