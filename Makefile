@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet lint depscheck test examples resume race fuzz gobench chaos chaos-service crashtest loadtest benchtest
+.PHONY: check build vet lint depscheck test examples resume serve-restart race fuzz gobench chaos chaos-service crashtest loadtest benchtest
 
 # The gate CI runs: vet + stdlib-only dependency check + determinism
 # lint + full test suite + the example programs + the kill-and-resume
-# check + race + the fixed-seed chaos sweep + the service chaos
-# harness + the crash-consistency enumeration + the rmscaled load
-# iteration + the benchmark's own test suite.
-check: vet depscheck lint test examples resume race chaos chaos-service crashtest loadtest benchtest
+# checks of rmscale and rmscaled + race + the fixed-seed chaos sweep +
+# the service chaos harness + the crash-consistency enumeration + the
+# rmscaled load iteration + the benchmark's own test suite.
+check: vet depscheck lint test examples resume serve-restart race chaos chaos-service crashtest loadtest benchtest
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,42 @@ resume: build
 	echo "resume: stdout and tuned lines match the uninterrupted run" \
 		"($$(find "$$d/run" -name '*.tmp' | wc -l) orphaned .tmp files)"
 
+# Kill-and-restart of the daemon: `rmscaled serve` with one shard over
+# a fresh -dir takes eight smoke case specs (cases 4, 1, 2 and 3 at
+# seeds 1 and 2), is SIGKILLed once status shows the first one done,
+# and is served again over the same -dir, where `submit -wait` collects
+# every spec. Each result must be cmp-equal to the same spec's result
+# from a fresh daemon, and the restart must resume part of the backlog
+# from the journal; the target prints how much.
+serve-restart: build
+	@d=$$(mktemp -d) && pid= && trap 'test -z "$$pid" || kill -9 $$pid 2>/dev/null; rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/rmscaled" ./cmd/rmscaled && \
+	specs="4:1 1:1 2:1 3:1 4:2 1:2 2:2 3:2" && \
+	serve() { \
+		"$$d/rmscaled" serve -dir "$$d/$$1" -addr 127.0.0.1:0 -shards 1 2> "$$d/$$1.log" & pid=$$!; \
+		for i in $$(seq 100); do \
+			addr=$$(sed -n 's/^rmscaled: serving on \([^ ]*\) .*/\1/p' "$$d/$$1.log"); \
+			test -n "$$addr" && return 0; sleep 0.1; \
+		done; echo "serve-restart: rmscaled serve did not start"; return 1; \
+	} && \
+	stop() { kill -TERM $$pid && wait $$pid; pid=; } && \
+	submit() { "$$d/rmscaled" submit -addr "http://$$addr" -kind case -fidelity smoke -case $${1%:*} -seed $${1#*:} $$2; } && \
+	collect() { for s in $$specs; do submit $$s -wait > "$$d/$$1.$$s" 2> /dev/null || return 1; done; } && \
+	serve run && \
+	first=$$(submit 4:1 | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p') && test -n "$$first" && \
+	for s in $$specs; do submit $$s > /dev/null || exit 1; done && \
+	for i in $$(seq 1000); do \
+		"$$d/rmscaled" status -addr "http://$$addr" "$$first" | grep -q '"state":"done"' && break; sleep 0.02; \
+	done && \
+	kill -9 $$pid && { wait $$pid 2> /dev/null || true; } && pid= && \
+	serve run && \
+	resumed=$$(sed -n 's/.*"event":"start".*"resumed":\([0-9]*\).*/\1/p' "$$d/run.log") && \
+	collect got && stop && serve fresh && collect want && stop && \
+	for s in $$specs; do cmp "$$d/want.$$s" "$$d/got.$$s" || exit 1; done && \
+	if [ "$$resumed" -gt 0 ]; then \
+		echo "serve-restart: 8 results cmp-equal to a fresh daemon's; the restart after SIGKILL resumed $$resumed"; \
+	else echo "serve-restart: the restart resumed nothing (the kill missed the backlog, or the journal lost it)"; exit 1; fi
+
 # Race-check the whole module; -short keeps the smoke-fidelity
 # experiment runs out of the race build, which would otherwise
 # dominate the wall clock. The service layer (worker shards, condition
@@ -112,19 +148,19 @@ chaos: build
 	$(GO) run ./cmd/rmscale -chaos 32 -seed 1
 
 # Service chaos harness: scripted executor panics/hangs/failures,
-# client disconnects, store corruption, journal tears and flaky disk
-# writes against live rmscaled daemons; every result must come back
+# client disconnects, result-log corruption, a torn journal log and
+# flaky disk writes against live rmscaled daemons; every result must come back
 # byte-identical to a fault-free reference. The report is the CI
 # artifact; any violated assertion exits non-zero.
 chaos-service: build
 	$(GO) run ./cmd/rmscaled chaos -specs 12 -clients 3 -v -report chaos_report.json
 
-# Crash-consistency enumeration: canonical journal/store workloads run
-# on a simulated filesystem, a power cut is enumerated at every
-# filesystem op (plus torn/garbled tails of the final append), and the
-# persistence layer restarts on each materialized disk image. Recovery
-# must always succeed, never serve wrong bytes, and never lose an
-# acknowledged durable result. The report is the CI artifact; any
+# Crash-consistency enumeration: canonical workloads against rmscaled's
+# two stores (submission journal and results) run on a simulated
+# filesystem, a power cut is enumerated at every filesystem op (plus
+# torn/garbled tails of the final append), and both stores reopen on
+# each materialized disk image. Recovery must always succeed, never
+# serve wrong bytes, and never lose an acknowledged durable record. The report is the CI artifact; any
 # violated invariant exits non-zero.
 crashtest: build
 	$(GO) run ./cmd/rmscaled crashtest -v -report crashtest_report.json

@@ -21,7 +21,10 @@
 //
 // serve runs the daemon until SIGINT/SIGTERM, then drains gracefully:
 // in-flight experiments finish, the queued backlog stays checkpointed
-// in -dir's journal, and the next serve over the same -dir resumes it.
+// in -dir's journal, and the next serve over the same -dir resumes it;
+// after a SIGKILL it resumes every journaled experiment whose result
+// was not yet stored. -dir holds the journal (journal/), the result
+// store (results/) and the case runs' directories (exps/).
 // The supervision flags bound execution (deadline, bounded retries)
 // and shedding (circuit breaker); the store flags bound the result
 // store with LRU eviction.
@@ -51,13 +54,14 @@
 // non-zero if any assertion failed.
 //
 // crashtest runs the crash-consistency harness (internal/service/crash)
-// entirely in memory: canonical journal/store workloads execute on a
-// simulated filesystem, the harness enumerates a power cut at every
-// recorded filesystem op — plus torn- and garbled-tail variants of
-// the final append — and restarts the persistence layer on each
-// materialized disk image, asserting that recovery never fails, never
-// serves wrong bytes, and never loses an acknowledged durable result.
-// It prints the report as JSON and exits non-zero on any violation.
+// entirely in memory: canonical workloads against the journal and the
+// result store execute on a simulated filesystem, the harness
+// enumerates a power cut at every recorded filesystem op — plus torn-
+// and garbled-tail variants of the final append — and reopens both
+// stores on each materialized disk image, asserting that recovery
+// never fails, never serves wrong bytes, and never loses an
+// acknowledged durable record. It prints the report as JSON and exits
+// non-zero on any violation.
 package main
 
 import (
@@ -129,7 +133,7 @@ run 'rmscaled <command> -h' for the command's flags`)
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	dir := fs.String("dir", "", "service directory (journal, result store, run dirs); empty = ephemeral")
+	dir := fs.String("dir", "", "service directory: journal/, results/ and the case runs' exps/; empty = ephemeral")
 	shards := fs.Int("shards", 2, "worker shards executing experiments concurrently")
 	queue := fs.Int("queue", 256, "admission queue capacity (full = HTTP 429)")
 	workers := fs.Int("j", 1, "runner workers inside one case/churn experiment")

@@ -1,7 +1,7 @@
 // Package crashfs is an in-memory filesystem that models POSIX crash
 // and durability semantics for exhaustive crash-consistency testing,
 // in the spirit of ALICE and CrashMonkey. It implements fsutil.FS, so
-// the journal and result store run against it unmodified, and it
+// rmscaled's stores run against it unmodified, and it
 // records a linearized trace of every durability-relevant operation.
 //
 // The model, per file: content has a buffered state (what readers see
@@ -81,7 +81,7 @@ type Op struct {
 	Kind OpKind
 	Path string // primary path (rename: destination in Aux)
 	Aux  string // rename destination
-	N    int    // write length / truncate size
+	N    int    // write length
 }
 
 func (o Op) String() string {
@@ -90,8 +90,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("rename %s -> %s", o.Path, o.Aux)
 	case OpWrite:
 		return fmt.Sprintf("write %s (%d bytes)", o.Path, o.N)
-	case OpTruncate:
-		return fmt.Sprintf("truncate %s to %d", o.Path, o.N)
 	}
 	return fmt.Sprintf("%s %s", o.Kind, o.Path)
 }
@@ -235,19 +233,6 @@ func (h *file) Sync() error {
 	}
 	h.fs.step(Op{Kind: OpSync, Path: h.name})
 	h.ino.synced = append([]byte(nil), h.ino.data...)
-	return nil
-}
-
-func (h *file) Truncate(size int64) error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.fs.crashed {
-		return errCrashed
-	}
-	h.fs.step(Op{Kind: OpTruncate, Path: h.name, N: int(size)})
-	if int(size) < len(h.ino.data) {
-		h.ino.data = append([]byte(nil), h.ino.data[:size]...)
-	}
 	return nil
 }
 

@@ -212,9 +212,9 @@ func TestWriteAtomicSurvivesPessimalCrash(t *testing.T) {
 	}
 }
 
-// TestTruncateTailResurrection: content truncated but not synced can
-// resurrect on the pessimal image — the model behind the journal's
-// sync-after-truncate.
+// TestTruncateTailResurrection: content truncated by an O_TRUNC open
+// but not synced can resurrect on the pessimal image, whatever was
+// written since.
 func TestTruncateTailResurrection(t *testing.T) {
 	fs := New(Options{})
 	f := write(t, fs, "/j", "good+garbage")
@@ -224,7 +224,11 @@ func TestTruncateTailResurrection(t *testing.T) {
 	if err := fs.SyncDir("/"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Truncate(int64(len("good+"))); err != nil {
+	f, err := fs.OpenFile("/j", os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("good+")); err != nil {
 		t.Fatal(err)
 	}
 	disk := fs.Materialize(Variant{Name: "pessimal"})

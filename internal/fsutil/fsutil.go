@@ -1,14 +1,12 @@
 // Package fsutil holds the module's durable-write primitives: the
 // atomic whole-file write (temp file + fsync + rename + parent-dir
 // fsync) and the synced append that makes each record of an
-// append-only log an atomic commit point. They were born in
-// internal/runner for the checkpoint journal and disk cache; the
-// rmscaled result store shares the exact same crash-consistency
-// needs, so the helpers live here and both reuse them instead of
-// duplicating temp-file logic.
+// append-only log an atomic commit point. The runner's disk cache and
+// rmscaled's stores (its submission journal and its result store)
+// share them instead of duplicating temp-file logic.
 //
 // The package also defines the op-level filesystem seam (FS, File)
-// the store and journals write through. Production code passes RealFS
+// the stores write through. Production code passes RealFS
 // (or nil, which callers default to RealFS); the crash-consistency
 // harness passes internal/fsutil/crashfs, which records every op and
 // can materialize the disk as it would look after a crash at any
@@ -26,17 +24,16 @@ import (
 )
 
 // File is one open file handle of an FS: the write-side operations
-// the journal and store need. *os.File satisfies it.
+// the stores need. *os.File satisfies it.
 type File interface {
 	Write(b []byte) (int, error)
 	Sync() error
-	Truncate(size int64) error
 	Close() error
 	Name() string
 }
 
-// FS is the injectable op-level filesystem seam. The result store and
-// journals perform every filesystem operation through an FS value
+// FS is the injectable op-level filesystem seam. The stores perform
+// every filesystem operation through an FS value
 // instead of calling the os package directly, so fault-injection
 // harnesses (internal/service/chaos) can script disk-full and
 // flaky-write behaviour and the crash harness

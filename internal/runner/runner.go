@@ -1,6 +1,6 @@
 // Package runner is the experiment-execution subsystem: it owns how
 // the (case, model, k) tuning jobs of the paper's evaluation actually
-// run. It provides four cooperating pieces:
+// run. It provides three cooperating pieces:
 //
 //   - a work-stealing worker pool (Pool) sharding jobs across
 //     GOMAXPROCS workers — overridable with the CLI's -j — with
@@ -13,9 +13,6 @@
 //     disk tier is the one persistent record of a run: an interrupted
 //     run restarted over the same directory replays what it holds and
 //     produces byte-identical results;
-//   - an append-only journal (Journal): records committed atomically
-//     under stable IDs, with tail recovery on reopen — rmscaled's
-//     submission journal;
 //   - a progress reporter (Reporter): jobs done/total, cache hit rate,
 //     ETA and per-worker current job, printed under -v and written
 //     machine-readably to runstate.json.

@@ -16,7 +16,7 @@
 //     alive and healthy.
 //  3. restart faults — the daemon's directory is damaged the way
 //     crashes damage it (a logged result corrupted under its
-//     checksum, the journal tail torn mid-record) and a fresh daemon
+//     checksum, the journal's log torn mid-record) and a fresh daemon
 //     reopens it. The valid prefix must resume, the corrupt result
 //     must quarantine and re-execute, the torn submission must rerun
 //     on resubmission — all byte-identical.
@@ -473,7 +473,7 @@ func (r *run) verifyLocked(mu *sync.Mutex, id string, b []byte, phase string) {
 // do, restarts over it and verifies full recovery.
 func (r *run) restartFaults() error {
 	dir := filepath.Join(r.opts.Dir, "service")
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, "journal", "journal.log")
 
 	// Tear the journal's final record in half, remembering whose it
 	// was so the harness can resubmit it.
@@ -489,7 +489,7 @@ func (r *run) restartFaults() error {
 	if err := json.Unmarshal(last, &lastRec); err != nil {
 		return fmt.Errorf("chaos: parsing last journal record: %w", err)
 	}
-	tornID := lastRec.ID[len("exp/"):]
+	tornID := lastRec.ID
 	if err := os.WriteFile(jpath, jb[:len(jb)-len(last)/2-1], 0o644); err != nil {
 		return err
 	}

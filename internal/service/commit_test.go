@@ -136,8 +136,8 @@ func TestSubmitAnswersAfterJournalAppend(t *testing.T) {
 		t.Fatalf("dedup join: %+v", a)
 	}
 	appends := fs.appends.Load()
-	if appends != 2 {
-		t.Fatalf("%d journal appends, want 2: the header and the one record both answers wait on", appends)
+	if appends != 1 {
+		t.Fatalf("%d journal appends, want 1: the one record both answers wait on", appends)
 	}
 	if st, err := d.Submit(spec, "c"); err != nil || !st.Dedup {
 		t.Fatalf("durable dedup join: %+v, %v", st, err)

@@ -1,27 +1,24 @@
 // Package crash is the crash-consistency harness: it runs canonical
-// journal/store workloads against the simulated filesystem
+// workloads against rmscaled's two stores, the submission journal and
+// the result store, on the simulated filesystem
 // (internal/fsutil/crashfs), enumerates every crash point in the
-// recorded op trace plus torn- and garbled-tail variants of the
-// final op, restarts the persistence layer on each materialized disk
-// image, and asserts the recovery invariants DESIGN.md §7 promises:
+// recorded op trace plus torn- and garbled-tail variants of the final
+// op, reopens both stores on each materialized disk image, and asserts
+// the recovery invariants DESIGN.md §7 promises, for each store:
 //
-//   - recovery always succeeds: no crash image makes OpenJournalFS or
-//     NewStore refuse to start;
-//   - the journal recovers to a valid prefix, and Dropped() agrees
-//     with an independent line-scan oracle over the raw bytes;
-//   - every record the recovered journal serves is byte-identical to
-//     what was journaled, and every acknowledged record survives;
-//   - every store entry is checksum-verified or absent/quarantined —
+//   - recovery always succeeds: no crash image degrades a store at
+//     open;
+//   - every entry a store serves was written, byte-identical —
 //     corrupt, misattributed or wrong bytes are never served;
-//   - acknowledged, durably-stored results are never lost (the
-//     invariant that catches a missing parent-dir fsync), except
-//     where the workload itself weakened the guarantee (GC eviction,
-//     deliberate corruption);
+//   - acknowledged, durably-stored entries are never lost (the
+//     invariant that catches a missing fsync or parent-dir fsync),
+//     except where the workload itself weakened the guarantee (GC
+//     eviction, deliberate corruption);
 //   - recovery is idempotent: recovering twice from any image leaves
-//     the disk byte-identical to recovering once, and the second
-//     store open repairs nothing;
-//   - re-executed (re-stored) results round-trip byte-identical to
-//     the fault-free reference.
+//     the disk byte-identical to recovering once, and the second open
+//     repairs nothing;
+//   - re-stored entries round-trip byte-identical to the fault-free
+//     reference.
 //
 // Everything is deterministic — fixed clock, generated payloads, no
 // randomness — so a failure report names an exact (workload, crash
@@ -30,9 +27,6 @@ package crash
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -40,22 +34,16 @@ import (
 	"time"
 
 	"rmscale/internal/fsutil/crashfs"
-	"rmscale/internal/runner"
 	"rmscale/internal/service"
 )
 
-// svcDir is the simulated service directory; journal and results live
-// under it exactly as they do under a real rmscaled -dir.
+// svcDir is the simulated service directory; the journal and result
+// stores live under it exactly as they do under a real rmscaled -dir.
 const svcDir = "/svc"
 
-// resultsDir and resultLog locate the store's disk tier under svcDir.
-const (
-	resultsDir = svcDir + "/results"
-	resultLog  = resultsDir + "/results.log"
-)
-
-// fingerprint guards the harness's journal format.
-const fingerprint = "crashtest/v1"
+// resultLog is the result store's log, which the quarantine workload
+// damages in place.
+const resultLog = svcDir + "/results/results.log"
 
 // maxListedFailures bounds how many failure strings the report
 // carries; the counts always cover everything.
@@ -128,62 +116,59 @@ func must(err error) {
 // workload is one canonical persistence scenario.
 type workload struct {
 	name          string
-	maxResults    int // store MaxResults for run and recovery (0 = unbounded)
-	maxQuarantine int // store MaxQuarantine for run and recovery (0 = default)
+	maxResults    int // result store MaxResults for run and recovery (0 = unbounded)
+	maxQuarantine int // MaxQuarantine of both stores for run and recovery (0 = default)
 	run           func(o *oracle)
 }
 
 // oracle accumulates, while a workload runs, which guarantee became
-// binding at which op index. An acknowledgement at op count c is
-// binding for every crash prefix of at least c ops; a weakening at
-// op count c (GC eviction may begin, deliberate corruption starts)
+// binding at which op index, per store. An acknowledgement at op count
+// c is binding for every crash prefix of at least c ops; a weakening
+// at op count c (GC eviction may begin, deliberate corruption starts)
 // legitimizes absence for prefixes of c ops or more.
 type oracle struct {
 	fs *crashfs.FS
 	wl *workload
 
-	journalRef map[string][]byte // id -> exact journaled payload bytes
-	journalAck map[string]int    // id -> op count when Record returned
-	storeRef   map[string][]byte // id -> payload bytes handed to Put
-	storeAck   map[string]int    // id -> op count when the durable Put or batch returned
-	maybeGone  map[string]int    // id -> op count after which absence is legitimate
+	results, journal *ledger
 }
 
-func newOracle(fs *crashfs.FS, wl *workload) *oracle {
-	return &oracle{
-		fs: fs, wl: wl,
-		journalRef: map[string][]byte{},
-		journalAck: map[string]int{},
-		storeRef:   map[string][]byte{},
-		storeAck:   map[string]int{},
-		maybeGone:  map[string]int{},
+// ledger is what a workload wrote to one store.
+type ledger struct {
+	name      string
+	dir       string
+	ref       map[string][]byte // id -> payload bytes handed to Put
+	ack       map[string]int    // id -> op count when the durable Put or batch returned
+	maybeGone map[string]int    // id -> op count after which absence is legitimate
+}
+
+func newLedger(name string) *ledger {
+	return &ledger{
+		name: name, dir: svcDir + "/" + name,
+		ref: map[string][]byte{}, ack: map[string]int{}, maybeGone: map[string]int{},
 	}
 }
 
-// openJournal opens the workload journal on the oracle's filesystem.
-func (o *oracle) openJournal() *runner.Journal {
-	j, err := runner.OpenJournalFS(svcDir, fingerprint, o.fs)
-	must(err)
-	return j
+func newOracle(fs *crashfs.FS, wl *workload) *oracle {
+	return &oracle{fs: fs, wl: wl, results: newLedger("results"), journal: newLedger("journal")}
 }
 
-// openStore opens the workload store on the oracle's filesystem.
-func (o *oracle) openStore() *service.Store {
-	st, err := service.NewStore(service.StoreConfig{
-		Dir:           svcDir,
-		MaxResults:    o.wl.maxResults,
-		MaxQuarantine: o.wl.maxQuarantine,
-		Clock:         fixedClock{},
-		FS:            o.fs,
-	})
+// ledgers lists the stores in the order a daemon opens them.
+func (o *oracle) ledgers() []*ledger { return []*ledger{o.results, o.journal} }
+
+// open opens l's store on the oracle's filesystem.
+func (o *oracle) open(l *ledger) *service.Store { return o.openOn(o.fs, l) }
+
+// openOn opens l's store on disk as the daemon does: the result store
+// under the workload's GC bound, the journal with none.
+func (o *oracle) openOn(disk *crashfs.FS, l *ledger) *service.Store {
+	cfg := service.StoreConfig{Dir: l.dir, MaxQuarantine: o.wl.maxQuarantine, Clock: fixedClock{}, FS: disk}
+	if l == o.results {
+		cfg.MaxResults = o.wl.maxResults
+	}
+	st, err := service.NewStore(cfg)
 	must(err)
 	return st
-}
-
-// journalPayload is the deterministic record body for an id.
-type journalPayload struct {
-	ID  string `json:"id"`
-	Pad string `json:"pad"`
 }
 
 // pad generates size deterministic filler bytes seeded by the id.
@@ -195,55 +180,47 @@ func pad(id string, size int) string {
 	return string(b)
 }
 
-// payloadBytes is the deterministic store payload for an id — the
-// stand-in for a re-executable, content-addressed result.
+// payloadBytes is the deterministic payload for an id — the stand-in
+// for a submission record or a re-executable, content-addressed
+// result.
 func payloadBytes(id string, size int) []byte {
 	return []byte(fmt.Sprintf(`{"id":%q,"pad":%q}`+"\n", id, pad(id, size)))
 }
 
-// record journals id and registers the acknowledged reference bytes.
-func (o *oracle) record(j *runner.Journal, id string, size int) {
-	v := journalPayload{ID: id, Pad: pad(id, size)}
-	raw, err := json.Marshal(v)
-	must(err)
-	o.journalRef[id] = raw
-	must(j.Record(id, v))
-	o.journalAck[id] = o.fs.OpCount()
+// put stores id in l's store and registers the acknowledged reference
+// bytes.
+func (o *oracle) put(l *ledger, st *service.Store, id string, size int) {
+	o.putBatch(l, st, []string{id}, []int{size})
 }
 
-// put stores id and registers the acknowledged reference bytes.
-func (o *oracle) put(st *service.Store, id string, size int) {
-	o.putBatch(st, []string{id}, []int{size})
-}
-
-// putBatch commits the ids' results, of the given payload sizes, as
-// one batch and acknowledges them all once it returns. The store must
-// not be degraded afterwards — on crashfs a commit either completes or
+// putBatch commits the ids' payloads, of the given sizes, as one batch
+// and acknowledges them all once it returns. The store must not be
+// degraded afterwards — on crashfs a commit either completes or
 // crashes, so degradation means a harness defect.
-func (o *oracle) putBatch(st *service.Store, ids []string, sizes []int) {
+func (o *oracle) putBatch(l *ledger, st *service.Store, ids []string, sizes []int) {
 	items := make([]service.StoreItem, len(ids))
 	for k, id := range ids {
 		b := payloadBytes(id, sizes[k])
-		o.storeRef[id] = b
+		l.ref[id] = b
 		items[k] = service.StoreItem{ID: id, Data: b}
 	}
 	st.PutBatch(items)
 	if why, degraded := st.Degraded(); degraded {
-		must(fmt.Errorf("store degraded during workload: %s", why))
+		must(fmt.Errorf("%s store degraded during workload: %s", l.name, why))
 	}
 	for _, id := range ids {
-		o.storeAck[id] = o.fs.OpCount()
+		l.ack[id] = o.fs.OpCount()
 	}
 }
 
-// weaken marks ids as legitimately absent from any crash prefix that
-// includes the current op count — called before an eviction-risking
-// or corrupting operation begins.
+// weaken marks result ids as legitimately absent from any crash prefix
+// that includes the current op count — called before an
+// eviction-risking or corrupting operation begins.
 func (o *oracle) weaken(ids ...string) {
 	at := o.fs.OpCount()
 	for _, id := range ids {
-		if _, ok := o.maybeGone[id]; !ok {
-			o.maybeGone[id] = at
+		if _, ok := o.results.maybeGone[id]; !ok {
+			o.results.maybeGone[id] = at
 		}
 	}
 }
@@ -270,38 +247,6 @@ func (o *oracle) rot(id string, sync bool) {
 	}
 }
 
-// legacyPair writes id's payload the way the earlier store generation
-// did — an atomic payload file, then (when sidecar) an atomic SHA-256
-// sidecar — and acknowledges it once that store's Put would have
-// returned.
-func (o *oracle) legacyPair(id string, size int, sidecar bool) {
-	b := payloadBytes(id, size)
-	o.storeRef[id] = b
-	must(o.fs.WriteFileAtomic(resultsDir+"/"+id+".json", b, 0o644))
-	if sidecar {
-		must(o.fs.WriteFileAtomic(resultsDir+"/"+id+".json.sha256", []byte(sha256Hex(b)+"\n"), 0o644))
-	}
-	o.storeAck[id] = o.fs.OpCount()
-}
-
-// legacyRot damages a stored legacy payload in place and flushes the
-// damage, so its sidecar no longer matches. The reference keeps the
-// true bytes, so serving the damaged ones is a finding.
-func (o *oracle) legacyRot(id string) {
-	o.weaken(id)
-	path := resultsDir + "/" + id + ".json"
-	must(o.fs.Overwrite(path, 2, []byte("XXXX")))
-	f, err := o.fs.OpenFile(path, os.O_WRONLY, 0o644)
-	must(err)
-	must(f.Sync())
-	must(f.Close())
-}
-
-func sha256Hex(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // workloads returns the canonical scenarios in reporting order.
 func workloads() []*workload {
 	return []*workload{
@@ -309,12 +254,12 @@ func workloads() []*workload {
 			// The daemon hot path: accept (journal), execute, store.
 			name: "submit-execute-store",
 			run: func(o *oracle) {
-				j := o.openJournal()
-				st := o.openStore()
+				j := o.open(o.journal)
+				st := o.open(o.results)
 				for k := 0; k < 3; k++ {
 					id := fmt.Sprintf("exp%02d", k)
-					o.record(j, id, 20+70*k)
-					o.put(st, id, 40+90*k)
+					o.put(o.journal, j, id, 20+70*k)
+					o.put(o.results, st, id, 40+90*k)
 				}
 				must(j.Close())
 			},
@@ -327,34 +272,34 @@ func workloads() []*workload {
 			name:       "group-commit",
 			maxResults: 3,
 			run: func(o *oracle) {
-				j := o.openJournal()
-				st := o.openStore()
-				o.record(j, "grp00", 30)
-				o.put(st, "grp00", 50)
+				j := o.open(o.journal)
+				st := o.open(o.results)
+				o.put(o.journal, j, "grp00", 30)
+				o.put(o.results, st, "grp00", 50)
 				ids := []string{"grp01", "grp02", "grp03", "grp04"}
 				for k, id := range ids {
-					o.record(j, id, 20+40*k)
+					o.put(o.journal, j, id, 20+40*k)
 				}
 				// Four results over a bound of three evict grp00, then
 				// grp01 from the batch itself.
 				o.weaken("grp00", "grp01")
-				o.putBatch(st, ids, []int{40, 100, 160, 220})
+				o.putBatch(o.results, st, ids, []int{40, 100, 160, 220})
 				must(j.Close())
 			},
 		},
 		{
-			// Append bursts across two journal sessions: tail
+			// Journal append bursts across two sessions: tail
 			// recovery, resume, and append-after-resume.
 			name: "journal-burst",
 			run: func(o *oracle) {
-				j := o.openJournal()
+				j := o.open(o.journal)
 				for k := 0; k < 5; k++ {
-					o.record(j, fmt.Sprintf("burst%02d", k), 10+60*k)
+					o.put(o.journal, j, fmt.Sprintf("burst%02d", k), 10+60*k)
 				}
 				must(j.Close())
-				j2 := o.openJournal()
+				j2 := o.open(o.journal)
 				for k := 5; k < 8; k++ {
-					o.record(j2, fmt.Sprintf("burst%02d", k), 15+40*k)
+					o.put(o.journal, j2, fmt.Sprintf("burst%02d", k), 15+40*k)
 				}
 				must(j2.Close())
 			},
@@ -366,7 +311,7 @@ func workloads() []*workload {
 			name:       "gc-eviction",
 			maxResults: 2,
 			run: func(o *oracle) {
-				st := o.openStore()
+				st := o.open(o.results)
 				var stored []string
 				for k := 0; k < 5; k++ {
 					id := fmt.Sprintf("gc%02d", k)
@@ -375,14 +320,14 @@ func workloads() []*workload {
 					if k >= 2 {
 						o.weaken(stored...)
 					}
-					o.put(st, id, 30+50*k)
+					o.put(o.results, st, id, 30+50*k)
 					stored = append(stored, id)
 				}
 				// A read reshuffles LRU order, so the next eviction
 				// takes gc04, not gc03.
 				st.Get("gc03")
 				o.weaken(stored...)
-				o.put(st, "gc05", 60)
+				o.put(o.results, st, "gc05", 60)
 			},
 		},
 		{
@@ -391,10 +336,10 @@ func workloads() []*workload {
 			name:          "quarantine",
 			maxQuarantine: 2,
 			run: func(o *oracle) {
-				st := o.openStore()
+				st := o.open(o.results)
 				ids := []string{"qaa", "qbb", "qcc", "qdd"}
 				for k, id := range ids {
-					o.put(st, id, 35+45*k)
+					o.put(o.results, st, id, 35+45*k)
 				}
 				o.rot("qaa", true)
 				o.rot("qbb", true)
@@ -402,7 +347,7 @@ func workloads() []*workload {
 				// A fresh store replays the log: each rotted record fails
 				// its checksum and is quarantined, the third exceeds the
 				// cap and evicts the oldest, and the log is rewritten.
-				o.openStore()
+				o.open(o.results)
 			},
 		},
 		{
@@ -410,41 +355,18 @@ func workloads() []*workload {
 			// the daemon lifecycle across incarnations.
 			name: "drain-restart",
 			run: func(o *oracle) {
-				j := o.openJournal()
-				st := o.openStore()
-				o.record(j, "runa", 25)
-				o.put(st, "runa", 130)
-				o.record(j, "runb", 160)
-				o.put(st, "runb", 45)
+				j := o.open(o.journal)
+				st := o.open(o.results)
+				o.put(o.journal, j, "runa", 25)
+				o.put(o.results, st, "runa", 130)
+				o.put(o.journal, j, "runb", 160)
+				o.put(o.results, st, "runb", 45)
 				must(j.Close())
-				j2 := o.openJournal()
-				st2 := o.openStore()
-				o.record(j2, "runc", 80)
-				o.put(st2, "runc", 220)
+				j2 := o.open(o.journal)
+				st2 := o.open(o.results)
+				o.put(o.journal, j2, "runc", 80)
+				o.put(o.results, st2, "runc", 220)
 				must(j2.Close())
-			},
-		},
-		{
-			// A directory an earlier store generation wrote: payload +
-			// sidecar pairs, a payload whose sidecar never landed, a
-			// corrupt pair and an orphaned temp file. Opening folds the
-			// valid payloads into the log, quarantines the corrupt pair
-			// and removes every legacy file; the store keeps working.
-			name: "legacy-import",
-			run: func(o *oracle) {
-				must(o.fs.MkdirAll(resultsDir, 0o755))
-				o.legacyPair("lgaa", 60, true)
-				o.legacyPair("lgbb", 140, true)
-				o.legacyPair("lgcc", 90, false)
-				o.legacyPair("lgdd", 70, true)
-				o.legacyRot("lgdd")
-				f, err := o.fs.OpenFile(resultsDir+"/.lgee.json.tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-				must(err)
-				_, err = f.Write([]byte(`{"partial":`))
-				must(err)
-				must(f.Close())
-				st := o.openStore()
-				o.put(st, "lgff", 110)
 			},
 		},
 	}
@@ -556,173 +478,78 @@ func checkState(o *oracle, v crashfs.Variant, prefix int, rep *Report, wrep *Wor
 		}
 		return ok
 	}
-	binding := func(ackAt map[string]int, id string) bool {
-		at, acked := ackAt[id]
-		if !acked || at > prefix {
-			return false
-		}
-		if weakAt, weak := o.maybeGone[id]; weak && prefix >= weakAt {
-			return false
-		}
-		return true
-	}
 
+	// Each store: recover; never serve wrong bytes; never lose an
+	// acknowledged, unweakened entry; keep the quarantine bounded.
 	disk := o.fs.Materialize(v)
-
-	// Journal: recovery must accept any crash image, and Dropped()
-	// must agree with an independent scan of the raw bytes.
-	raw, _ := disk.ReadFile(svcDir + "/journal.jsonl")
-	wantKept, wantDropped := journalOracle(raw)
-	j, err := runner.OpenJournalFS(svcDir, fingerprint, disk)
-	if !ck(err == nil, "journal recovery refused a crash image: %v", err) {
-		return
-	}
-	ck(j.Dropped() == wantDropped, "journal Dropped() = %d, oracle says %d damaged lines", j.Dropped(), wantDropped)
-	ck(j.Len() == wantKept, "journal recovered %d records, oracle says the valid prefix holds %d", j.Len(), wantKept)
-	recovered := map[string]json.RawMessage{}
-	must(j.Each(func(id string, data json.RawMessage) error {
-		recovered[id] = data
-		return nil
-	}))
-	for id, data := range recovered { //lint:orderindependent failures are keyed by ctx+id; map order cannot change what is reported, only the order counters increment
-		ref, known := o.journalRef[id]
-		if !ck(known, "journal serves record %q that was never written", id) {
-			continue
-		}
-		ck(bytes.Equal(data, ref), "journal record %q mutated: %q != %q", id, data, ref)
-	}
-	for _, id := range sortedKeys(o.journalAck) {
-		if !binding(o.journalAck, id) {
-			continue
-		}
-		_, ok := recovered[id]
-		ck(ok, "acknowledged journal record %q lost (acked at op %d, crash after op %d)", id, o.journalAck[id], prefix)
-	}
-	must(j.Close())
-
-	// Store: never serve wrong bytes; never lose an acknowledged,
-	// unweakened result; keep the quarantine bounded.
-	st := o.openStoreOn(disk)
-	missing := []string{}
-	for _, id := range sortedKeys(o.storeRef) {
-		ref := o.storeRef[id]
-		b, ok := st.Get(id)
-		if ok {
-			ck(bytes.Equal(b, ref), "store serves %q with wrong bytes: %q != %q", id, b, ref)
-			continue
-		}
-		wrep.Checks++
-		missing = append(missing, id)
-		if binding(o.storeAck, id) {
-			fail(rep, wrep, fmt.Sprintf("%s: acknowledged result %q lost (acked at op %d, crash after op %d)",
-				ctx, id, o.storeAck[id], prefix))
-		}
-	}
 	maxQ := o.wl.maxQuarantine
 	if maxQ <= 0 {
 		maxQ = service.DefaultMaxQuarantine
 	}
-	ck(st.Stats().QuarantineLen <= maxQ, "quarantine overflows its bound: %d > %d", st.Stats().QuarantineLen, maxQ)
+	for _, l := range o.ledgers() {
+		st := o.openOn(disk, l)
+		why, degraded := st.Degraded()
+		ck(!degraded, "%s store recovery degraded: %s", l.name, why)
+		served := map[string]bool{}
+		must(st.Each(func(id string, b []byte) error {
+			served[id] = true
+			if ref, known := l.ref[id]; ck(known, "%s store serves %q, which was never written", l.name, id) {
+				ck(bytes.Equal(b, ref), "%s store serves %q with wrong bytes: %q != %q", l.name, id, b, ref)
+			}
+			return nil
+		}))
+		var missing []string
+		for _, id := range sortedKeys(l.ref) {
+			if served[id] {
+				continue
+			}
+			wrep.Checks++
+			missing = append(missing, id)
+			at, acked := l.ack[id]
+			weakAt, weak := l.maybeGone[id]
+			if acked && at <= prefix && !(weak && prefix >= weakAt) {
+				fail(rep, wrep, fmt.Sprintf("%s: acknowledged %s entry %q lost (acked at op %d, crash after op %d)",
+					ctx, l.name, id, at, prefix))
+			}
+		}
+		ck(st.Stats().QuarantineLen <= maxQ, "%s quarantine overflows its bound: %d > %d", l.name, st.Stats().QuarantineLen, maxQ)
 
-	// Re-execution: a lost result regenerates (content addressing) and
-	// must round-trip byte-identical to the fault-free reference.
-	for _, id := range missing {
-		st.Put(id, o.storeRef[id])
-		b, ok := st.Get(id)
-		ck(ok && bytes.Equal(b, o.storeRef[id]), "re-executed result %q does not round-trip byte-identical", id)
+		// Re-execution: a lost result regenerates (content addressing),
+		// a lost submission is resubmitted, and either must round-trip
+		// byte-identical to the fault-free reference.
+		for _, id := range missing {
+			st.Put(id, l.ref[id])
+			b, ok := st.Get(id)
+			ck(ok && bytes.Equal(b, l.ref[id]), "re-stored %s entry %q does not round-trip byte-identical", l.name, id)
+		}
+		must(st.Close())
 	}
 
 	// Idempotence: recovering twice from the same image must leave the
-	// disk byte-identical to recovering once, and the second store open
-	// must find nothing to repair.
+	// disk byte-identical to recovering once, and the second open of
+	// each store must find nothing to repair.
 	d2 := o.fs.Materialize(v)
 	o.recoverOn(d2)
 	s1 := d2.Snapshot()
-	a := o.recoverOn(d2)
+	audits := o.recoverOn(d2)
 	s2 := d2.Snapshot()
 	ck(snapshotsEqual(s1, s2), "recovery is not idempotent: second recovery changed the disk")
-	ck(!a.Rewritten && a.Imported == 0 && a.Quarantined == 0 && a.TempsCleaned == 0,
-		"recovery is not idempotent: second store open repaired again: %+v", a)
-}
-
-// openStoreOn opens the workload-shaped store on an arbitrary disk.
-func (o *oracle) openStoreOn(disk *crashfs.FS) *service.Store {
-	st, err := service.NewStore(service.StoreConfig{
-		Dir:           svcDir,
-		MaxResults:    o.wl.maxResults,
-		MaxQuarantine: o.wl.maxQuarantine,
-		Clock:         fixedClock{},
-		FS:            disk,
-	})
-	must(err)
-	return st
-}
-
-// recoverOn runs one full recovery (journal open/close + store open)
-// on disk, as a restarting daemon would, and returns the store's
-// open-time audit.
-func (o *oracle) recoverOn(disk *crashfs.FS) service.StoreAudit {
-	j, err := runner.OpenJournalFS(svcDir, fingerprint, disk)
-	must(err)
-	must(j.Close())
-	st := o.openStoreOn(disk)
-	must(st.Close())
-	return st.Audit()
-}
-
-// journalOracle independently derives, from the raw bytes of a
-// (possibly damaged) journal file, how many records a correct
-// recovery keeps and how many damaged lines it drops. It
-// deliberately re-implements the commit rules with a simple line
-// scan — a terminated valid header, then terminated records with
-// non-empty IDs up to the first damage — so a bookkeeping bug in
-// parseJournal cannot vouch for itself.
-func journalOracle(b []byte) (kept, dropped int) {
-	if len(b) == 0 {
-		return 0, 0
+	for i, a := range audits {
+		ck(!a.Rewritten && a.Quarantined == 0 && a.Torn == 0 && a.TempsCleaned == 0,
+			"recovery is not idempotent: second %s store open repaired again: %+v", o.ledgers()[i].name, a)
 	}
-	segs := bytes.Split(b, []byte("\n"))
-	// A trailing newline leaves one final empty segment; any other
-	// final segment never got its newline and is uncommitted.
-	terminated := func(i int) bool { return i < len(segs)-1 }
-	ids := map[string]bool{}
-	sawHeader := false
-	for i, seg := range segs {
-		if len(seg) == 0 {
-			continue
-		}
-		if !sawHeader {
-			var hdr struct {
-				Header struct {
-					Version int `json:"version"`
-				} `json:"header"`
-			}
-			if !terminated(i) || json.Unmarshal(seg, &hdr) != nil || hdr.Header.Version == 0 {
-				return 0, countDamaged(segs, i)
-			}
-			sawHeader = true
-			continue
-		}
-		var rec struct {
-			ID string `json:"id"`
-		}
-		if !terminated(i) || json.Unmarshal(seg, &rec) != nil || rec.ID == "" {
-			return len(ids), countDamaged(segs, i)
-		}
-		ids[rec.ID] = true
-	}
-	return len(ids), 0
 }
 
-// countDamaged counts the non-empty segments from index from on.
-func countDamaged(segs [][]byte, from int) int {
-	n := 0
-	for _, seg := range segs[from:] {
-		if len(seg) > 0 {
-			n++
-		}
+// recoverOn opens and closes every store on disk, as a restarting
+// daemon would, and returns their open-time audits.
+func (o *oracle) recoverOn(disk *crashfs.FS) []service.StoreAudit {
+	var audits []service.StoreAudit
+	for _, l := range o.ledgers() {
+		st := o.openOn(disk, l)
+		must(st.Close())
+		audits = append(audits, st.Audit())
 	}
-	return n
+	return audits
 }
 
 func sortedKeys[V any](m map[string]V) []string {

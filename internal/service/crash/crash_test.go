@@ -36,7 +36,7 @@ func TestHarnessPassesOnCurrentCode(t *testing.T) {
 // TestHarnessDetectsMissingDirSync is the harness's own regression
 // proof: on a filesystem that silently drops directory fsyncs — the
 // failure mode of WriteFileAtomic without the parent-dir fsync, or of
-// a journal created without syncing its directory — the enumeration
+// a log created without syncing its directory — the enumeration
 // MUST report lost acknowledged results. A harness that stays green
 // under that fault could not have vouched for the fix.
 func TestHarnessDetectsMissingDirSync(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 )
 
 // isResultLog reports whether f is the result store's log.
-func isResultLog(f fsutil.File) bool { return filepath.Base(f.Name()) == logName }
+func isResultLog(f fsutil.File) bool { return filepath.Base(f.Name()) == resultLog }
 
 // flakyWriteFS fails the store's durable writes (result log appends
 // and atomic rewrites) while letting journal appends and every other
@@ -223,17 +223,9 @@ func TestHTTPHealthzDegradedStore(t *testing.T) {
 // TestHTTPJournalDegraded: a journal whose device dies mid-flight
 // stops journaling but keeps accepting work, and says so.
 func TestHTTPJournalDegraded(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := New(Config{Dir: dir, Shards: 1, Exec: fakeExec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen with a journal that refuses appends: the header already
-	// exists, so the failure first bites on the next submission.
-	d2, err := New(Config{Dir: dir, Shards: 1, Exec: fakeExec, FS: appendFailFS{err: errors.New("journal device gone")}})
+	// Opening the journal appends nothing, so the failure first bites
+	// on the first submission.
+	d2, err := New(Config{Dir: t.TempDir(), Shards: 1, Exec: fakeExec, FS: appendFailFS{err: errors.New("journal device gone")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,7 +37,7 @@ func TestRestartReexecutesCorruptResult(t *testing.T) {
 
 	// Damage the logged payload (bit rot) under its old checksum: the
 	// restart's replay must detect the mismatch.
-	corruptOnDisk(t, dir, st.ID)
+	corruptOnDisk(t, filepath.Join(dir, "results"), st.ID)
 
 	d2, err := New(Config{Dir: dir, Shards: 1, Exec: fakeExec})
 	if err != nil {
@@ -98,7 +100,7 @@ func TestRestartTruncatedJournalTail(t *testing.T) {
 
 	// Tear the journal mid-record: chop half of B's (final) line, as a
 	// crash between write and sync would.
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, "journal", "journal.log")
 	b, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func TestRestartTruncatedJournalTail(t *testing.T) {
 	}
 	// Remove B's stored result too: the torn record must not resurrect
 	// it, and a resubmission must recompute identical bytes.
-	editLogRecord(t, dir, stB.ID, func([]byte) []byte { return nil })
+	editLogRecord(t, filepath.Join(dir, "results"), stB.ID, func([]byte) []byte { return nil })
 
 	d2, err := New(Config{Dir: dir, Shards: 1, Exec: exec})
 	if err != nil {
@@ -143,8 +145,8 @@ func TestRestartTruncatedJournalTail(t *testing.T) {
 	if !ok || !bytes.Equal(gotB, wantB) {
 		t.Fatalf("recomputed B differs: ok=%v\n got %q\nwant %q", ok, gotB, wantB)
 	}
-	// The journal accepts appends after the truncation: a third spec
-	// journals and resumes normally (the tail repair left a clean file).
+	// The journal accepts appends after the repair: a third spec
+	// journals and resumes normally (the rewrite left a clean file).
 	stC, err := d2.Submit(ExperimentSpec{Kind: KindSim, Model: "LOWEST", Seed: 3}, "c")
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +171,7 @@ func TestRestartGarbledJournalGarbage(t *testing.T) {
 	want, _ := d1.Result(st.ID)
 	d1.Close()
 
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, "journal", "journal.log")
 	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -235,5 +237,48 @@ func TestResultEvictedReexec(t *testing.T) {
 	s := d.Stats()
 	if s.Reexecuted != 1 || s.EvictedResults < 1 {
 		t.Fatalf("stats = reexecuted %d evicted %d, want 1/>=1", s.Reexecuted, s.EvictedResults)
+	}
+}
+
+// TestUpgradeLeavesOldJournal pins the upgrade over a directory whose
+// daemon journaled submissions in DIR/journal.jsonl: every stored
+// result still serves, nothing resumes from that file, and it is left
+// byte-identical.
+func TestUpgradeLeavesOldJournal(t *testing.T) {
+	dir := t.TempDir()
+	specA := ExperimentSpec{Kind: KindSim, Model: "LOWEST", Seed: 1} // finished under the old daemon
+	specB := ExperimentSpec{Kind: KindSim, Model: "LOWEST", Seed: 2} // still queued under it
+	old := []byte(`{"header":{"version":1,"fingerprint":"rmscaled/v1"}}` + "\n")
+	for _, spec := range []ExperimentSpec{specA, specB} {
+		rec, err := json.Marshal(submitRecord{Spec: spec, Client: "c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = fmt.Appendf(old, `{"id":"exp/%s","data":%s}`+"\n", mustID(t, spec), rec)
+	}
+	jpath := filepath.Join(dir, "journal.jsonl")
+	if err := os.WriteFile(jpath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := fakeExec(context.Background(), specA, "")
+	results := mustNewStore(t, StoreConfig{Dir: filepath.Join(dir, "results")})
+	results.Put(mustID(t, specA), want)
+	results.Close()
+
+	d, err := New(Config{Dir: dir, Shards: 1, Exec: fakeExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := d.Result(mustID(t, specA)); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("stored result after the upgrade = %q, %v; want %q", got, ok, want)
+	}
+	if _, ok := d.Status(mustID(t, specB)); ok || d.Stats().Resumed != 0 {
+		t.Fatalf("the old journal's backlog resumed (resumed=%d)", d.Stats().Resumed)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(jpath); err != nil || !bytes.Equal(b, old) {
+		t.Fatalf("journal.jsonl changed by the upgrade: %v", err)
 	}
 }

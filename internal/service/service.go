@@ -1,8 +1,8 @@
 // Package service is rmscaled, the long-lived experiment service: it
 // wraps the repository's execution substrate — the runner's
-// content-addressed caching and checkpoint journal, the audited
-// simulation engines, the experiment drivers — behind a daemon that
-// serves many concurrent clients.
+// content-addressed cache, the audited simulation engines, the
+// experiment drivers — behind a daemon that serves many concurrent
+// clients.
 //
 // The contract is content addressing end to end. A client submits an
 // ExperimentSpec; the daemon derives its deterministic content address
@@ -14,9 +14,10 @@
 //     once written; a disk-backed daemon commits the results its
 //     shards finish in batches, one synced append to its result log
 //     each, and serves every read from memory;
-//   - a restart resumes from the submission journal: accepted-but-
-//     unfinished experiments re-queue, finished ones are served from
-//     the store, rebuilt from the result log.
+//   - a restart resumes from the submission journal, a second Store
+//     keyed by the same IDs: accepted-but-unfinished experiments
+//     re-queue, finished ones are served from the result store, both
+//     rebuilt from their logs.
 //
 // Production concerns are layered on top: a bounded job queue with
 // admission control (saturation is refused, not buffered), per-client
@@ -43,12 +44,6 @@ import (
 	"rmscale/internal/fsutil"
 	"rmscale/internal/runner"
 )
-
-// journalFingerprint guards the daemon's journal format.
-const journalFingerprint = "rmscaled/v1"
-
-// expPrefix prefixes submission records in the journal.
-const expPrefix = "exp/"
 
 // State is an experiment's lifecycle position.
 type State string
@@ -123,7 +118,7 @@ type Stats struct {
 	QuarantineLen   int    `json:"quarantine_len"`             // corrupt results currently held in quarantine
 	QuarantineGC    int64  `json:"quarantine_evicted"`         // quarantined results dropped by the quarantine bound
 	StoreBytes      int64  `json:"store_bytes"`                // memory-tier payload bytes
-	JournalDropped  int    `json:"journal_dropped"`            // corrupt journal tail lines dropped at startup
+	JournalDropped  int    `json:"journal_dropped"`            // journal lines discarded at startup: quarantined, or a torn final line
 	JournalSkipped  int    `json:"journal_skipped"`            // malformed journal records skipped at startup
 	StoreDegraded   string `json:"store_degraded,omitempty"`   // non-empty: store fell back to memory-only (why)
 	JournalDegraded string `json:"journal_degraded,omitempty"` // non-empty: submissions no longer journaled (why)
@@ -136,9 +131,10 @@ func (s Stats) DedupHits() int64 { return s.DedupInflight + s.DedupStore }
 
 // Config parameterizes a Daemon.
 type Config struct {
-	// Dir is the service directory: submission journal, result store
-	// and per-experiment run directories live under it. Empty runs the
-	// daemon ephemerally (memory only, no resume).
+	// Dir is the service directory: the submission journal (journal/),
+	// the result store (results/) and per-experiment run directories
+	// (exps/) live under it. Empty runs the daemon ephemerally (memory
+	// only, no resume).
 	Dir string
 	// Shards is the number of worker shards executing experiments
 	// concurrently; <= 0 picks 2.
@@ -185,8 +181,9 @@ type Config struct {
 	StoreMaxResults int
 	StoreMaxBytes   int64
 	StoreMaxAge     time.Duration
-	// StoreMaxQuarantine bounds the quarantine directory (oldest entries
-	// evicted first); <= 0 picks DefaultMaxQuarantine.
+	// StoreMaxQuarantine bounds the journal's and the result store's
+	// quarantine directories (oldest entries evicted first); <= 0 picks
+	// DefaultMaxQuarantine.
 	StoreMaxQuarantine int
 }
 
@@ -194,7 +191,7 @@ type Config struct {
 type Daemon struct {
 	cfg     Config
 	store   *Store
-	journal *runner.Journal // nil when cfg.Dir is empty
+	journal *Store // accepted submissions by ID; nil when cfg.Dir is empty
 	exec    ExecFunc
 	clock   Clock
 
@@ -248,8 +245,12 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 30 * time.Second
 	}
+	var resultsDir string
+	if cfg.Dir != "" {
+		resultsDir = filepath.Join(cfg.Dir, "results")
+	}
 	store, err := NewStore(StoreConfig{
-		Dir:           cfg.Dir,
+		Dir:           resultsDir,
 		MaxResults:    cfg.StoreMaxResults,
 		MaxBytes:      cfg.StoreMaxBytes,
 		MaxAge:        cfg.StoreMaxAge,
@@ -280,13 +281,21 @@ func New(cfg Config) (*Daemon, error) {
 		// the healed store and the recovery summary below reports what
 		// a crash actually cost.
 		audit := store.Audit()
-		j, err := runner.OpenJournalFS(cfg.Dir, journalFingerprint, cfg.FS)
+		// The journal has no GC bounds: it keeps every accepted
+		// submission.
+		j, err := NewStore(StoreConfig{
+			Dir:           filepath.Join(cfg.Dir, "journal"),
+			MaxQuarantine: cfg.StoreMaxQuarantine,
+			Clock:         cfg.Clock,
+			FS:            cfg.FS,
+		})
 		if err != nil {
 			store.Close()
 			return nil, err
 		}
 		d.journal = j
-		if dropped := j.Dropped(); dropped > 0 {
+		jaudit := j.Audit()
+		if dropped := jaudit.Quarantined + jaudit.Torn; dropped > 0 {
 			d.stats.JournalDropped = dropped
 			d.logEvent("journal_tail_dropped", map[string]any{"lines": dropped})
 		}
@@ -297,14 +306,15 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.logEvent("recovery", map[string]any{
 			"journal_kept":      j.Len(),
-			"journal_dropped":   j.Dropped(),
+			"journal_dropped":   d.stats.JournalDropped,
 			"journal_skipped":   d.stats.JournalSkipped,
+			"journal_torn":      jaudit.Torn,
 			"resumed":           d.stats.Resumed,
 			"store_verified":    audit.Verified,
-			"store_imported":    audit.Imported,
 			"store_quarantined": audit.Quarantined,
+			"store_torn":        audit.Torn,
 			"store_rewritten":   audit.Rewritten,
-			"temps_cleaned":     audit.TempsCleaned,
+			"temps_cleaned":     audit.TempsCleaned + jaudit.TempsCleaned,
 		})
 	}
 	d.logEvent("start", map[string]any{
@@ -331,10 +341,11 @@ func New(cfg Config) (*Daemon, error) {
 // store's memory tier, so that experiment re-executes instead of
 // serving damaged bytes.
 //
-// Malformed records — valid JSON lines that are not this daemon's
-// submissions, or whose spec no longer hashes to its own ID — are
-// skipped with a log line rather than refusing to start: one damaged
-// record must not hold the rest of the backlog hostage.
+// Malformed records — payloads that do not decode as a submission, or
+// whose spec no longer hashes to its own ID — are skipped with a log
+// line rather than refusing to start: one damaged record must not hold
+// the rest of the backlog hostage. Each visits IDs in order, so a
+// restart re-queues its backlog in ID order.
 //
 //lint:allow locksafe resume runs inside New, before any shard goroutine or HTTP handler exists; nothing can race the fields it touches
 func (d *Daemon) resume() error {
@@ -342,12 +353,7 @@ func (d *Daemon) resume() error {
 		d.stats.JournalSkipped++
 		d.logEvent("journal_skip", map[string]any{"id": id, "reason": reason})
 	}
-	return d.journal.Each(func(id string, data json.RawMessage) error {
-		if len(id) <= len(expPrefix) || id[:len(expPrefix)] != expPrefix {
-			skip(id, "foreign record")
-			return nil
-		}
-		eid := id[len(expPrefix):]
+	return d.journal.Each(func(id string, data []byte) error {
 		var rec submitRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
 			skip(id, err.Error())
@@ -356,23 +362,23 @@ func (d *Daemon) resume() error {
 		if specID, err := rec.Spec.ID(); err != nil {
 			skip(id, err.Error())
 			return nil
-		} else if specID != eid {
+		} else if specID != id {
 			skip(id, fmt.Sprintf("record does not address its own spec %s (hashes to %s)", rec.Spec, specID))
 			return nil
 		}
-		e := &Experiment{ID: eid, Spec: rec.Spec, Client: rec.Client}
-		if d.store.Has(eid) {
+		e := &Experiment{ID: id, Spec: rec.Spec, Client: rec.Client}
+		if d.store.Has(id) {
 			e.State = StateDone
-			d.exps[eid] = e
+			d.exps[id] = e
 			return nil
 		}
 		e.State = StateQueued
-		d.exps[eid] = e
+		d.exps[id] = e
 		if err := d.queue.push(rec.Client, e, true); err != nil {
 			return err
 		}
 		d.stats.Resumed++
-		d.logEvent("resume", map[string]any{"id": eid, "spec": rec.Spec.String()})
+		d.logEvent("resume", map[string]any{"id": id, "spec": rec.Spec.String()})
 		return nil
 	})
 }
@@ -410,16 +416,20 @@ func (d *Daemon) Submit(spec ExperimentSpec, client string) (Status, error) {
 
 // recordSubmission appends the journal record of e, a submission just
 // admitted, and then releases the answers waiting on it. A journal IO
-// failure (disk full, device gone) degrades to unjournaled operation
-// instead of refusing work: accepted experiments lose restart
-// durability — surfaced through /healthz and /v1/stats — but the daemon
-// keeps serving.
+// failure (disk full, device gone) degrades the journal store to
+// memory-only, and the daemon to unjournaled operation, instead of
+// refusing work: accepted experiments lose restart durability —
+// surfaced through /healthz and /v1/stats — but the daemon keeps
+// serving.
 func (d *Daemon) recordSubmission(e *Experiment) {
-	if err := d.journal.Record(expPrefix+e.ID, submitRecord{Spec: e.Spec, Client: e.Client}); err != nil {
+	// The spec already marshalled once, into its ID.
+	b, _ := json.Marshal(submitRecord{Spec: e.Spec, Client: e.Client})
+	d.journal.Put(e.ID, b)
+	if why, degraded := d.journal.Degraded(); degraded {
 		d.mu.Lock()
 		if d.jDegrade == "" {
-			d.jDegrade = err.Error()
-			d.logEvent("journal_degraded", map[string]any{"error": err.Error()})
+			d.jDegrade = why
+			d.logEvent("journal_degraded", map[string]any{"error": why})
 		}
 		d.mu.Unlock()
 	}

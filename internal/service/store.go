@@ -19,39 +19,37 @@ import (
 	"rmscale/internal/fsutil"
 )
 
-// logName is the result log inside DIR/results.
-const logName = "results.log"
-
-// Store is the shared result store: a content-addressed map from
-// experiment ID to result payload. The memory tier answers every Get
-// and Has. A disk-backed store also commits each result to one
-// append-only log, DIR/results/results.log, and rebuilds the memory
-// tier from it when it opens. Because IDs are content addresses, a
-// payload is immutable once written — Put never changes the bytes
-// under an existing ID — so clients may cache fetched results
-// forever. One daemon owns a directory, as the submission journal
-// already assumes.
+// Store is a durable map from ID to payload bytes. The memory tier
+// answers every Get and Has. A disk-backed store also commits each
+// entry to one append-only log in its own directory, DIR/<base>.log
+// (base being DIR's last element), and rebuilds the memory tier from
+// it when it opens. rmscaled keeps two: its result store, whose IDs are
+// content addresses, so a payload is immutable once written — Put
+// never changes the bytes under an existing ID — and clients may cache
+// fetched results forever; and its submission journal, one record per
+// accepted experiment. One daemon owns a directory.
 //
 // Integrity and lifecycle:
 //
-//   - each result is one JSON line {"id","sum","data"} committed with
+//   - each entry is one JSON line {"id","sum","data"} committed with
 //     the rest of its batch in a single synced append (PutBatch); sum
 //     is the SHA-256 over the ID and the payload, so neither damaged
 //     bytes nor a damaged ID are ever served. The open-time replay
-//     quarantines such a line under DIR/results/quarantine and the
-//     daemon re-executes the spec on demand, which is safe precisely
+//     quarantines such a line under DIR/quarantine, and the daemon
+//     re-executes a lost result on demand, which is safe precisely
 //     because the payload is a pure function of the ID. Line framing
 //     confines the damage: replay resynchronises at the next newline,
 //     and a torn final line (a crash mid-append) was never
 //     acknowledged;
 //   - whenever the log is not exactly its live records (a torn or
-//     damaged line, superseded records, tombstones, imported legacy
-//     files) it is rewritten once at open with fsutil.WriteAtomic, so
-//     a second recovery changes nothing; the same rewrite runs when
-//     dead bytes outweigh live ones, so the GC bounds bound the disk;
+//     damaged line, superseded records, tombstones) it is rewritten
+//     once at open with fsutil.WriteAtomic, so a second recovery
+//     changes nothing; the same rewrite runs when dead bytes outweigh
+//     live ones, so the GC bounds bound the disk;
 //   - disk IO errors degrade the store to memory-only instead of
-//     failing requests: results stay servable for this incarnation,
-//     durability is surfaced as a health condition, not an outage;
+//     failing requests: entries stay servable for this incarnation,
+//     durability is surfaced as a health condition, not an outage, and
+//     nothing more is appended behind a possibly torn line;
 //   - optional GC (max results / max bytes / max age) evicts in
 //     least-recently-used order and appends an unsynced tombstone per
 //     eviction. Eviction is safe against in-flight fetches: a fetched
@@ -68,7 +66,7 @@ type Store struct {
 	maxBytes      int64
 	maxAge        time.Duration
 	maxQuarantine int
-	log           *resultLog // nil = memory only
+	log           *storeLog  // nil = memory only
 	audit         StoreAudit // the open-time replay
 
 	mu       sync.Mutex
@@ -97,11 +95,11 @@ type entryRef struct {
 	b  []byte
 }
 
-// resultLog is the disk tier: the append handle of results.log and
-// the byte accounting that triggers compaction. Its mutex serialises
-// every log write, so records land in the order Put decided them
-// under Store.mu; Get, Has and dedup answers never take it.
-type resultLog struct {
+// storeLog is the disk tier: the append handle of the log and the
+// byte accounting that triggers compaction. Its mutex serialises every
+// log write, so records land in the order Put decided them under
+// Store.mu; Get, Has and dedup answers never take it.
+type storeLog struct {
 	path string
 
 	mu   sync.Mutex
@@ -110,7 +108,7 @@ type resultLog struct {
 	dead int64       // bytes of evicted records and tombstones
 }
 
-// logRecord is one line of results.log. A tombstone (Del) carries no
+// logRecord is one line of the log. A tombstone (Del) carries no
 // payload: it records an eviction.
 type logRecord struct {
 	ID   string `json:"id"`
@@ -153,7 +151,8 @@ func decodeRecord(line []byte) (logRecord, bool) {
 
 // StoreConfig parameterizes a Store beyond its directory.
 type StoreConfig struct {
-	// Dir persists results under Dir/results; empty is memory-only.
+	// Dir is the store's own directory, which holds its log and
+	// quarantine; empty is memory-only.
 	Dir string
 	// MaxResults bounds how many payloads are retained; <= 0 is
 	// unlimited. Over the bound, least-recently-used entries are
@@ -190,10 +189,10 @@ type StoreStats struct {
 	Degraded          string
 }
 
-// NewStore returns a store persisting under cfg.Dir/results, or a
-// purely in-memory store when cfg.Dir is empty. A disk-backed store
-// replays its log (and adopts any legacy files) before it returns; an
-// IO error there degrades it to memory-only rather than failing.
+// NewStore returns a store persisting under cfg.Dir, or a purely
+// in-memory store when cfg.Dir is empty. A disk-backed store replays
+// its log before it returns; an IO error there degrades it to
+// memory-only rather than failing.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	clock := cfg.Clock
 	if clock == nil {
@@ -219,17 +218,18 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	s.dir = filepath.Join(cfg.Dir, "results")
+	s.dir = cfg.Dir
 	if err := fsys.MkdirAll(s.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: result store dir: %w", err)
+		return nil, fmt.Errorf("service: store dir: %w", err)
 	}
-	s.log = &resultLog{path: filepath.Join(s.dir, logName)}
+	s.log = &storeLog{path: filepath.Join(s.dir, filepath.Base(s.dir)+".log")}
 	s.open()
 	return s, nil
 }
 
-// open rebuilds the memory tier from the log and any legacy files, and
-// rewrites the log once when it is not exactly its live records.
+// open rebuilds the memory tier from the log, sweeps orphaned temp
+// files, and rewrites the log once when it is not exactly its live
+// records.
 func (s *Store) open() {
 	//lint:allow locksafe open runs inside NewStore, before the store is shared; the uncontended lock only keeps the guarded-field discipline
 	s.mu.Lock()
@@ -243,8 +243,8 @@ func (s *Store) open() {
 		return
 	}
 	dirty := s.replayLocked(raw)
-	legacy := s.importLegacyLocked()
-	if len(s.gcLocked()) > 0 || s.audit.Imported > 0 {
+	s.sweepTempsLocked()
+	if len(s.gcLocked()) > 0 {
 		dirty = true
 	}
 	var werr error
@@ -257,12 +257,6 @@ func (s *Store) open() {
 	}
 	if werr != nil {
 		s.degraded = werr.Error()
-	} else {
-		// The log durably holds every live record, so the legacy files
-		// can go.
-		for _, path := range legacy {
-			_ = s.fs.Remove(path)
-		}
 	}
 	s.boundQuarantineLocked()
 }
@@ -275,7 +269,8 @@ func (s *Store) replayLocked(raw []byte) (dirty bool) {
 	for len(raw) > 0 {
 		i := bytes.IndexByte(raw, '\n')
 		if i < 0 {
-			return true // torn final line: its append never returned
+			s.audit.Torn++ // its append never returned
+			return true
 		}
 		line := raw[:i]
 		raw = raw[i+1:]
@@ -287,7 +282,7 @@ func (s *Store) replayLocked(raw []byte) (dirty bool) {
 		switch {
 		case !ok:
 			dirty = true
-			s.quarantineLocked(logName, append(line[:len(line):len(line)], '\n'))
+			s.quarantineLocked(append(line[:len(line):len(line)], '\n'))
 		case r.Del:
 			dirty = true
 			if e, ok := s.mem[r.ID]; ok {
@@ -308,65 +303,27 @@ func (s *Store) replayLocked(raw []byte) (dirty bool) {
 	return dirty
 }
 
-// importLegacyLocked adopts the <id>.json / <id>.json.sha256 pairs an
-// earlier store generation wrote. A payload whose sidecar matches, or
-// one without a sidecar (a crash between the two writes), joins the
-// memory tier unless the log already holds its ID; a mismatch is
-// quarantined. Orphaned atomic-write temp files are swept. It returns
-// the legacy files to delete once the log holds their records (a
-// quarantined pair's included). Callers hold s.mu.
-func (s *Store) importLegacyLocked() (legacy []string) {
+// sweepTempsLocked removes the temp files interrupted atomic writes
+// left in the store's directory. Callers hold s.mu.
+func (s *Store) sweepTempsLocked() {
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return nil
+		return
 	}
-	now := s.clock.Now()
 	for _, n := range names {
-		path := filepath.Join(s.dir, n)
-		switch {
-		case strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp"):
-			if s.fs.Remove(path) == nil {
-				s.audit.TempsCleaned++
-			}
-		case strings.HasSuffix(n, ".json.sha256"):
-			legacy = append(legacy, path)
-		case strings.HasSuffix(n, ".json"):
-			b, err := s.fs.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			id := strings.TrimSuffix(n, ".json")
-			legacy = append(legacy, path)
-			if sum, err := s.fs.ReadFile(path + ".sha256"); err == nil && strings.TrimSpace(string(sum)) != sidecarSum(b) {
-				s.quarantineLocked(n, b)
-				continue
-			}
-			if _, ok := s.mem[id]; ok {
-				continue
-			}
-			s.seq++
-			s.mem[id] = &storeEntry{b: b, lastUse: s.seq, at: now}
-			s.bytes += int64(len(b))
-			s.audit.Imported++
+		if strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp") && s.fs.Remove(filepath.Join(s.dir, n)) == nil {
+			s.audit.TempsCleaned++
 		}
 	}
-	return legacy
-}
-
-// sidecarSum renders the payload digest a legacy sidecar carries.
-func sidecarSum(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
 func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
-// quarantineLocked counts one corrupt result and keeps its bytes for
-// forensics as quarantine/q%08d-<name>, where name says where they
-// came from (the log, or a legacy payload file). The monotonic
-// sequence prefix makes the sorted listing arrival order, which is
-// what lets the bound evict oldest-first. Callers hold s.mu.
-func (s *Store) quarantineLocked(name string, data []byte) {
+// quarantineLocked counts one corrupt log line and keeps its bytes for
+// forensics as quarantine/q%08d-<log name>. The monotonic sequence
+// prefix makes the sorted listing arrival order, which is what lets
+// the bound evict oldest-first. Callers hold s.mu.
+func (s *Store) quarantineLocked(data []byte) {
 	s.corrupt++
 	s.audit.Quarantined++
 	qdir := s.quarantineDir()
@@ -374,16 +331,14 @@ func (s *Store) quarantineLocked(name string, data []byte) {
 		return
 	}
 	s.qseq++
-	_ = s.fs.WriteFileAtomic(filepath.Join(qdir, fmt.Sprintf("q%08d-%s", s.qseq, name)), data, 0o644)
+	_ = s.fs.WriteFileAtomic(filepath.Join(qdir, fmt.Sprintf("q%08d-%s", s.qseq, filepath.Base(s.log.path))), data, 0o644)
 }
 
 // boundQuarantineLocked deletes the oldest quarantined entries beyond
 // maxQuarantine, sweeps temp files an interrupted quarantine copy left,
 // and refreshes the quarantine accounting from the directory itself:
 // how many entries it holds and the highest sequence number issued, so
-// restarts keep names monotonic. Earlier store generations quarantined
-// payload/sidecar pairs; a sidecar goes with its payload. Callers hold
-// s.mu.
+// restarts keep names monotonic. Callers hold s.mu.
 func (s *Store) boundQuarantineLocked() {
 	qdir := s.quarantineDir()
 	names, err := s.fs.ReadDir(qdir)
@@ -395,7 +350,7 @@ func (s *Store) boundQuarantineLocked() {
 		switch {
 		case strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp"):
 			_ = s.fs.Remove(filepath.Join(qdir, n))
-		case strings.HasPrefix(n, "q") && !strings.HasSuffix(n, ".sha256"):
+		case strings.HasPrefix(n, "q"):
 			entries = append(entries, n)
 		}
 	}
@@ -408,7 +363,6 @@ func (s *Store) boundQuarantineLocked() {
 	removed := 0
 	for ; removed < len(entries)-s.maxQuarantine; removed++ {
 		_ = s.fs.Remove(filepath.Join(qdir, entries[removed]))
-		_ = s.fs.Remove(filepath.Join(qdir, entries[removed]+".sha256"))
 	}
 	s.qlen = len(entries) - removed
 	s.qevicted += int64(removed)
@@ -436,6 +390,28 @@ func (s *Store) Has(id string) bool {
 	defer s.mu.Unlock()
 	_, ok := s.mem[id]
 	return ok
+}
+
+// Each calls fn with every stored entry, in ID order, over a snapshot
+// taken when it starts, and stops at the first error fn returns.
+func (s *Store) Each(fn func(id string, b []byte) error) error {
+	s.mu.Lock()
+	ids := make([]string, 0, len(s.mem))
+	for id := range s.mem { //lint:orderindependent ids are sorted below before use
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	bs := make([][]byte, len(ids))
+	for i, id := range ids {
+		bs[i] = s.mem[id].b
+	}
+	s.mu.Unlock()
+	for i, id := range ids {
+		if err := fn(id, bs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StoreItem is one result of a batch commit: a payload and its ID.
@@ -557,7 +533,7 @@ func (b *logBatch) add(id string, data []byte, fresh bool, evicted []entryRef) {
 // commitLocked writes a batch. One holding a record is one synced
 // append; tombstones alone are written without an fsync, since losing
 // one only resurrects a valid result. Callers hold l.mu.
-func (l *resultLog) commitLocked(fsys fsutil.FS, b *logBatch) error {
+func (l *storeLog) commitLocked(fsys fsutil.FS, b *logBatch) error {
 	if len(b.out) == 0 {
 		return nil
 	}
@@ -568,7 +544,7 @@ func (l *resultLog) commitLocked(fsys fsutil.FS, b *logBatch) error {
 	}
 	if !b.synced {
 		if _, err := l.f.Write(b.out); err != nil {
-			return fmt.Errorf("service: result log %s: %w", l.path, err)
+			return fmt.Errorf("service: store log %s: %w", l.path, err)
 		}
 	} else if err := fsys.AppendSync(l.f, b.out); err != nil {
 		return err
@@ -581,14 +557,14 @@ func (l *resultLog) commitLocked(fsys fsutil.FS, b *logBatch) error {
 // createLocked creates the log on the first Put. The directory fsync
 // makes its entry durable before the first record is acknowledged.
 // Callers hold l.mu.
-func (l *resultLog) createLocked(fsys fsutil.FS) error {
+func (l *storeLog) createLocked(fsys fsutil.FS) error {
 	f, err := fsys.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("service: result log: %w", err)
+		return fmt.Errorf("service: store log: %w", err)
 	}
 	if err := fsys.SyncDir(filepath.Dir(l.path)); err != nil {
 		f.Close()
-		return fmt.Errorf("service: result log %s: syncing dir: %w", l.path, err)
+		return fmt.Errorf("service: store log %s: syncing dir: %w", l.path, err)
 	}
 	l.f = f
 	return nil
@@ -596,7 +572,7 @@ func (l *resultLog) createLocked(fsys fsutil.FS) error {
 
 // rewriteLocked atomically replaces the log with recs, exactly its
 // live records, and reopens it for appends. Callers hold l.mu.
-func (l *resultLog) rewriteLocked(fsys fsutil.FS, recs []byte) error {
+func (l *storeLog) rewriteLocked(fsys fsutil.FS, recs []byte) error {
 	if err := fsys.WriteFileAtomic(l.path, recs, 0o644); err != nil {
 		return err
 	}
@@ -605,14 +581,14 @@ func (l *resultLog) rewriteLocked(fsys fsutil.FS, recs []byte) error {
 
 // reopenLocked opens the existing log, holding live bytes of live
 // records and nothing else, for appends. Callers hold l.mu.
-func (l *resultLog) reopenLocked(fsys fsutil.FS, live int64) error {
+func (l *storeLog) reopenLocked(fsys fsutil.FS, live int64) error {
 	if l.f != nil {
 		_ = l.f.Close() // every byte written through it was synced or is a tombstone
 		l.f = nil
 	}
 	f, err := fsys.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("service: result log: %w", err)
+		return fmt.Errorf("service: store log: %w", err)
 	}
 	l.f, l.live, l.dead = f, live, 0
 	return nil
@@ -639,7 +615,7 @@ func encodeLive(entries []entryRef) []byte {
 	return out
 }
 
-// Close releases the result log's file handle.
+// Close releases the log's file handle.
 func (s *Store) Close() error {
 	if s.log == nil {
 		return nil
@@ -733,15 +709,15 @@ func (s *Store) Stats() StoreStats {
 // StoreAudit summarizes the open-time replay of the disk tier.
 type StoreAudit struct {
 	Verified     int  `json:"verified"`      // log records whose checksum matched
-	Imported     int  `json:"imported"`      // legacy payload files folded into the log
-	Quarantined  int  `json:"quarantined"`   // corrupt log lines and legacy pairs quarantined
+	Quarantined  int  `json:"quarantined"`   // corrupt log lines quarantined
+	Torn         int  `json:"torn"`          // unterminated final lines dropped (a crash mid-append)
 	TempsCleaned int  `json:"temps_cleaned"` // orphaned atomic-write temp files removed
 	Rewritten    bool `json:"rewritten"`     // the log was rewritten as exactly its live records
 }
 
 // Audit reports what the open-time replay found and repaired: verified
-// records, adopted legacy files, quarantined corruption, swept temp
-// files, and whether the log was rewritten. Recovery is idempotent:
+// records, quarantined corruption, a torn final line, swept temp files,
+// and whether the log was rewritten. Recovery is idempotent:
 // reopening the healed directory verifies the same records and repairs
 // nothing. The daemon logs it at startup, so post-crash healing is
 // visible before the first request arrives.

@@ -35,11 +35,22 @@ func mustNewStore(t *testing.T, cfg StoreConfig) *Store {
 	return s
 }
 
-// logLines returns the result log's lines under the service directory
-// dir, newlines stripped; a missing log has none.
+// resultLog is the result store's log file name in a daemon's
+// directory, and in the store tests' directories.
+const resultLog = "results.log"
+
+// resultsDir returns a fresh store directory named as the daemon names
+// its result store's, so its log is resultLog.
+func resultsDir(t *testing.T) string { return filepath.Join(t.TempDir(), "results") }
+
+// logPath is the log of the store in dir.
+func logPath(dir string) string { return filepath.Join(dir, filepath.Base(dir)+".log") }
+
+// logLines returns the lines of the log of the store in dir, newlines
+// stripped; a missing log has none.
 func logLines(t *testing.T, dir string) [][]byte {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join(dir, "results", logName))
+	b, err := os.ReadFile(logPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -68,7 +79,7 @@ func editLogRecord(t *testing.T, dir, id string, edit func(line []byte) []byte) 
 	if !found {
 		t.Fatalf("no log record for %s", id)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "results", logName), out, 0o644); err != nil {
+	if err := os.WriteFile(logPath(dir), out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,7 +125,7 @@ func dirImage(t *testing.T, root string) map[string]string {
 // quarantined at open and never served, and the other records still
 // are.
 func TestStoreChecksumQuarantine(t *testing.T) {
-	dir := t.TempDir()
+	dir := resultsDir(t)
 	s1 := mustNewStore(t, StoreConfig{Dir: dir})
 	s1.Put("aaa", []byte(`{"summary":1}`+"\n"))
 	s1.Put("bbb", []byte(`{"summary":2}`+"\n"))
@@ -138,7 +149,7 @@ func TestStoreChecksumQuarantine(t *testing.T) {
 	if st := s2.Stats(); st.Corrupt != 2 || st.QuarantineLen != 2 {
 		t.Fatalf("stats = %+v, want corrupt=2 qlen=2", st)
 	}
-	quarantined, err := filepath.Glob(filepath.Join(dir, "results", "quarantine", "q*-"+logName))
+	quarantined, err := filepath.Glob(filepath.Join(dir, "quarantine", "q*-"+resultLog))
 	if err != nil || len(quarantined) != 2 {
 		t.Fatalf("corrupt records not quarantined: %v (%v)", quarantined, err)
 	}
@@ -155,40 +166,11 @@ func TestStoreChecksumQuarantine(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyBackfill: a payload an earlier store generation wrote
-// without a checksum sidecar is adopted at open and folded into the
-// log, and the legacy file goes.
-func TestStoreLegacyBackfill(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte(`{"legacy":true}` + "\n")
-	if err := os.WriteFile(filepath.Join(dir, "results", "bbb.json"), payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := mustNewStore(t, StoreConfig{Dir: dir})
-	b, ok := s.Get("bbb")
-	if !ok || string(b) != string(payload) {
-		t.Fatalf("legacy entry not served: ok=%v b=%q", ok, b)
-	}
-	if a := s.Audit(); a.Imported != 1 || !a.Rewritten {
-		t.Fatalf("audit = %+v, want imported=1 rewritten", a)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "results", "bbb.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("legacy payload file left behind")
-	}
-	lines := logLines(t, dir)
-	if r, ok := decodeRecord(lines[0]); len(lines) != 1 || !ok || r.ID != "bbb" || !bytes.Equal(r.Data, payload) {
-		t.Fatalf("log = %q, want bbb's record", lines)
-	}
-}
-
 // TestStoreLRUEviction pins size-bounded GC: over MaxResults, the
 // least recently used entry is evicted from memory and, by its
 // tombstone, from the log.
 func TestStoreLRUEviction(t *testing.T) {
-	dir := t.TempDir()
+	dir := resultsDir(t)
 	s := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 2})
 	s.Put("a", []byte("payload-a"))
 	s.Put("b", []byte("payload-b"))
@@ -220,7 +202,7 @@ func TestStoreLRUEviction(t *testing.T) {
 // as its live records once they do, so a bounded store's disk stays
 // bounded.
 func TestStoreGCBoundsTheLog(t *testing.T) {
-	dir := t.TempDir()
+	dir := resultsDir(t)
 	s := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 2})
 	for k := 0; k < 20; k++ {
 		s.Put(fmt.Sprintf("id%02d", k), []byte(strings.Repeat("x", 40+k)))
@@ -299,7 +281,7 @@ func TestStoreEvictionSafeForInflightFetches(t *testing.T) {
 // never fails a Put — the store keeps serving from memory and reports
 // why durability is gone.
 func TestStoreDegradedMemOnly(t *testing.T) {
-	dir := t.TempDir()
+	dir := resultsDir(t)
 	s := mustNewStore(t, StoreConfig{Dir: dir, FS: failFS{err: errors.New("disk full")}})
 	s.Put("a", []byte("mem-only"))
 	b, ok := s.Get("a")
@@ -322,7 +304,7 @@ func TestStoreDegradedMemOnly(t *testing.T) {
 // are evicted first, and the accounting is visible in Stats and
 // survives a restart.
 func TestStoreQuarantineBound(t *testing.T) {
-	dir := t.TempDir()
+	dir := resultsDir(t)
 	s1 := mustNewStore(t, StoreConfig{Dir: dir})
 	ids := []string{"qa", "qb", "qc", "qd"}
 	for _, id := range ids {
@@ -345,7 +327,7 @@ func TestStoreQuarantineBound(t *testing.T) {
 		t.Fatalf("stats = %+v, want qlen=2 qevicted=2 corrupt=4", st)
 	}
 	// Oldest-first: qa and qb are gone, qc and qd retained.
-	kept, _ := filepath.Glob(filepath.Join(dir, "results", "quarantine", "q*-"+logName))
+	kept, _ := filepath.Glob(filepath.Join(dir, "quarantine", "q*-"+resultLog))
 	if len(kept) != 2 {
 		t.Fatalf("quarantine holds %v, want 2 entries", kept)
 	}
@@ -361,57 +343,41 @@ func TestStoreQuarantineBound(t *testing.T) {
 	}
 }
 
-// TestStoreAudit pins the open-time replay over a directory an earlier
-// store generation wrote — valid payload/sidecar pairs, one corrupt
-// pair, one sidecar-less payload, one orphaned temp file: every valid
-// result is served byte-identical, the corrupt pair is quarantined, no
-// pair or temp file is left, and a second open changes no byte. A torn
-// append then heals the same way.
+// TestStoreAudit pins the open-time replay of the log: over a log
+// with a corrupt line next to an orphaned temp file, every valid record
+// is served byte-identical, the corrupt line is quarantined, the temp
+// swept and the log rewritten as its live records, and a second open
+// changes no byte. A torn append then heals the same way.
 func TestStoreAudit(t *testing.T) {
-	dir := t.TempDir()
-	rdir := filepath.Join(dir, "results")
-	if err := os.MkdirAll(rdir, 0o755); err != nil {
+	dir := resultsDir(t)
+	payload := func(id string) string { return "payload of " + id + "\n" }
+	s0 := mustNewStore(t, StoreConfig{Dir: dir})
+	for _, id := range []string{"good1", "bad", "good2", "good3"} {
+		s0.Put(id, []byte(payload(id)))
+	}
+	s0.Close()
+	corruptOnDisk(t, dir, "bad")
+	if err := os.WriteFile(filepath.Join(dir, "."+resultLog+".tmp"), []byte("partial"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	write := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(rdir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := map[string]string{"good1": "fine-1\n", "good2": "fine-2\n", "legacy": "no sidecar\n"}
-	for _, id := range []string{"good1", "good2"} {
-		write(id+".json", want[id])
-		write(id+".json.sha256", sidecarSum([]byte(want[id]))+"\n")
-	}
-	write("legacy.json", want["legacy"])
-	write("bad.json", "rotted\n")
-	write("bad.json.sha256", sidecarSum([]byte("original\n"))+"\n")
-	write(".orphan.json.tmp", "partial")
 
 	s1 := mustNewStore(t, StoreConfig{Dir: dir})
-	a := s1.Audit()
-	if a != (StoreAudit{Imported: 3, Quarantined: 1, TempsCleaned: 1, Rewritten: true}) {
-		t.Fatalf("audit = %+v, want imported=3 quarantined=1 temps=1 rewritten", a)
+	if a := s1.Audit(); a != (StoreAudit{Verified: 3, Quarantined: 1, TempsCleaned: 1, Rewritten: true}) {
+		t.Fatalf("audit = %+v, want verified=3 quarantined=1 temps=1 rewritten", a)
 	}
-	for id, w := range want {
-		if b, ok := s1.Get(id); !ok || string(b) != w {
-			t.Fatalf("%s = %q, %v; want %q", id, b, ok, w)
+	for _, id := range []string{"good1", "good2", "good3"} {
+		if b, ok := s1.Get(id); !ok || string(b) != payload(id) {
+			t.Fatalf("%s = %q, %v; want %q", id, b, ok, payload(id))
 		}
 	}
 	if _, ok := s1.Get("bad"); ok {
-		t.Fatal("corrupt legacy pair served")
+		t.Fatal("corrupt record served")
 	}
-	names, _ := os.ReadDir(rdir)
+	names, _ := os.ReadDir(dir)
 	for _, n := range names {
-		if n.Name() != logName && n.Name() != "quarantine" {
-			t.Fatalf("%s left in results/ after the import", n.Name())
+		if n.Name() != resultLog && n.Name() != "quarantine" {
+			t.Fatalf("%s left in the store directory after the replay", n.Name())
 		}
-	}
-	if q, _ := filepath.Glob(filepath.Join(rdir, "quarantine", "q*-bad.json")); len(q) != 1 {
-		t.Fatalf("corrupt pair not quarantined: %v", q)
-	} else if b, _ := os.ReadFile(q[0]); string(b) != "rotted\n" {
-		t.Fatalf("quarantine holds %q, want the corrupt payload", b)
 	}
 	s1.Close()
 
@@ -427,20 +393,73 @@ func TestStoreAudit(t *testing.T) {
 		t.Fatal("a second open changed the directory")
 	}
 
-	// A torn append (a crash mid-write) is dropped by one rewrite.
-	f, err := os.OpenFile(filepath.Join(rdir, logName), os.O_APPEND|os.O_WRONLY, 0o644)
+	// A torn append (a crash mid-write) is dropped by one rewrite, even
+	// when only its newline is missing: the line was never
+	// acknowledged, and the next append would run into it.
+	f, err := os.OpenFile(logPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"id":"torn","sum":"`)
+	torn := encodeRecord("torn", false, []byte("checksummed, unterminated"))
+	f.Write(torn[:len(torn)-1])
 	f.Close()
 	s3 := mustNewStore(t, StoreConfig{Dir: dir})
-	if a := s3.Audit(); a != (StoreAudit{Verified: 3, Rewritten: true}) {
-		t.Fatalf("audit over a torn tail = %+v, want verified=3 rewritten", a)
+	if a := s3.Audit(); a != (StoreAudit{Verified: 3, Torn: 1, Rewritten: true}) {
+		t.Fatalf("audit over a torn tail = %+v, want verified=3 torn=1 rewritten", a)
 	}
 	s3.Close()
 	if after := dirImage(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatal("the rewrite did not restore the healed log byte for byte")
+	}
+}
+
+// tornAppendFS writes half of each synced append and fails it while
+// armed, as a disk that fills up mid-write does; it counts the appends
+// it is asked for.
+type tornAppendFS struct {
+	fsutil.RealFS
+	armed   bool
+	appends int
+}
+
+var errTorn = errors.New("torn append")
+
+func (f *tornAppendFS) AppendSync(file fsutil.File, b []byte) error {
+	f.appends++
+	if f.armed {
+		f.armed = false
+		_, _ = file.Write(b[:len(b)/2])
+		return errTorn
+	}
+	return f.RealFS.AppendSync(file, b)
+}
+
+// TestStoreStopsAfterTornAppend pins that no record is appended behind
+// a failed, possibly torn, append: the next open would drop it with
+// the torn line, after its Put had returned. The first Put lands, the
+// second is torn and degrades the store, the third does no IO, and a
+// reopen serves the first record and counts the torn tail.
+func TestStoreStopsAfterTornAppend(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	fs := &tornAppendFS{}
+	s := mustNewStore(t, StoreConfig{Dir: dir, FS: fs})
+	s.Put("first", []byte("record-1"))
+	fs.armed = true
+	s.Put("second", []byte("record-2"))
+	if why, degraded := s.Degraded(); !degraded || !strings.Contains(why, errTorn.Error()) {
+		t.Fatalf("degraded = %v %q after a torn append, want the append's failure", degraded, why)
+	}
+	s.Put("third", []byte("record-3"))
+	if fs.appends != 2 {
+		t.Fatalf("%d appends, want 2: nothing after the torn one", fs.appends)
+	}
+	s.Close()
+	s2 := mustNewStore(t, StoreConfig{Dir: dir})
+	if a := s2.Audit(); a != (StoreAudit{Verified: 1, Torn: 1, Rewritten: true}) {
+		t.Fatalf("audit = %+v, want the first record and the torn line dropped", a)
+	}
+	if b, ok := s2.Get("first"); !ok || string(b) != "record-1" || s2.Len() != 1 {
+		t.Fatalf("first = %q, %v, len %d; want it alone", b, ok, s2.Len())
 	}
 }
 
@@ -500,7 +519,7 @@ func (c *countFS) take() map[string]int {
 // a fresh directory writes nothing, the first Put creates the log (one
 // OpenFile, one SyncDir) and every Put commits with exactly one
 // AppendSync — no file creation, rename, directory sync or atomic
-// write. Storing an ID again does no IO at all.
+// write. Storing an ID again does no IO at all and keeps its bytes.
 func TestStorePutIOShape(t *testing.T) {
 	fsys := &countFS{n: map[string]int{}}
 	s := mustNewStore(t, StoreConfig{Dir: t.TempDir(), FS: fsys})
@@ -517,9 +536,12 @@ func TestStorePutIOShape(t *testing.T) {
 			t.Fatalf("Put %d issued %v, want exactly one AppendSync", k, n)
 		}
 	}
-	s.Put("first", []byte("payload-1"))
+	s.Put("first", []byte("payload-2"))
 	if n := fsys.take(); len(n) != 0 {
 		t.Fatalf("re-storing an ID issued %v, want no IO", n)
+	}
+	if b, _ := s.Get("first"); string(b) != "payload-1" {
+		t.Fatalf("re-storing an ID replaced its bytes with %q", b)
 	}
 	for _, k := range []int{2, 7} {
 		batch := make([]StoreItem, k)
@@ -562,7 +584,7 @@ func TestStoreBatchMatchesPuts(t *testing.T) {
 		if why, degraded := s.Degraded(); degraded {
 			t.Fatalf("store degraded: %s", why)
 		}
-		b, err := os.ReadFile(filepath.Join(dir, "results", logName))
+		b, err := os.ReadFile(logPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
