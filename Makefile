@@ -22,8 +22,8 @@ vet:
 	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l $$(git ls-files '*.go' | grep -Ev '(^|/)testdata/')); \
 	if [ -n "$$out" ]; then echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
 
-# The custom determinism/model-coverage analyzers (see DESIGN.md,
-# "Determinism invariants"). One process runs all seven: the full-
+# The custom determinism analyzers (see DESIGN.md, "Determinism
+# invariants"). One process runs all six: the full-
 # source typecheck and the call graph are built once and shared, so
 # adding an analyzer costs its traversal, not another load. Exits
 # non-zero on any finding; the JSON report is the CI artifact.

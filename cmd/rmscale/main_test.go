@@ -174,29 +174,39 @@ func TestWorkerAndResumeFlagParsing(t *testing.T) {
 	}
 }
 
-// TestGoldenFaultFreeOutput pins the smoke output of case 1 and case 4
-// against goldens captured before the fault-tolerance layer existed:
-// with a zero-valued FaultModel the experiment tables must stay
-// byte-identical — the fault machinery may only change runs that
-// actually arm it.
+// TestGoldenFaultFreeOutput pins the bytes of fault-free commands. The
+// case 1 and case 4 goldens were captured before the fault-tolerance
+// layer existed: with a zero-valued FaultModel the experiment tables
+// must stay byte-identical — the fault machinery may only change runs
+// that actually arm it. The tables and ablation goldens pin the model
+// roster and the ablation rows, which run through the same audited
+// simulation path as the cases.
 func TestGoldenFaultFreeOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case run is slow")
 	}
-	for _, c := range []string{"case1", "case4"} {
+	for _, c := range []struct {
+		name, golden string
+		args         []string
+	}{
+		{"case1", "case1_smoke_seed1.golden", []string{"-fidelity", "smoke", "-seed", "1", "-format", "csv", "case1"}},
+		{"case4", "case4_smoke_seed1.golden", []string{"-fidelity", "smoke", "-seed", "1", "-format", "csv", "case4"}},
+		{"tables", "tables.golden", []string{"tables"}},
+		{"ablation", "ablation_smoke_seed1.golden", []string{"-fidelity", "smoke", "-seed", "1", "ablation"}},
+	} {
 		c := c
-		t.Run(c, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", c+"_smoke_seed1.golden"))
+		t.Run(c.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := run([]string{"-fidelity", "smoke", "-seed", "1", "-format", "csv", c}, &buf); err != nil {
+			if err := run(c.args, &buf); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("fault-free %s output diverged from the pre-fault golden:\n--- got ---\n%s\n--- want ---\n%s",
-					c, buf.Bytes(), want)
+				t.Fatalf("%s output diverged from its golden %s:\n--- got ---\n%s\n--- want ---\n%s",
+					c.name, c.golden, buf.Bytes(), want)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
-// Command rmslint runs the module's determinism and model-coverage
-// analyzers (internal/lint) over the packages matched by its
-// arguments, defaulting to ./... — a multichecker in the style of
+// Command rmslint runs the module's determinism analyzers
+// (internal/lint) over the packages matched by its arguments,
+// defaulting to ./... — a multichecker in the style of
 // golang.org/x/tools/go/analysis/multichecker, built on the standard
 // library only.
 //

@@ -10,16 +10,16 @@ import (
 	"rmscale/internal/lint"
 )
 
-// TestRegistersAllSevenAnalyzers pins the multichecker's roster: the
-// suite the binary runs must contain exactly the three local
-// map-order, concurrency and model-coverage analyzers plus the four
-// call-graph analyzers, in their documented order.
-func TestRegistersAllSevenAnalyzers(t *testing.T) {
+// TestRegistersAllSixAnalyzers pins the multichecker's roster: the
+// suite the binary runs must contain exactly the two local map-order
+// and concurrency analyzers plus the four call-graph analyzers, in
+// their documented order.
+func TestRegistersAllSixAnalyzers(t *testing.T) {
 	want := []string{
-		"mapiterorder", "nokernelgoroutines", "rmsexhaustive",
+		"mapiterorder", "nokernelgoroutines",
 		"detertaint", "hotalloc", "locksafe", "deadcode",
 	}
-	suite := lint.Suite(lint.DefaultConfig)
+	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
 	}

@@ -77,22 +77,22 @@ type mapCache map[string]Result
 func (m mapCache) Get(key string) (Result, bool) { r, ok := m[key]; return r, ok }
 func (m mapCache) Put(key string, r Result)      { m[key] = r }
 
+// The schedule every chain follows. The initial temperature is t0
+// times the first energy's magnitude; it cools geometrically, by a
+// factor per step that reaches 1% of the start by the last iteration.
+// The neighbour step starts at step0 of each dimension's range and
+// shrinks with the temperature.
+const (
+	t0    = 0.3
+	step0 = 0.25
+)
+
 // Options tunes the search.
 type Options struct {
 	// Iters is the number of annealing steps per restart.
 	Iters int
 	// Restarts is how many independent chains to run (>= 1).
 	Restarts int
-	// T0 is the initial temperature as a fraction of the first
-	// energy's magnitude; 0 picks 0.3.
-	T0 float64
-	// Cooling is the geometric cooling factor per step; 0 picks a
-	// schedule that reaches ~1% of T0 by the last iteration.
-	Cooling float64
-	// Step is the initial neighbour step size as a fraction of each
-	// dimension's range; 0 picks 0.25. The step shrinks with the
-	// temperature.
-	Step float64
 	// Seed feeds the deterministic random streams.
 	Seed int64
 	// Cache, when non-nil, supplies the evaluation memo — e.g. a
@@ -107,15 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 2
-	}
-	if o.T0 <= 0 {
-		o.T0 = 0.3
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		o.Cooling = math.Pow(0.01, 1/float64(max(o.Iters-1, 1)))
-	}
-	if o.Step <= 0 {
-		o.Step = 0.25
 	}
 	return o
 }
@@ -147,6 +138,7 @@ func Minimize(dims []Dim, start []float64, obj Objective, o Options) (Outcome, e
 		return Outcome{}, fmt.Errorf("anneal: nil objective")
 	}
 	o = o.withDefaults()
+	cooling := math.Pow(0.01, 1/float64(max(o.Iters-1, 1)))
 
 	src := sim.NewSource(o.Seed)
 	cache := o.Cache
@@ -194,8 +186,8 @@ func Minimize(dims []Dim, start []float64, obj Objective, o Options) (Outcome, e
 			best, bestR, haveBest = append([]float64(nil), cur...), curR, true
 		}
 
-		temp := o.T0 * (math.Abs(curR.total()) + 1)
-		step := o.Step
+		temp := t0 * (math.Abs(curR.total()) + 1)
+		step := step0
 		for it := 0; it < o.Iters; it++ {
 			cand := neighbour(dims, cur, step, st)
 			candR := evaluate(cand)
@@ -206,8 +198,8 @@ func Minimize(dims []Dim, start []float64, obj Objective, o Options) (Outcome, e
 			if better(candR, bestR) {
 				best, bestR = append([]float64(nil), cand...), candR
 			}
-			temp *= o.Cooling
-			step = o.Step * (0.15 + 0.85*math.Pow(o.Cooling, float64(it)))
+			temp *= cooling
+			step = step0 * (0.15 + 0.85*math.Pow(cooling, float64(it)))
 		}
 	}
 	out.X = best

@@ -152,12 +152,11 @@ func TestMinimizeErrors(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Iters <= 0 || o.Restarts <= 0 || o.T0 <= 0 || o.Step <= 0 {
+	if o := (Options{}).withDefaults(); o.Iters != 60 || o.Restarts != 2 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		t.Fatalf("cooling out of range: %v", o.Cooling)
+	if o := (Options{Iters: 5, Restarts: 1}).withDefaults(); o.Iters != 5 || o.Restarts != 1 {
+		t.Fatalf("set values overridden: %+v", o)
 	}
 }
 

@@ -167,6 +167,20 @@ func Attach(e *grid.Engine, cfg Config) (*Auditor, error) {
 	return a, nil
 }
 
+// Run is one audited engine run: it attaches a Record-mode auditor,
+// runs the engine and returns the summary with the audit's outcome. The
+// drain pass reports a tripped stall watchdog or an exceeded event
+// budget as a progress violation, so a nil error means the run finished
+// within its budget and kept every invariant.
+func Run(e *grid.Engine) (grid.Summary, error) {
+	a, err := Attach(e, Config{Mode: Record})
+	if err != nil {
+		return grid.Summary{}, err
+	}
+	sum := e.Run()
+	return sum, a.Err()
+}
+
 // violationf records one violation (subject to the maxViolations cap).
 func (a *Auditor) violationf(check, format string, args ...any) {
 	if len(a.violations) >= maxViolations {

@@ -86,9 +86,8 @@ func Sweep(opts Options) (Result, error) {
 	schedules := make([]Schedule, opts.Schedules)
 	reports := make([]Report, opts.Schedules)
 	run, err := runner.Start(runner.Options{
-		Workers:   opts.Workers,
-		KeepGoing: true,
-		Context:   opts.Context,
+		Workers: opts.Workers,
+		Context: opts.Context,
 	})
 	if err != nil {
 		return Result{}, err

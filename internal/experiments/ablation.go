@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"rmscale/internal/audit"
 	"rmscale/internal/grid"
 	"rmscale/internal/rms"
 	"rmscale/internal/scale"
@@ -51,7 +52,8 @@ func ablationConfig(fid Fidelity, seed int64) grid.Config {
 	return cfg
 }
 
-// runAblationVariant executes one simulation and extracts a row.
+// runAblationVariant executes one audited simulation and extracts a
+// row.
 func runAblationVariant(name string, cfg grid.Config, model string) (AblationRow, error) {
 	p, err := rms.ByName(model)
 	if err != nil {
@@ -61,7 +63,10 @@ func runAblationVariant(name string, cfg grid.Config, model string) (AblationRow
 	if err != nil {
 		return AblationRow{}, err
 	}
-	sum := e.Run()
+	sum, err := audit.Run(e)
+	if err != nil {
+		return AblationRow{}, err
+	}
 	return AblationRow{
 		Variant:    name,
 		G:          sum.G,
@@ -166,7 +171,10 @@ func AblateTuner(fid Fidelity, seed int64) (*AblationResult, error) {
 			if err != nil {
 				return scale.Observation{}, err
 			}
-			sum := e.Run()
+			sum, err := audit.Run(e)
+			if err != nil {
+				return scale.Observation{}, err
+			}
 			return scale.Observation{
 				F: sum.F, G: sum.G, H: sum.H,
 				Efficiency:  sum.Efficiency,

@@ -36,6 +36,17 @@ func TestAblateSuppression(t *testing.T) {
 	}
 }
 
+// TestAblationRowFailsOverBudget: an ablation row is an audited run, so
+// a run its event budget cut short is an error, never a printed row.
+func TestAblationRowFailsOverBudget(t *testing.T) {
+	cfg := ablationConfig(Smoke, 1)
+	cfg.MaxEvents = 1000
+	_, err := runAblationVariant("over budget", cfg, "LOWEST")
+	if err == nil || !strings.Contains(err.Error(), "progress: sim: event budget exceeded") {
+		t.Fatalf("over-budget ablation run returned %v, want the audit's progress violation", err)
+	}
+}
+
 func TestAblateEstimators(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation is slow")

@@ -176,12 +176,13 @@ func (d caseDef) name() string {
 	return fmt.Sprintf("case%d+%s", d.id, d.variant)
 }
 
-// simResult is the cached outcome of one engine run: the summary plus
-// the event-budget flag the evaluator checks. It is the payload stored
-// under the runner's content-addressed key.
+// simResult is the payload one engine run stores under the runner's
+// content-addressed key. It stays a struct around the summary so that
+// entries which also carried an event-budget flag (false in every
+// stored entry) still decode to their summary: decoding ignores the
+// flag.
 type simResult struct {
-	Sum        grid.Summary
-	Overflowed bool
+	Sum grid.Summary
 }
 
 // simulate runs one engine for cfg under the model p, memoized through
@@ -189,16 +190,16 @@ type simResult struct {
 // (fidelity, model, full grid config), and the config embeds the seed
 // and the applied enabler vector, so a cache hit is exactly a re-run.
 func simulate(run *runner.Run, substrates *grid.SubstrateCache, fid Fidelity,
-	p grid.Policy, cfg grid.Config) (simResult, error) {
+	p grid.Policy, cfg grid.Config) (grid.Summary, error) {
 
 	key, err := runner.KeyOf("sim/v1", fid.String(), p.Name(), cfg)
 	if err != nil {
-		return simResult{}, err
+		return grid.Summary{}, err
 	}
 	if b, ok := run.Cache.Get(key); ok {
 		var sr simResult
 		if err := decodeCached(b, &sr); err == nil {
-			return sr, nil
+			return sr.Sum, nil
 		}
 		// A corrupt payload falls through to recompute and overwrite.
 	}
@@ -212,36 +213,30 @@ func simulate(run *runner.Run, substrates *grid.SubstrateCache, fid Fidelity,
 	}
 	sub, err := substrates.Get(lookup)
 	if err != nil {
-		return simResult{}, err
+		return grid.Summary{}, err
 	}
 	fresh, err := rms.ByName(p.Name()) // engines are single-use; state must be fresh
 	if err != nil {
-		return simResult{}, err
+		return grid.Summary{}, err
 	}
 	e, err := grid.NewWith(cfg, fresh, sub)
 	if err != nil {
-		return simResult{}, err
+		return grid.Summary{}, err
 	}
-	// Every experiment run self-checks its conservation laws; a
-	// violated invariant is an error, never a silently wrong data
-	// point, and it is detected before the result can enter the cache.
-	aud, err := audit.Attach(e, audit.Config{Mode: audit.Record})
+	// Every experiment run self-checks its conservation laws and its
+	// progress: a violated invariant, a stall or an exceeded event
+	// budget is an error, never a silently wrong data point, and it is
+	// detected before the result can enter the cache.
+	sum, err := audit.Run(e)
 	if err != nil {
-		return simResult{}, err
+		return grid.Summary{}, err
 	}
-	sr := simResult{Sum: e.Run(), Overflowed: e.K.Overflowed}
-	if e.K.Stalled {
-		return simResult{}, e.K.Err()
-	}
-	if err := aud.Err(); err != nil {
-		return simResult{}, err
-	}
-	if b, err := encodeCached(sr); err == nil {
+	if b, err := encodeCached(simResult{Sum: sum}); err == nil {
 		if err := run.Cache.Put(key, b); err != nil {
-			return simResult{}, err
+			return grid.Summary{}, err
 		}
 	}
-	return sr, nil
+	return sum, nil
 }
 
 // measureModel runs the scalability measurement procedure for a single
@@ -262,13 +257,9 @@ func measureModel(ctx context.Context, run *runner.Run, def caseDef, fid Fidelit
 		var acc scale.Observation
 		for r := 0; r < replicas; r++ {
 			cfg := def.config(fid, seed+int64(r)*101, k, x)
-			sr, err := simulate(run, substrates, fid, p, cfg)
+			sum, err := simulate(run, substrates, fid, p, cfg)
 			if err != nil {
 				return scale.Observation{}, err
-			}
-			sum := sr.Sum
-			if sr.Overflowed {
-				return scale.Observation{}, fmt.Errorf("event budget exceeded at k=%d", k)
 			}
 			acc.F += sum.F
 			acc.G += sum.G

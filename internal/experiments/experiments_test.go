@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"rmscale/internal/grid"
+	"rmscale/internal/rms"
+	"rmscale/internal/runner"
 	"rmscale/internal/scale"
 )
 
@@ -176,5 +180,45 @@ func TestCaseDeterminism(t *testing.T) {
 				t.Fatalf("%s: G(%d) differs: %v vs %v", name, i, ga[i], gb[i])
 			}
 		}
+	}
+}
+
+// TestSimPayloadReadsOlderEntries: a run directory written while the
+// cached sim payload also carried an event-budget flag still replays:
+// simulate decodes the entry and serves its summary without running
+// the engine.
+func TestSimPayloadReadsOlderEntries(t *testing.T) {
+	run, err := runner.Start(runner.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Wait()
+	p, err := rms.ByName("LOWEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ablationConfig(Smoke, 1)
+	// No engine run produces this summary, so a re-run cannot pass.
+	want := grid.Summary{F: 1, G: 2, H: 3, Efficiency: 1.0 / 6, Jobs: 7, FirstViolation: "stored"}
+	old, err := json.Marshal(struct {
+		Sum        grid.Summary
+		Overflowed bool
+	}{Sum: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := runner.KeyOf("sim/v1", Smoke.String(), p.Name(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Cache.Put(key, old); err != nil {
+		t.Fatal(err)
+	}
+	got, err := simulate(run, grid.NewSubstrateCache(), Smoke, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("simulate served %+v, want the stored %+v", got, want)
 	}
 }

@@ -141,10 +141,6 @@ func runDefs(defs []caseDef, spec RunSpec) ([]*Result, error) {
 		Dir:     spec.Dir,
 		Log:     spec.Log,
 		Context: spec.Context,
-		// One bad (model, k) point must not void a long sweep: the
-		// remaining models finish (and fill the cache, when Dir is set)
-		// and the failure comes back joined from Wait.
-		KeepGoing: true,
 	})
 	if err != nil {
 		return nil, err

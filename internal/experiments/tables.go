@@ -63,15 +63,14 @@ Table 5 (Case 4): scaling the RMS by L_p
 }
 
 // WriteModelRoster renders the seven evaluated models with the
-// paper's Section 3.3 one-line protocol descriptions. Iterating
-// rms.IDs keeps the roster mechanically complete: the descriptions
-// come from an enum switch the rmsexhaustive analyzer checks.
+// paper's Section 3.3 one-line protocol descriptions, read from the
+// roster table that also builds and names them.
 func WriteModelRoster(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "Models (Section 3.3):"); err != nil {
 		return err
 	}
-	for _, id := range rms.IDs() {
-		if _, err := fmt.Fprintf(w, "  %-8s %s\n", id, id.Describe()); err != nil {
+	for _, m := range rms.Models() {
+		if _, err := fmt.Fprintf(w, "  %-8s %s\n", m.Name, m.Desc); err != nil {
 			return err
 		}
 	}

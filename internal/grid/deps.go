@@ -125,9 +125,6 @@ func (e *Engine) registerDeps() []bool {
 func (e *Engine) admitJob(j *workload.Job) {
 	s := e.Schedulers[j.Cluster]
 	e.Metrics.JobsAdmitted++
-	if e.Tracer.On() {
-		e.Tracer.Tracef("arrival", "job %d at cluster %d (%v)", j.ID, j.Cluster, j.Class)
-	}
 	ctx := e.newJobCtx(j)
 	if e.fs != nil {
 		e.deliverToScheduler(s, ctx)
@@ -159,9 +156,6 @@ func (e *Engine) jobTerminated(jobID int) {
 	for _, w := range e.depsT.terminate(jobID) {
 		w := w
 		if e.K.Now() >= w.Arrival || e.depsT.arrived[w.ID] {
-			if e.Tracer.On() {
-				e.Tracer.Tracef("release", "job %d released by job %d", w.ID, jobID)
-			}
 			e.admitJob(w)
 			continue
 		}

@@ -23,15 +23,27 @@ func depJobs() []*workload.Job {
 	}
 }
 
+// admitTimes records the simulated time at which the engine hands each
+// job to the policy, by job ID.
+type admitTimes struct {
+	stubPolicy
+	at map[int]sim.Time
+}
+
+func (p *admitTimes) OnJob(s *Scheduler, ctx *JobCtx) {
+	p.at[ctx.Job.ID] = s.Engine().K.Now()
+	p.stubPolicy.OnJob(s, ctx)
+}
+
 func TestPrecedenceHoldsDependents(t *testing.T) {
-	e, err := New(testConfig(), &stubPolicy{})
+	p := &admitTimes{at: map[int]sim.Time{}}
+	e, err := New(testConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.UseJobs(depJobs()); err != nil {
 		t.Fatal(err)
 	}
-	e.Tracer = sim.NewTracer(e.K, 0)
 	sum := e.Run()
 	if e.Metrics.JobsCompleted != 4 {
 		t.Fatalf("completed %d of 4", e.Metrics.JobsCompleted)
@@ -39,32 +51,12 @@ func TestPrecedenceHoldsDependents(t *testing.T) {
 	if e.HeldJobs() != 0 {
 		t.Fatalf("%d jobs still held after drain", e.HeldJobs())
 	}
-	// Start order must respect the chain: the engine admits 1 only
+	if p.onJob != 4 || len(p.at) != 4 {
+		t.Fatalf("admissions = %d of %d jobs", p.onJob, len(p.at))
+	}
+	// Admission order must respect the chain: the engine admits 1 only
 	// after 0 completes (t>=50), 2 only after 1 (t>=100).
-	var starts []sim.TraceEvent
-	for _, ev := range e.Tracer.Events() {
-		if ev.Kind == "arrival" {
-			starts = append(starts, ev)
-		}
-	}
-	if len(starts) != 4 {
-		t.Fatalf("arrivals = %d", len(starts))
-	}
-	at := map[string]sim.Time{}
-	for _, ev := range starts {
-		at[ev.Detail] = ev.At
-	}
-	_ = at
-	// Events are coarse; assert via times: job 1 admitted at >= 50.
-	var t1, t2 sim.Time = -1, -1
-	for _, ev := range starts {
-		switch ev.Detail[:5] {
-		case "job 1":
-			t1 = ev.At
-		case "job 2":
-			t2 = ev.At
-		}
-	}
+	t1, t2 := p.at[1], p.at[2]
 	if t1 < 50 {
 		t.Fatalf("job 1 admitted at %v, before its parent finished (50)", t1)
 	}

@@ -37,11 +37,6 @@ type Engine struct {
 	Schedulers []*Scheduler
 	Estimators []*Estimator
 
-	// Tracer, when set before Run, records engine events (arrivals,
-	// dispatches, transfers, updates) for debugging and tests. Nil is
-	// free.
-	Tracer *sim.Tracer
-
 	// AuditHook, when set before Run, fires once after the event loop
 	// finishes and before the summary is derived. internal/audit claims
 	// it for the final drain-time invariant check; it is a generic hook
@@ -370,9 +365,6 @@ func (e *Engine) sendStatusUpdate(r *Resource, load float64) {
 		return
 	}
 	e.Metrics.UpdatesSent++
-	if e.Tracer.On() {
-		e.Tracer.Tracef("update", "resource %d load %.0f", r.id, load)
-	}
 	at := e.K.Now()
 	if len(e.Estimators) > 0 {
 		est := e.Estimators[estimatorOf(r.id, len(e.Estimators))]
@@ -464,9 +456,6 @@ func (e *Engine) transferJob(from *Scheduler, ctx *JobCtx, to int) {
 	}
 	e.Metrics.JobTransfers++
 	ctx.Hops++
-	if e.Tracer.On() {
-		e.Tracer.Tracef("transfer", "job %d: cluster %d -> %d", ctx.Job.ID, from.cluster, to)
-	}
 	dst := e.Schedulers[to]
 	net := e.delay(from.toSched[to], e.Cfg.JobBytes)
 	// The arrival re-owns the job at dst: a no-op without faults, so one
@@ -498,9 +487,6 @@ func (e *Engine) route(net sim.Time, deliver func()) {
 //lint:hotpath every dispatched job crosses this hop; TestEngineWarmStepZeroAlloc pins it allocation-free once warm
 func (e *Engine) sendJobToResource(s *Scheduler, ctx *JobCtx, rid int) {
 	r := e.Resources[rid]
-	if e.Tracer.On() {
-		e.Tracer.Tracef("dispatch", "job %d -> resource %d", ctx.Job.ID, rid)
-	}
 	d := e.acquire(opDispatch)
 	d.res, d.ctx = r, ctx
 	e.K.After(e.delay(s.toRes[rid], e.Cfg.JobBytes), d.fire)

@@ -103,9 +103,6 @@ func (e *Engine) crashScheduler(s *Scheduler, repair sim.Time) {
 	s.cpu.epoch++
 	e.Metrics.SchedulerCrashes++
 	e.Metrics.SchedulerDowntime += repair
-	if e.Tracer.On() {
-		e.Tracer.Tracef("fault", "scheduler %d crashed", s.cluster)
-	}
 	e.rehomeOwned(s)
 }
 
@@ -113,9 +110,6 @@ func (e *Engine) crashScheduler(s *Scheduler, repair sim.Time) {
 // were parked on it while it was down.
 func (e *Engine) repairScheduler(s *Scheduler) {
 	s.down = false
-	if e.Tracer.On() {
-		e.Tracer.Tracef("fault", "scheduler %d repaired", s.cluster)
-	}
 	parked := s.parked
 	s.parked = nil
 	for _, ctx := range parked {
@@ -154,9 +148,6 @@ func (e *Engine) rehomeOwned(s *Scheduler) {
 		// Failover forfeits routing freedom: the job places locally at
 		// its new home instead of re-entering the transfer protocol.
 		ctx.Hops++
-		if e.Tracer.On() {
-			e.Tracer.Tracef("fault", "job %d fails over: cluster %d -> %d", ctx.Job.ID, s.cluster, dst.cluster)
-		}
 		e.K.After(detect+e.delay(s.toSched[dst.cluster], e.Cfg.JobBytes), func() {
 			e.deliverToScheduler(dst, ctx)
 		})
@@ -215,17 +206,11 @@ func (e *Engine) crashEstimator(est *Estimator, repair sim.Time) {
 	}
 	e.Metrics.EstimatorCrashes++
 	e.Metrics.EstimatorDowntime += repair
-	if e.Tracer.On() {
-		e.Tracer.Tracef("fault", "estimator %d crashed", est.id)
-	}
 }
 
 // repairEstimator brings the estimator back empty.
 func (e *Engine) repairEstimator(est *Estimator) {
 	est.down = false
-	if e.Tracer.On() {
-		e.Tracer.Tracef("fault", "estimator %d repaired", est.id)
-	}
 }
 
 // protoSend carries one protocol payload under the armed fault model.

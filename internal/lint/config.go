@@ -5,10 +5,9 @@ import "sort"
 // Config is the single data-driven description of where each
 // invariant applies. Everything the suite knows about the module —
 // which packages are simulation-visible, which form the deterministic
-// kernel, what the RMS-model enum is called and which constants it
-// must always cover — lives here, so extending the module means
-// editing one literal, and the config meta-test keeps the lists
-// honest against the packages that actually exist.
+// kernel, which hold the locking discipline — lives here, so extending
+// the module means editing one literal, and the config meta-test keeps
+// the lists honest against the packages that actually exist.
 type Config struct {
 	// SimVisible lists the packages whose behaviour is visible inside
 	// a simulation run: virtual time only and named RNG streams only,
@@ -28,10 +27,6 @@ type Config struct {
 	// analyzer to a whole subtree.
 	MapOrder []string
 
-	// Exhaustive lists the packages whose switches over the RMS-model
-	// enum must cover every model (rmsexhaustive).
-	Exhaustive []string
-
 	// HotAlloc lists the packages where //lint:hotpath allocation
 	// budgets are enforced (hotalloc). Marks can appear anywhere the
 	// list covers; packages without marks cost one map lookup.
@@ -49,13 +44,6 @@ type Config struct {
 	// exempted, so adding a package forces a conscious decision.
 	// "m/..." entries exempt a subtree.
 	Exempt map[string]string
-
-	// EnumPkg, EnumType and EnumConstants describe the RMS-model enum:
-	// switches over EnumPkg.EnumType must either cover every constant
-	// named in EnumConstants or carry a panicking default.
-	EnumPkg       string
-	EnumType      string
-	EnumConstants []string
 }
 
 // DefaultConfig is the module's invariant map.
@@ -124,8 +112,7 @@ var DefaultConfig = Config{
 	// "rmscale/..." subtree entry includes internal/service/chaos,
 	// internal/service/client and internal/service/loadgen (verified by
 	// TestConfigMatchesModule).
-	MapOrder:   []string{"rmscale/..."},
-	Exhaustive: []string{"rmscale/..."},
+	MapOrder: []string{"rmscale/..."},
 
 	// Hot-path allocation budgets can be declared anywhere; the marks
 	// currently live in internal/sim (kernel ops, Ticker), internal/grid
@@ -145,26 +132,18 @@ var DefaultConfig = Config{
 
 	// Packages deliberately outside the curated SimVisible/Kernel/
 	// LockSafe classification, with the reason on record. The wildcard
-	// analyzers (mapiterorder, rmsexhaustive, hotalloc) still cover
-	// them.
+	// analyzers (mapiterorder, hotalloc) still cover them.
 	Exempt: map[string]string{
 		"rmscale/internal/runner":     "parallelizes whole single-threaded simulations; wall-clock scheduling and worker goroutines are its job, and sim-visibility stops at its API",
 		"rmscale/internal/fsutil/...": "filesystem plumbing beneath the store and journal (and the simulated crash filesystem that models it); blocking IO is its purpose and no simulation state flows through it",
 		"rmscale/internal/lint/...":   "the analyzers themselves; never linked into a simulation binary",
-	},
-
-	EnumPkg:  "rmscale/internal/rms",
-	EnumType: "ID",
-	EnumConstants: []string{
-		"IDCentral", "IDLowest", "IDReserve", "IDAuction",
-		"IDSenderInit", "IDReceiverInit", "IDSymmetric",
 	},
 }
 
 // Classified reports how the config covers pkgPath: curated means a
 // SimVisible/Kernel/LockSafe entry names it (the lists
 // that encode a conscious decision per package — the wildcard-based
-// MapOrder, Exhaustive and HotAlloc lists do not count), exempt means
+// MapOrder and HotAlloc lists do not count), exempt means
 // an Exempt entry opts it out. The config meta-test requires every
 // internal package to be one or the other.
 //

@@ -28,8 +28,7 @@ import (
 //     self-append `s = append(s, x)` scratch idiom is allowed);
 //   - func literals (closure allocation) — except immediately invoked
 //     ones, which do not escape;
-//   - variadic calls that materialize an argument slice, unless the
-//     call sits under the documented `if t.On() { ... }` tracer guard;
+//   - variadic calls that materialize an argument slice;
 //   - interface boxing: concrete arguments to interface parameters,
 //     conversions to interface types, panic with a concrete value;
 //   - string <-> []byte / []rune conversions, which copy.
@@ -190,10 +189,7 @@ func checkHotCall(p *analysis.Pass, call *ast.CallExpr, parents map[ast.Node]ast
 		return
 	}
 	if sig.Variadic() && !call.Ellipsis.IsValid() && len(call.Args) >= sig.Params().Len() {
-		if !onGuarded(p, call, parents) {
-			p.Reportf(call.Pos(), "variadic call %s materializes an argument slice %s (guard with the On() idiom or annotate)",
-				exprString(call.Fun), where)
-		}
+		p.Reportf(call.Pos(), "variadic call %s materializes an argument slice %s", exprString(call.Fun), where)
 		return // per-arg boxing inside the variadic slot folds into this report
 	}
 	for i, arg := range call.Args {
@@ -270,34 +266,4 @@ func selfAppend(call *ast.CallExpr, parents map[ast.Node]ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// onGuarded reports whether the call sits under an `if x.On() { ... }`
-// guard inside the same function — the documented tracer idiom: the
-// variadic slice is only materialized when tracing is enabled, which
-// never happens on a measured run.
-func onGuarded(p *analysis.Pass, call *ast.CallExpr, parents map[ast.Node]ast.Node) bool {
-	for n := ast.Node(call); n != nil; n = parents[n] {
-		if ifs, ok := n.(*ast.IfStmt); ok && condCallsOn(ifs.Cond) {
-			return true
-		}
-		switch n.(type) {
-		case *ast.FuncLit, *ast.FuncDecl:
-			return false
-		}
-	}
-	return false
-}
-
-func condCallsOn(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "On" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

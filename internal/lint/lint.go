@@ -1,16 +1,16 @@
 // Package lint is rmslint: a suite of analyzers that mechanically
-// enforce the determinism and model-coverage invariants the
-// reproduction's byte-identical results depend on. The isoefficiency
-// numbers and the fault goldens are only meaningful because no
-// wall-clock reads, global RNG draws, map-iteration order or stray
-// goroutines can leak into the event-level grid model; before this
-// package those invariants lived in comments and were caught — after
-// the fact — by golden files. Now they fail the build.
+// enforce the determinism invariants the reproduction's byte-identical
+// results depend on. The isoefficiency numbers and the fault goldens
+// are only meaningful because no wall-clock reads, global RNG draws,
+// map-iteration order or stray goroutines can leak into the
+// event-level grid model; before this package those invariants lived
+// in comments and were caught — after the fact — by golden files. Now
+// they fail the build.
 //
-// The suite has two tiers. Three analyzers are call-site local
-// (mapiterorder, nokernelgoroutines, rmsexhaustive): cheap, precise,
-// package-scoped. Four are interprocedural (detertaint, hotalloc,
-// locksafe, deadcode): they run over a module-wide call graph
+// The suite has two tiers. Two analyzers are call-site local
+// (mapiterorder, nokernelgoroutines): cheap, precise, package-scoped.
+// Four are interprocedural (detertaint, hotalloc, locksafe,
+// deadcode): they run over a module-wide call graph
 // (internal/lint/callgraph) the driver builds once per run and shares
 // across every (analyzer, package) pass. detertaint owns the whole
 // determinism invariant: it reports a wall-clock or global-RNG source
@@ -30,17 +30,12 @@ import (
 	"rmscale/internal/lint/load"
 )
 
-// Suite returns the seven analyzers in their fixed reporting order:
+// Suite returns the six analyzers in their fixed reporting order:
 // the local fast passes first, then the call-graph tier.
-func Suite(cfg Config) []*analysis.Analyzer {
+func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		MapIterOrder(),
 		NoKernelGoroutines(),
-		RMSExhaustive(EnumSpec{
-			PkgPath:   cfg.EnumPkg,
-			TypeName:  cfg.EnumType,
-			Constants: cfg.EnumConstants,
-		}),
 		DeterTaint(),
 		HotAlloc(),
 		LockSafe(),
@@ -55,8 +50,6 @@ func (cfg Config) packagesFor(name string) []string {
 		return cfg.MapOrder
 	case "nokernelgoroutines":
 		return cfg.Kernel
-	case "rmsexhaustive":
-		return cfg.Exhaustive
 	case "detertaint":
 		// The taint analyzer reports sources and entry points in
 		// simulation-visible packages; the chains it follows may pass
@@ -75,9 +68,9 @@ func (cfg Config) packagesFor(name string) []string {
 }
 
 // KnownAnalyzers is the set of names //lint: directives may target.
-func KnownAnalyzers(cfg Config) map[string]bool {
+func KnownAnalyzers() map[string]bool {
 	known := map[string]bool{}
-	for _, a := range Suite(cfg) {
+	for _, a := range Suite() {
 		known[a.Name] = true
 	}
 	return known
@@ -120,8 +113,8 @@ func Run(dir string, patterns []string, cfg Config) ([]Finding, error) {
 	graph := callgraph.Build(fset, cgPkgs)
 	graph.Partial = !whole
 
-	suite := Suite(cfg)
-	known := KnownAnalyzers(cfg)
+	suite := Suite()
+	known := KnownAnalyzers()
 	var out []Finding
 	for _, pkg := range pkgs {
 		var diags []analysis.Diagnostic

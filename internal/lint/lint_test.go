@@ -54,18 +54,6 @@ func TestCoordDiscipline(t *testing.T) {
 	}
 }
 
-func TestRMSExhaustive(t *testing.T) {
-	a := lint.RMSExhaustive(lint.EnumSpec{
-		PkgPath:  "modelenum",
-		TypeName: "ID",
-		Constants: []string{
-			"Central", "Lowest", "Reserve", "Auction",
-			"SenderInit", "ReceiverInit", "Symmetric",
-		},
-	})
-	linttest.Run(t, "testdata", a, "modelenum", "rmsexhaustive")
-}
-
 // TestDeterTaint checks the wall-clock/global-RNG taint analyzer
 // against a two-package fixture chain: the sources themselves and every
 // call that reaches one.
@@ -168,7 +156,7 @@ func h() {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := lint.KnownAnalyzers(lint.DefaultConfig)
+	known := lint.KnownAnalyzers()
 	out := lint.ApplyDirectives(fset, []*ast.File{f}, known, nil)
 	if len(out) != 5 {
 		t.Fatalf("got %d directive diagnostics, want 5: %+v", len(out), out)
@@ -210,7 +198,7 @@ func f(m map[string]int, out func(string)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := lint.KnownAnalyzers(lint.DefaultConfig)
+	known := lint.KnownAnalyzers()
 	// A diagnostic inside the loop body (line 6), anchored on the loop
 	// header (line 5), must be suppressed by the directive on line 4.
 	bodyPos := posOnLine(fset, f, 6)
@@ -250,7 +238,7 @@ func f(g func(int, int) int, ch chan int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := lint.KnownAnalyzers(lint.DefaultConfig)
+	known := lint.KnownAnalyzers()
 
 	// A diagnostic on the wrapped call's third line (7) is covered by
 	// the directive anchored on the statement's first line (5).

@@ -9,18 +9,14 @@ var scratch []int
 
 type pair struct{ a, b int }
 
-type tracer struct{ enabled bool }
-
-func (t tracer) On() bool           { return t.enabled }
-func (t tracer) Emit(vs ...int) int { return len(vs) }
-func variadic(vs ...int) int        { return len(vs) }
-func drop(x any)                    {}
-func name() string                  { return "k" }
+func variadic(vs ...int) int { return len(vs) }
+func drop(x any)             {}
+func name() string           { return "k" }
 
 // Hot stands in for a kernel event-loop function.
 //
 //lint:hotpath fixture: stands in for the fel.go event loop
-func Hot(buf []byte, n int, tr tracer) []byte {
+func Hot(buf []byte, n int) []byte {
 	m := map[int]int{} // want "map literal allocates in //lint:hotpath function hotalloc\\.Hot"
 	_ = m
 	s := []int{1, 2} // want "slice literal allocates a backing array"
@@ -36,9 +32,6 @@ func Hot(buf []byte, n int, tr tracer) []byte {
 	raw := []byte(name()) // want "conversion to \\[\\]byte copies its operand"
 	_ = raw
 	variadic(1, 2) // want "variadic call variadic materializes an argument slice"
-	if tr.On() {
-		tr.Emit(1, 2, 3) // guarded by the On() tracer idiom: exempt
-	}
 	_ = dep.Box(n)
 	_ = dep.Cell[int]{}.Get(n)
 	helper(n)

@@ -1,110 +1,33 @@
 package rms
 
 import (
-	"fmt"
+	"slices"
 
 	"rmscale/internal/grid"
 )
 
-// ID enumerates the paper's seven RMS models as a closed enum. The
-// string names ("CENTRAL", "S-I", ...) remain the wire/CLI currency;
-// the enum exists so that dispatch, failover and rendering code can
-// switch over models and have rmslint's rmsexhaustive analyzer prove
-// the switch covers the whole roster — adding a model then fails the
-// lint gate instead of silently no-opping in a forgotten branch.
-type ID int
-
-const (
-	IDCentral ID = iota
-	IDLowest
-	IDReserve
-	IDAuction
-	IDSenderInit
-	IDReceiverInit
-	IDSymmetric
-)
-
-// IDs returns the seven models in the paper's order.
-func IDs() []ID {
-	return []ID{IDCentral, IDLowest, IDReserve, IDAuction, IDSenderInit, IDReceiverInit, IDSymmetric}
+// Model is one row of the paper's roster: the model's name, which is
+// the wire and CLI currency ("CENTRAL", "S-I", ...), the one-line
+// protocol description of the paper's Section 3.3 that the CLI's roster
+// prints, and the model's constructor.
+type Model struct {
+	Name, Desc string
+	build      func() grid.Policy
 }
 
-// String returns the paper's name for the model.
-func (id ID) String() string {
-	switch id {
-	case IDCentral:
-		return "CENTRAL"
-	case IDLowest:
-		return "LOWEST"
-	case IDReserve:
-		return "RESERVE"
-	case IDAuction:
-		return "AUCTION"
-	case IDSenderInit:
-		return "S-I"
-	case IDReceiverInit:
-		return "R-I"
-	case IDSymmetric:
-		return "Sy-I"
-	default:
-		panic(fmt.Sprintf("rms: unknown model ID %d", int(id)))
-	}
+// models is the roster in the paper's order. All, Names, ByName and
+// Models read it, so a row added here is built, named and printed
+// everywhere; the models dispatch through grid.Policy, so no code
+// switches over them.
+var models = []Model{
+	{"CENTRAL", "one scheduler decides for the whole pool", func() grid.Policy { return NewCentral() }},
+	{"LOWEST", "poll-on-arrival load balancing (Zhou)", func() grid.Policy { return NewLowest() }},
+	{"RESERVE", "underloaded clusters register reservations ahead of time", func() grid.Policy { return NewReserve() }},
+	{"AUCTION", "underloaded clusters auction capacity; loaded clusters bid", func() grid.Policy { return NewAuction() }},
+	{"S-I", "sender-initiated superscheduler over grid middleware", func() grid.Policy { return NewSenderInitiated() }},
+	{"R-I", "receiver-initiated volunteering over grid middleware", func() grid.Policy { return NewReceiverInitiated() }},
+	{"Sy-I", "symmetric combination of S-I and R-I", func() grid.Policy { return NewSymmetric() }},
 }
 
-// Describe returns the one-line protocol description the CLI's model
-// roster prints (the paper's Section 3.3 taxonomy).
-func (id ID) Describe() string {
-	switch id {
-	case IDCentral:
-		return "one scheduler decides for the whole pool"
-	case IDLowest:
-		return "poll-on-arrival load balancing (Zhou)"
-	case IDReserve:
-		return "underloaded clusters register reservations ahead of time"
-	case IDAuction:
-		return "underloaded clusters auction capacity; loaded clusters bid"
-	case IDSenderInit:
-		return "sender-initiated superscheduler over grid middleware"
-	case IDReceiverInit:
-		return "receiver-initiated volunteering over grid middleware"
-	case IDSymmetric:
-		return "symmetric combination of S-I and R-I"
-	default:
-		panic(fmt.Sprintf("rms: unknown model ID %d", int(id)))
-	}
-}
-
-// New returns a fresh policy instance for the model: the one dispatch
-// point from enum to implementation.
-func New(id ID) grid.Policy {
-	switch id {
-	case IDCentral:
-		return NewCentral()
-	case IDLowest:
-		return NewLowest()
-	case IDReserve:
-		return NewReserve()
-	case IDAuction:
-		return NewAuction()
-	case IDSenderInit:
-		return NewSenderInitiated()
-	case IDReceiverInit:
-		return NewReceiverInitiated()
-	case IDSymmetric:
-		return NewSymmetric()
-	default:
-		panic(fmt.Sprintf("rms: unknown model ID %d", int(id)))
-	}
-}
-
-// ParseID resolves a paper model name to its ID. Extension models
-// (the hierarchical RMS) are not part of the enum; resolve those
-// through ByName.
-func ParseID(name string) (ID, bool) {
-	for _, id := range IDs() {
-		if id.String() == name {
-			return id, true
-		}
-	}
-	return 0, false
-}
+// Models returns the paper's roster in its order.
+func Models() []Model { return slices.Clone(models) }

@@ -4,15 +4,8 @@
 // grid model the same way the paper re-implemented them on its own grid
 // model.
 //
-// Protocol taxonomy (the paper's Section 3.3):
-//
-//   - CENTRAL: one scheduler decides for the whole pool.
-//   - LOWEST:  poll-on-arrival load balancing (Zhou's trace study).
-//   - RESERVE: underloaded clusters register reservations ahead of time.
-//   - AUCTION: underloaded clusters auction capacity; loaded bid.
-//   - S-I:     sender-initiated superscheduler over grid middleware.
-//   - R-I:     receiver-initiated volunteering over grid middleware.
-//   - Sy-I:    symmetric combination of S-I and R-I.
+// Models holds the roster: each model's name, its one-line protocol
+// description from the paper's Section 3.3, and its constructor.
 package rms
 
 import (
@@ -23,10 +16,9 @@ import (
 
 // All returns fresh instances of every model, in the paper's order.
 func All() []grid.Policy {
-	ids := IDs()
-	out := make([]grid.Policy, len(ids))
-	for i, id := range ids {
-		out[i] = New(id)
+	out := make([]grid.Policy, len(models))
+	for i, m := range models {
+		out[i] = m.build()
 	}
 	return out
 }
@@ -34,10 +26,9 @@ func All() []grid.Policy {
 // Names lists the model names in the paper's order, without building
 // the models.
 func Names() []string {
-	ids := IDs()
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = id.String()
+	out := make([]string, len(models))
+	for i, m := range models {
+		out[i] = m.Name
 	}
 	return out
 }
@@ -51,8 +42,10 @@ func Extensions() []grid.Policy {
 // ByName returns a fresh instance of the named model, searching the
 // paper's roster first and then the extensions.
 func ByName(name string) (grid.Policy, error) {
-	if id, ok := ParseID(name); ok {
-		return New(id), nil
+	for _, m := range models {
+		if m.Name == name {
+			return m.build(), nil
+		}
 	}
 	for _, m := range Extensions() {
 		if m.Name() == name {

@@ -16,7 +16,8 @@ type Task struct {
 	// ID names the task in progress output, e.g. "case1/CENTRAL".
 	ID string
 	// Run does the work. It should return promptly once ctx.Err() is
-	// non-nil; a non-nil error cancels the whole pool.
+	// non-nil. A non-nil error fails this task only: the other tasks
+	// still run, and Wait returns every task error joined.
 	Run func(ctx *TaskCtx) error
 }
 
@@ -54,12 +55,7 @@ type Pool struct {
 	global  []Task  // FIFO injection queue
 	pending int     // submitted + spawned tasks not yet finished
 	closed  bool    // Wait called; no further Submit allowed
-	err     error   // first task error
-	errs    []error // every task error, in completion order (keep-going mode)
-
-	// keepGoing, when set, stops a task error from cancelling the pool:
-	// the remaining tasks complete and Wait returns every error joined.
-	keepGoing bool
+	errs    []error // every task error, in completion order
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -76,8 +72,7 @@ type PoolObserver interface {
 }
 
 // NewPool starts a pool with the given number of workers; n <= 0 picks
-// GOMAXPROCS. The pool stops early when ctx is cancelled or a task
-// fails.
+// GOMAXPROCS. The pool stops early when ctx is cancelled.
 func NewPool(ctx context.Context, n int, obs PoolObserver) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -108,18 +103,6 @@ func NewPool(ctx context.Context, n int, obs PoolObserver) *Pool {
 	return p
 }
 
-// SetKeepGoing selects the pool's failure discipline. Fail-fast (the
-// default) cancels everything on the first task error — right for
-// short runs where any failure voids the result. Keep-going lets the
-// remaining tasks complete and Wait returns every error joined — right
-// for long sweeps where the completed evaluations are cached and one
-// bad point must not kill a ten-hour run. Call before submitting work.
-func (p *Pool) SetKeepGoing(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.keepGoing = on
-}
-
 // Submit enqueues a task on the shared injection queue. It panics if
 // called after Wait.
 func (p *Pool) Submit(t Task) {
@@ -143,9 +126,10 @@ func (p *Pool) spawn(w *worker, t Task) {
 }
 
 // Wait closes submission and blocks until every task has finished (or
-// the pool was cancelled and drained). Fail-fast it returns the first
-// task error; keep-going it returns every task error joined; either
-// way the context error on cancellation.
+// the pool was cancelled and drained). It returns every task error
+// joined, or otherwise the context's error. A task error cancels
+// nothing: one bad point must not void a long sweep whose completed
+// evaluations are cached.
 func (p *Pool) Wait() error {
 	p.mu.Lock()
 	p.closed = true
@@ -156,11 +140,8 @@ func (p *Pool) Wait() error {
 	p.cancel()            // release the context watcher
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil {
-		if p.keepGoing {
-			return errors.Join(p.errs...)
-		}
-		return p.err
+	if len(p.errs) > 0 {
+		return errors.Join(p.errs...)
 	}
 	return ctxErr
 }
@@ -228,20 +209,13 @@ func (p *Pool) run(w *worker) {
 		}
 		p.mu.Lock()
 		if err != nil {
-			if p.err == nil {
-				p.err = err
-			}
 			p.errs = append(p.errs, err)
 		}
 		p.pending--
 		if p.pending == 0 {
 			p.cond.Broadcast()
 		}
-		keepGoing := p.keepGoing
 		p.mu.Unlock()
-		if err != nil && !keepGoing {
-			p.cancel()
-		}
 	}
 }
 

@@ -73,30 +73,6 @@ func TestPoolStealsSpawnedWork(t *testing.T) {
 	}
 }
 
-func TestPoolFirstErrorCancelsRest(t *testing.T) {
-	p := NewPool(context.Background(), 2, nil)
-	boom := errors.New("boom")
-	var after atomic.Int64
-	p.Submit(Task{ID: "bad", Run: func(tc *TaskCtx) error { return boom }})
-	for i := 0; i < 50; i++ {
-		p.Submit(Task{ID: fmt.Sprintf("later%d", i), Run: func(tc *TaskCtx) error {
-			if tc.Err() != nil {
-				return tc.Err()
-			}
-			after.Add(1)
-			time.Sleep(time.Millisecond)
-			return nil
-		}})
-	}
-	err := p.Wait()
-	if !errors.Is(err, boom) {
-		t.Fatalf("Wait returned %v, want the task error", err)
-	}
-	if after.Load() == 50 {
-		t.Fatal("error did not cancel any queued work")
-	}
-}
-
 func TestPoolContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewPool(ctx, 2, nil)
@@ -130,7 +106,6 @@ func TestPoolRecoversPanics(t *testing.T) {
 // a sweep is still debuggable from the error alone.
 func TestPoolPanicCarriesStack(t *testing.T) {
 	p := NewPool(context.Background(), 2, nil)
-	p.SetKeepGoing(true)
 	p.Submit(Task{ID: "exploder", Run: func(tc *TaskCtx) error { panic("kaboom") }})
 	err := p.Wait()
 	if err == nil {
@@ -143,12 +118,11 @@ func TestPoolPanicCarriesStack(t *testing.T) {
 	}
 }
 
-// TestPoolKeepGoingCompletesRest: in keep-going mode a panicking task
-// surfaces as that task's error while every other task still runs to
-// completion, and Wait joins all the errors.
+// TestPoolKeepGoingCompletesRest: a panicking task surfaces as that
+// task's error while every other task still runs to completion, and
+// Wait joins all the errors.
 func TestPoolKeepGoingCompletesRest(t *testing.T) {
 	p := NewPool(context.Background(), 2, nil)
-	p.SetKeepGoing(true)
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	p.Submit(Task{ID: "panics", Run: func(tc *TaskCtx) error { panic("kaboom") }})

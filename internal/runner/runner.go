@@ -4,7 +4,8 @@
 //
 //   - a work-stealing worker pool (Pool) sharding jobs across
 //     GOMAXPROCS workers — overridable with the CLI's -j — with
-//     context cancellation;
+//     context cancellation; a failed job fails alone, and the pool
+//     returns every failure once the rest have run;
 //   - a content-addressed result cache (Cache) keyed by a canonical
 //     hash of the inputs (grid config, RMS model, enabler vector,
 //     seed, fidelity), with a memory tier and an optional disk tier,
@@ -43,11 +44,6 @@ type Options struct {
 	Log io.Writer
 	// Context cancels the run early; nil means Background.
 	Context context.Context
-	// KeepGoing stops a task error from cancelling the run: the
-	// remaining tasks complete (and fill the cache, when Dir is set)
-	// and Wait returns every error joined. Use for long sweeps where
-	// one bad point must not void ten hours of completed work.
-	KeepGoing bool
 }
 
 // Run bundles one experiment execution: pool, cache and reporter wired
@@ -68,12 +64,12 @@ func Start(opts Options) (*Run, error) {
 	r := &Run{Cache: cache}
 	r.Report = NewReporter(cache, opts.Dir, opts.Log)
 	r.Pool = NewPool(opts.Context, opts.Workers, r.Report)
-	r.Pool.SetKeepGoing(opts.KeepGoing)
 	return r, nil
 }
 
 // Wait blocks until every submitted task finished and finalizes the
-// progress state. It returns the first task error.
+// progress state. It returns every task error joined, or otherwise the
+// context's error.
 func (r *Run) Wait() error {
 	err := r.Pool.Wait()
 	r.Report.Finish()

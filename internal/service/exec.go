@@ -94,8 +94,8 @@ func (x Executor) Run(ctx context.Context, spec ExperimentSpec, dir string) ([]b
 }
 
 // runSim is one audited engine run: the same simulate discipline the
-// experiment layer uses (fresh policy, Record-mode auditor, stall
-// check), without the tuning loop around it.
+// experiment layer uses (fresh policy, audit.Run), without the tuning
+// loop around it.
 func runSim(spec ExperimentSpec) (grid.Summary, error) {
 	p, err := rms.ByName(spec.Model)
 	if err != nil {
@@ -112,19 +112,5 @@ func runSim(spec ExperimentSpec) (grid.Summary, error) {
 	if err != nil {
 		return grid.Summary{}, err
 	}
-	aud, err := audit.Attach(e, audit.Config{Mode: audit.Record})
-	if err != nil {
-		return grid.Summary{}, err
-	}
-	sum := e.Run()
-	if e.K.Stalled {
-		return grid.Summary{}, e.K.Err()
-	}
-	if e.K.Overflowed {
-		return grid.Summary{}, fmt.Errorf("service: %s exceeded its event budget", spec)
-	}
-	if err := aud.Err(); err != nil {
-		return grid.Summary{}, err
-	}
-	return sum, nil
+	return audit.Run(e)
 }

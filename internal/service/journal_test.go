@@ -1,4 +1,4 @@
-package runner_test
+package service_test
 
 import (
 	"bytes"

@@ -58,33 +58,6 @@ func TestTickerRearmZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDisabledTracerZeroAlloc: an event whose callback traces through
-// the guarded pattern (`if tr.On() { tr.Tracef(...) }`) allocates
-// nothing when the tracer is nil. The unguarded call would box the
-// variadic arguments before Tracef's nil check could run; On() exists
-// precisely to keep disabled-tracer runs allocation-free.
-func TestDisabledTracerZeroAlloc(t *testing.T) {
-	k := NewKernel()
-	var tr *Tracer
-	load := 0
-	var fn func()
-	fn = func() {
-		load++
-		if tr.On() {
-			tr.Tracef("update", "resource %d load %d", 7, load)
-		}
-		k.After(1, fn)
-	}
-	k.After(1, fn)
-	runFor(k, 64)
-	if allocs := windowAllocs(k); allocs != 0 {
-		t.Errorf("%d disabled-tracer events allocate %.0f times, want 0", windowEvents, allocs)
-	}
-	if tr.On() {
-		t.Fatal("nil tracer reports On")
-	}
-}
-
 // TestSharedTickerLaneRearmZeroAlloc: tickers of one period share a
 // lane; once its ring is warm a tick (fire, re-key the lane's slot,
 // rearm at the tail) allocates nothing.
