@@ -117,7 +117,7 @@ serve-restart: build
 # Race-check the whole module; -short keeps the smoke-fidelity
 # experiment runs out of the race build, which would otherwise
 # dominate the wall clock. The service layer (worker shards, condition
-# variables, store GC, supervision) additionally runs its full suite
+# variables, group commit, supervision) additionally runs its full suite
 # under the detector — it is the module's most concurrent code.
 race:
 	$(GO) test -race -short ./...

@@ -8,9 +8,7 @@
 //
 //	rmscaled serve   [-addr :8080] [-dir DIR] [-shards N] [-queue N] [-quiet]
 //	                 [-attempts N] [-exec-timeout D] [-breaker-threshold N]
-//	                 [-breaker-cooldown D] [-store-max-results N]
-//	                 [-store-max-bytes N] [-store-max-age D]
-//	                 [-store-max-quarantine N]
+//	                 [-breaker-cooldown D]
 //	rmscaled submit  [-addr HOST] [-wait] -kind sim -model M [-seed N] [-horizon F]
 //	rmscaled submit  [-addr HOST] [-wait] -kind case|churn -case 1..4 -fidelity F [-seed N]
 //	rmscaled status  [-addr HOST] ID
@@ -24,10 +22,10 @@
 // in -dir's journal, and the next serve over the same -dir resumes it;
 // after a SIGKILL it resumes every journaled experiment whose result
 // was not yet stored. -dir holds the journal (journal/), the result
-// store (results/) and the case runs' directories (exps/).
-// The supervision flags bound execution (deadline, bounded retries)
-// and shedding (circuit breaker); the store flags bound the result
-// store with LRU eviction.
+// store (results/) and the case runs' directories (exps/); the result
+// store keeps every result it commits. The supervision flags bound
+// execution (deadline, bounded retries) and shedding (circuit
+// breaker).
 //
 // submit posts one experiment spec and prints the daemon's status
 // response — the experiment ID is the spec's deterministic content
@@ -36,11 +34,10 @@
 // updates until the experiment is terminal and then fetches the
 // result. For up to -retry-for it retries a 429 or 503 refusal
 // (saturated queue, draining daemon, open circuit breaker) with capped
-// jittered backoff honoring the server's Retry-After hint, reopens a
-// stream the daemon closed early, and waits out a result the daemon is
-// re-running. submit, status and fetch speak to the daemon through
-// internal/service/client, the client the load and chaos harnesses
-// use too.
+// jittered backoff honoring the server's Retry-After hint, and reopens
+// a stream the daemon closed early. submit, status and fetch speak to
+// the daemon through internal/service/client, the client the load and
+// chaos harnesses use too.
 //
 // loadtest needs no daemon: it starts an in-process one and drives the
 // scale-qualifying load iteration from internal/service/loadgen
@@ -142,10 +139,6 @@ func serveCmd(args []string) error {
 	execTimeout := fs.Duration("exec-timeout", 0, "per-sim execution deadline, case/churn get 8x (0 = none)")
 	brkThreshold := fs.Int("breaker-threshold", 0, "consecutive execution failures that open the circuit breaker (0 = disabled)")
 	brkCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker sheds submissions before probing")
-	storeMaxResults := fs.Int("store-max-results", 0, "result store GC: max retained payloads, LRU-evicted beyond (0 = unbounded)")
-	storeMaxBytes := fs.Int64("store-max-bytes", 0, "result store GC: max memory-tier payload bytes (0 = unbounded)")
-	storeMaxAge := fs.Duration("store-max-age", 0, "result store GC: evict payloads untouched this long (0 = unbounded)")
-	storeMaxQuarantine := fs.Int("store-max-quarantine", 0, "max quarantined corrupt results kept for forensics, oldest evicted beyond (0 = default 64)")
 	fs.Parse(args)
 
 	var logw io.Writer = os.Stderr
@@ -156,8 +149,6 @@ func serveCmd(args []string) error {
 		Dir: *dir, Shards: *shards, QueueCap: *queue, CaseWorkers: *workers, Log: logw,
 		MaxAttempts: *attempts, ExecTimeout: *execTimeout,
 		BreakerThreshold: *brkThreshold, BreakerCooldown: *brkCooldown,
-		StoreMaxResults: *storeMaxResults, StoreMaxBytes: *storeMaxBytes, StoreMaxAge: *storeMaxAge,
-		StoreMaxQuarantine: *storeMaxQuarantine,
 	})
 	if err != nil {
 		return err
@@ -199,7 +190,7 @@ func submitCmd(args []string, stdout, stderr io.Writer) error {
 	fidelity := fs.String("fidelity", "", "case/churn: smoke, quick or full")
 	wait := fs.Bool("wait", false, "stream status until terminal, then fetch the result")
 	who := fs.String("client", "rmscaled-cli", "client identity for fairness accounting")
-	retryFor := fs.Duration("retry-for", client.DefaultRetryFor, "with -wait: how long to retry 429/503 refusals, reopen a closed stream and wait for a re-run result before giving up")
+	retryFor := fs.Duration("retry-for", client.DefaultRetryFor, "with -wait: how long to retry 429/503 refusals and reopen a closed stream before giving up")
 	fs.Parse(args)
 
 	spec := service.ExperimentSpec{

@@ -554,11 +554,6 @@ func (r *run) restartFaults() error {
 		}
 		b, ok := d.Result(id)
 		if !ok {
-			// A self-healing miss: the fetch re-queued it; wait again.
-			d.Wait(id)
-			b, ok = d.Result(id)
-		}
-		if !ok {
 			r.failf("restart-faults: result %s unavailable after restart", id)
 			continue
 		}

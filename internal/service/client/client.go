@@ -10,9 +10,7 @@
 //
 //   - a 429 or 503 refusal of a submission;
 //   - a status stream the daemon closed before a terminal state,
-//     which is reopened;
-//   - a 409 from /result whose body is a queued or running status
-//     (the daemon is re-running a lost result).
+//     which is reopened.
 //
 // Each wait is the server's Retry-After when sent, else 250 ms times
 // the attempt number, capped at 5 s, plus up to a quarter more of
@@ -188,42 +186,22 @@ func (c *Client) Watch(id string, each func(service.Status) bool) (service.Statu
 	}
 }
 
-// Result fetches the experiment's stored result payload. A 409 whose
-// body is a queued or running status means the daemon is re-running a
-// lost result, and is retried within RetryFor; any other answer but
-// 200, a failed experiment's 409 included, is an error at once.
+// Result fetches the experiment's stored result payload. Any answer
+// but 200 is an error at once: a 409 means the experiment is not done,
+// and a done experiment's result is always stored.
 func (c *Client) Result(id string) ([]byte, error) {
-	var r retrier
-	for {
-		resp, err := c.do(http.MethodGet, "/v1/experiments/"+id+"/result", nil)
-		if err != nil {
-			return nil, err
-		}
-		body, err := readAll(resp)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode == http.StatusOK {
-			return body, nil
-		}
-		herr := httpError("fetch "+id, resp.StatusCode, body)
-		if resp.StatusCode != http.StatusConflict || !rerunning(body) {
-			return nil, herr
-		}
-		if err := r.pause(c, id, resp.Header.Get("Retry-After"), herr); err != nil {
-			return nil, err
-		}
+	resp, err := c.do(http.MethodGet, "/v1/experiments/"+id+"/result", nil)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// rerunning reports whether a 409 body is the status of an experiment
-// still queued or running.
-func rerunning(body []byte) bool {
-	var st service.Status
-	if json.Unmarshal(body, &st) != nil {
-		return false
+	body, err := readAll(resp)
+	if err != nil {
+		return nil, err
 	}
-	return st.State == service.StateQueued || st.State == service.StateRunning
+	if resp.StatusCode != http.StatusOK {
+		return nil, httpError("fetch "+id, resp.StatusCode, body)
+	}
+	return body, nil
 }
 
 // Stats returns the daemon's accounting.

@@ -171,29 +171,22 @@ func TestWatchDecodesEachLineFresh(t *testing.T) {
 	}
 }
 
-func TestResultWaitsForRerun(t *testing.T) {
-	const payload = `{"ok":true}`
-	s, c := serve(t,
-		answer(http.StatusConflict, "", `{"id":"x","state":"queued"}`),
-		answer(http.StatusOK, "", payload))
-	b, err := c.Result("x")
-	if err != nil || string(b) != payload {
-		t.Fatalf("Result = %q, %v; want %q", b, err, payload)
-	}
-	if n := len(s.requests()); n != 2 {
-		t.Fatalf("%d requests, want 2", n)
-	}
-}
-
+// TestResultOfFailedExperimentFailsAtOnce: a 409 is an error at once,
+// whether the experiment failed or is still queued.
 func TestResultOfFailedExperimentFailsAtOnce(t *testing.T) {
-	s, c := serve(t, answer(http.StatusConflict, "", `{"id":"x","state":"failed","error":"boom"}`))
-	_, err := c.Result("x")
-	var herr *HTTPError
-	if !errors.As(err, &herr) || herr.Code != http.StatusConflict {
-		t.Fatalf("Result error = %v, want an *HTTPError with 409", err)
-	}
-	if n := len(s.requests()); n != 1 {
-		t.Fatalf("%d requests, want 1", n)
+	for _, body := range []string{
+		`{"id":"x","state":"failed","error":"boom"}`,
+		`{"id":"x","state":"queued"}`,
+	} {
+		s, c := serve(t, answer(http.StatusConflict, "", body))
+		_, err := c.Result("x")
+		var herr *HTTPError
+		if !errors.As(err, &herr) || herr.Code != http.StatusConflict {
+			t.Fatalf("Result over %s: error = %v, want an *HTTPError with 409", body, err)
+		}
+		if n := len(s.requests()); n != 1 {
+			t.Fatalf("Result over %s: %d requests, want 1", body, n)
+		}
 	}
 }
 

@@ -12,15 +12,15 @@
 //     corrupt, misattributed or wrong bytes are never served;
 //   - acknowledged, durably-stored entries are never lost (the
 //     invariant that catches a missing fsync or parent-dir fsync),
-//     except where the workload itself weakened the guarantee (GC
-//     eviction, deliberate corruption);
+//     except where the workload itself weakened the guarantee by
+//     deliberate corruption;
 //   - recovery is idempotent: recovering twice from any image leaves
 //     the disk byte-identical to recovering once, and the second open
 //     repairs nothing;
 //   - re-stored entries round-trip byte-identical to the fault-free
 //     reference.
 //
-// Everything is deterministic — fixed clock, generated payloads, no
+// Everything is deterministic — generated payloads, no clock, no
 // randomness — so a failure report names an exact (workload, crash
 // op, variant) triple that replays identically every run.
 package crash
@@ -31,7 +31,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"rmscale/internal/fsutil/crashfs"
 	"rmscale/internal/service"
@@ -91,17 +90,6 @@ type WorkloadReport struct {
 	Failures    int    `json:"failures"`
 }
 
-// fixedClock freezes time: harness runs must be reproducible, so no
-// wall clock may leak into workloads or recovery.
-type fixedClock struct{}
-
-func (fixedClock) Now() time.Time      { return time.Time{} }
-func (fixedClock) Sleep(time.Duration) {}
-
-// After satisfies service.Clock; the nil channel never fires, which is
-// exactly right — nothing in a crash replay may wait on real time.
-func (fixedClock) After(time.Duration) <-chan time.Time { return nil } //lint:allow nokernelgoroutines Clock interface requires the channel-typed signature; the harness never creates or sends on one
-
 // harnessError marks a defect in the harness or its plumbing (not a
 // finding about the code under test); it propagates as a panic so a
 // broken harness can never report a green run.
@@ -116,7 +104,6 @@ func must(err error) {
 // workload is one canonical persistence scenario.
 type workload struct {
 	name          string
-	maxResults    int // result store MaxResults for run and recovery (0 = unbounded)
 	maxQuarantine int // MaxQuarantine of both stores for run and recovery (0 = default)
 	run           func(o *oracle)
 }
@@ -124,8 +111,8 @@ type workload struct {
 // oracle accumulates, while a workload runs, which guarantee became
 // binding at which op index, per store. An acknowledgement at op count
 // c is binding for every crash prefix of at least c ops; a weakening
-// at op count c (GC eviction may begin, deliberate corruption starts)
-// legitimizes absence for prefixes of c ops or more.
+// at op count c (deliberate corruption starts) legitimizes absence for
+// prefixes of c ops or more.
 type oracle struct {
 	fs *crashfs.FS
 	wl *workload
@@ -159,14 +146,10 @@ func (o *oracle) ledgers() []*ledger { return []*ledger{o.results, o.journal} }
 // open opens l's store on the oracle's filesystem.
 func (o *oracle) open(l *ledger) *service.Store { return o.openOn(o.fs, l) }
 
-// openOn opens l's store on disk as the daemon does: the result store
-// under the workload's GC bound, the journal with none.
+// openOn opens l's store on disk under the workload's quarantine
+// bound.
 func (o *oracle) openOn(disk *crashfs.FS, l *ledger) *service.Store {
-	cfg := service.StoreConfig{Dir: l.dir, MaxQuarantine: o.wl.maxQuarantine, Clock: fixedClock{}, FS: disk}
-	if l == o.results {
-		cfg.MaxResults = o.wl.maxResults
-	}
-	st, err := service.NewStore(cfg)
+	st, err := service.NewStore(service.StoreConfig{Dir: l.dir, MaxQuarantine: o.wl.maxQuarantine, FS: disk})
 	must(err)
 	return st
 }
@@ -214,8 +197,8 @@ func (o *oracle) putBatch(l *ledger, st *service.Store, ids []string, sizes []in
 }
 
 // weaken marks result ids as legitimately absent from any crash prefix
-// that includes the current op count — called before an
-// eviction-risking or corrupting operation begins.
+// that includes the current op count — called before a corrupting
+// operation begins.
 func (o *oracle) weaken(ids ...string) {
 	at := o.fs.OpCount()
 	for _, id := range ids {
@@ -266,11 +249,9 @@ func workloads() []*workload {
 		},
 		{
 			// Group commit of results, as the daemon's committer does
-			// it: the results the shards finish commit as one batch
-			// whose GC evictions append tombstones — including one for
-			// an earlier item of the same batch.
-			name:       "group-commit",
-			maxResults: 3,
+			// it: the results the shards finish commit as one batch,
+			// one synced append.
+			name: "group-commit",
 			run: func(o *oracle) {
 				j := o.open(o.journal)
 				st := o.open(o.results)
@@ -280,9 +261,6 @@ func workloads() []*workload {
 				for k, id := range ids {
 					o.put(o.journal, j, id, 20+40*k)
 				}
-				// Four results over a bound of three evict grp00, then
-				// grp01 from the batch itself.
-				o.weaken("grp00", "grp01")
 				o.putBatch(o.results, st, ids, []int{40, 100, 160, 220})
 				must(j.Close())
 			},
@@ -302,32 +280,6 @@ func workloads() []*workload {
 					o.put(o.journal, j2, fmt.Sprintf("burst%02d", k), 15+40*k)
 				}
 				must(j2.Close())
-			},
-		},
-		{
-			// LRU GC under a tight bound: eviction appends tombstones
-			// and compaction rewrites the log, which weakens the
-			// survival guarantee for the evicted.
-			name:       "gc-eviction",
-			maxResults: 2,
-			run: func(o *oracle) {
-				st := o.open(o.results)
-				var stored []string
-				for k := 0; k < 5; k++ {
-					id := fmt.Sprintf("gc%02d", k)
-					// Any already-stored entry may be evicted by this
-					// Put once the bound is exceeded.
-					if k >= 2 {
-						o.weaken(stored...)
-					}
-					o.put(o.results, st, id, 30+50*k)
-					stored = append(stored, id)
-				}
-				// A read reshuffles LRU order, so the next eviction
-				// takes gc04, not gc03.
-				st.Get("gc03")
-				o.weaken(stored...)
-				o.put(o.results, st, "gc05", 60)
 			},
 		},
 		{

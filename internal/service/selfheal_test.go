@@ -193,50 +193,60 @@ func TestRestartGarbledJournalGarbage(t *testing.T) {
 	}
 }
 
-// TestResultEvictedReexec pins self-healing through the GC path: a
-// done experiment whose result was evicted re-queues on fetch and the
-// recomputed payload is byte-identical.
-func TestResultEvictedReexec(t *testing.T) {
+// TestUpgradeFromGCBoundedDir pins the upgrade over a directory a
+// GC-bounded daemon left: its result log holds a tombstone for every
+// result it evicted. The first start re-executes exactly the evicted
+// results, and a second start finds every result stored and re-runs
+// nothing.
+func TestUpgradeFromGCBoundedDir(t *testing.T) {
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Shards: 1, Exec: fakeExec, StoreMaxResults: 1})
-	if err != nil {
-		t.Fatal(err)
+	var journal, results []byte
+	var ids []string
+	want := map[string][]byte{}
+	for k := 0; k < 6; k++ {
+		spec := ExperimentSpec{Kind: KindSim, Model: "LOWEST", Seed: int64(k + 1)}
+		id := mustID(t, spec)
+		rec, err := json.Marshal(submitRecord{Spec: spec, Client: "c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, encodeRecord(id, false, rec)...)
+		want[id], _ = fakeExec(context.Background(), spec, "")
+		results = append(results, encodeRecord(id, false, want[id])...)
+		ids = append(ids, id)
+		if k >= 2 { // a bound of two evicts the oldest result on each store
+			results = append(results, encodeRecord(ids[k-2], true, nil)...)
+		}
 	}
-	defer d.Close()
-	specA := ExperimentSpec{Kind: KindSim, Model: "LOWEST", Seed: 1}
-	specB := ExperimentSpec{Kind: KindSim, Model: "LOWEST", Seed: 2}
-	stA, err := d.Submit(specA, "c")
-	if err != nil {
-		t.Fatal(err)
+	for sub, b := range map[string][]byte{"journal": journal, "results": results} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sub, sub+".log"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitTerminal(t, d, stA.ID)
-	want, ok := d.Result(stA.ID)
-	if !ok {
-		t.Fatal("A missing before eviction")
-	}
-	wantCopy := append([]byte(nil), want...)
-	stB, err := d.Submit(specB, "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, d, stB.ID) // Put(B) evicts A (MaxResults 1)
 
-	// First fetch misses and triggers the re-execution...
-	if _, ok := d.Result(stA.ID); ok {
-		t.Fatal("evicted A served without re-execution")
-	}
-	// ...which runs to done again and restores identical bytes.
-	fin := waitTerminal(t, d, stA.ID)
-	if fin.State != StateDone {
-		t.Fatalf("re-execution ended %s (%s)", fin.State, fin.Error)
-	}
-	got, ok := d.Result(stA.ID)
-	if !ok || !bytes.Equal(got, wantCopy) {
-		t.Fatalf("recomputed A differs: ok=%v", ok)
-	}
-	s := d.Stats()
-	if s.Reexecuted != 1 || s.EvictedResults < 1 {
-		t.Fatalf("stats = reexecuted %d evicted %d, want 1/>=1", s.Reexecuted, s.EvictedResults)
+	for _, wantRuns := range []int64{4, 0} {
+		d, err := New(Config{Dir: dir, Shards: 1, Exec: fakeExec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if fin := waitTerminal(t, d, id); fin.State != StateDone {
+				t.Fatalf("%s ended %s (%s), want done", id, fin.State, fin.Error)
+			}
+			if got, ok := d.Result(id); !ok || !bytes.Equal(got, want[id]) {
+				t.Fatalf("%s = %q, %v; want %q", id, got, ok, want[id])
+			}
+		}
+		s := d.Stats()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Resumed != wantRuns || s.Executions != wantRuns || s.CorruptResults != 0 {
+			t.Fatalf("resumed %d, executions %d, corrupt %d; want %d, %d, 0", s.Resumed, s.Executions, s.CorruptResults, wantRuns, wantRuns)
+		}
 	}
 }
 

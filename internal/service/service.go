@@ -106,23 +106,21 @@ type Stats struct {
 	Draining      bool  `json:"draining"`
 
 	// Supervision and integrity accounting (the self-healing surface).
-	Retries         int64  `json:"retries"`                    // supervised re-attempts after a failed execution try
-	ExecPanics      int64  `json:"exec_panics"`                // executor panics converted to failures
-	ExecTimeouts    int64  `json:"exec_timeouts"`              // executions cancelled at their deadline
-	BreakerTrips    int64  `json:"breaker_trips"`              // times the circuit breaker opened
-	BreakerOpen     bool   `json:"breaker_open"`               // breaker currently shedding
-	Shed            int64  `json:"shed"`                       // submissions shed by the open breaker
-	Reexecuted      int64  `json:"reexecuted"`                 // done experiments re-queued after GC evicted their result
-	CorruptResults  int64  `json:"corrupt_results"`            // stored results that failed checksum verification at open (quarantined)
-	EvictedResults  int64  `json:"evicted_results"`            // store entries evicted by GC
-	QuarantineLen   int    `json:"quarantine_len"`             // corrupt results currently held in quarantine
-	QuarantineGC    int64  `json:"quarantine_evicted"`         // quarantined results dropped by the quarantine bound
-	StoreBytes      int64  `json:"store_bytes"`                // memory-tier payload bytes
-	JournalDropped  int    `json:"journal_dropped"`            // journal lines discarded at startup: quarantined, or a torn final line
-	JournalSkipped  int    `json:"journal_skipped"`            // malformed journal records skipped at startup
-	StoreDegraded   string `json:"store_degraded,omitempty"`   // non-empty: store fell back to memory-only (why)
-	JournalDegraded string `json:"journal_degraded,omitempty"` // non-empty: submissions no longer journaled (why)
-	Degraded        bool   `json:"degraded"`                   // any degradation condition active
+	Retries           int64  `json:"retries"`                    // supervised re-attempts after a failed execution try
+	ExecPanics        int64  `json:"exec_panics"`                // executor panics converted to failures
+	ExecTimeouts      int64  `json:"exec_timeouts"`              // executions cancelled at their deadline
+	BreakerTrips      int64  `json:"breaker_trips"`              // times the circuit breaker opened
+	BreakerOpen       bool   `json:"breaker_open"`               // breaker currently shedding
+	Shed              int64  `json:"shed"`                       // submissions shed by the open breaker
+	CorruptResults    int64  `json:"corrupt_results"`            // stored results that failed checksum verification at open (quarantined)
+	QuarantineLen     int    `json:"quarantine_len"`             // corrupt results currently held in quarantine
+	QuarantineEvicted int64  `json:"quarantine_evicted"`         // quarantined results dropped by the quarantine bound
+	StoreBytes        int64  `json:"store_bytes"`                // memory-tier payload bytes
+	JournalDropped    int    `json:"journal_dropped"`            // journal lines discarded at startup: quarantined, or a torn final line
+	JournalSkipped    int    `json:"journal_skipped"`            // malformed journal records skipped at startup
+	StoreDegraded     string `json:"store_degraded,omitempty"`   // non-empty: store fell back to memory-only (why)
+	JournalDegraded   string `json:"journal_degraded,omitempty"` // non-empty: submissions no longer journaled (why)
+	Degraded          bool   `json:"degraded"`                   // any degradation condition active
 }
 
 // DedupHits is the total number of submissions that shared an existing
@@ -174,17 +172,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker sheds submissions
 	// before probing half-open; <= 0 picks 30s.
 	BreakerCooldown time.Duration
-
-	// StoreMaxResults / StoreMaxBytes / StoreMaxAge bound the result
-	// store (LRU eviction; evicted IDs re-execute on resubmission).
-	// Zero values leave the store unbounded.
-	StoreMaxResults int
-	StoreMaxBytes   int64
-	StoreMaxAge     time.Duration
-	// StoreMaxQuarantine bounds the journal's and the result store's
-	// quarantine directories (oldest entries evicted first); <= 0 picks
-	// DefaultMaxQuarantine.
-	StoreMaxQuarantine int
 }
 
 // Daemon is a running rmscaled instance.
@@ -249,15 +236,7 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Dir != "" {
 		resultsDir = filepath.Join(cfg.Dir, "results")
 	}
-	store, err := NewStore(StoreConfig{
-		Dir:           resultsDir,
-		MaxResults:    cfg.StoreMaxResults,
-		MaxBytes:      cfg.StoreMaxBytes,
-		MaxAge:        cfg.StoreMaxAge,
-		MaxQuarantine: cfg.StoreMaxQuarantine,
-		Clock:         cfg.Clock,
-		FS:            cfg.FS,
-	})
+	store, err := NewStore(StoreConfig{Dir: resultsDir, FS: cfg.FS})
 	if err != nil {
 		return nil, err
 	}
@@ -281,14 +260,7 @@ func New(cfg Config) (*Daemon, error) {
 		// the healed store and the recovery summary below reports what
 		// a crash actually cost.
 		audit := store.Audit()
-		// The journal has no GC bounds: it keeps every accepted
-		// submission.
-		j, err := NewStore(StoreConfig{
-			Dir:           filepath.Join(cfg.Dir, "journal"),
-			MaxQuarantine: cfg.StoreMaxQuarantine,
-			Clock:         cfg.Clock,
-			FS:            cfg.FS,
-		})
+		j, err := NewStore(StoreConfig{Dir: filepath.Join(cfg.Dir, "journal"), FS: cfg.FS})
 		if err != nil {
 			store.Close()
 			return nil, err
@@ -568,35 +540,11 @@ func (d *Daemon) withProgress(st Status) Status {
 	return st
 }
 
-// Result returns the stored result payload for a done experiment.
-//
-// Self-healing: a done experiment whose payload is no longer servable
-// — evicted by store GC — is re-queued for execution on the spot
-// (bypassing admission control: it was admitted once already). The
-// caller sees a miss now and the byte-identical recomputed result
-// after the re-run, because the payload is a pure function of the
-// content address.
-func (d *Daemon) Result(id string) ([]byte, bool) {
-	if b, ok := d.store.Get(id); ok {
-		return b, true
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.exps[id]
-	if !ok || e.State != StateDone || d.draining || d.closed {
-		return nil, false
-	}
-	e.State = StateQueued
-	e.Err = ""
-	if err := d.queue.push(e.Client, e, true); err != nil {
-		e.State = StateDone
-		return nil, false
-	}
-	d.stats.Reexecuted++
-	d.logEvent("reexec", map[string]any{"id": id, "spec": e.Spec.String()})
-	d.cond.Broadcast()
-	return nil, false
-}
+// Result returns the stored result payload for a done experiment. A
+// done experiment's result is always servable: the committer stores it
+// before it marks the experiment done, the store never removes an
+// entry, and resume and admission mark done only what the store holds.
+func (d *Daemon) Result(id string) ([]byte, bool) { return d.store.Get(id) }
 
 // Wait blocks until the experiment is terminal or the daemon closes,
 // and returns the then-current snapshot; after a close it may still be
@@ -665,10 +613,9 @@ func (d *Daemon) Stats() Stats {
 	s.Draining = d.draining
 	s.StoreLen = ss.Len
 	s.StoreBytes = ss.Bytes
-	s.EvictedResults = ss.Evicted
-	s.CorruptResults = ss.Corrupt
+	s.CorruptResults = int64(d.store.Audit().Quarantined)
 	s.QuarantineLen = ss.QuarantineLen
-	s.QuarantineGC = ss.QuarantineEvicted
+	s.QuarantineEvicted = ss.QuarantineEvicted
 	s.StoreDegraded = ss.Degraded
 	s.JournalDegraded = d.jDegrade
 	s.BreakerOpen = d.brk.open && d.clock.Now().Before(d.brk.openUntil)

@@ -14,7 +14,6 @@ import (
 	"strings"
 	//lint:allow nokernelgoroutines the result store is shared by HTTP handler goroutines and daemon shards; a mutex over the memory tier is the service layer's concurrency, not the sim kernel's
 	"sync"
-	"time"
 
 	"rmscale/internal/fsutil"
 )
@@ -27,7 +26,8 @@ import (
 // content addresses, so a payload is immutable once written — Put
 // never changes the bytes under an existing ID — and clients may cache
 // fetched results forever; and its submission journal, one record per
-// accepted experiment. One daemon owns a directory.
+// accepted experiment. A store never removes an entry it holds. One
+// daemon owns a directory.
 //
 // Integrity and lifecycle:
 //
@@ -36,80 +36,52 @@ import (
 //     is the SHA-256 over the ID and the payload, so neither damaged
 //     bytes nor a damaged ID are ever served. The open-time replay
 //     quarantines such a line under DIR/quarantine, and the daemon
-//     re-executes a lost result on demand, which is safe precisely
-//     because the payload is a pure function of the ID. Line framing
-//     confines the damage: replay resynchronises at the next newline,
-//     and a torn final line (a crash mid-append) was never
-//     acknowledged;
+//     re-executes the lost result when it resumes the journal, which
+//     is safe precisely because the payload is a pure function of the
+//     ID. Line framing confines the damage: replay resynchronises at
+//     the next newline, and a torn final line (a crash mid-append) was
+//     never acknowledged;
 //   - whenever the log is not exactly its live records (a torn or
-//     damaged line, superseded records, tombstones) it is rewritten
-//     once at open with fsutil.WriteAtomic, so a second recovery
-//     changes nothing; the same rewrite runs when dead bytes outweigh
-//     live ones, so the GC bounds bound the disk;
+//     damaged line, superseded records, the tombstones an older,
+//     GC-bounded rmscaled wrote) it is rewritten once at open with
+//     fsutil.WriteAtomic, in ID order, so a second recovery changes
+//     nothing;
 //   - disk IO errors degrade the store to memory-only instead of
 //     failing requests: entries stay servable for this incarnation,
 //     durability is surfaced as a health condition, not an outage, and
-//     nothing more is appended behind a possibly torn line;
-//   - optional GC (max results / max bytes / max age) evicts in
-//     least-recently-used order and appends an unsynced tombstone per
-//     eviction. Eviction is safe against in-flight fetches: a fetched
-//     slice stays valid (payloads are never mutated), and an evicted
-//     entry simply re-executes on its next submission.
+//     nothing more is appended behind a possibly torn line.
 type Store struct {
 	// Configuration, immutable after NewStore: declared above the
 	// mutex so the guarded-field discipline (locksafe) does not bind
 	// lock-free readers to it.
 	dir           string // "" = memory only
-	clock         Clock
 	fs            fsutil.FS
-	maxResults    int
-	maxBytes      int64
-	maxAge        time.Duration
 	maxQuarantine int
 	log           *storeLog  // nil = memory only
 	audit         StoreAudit // the open-time replay
 
 	mu       sync.Mutex
-	mem      map[string]*storeEntry
-	bytes    int64 // memory-tier payload bytes
-	seq      int64 // access counter driving LRU order
-	evicted  int64
-	corrupt  int64
+	mem      map[string][]byte
+	bytes    int64  // memory-tier payload bytes
 	qseq     int64  // last quarantine sequence number issued
 	qlen     int    // quarantined entries currently on disk
 	qevicted int64  // quarantined entries evicted by the bound
 	degraded string // non-empty: disk tier is offline (mem-only mode)
 }
 
-// storeEntry is one memory-tier payload with its LRU bookkeeping.
-type storeEntry struct {
-	b       []byte
-	lastUse int64     // access sequence number
-	at      time.Time // when the payload was stored or loaded
-}
-
-// entryRef is an ID with its payload: an entry GC evicted, awaiting
-// its tombstone, or a live one being rewritten into the log.
-type entryRef struct {
-	id string
-	b  []byte
-}
-
-// storeLog is the disk tier: the append handle of the log and the
-// byte accounting that triggers compaction. Its mutex serialises every
-// log write, so records land in the order Put decided them under
-// Store.mu; Get, Has and dedup answers never take it.
+// storeLog is the disk tier: the append handle of the log. Its mutex
+// serialises every log write, so records land in the order Put decided
+// them under Store.mu; Get, Has and dedup answers never take it.
 type storeLog struct {
 	path string
 
-	mu   sync.Mutex
-	f    fsutil.File // nil until the log exists and is open
-	live int64       // bytes of live records in the log
-	dead int64       // bytes of evicted records and tombstones
+	mu sync.Mutex
+	f  fsutil.File // nil until the log exists and is open
 }
 
 // logRecord is one line of the log. A tombstone (Del) carries no
-// payload: it records an eviction.
+// payload: an older, GC-bounded rmscaled wrote one per eviction, and
+// replay still honours it.
 type logRecord struct {
 	ID   string `json:"id"`
 	Del  bool   `json:"del,omitempty"`
@@ -154,22 +126,11 @@ type StoreConfig struct {
 	// Dir is the store's own directory, which holds its log and
 	// quarantine; empty is memory-only.
 	Dir string
-	// MaxResults bounds how many payloads are retained; <= 0 is
-	// unlimited. Over the bound, least-recently-used entries are
-	// evicted (memory and log).
-	MaxResults int
-	// MaxBytes bounds the memory-tier payload bytes; <= 0 unlimited.
-	MaxBytes int64
-	// MaxAge evicts entries not stored or loaded within the window;
-	// <= 0 unlimited.
-	MaxAge time.Duration
 	// MaxQuarantine bounds how many corrupt entries the quarantine
 	// directory retains; beyond it the oldest are deleted. <= 0 picks
 	// the default (64) — the quarantine exists for forensics on recent
 	// corruption and must not grow without limit on a flaky disk.
 	MaxQuarantine int
-	// Clock stamps entries for MaxAge; nil uses the wall clock.
-	Clock Clock
 	// FS is the filesystem seam; nil uses the real filesystem.
 	FS fsutil.FS
 }
@@ -182,8 +143,6 @@ const DefaultMaxQuarantine = 64
 type StoreStats struct {
 	Len               int
 	Bytes             int64
-	Evicted           int64
-	Corrupt           int64
 	QuarantineLen     int
 	QuarantineEvicted int64
 	Degraded          string
@@ -194,10 +153,6 @@ type StoreStats struct {
 // its log before it returns; an IO error there degrades it to
 // memory-only rather than failing.
 func NewStore(cfg StoreConfig) (*Store, error) {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = realClock{}
-	}
 	fsys := cfg.FS
 	if fsys == nil {
 		fsys = fsutil.RealFS{}
@@ -207,12 +162,8 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		maxQ = DefaultMaxQuarantine
 	}
 	s := &Store{
-		mem:           make(map[string]*storeEntry),
-		clock:         clock,
+		mem:           make(map[string][]byte),
 		fs:            fsys,
-		maxResults:    cfg.MaxResults,
-		maxBytes:      cfg.MaxBytes,
-		maxAge:        cfg.MaxAge,
 		maxQuarantine: maxQ,
 	}
 	if cfg.Dir == "" {
@@ -244,16 +195,13 @@ func (s *Store) open() {
 	}
 	dirty := s.replayLocked(raw)
 	s.sweepTempsLocked()
-	if len(s.gcLocked()) > 0 {
-		dirty = true
-	}
 	var werr error
 	switch {
 	case dirty:
-		werr = s.log.rewriteLocked(s.fs, encodeLive(s.liveLocked()))
+		werr = s.log.rewriteLocked(s.fs, s.encodeLiveLocked())
 		s.audit.Rewritten = werr == nil
 	case exists:
-		werr = s.log.reopenLocked(s.fs, int64(len(raw)))
+		werr = s.log.reopenLocked(s.fs)
 	}
 	if werr != nil {
 		s.degraded = werr.Error()
@@ -265,7 +213,6 @@ func (s *Store) open() {
 // in log order and reports whether the log held anything but live
 // records. Callers hold s.mu.
 func (s *Store) replayLocked(raw []byte) (dirty bool) {
-	now := s.clock.Now()
 	for len(raw) > 0 {
 		i := bytes.IndexByte(raw, '\n')
 		if i < 0 {
@@ -285,18 +232,15 @@ func (s *Store) replayLocked(raw []byte) (dirty bool) {
 			s.quarantineLocked(append(line[:len(line):len(line)], '\n'))
 		case r.Del:
 			dirty = true
-			if e, ok := s.mem[r.ID]; ok {
-				delete(s.mem, r.ID)
-				s.bytes -= int64(len(e.b))
-			}
+			s.bytes -= int64(len(s.mem[r.ID]))
+			delete(s.mem, r.ID)
 		default:
 			s.audit.Verified++
 			if old, dup := s.mem[r.ID]; dup {
 				dirty = true
-				s.bytes -= int64(len(old.b))
+				s.bytes -= int64(len(old))
 			}
-			s.seq++
-			s.mem[r.ID] = &storeEntry{b: r.Data, lastUse: s.seq, at: now}
+			s.mem[r.ID] = r.Data
 			s.bytes += int64(len(r.Data))
 		}
 	}
@@ -319,12 +263,11 @@ func (s *Store) sweepTempsLocked() {
 
 func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
-// quarantineLocked counts one corrupt log line and keeps its bytes for
-// forensics as quarantine/q%08d-<log name>. The monotonic sequence
-// prefix makes the sorted listing arrival order, which is what lets
-// the bound evict oldest-first. Callers hold s.mu.
+// quarantineLocked counts one corrupt log line in the audit and keeps
+// its bytes for forensics as quarantine/q%08d-<log name>. The monotonic
+// sequence prefix makes the sorted listing arrival order, which is what
+// lets the bound evict oldest-first. Callers hold s.mu.
 func (s *Store) quarantineLocked(data []byte) {
-	s.corrupt++
 	s.audit.Quarantined++
 	qdir := s.quarantineDir()
 	if s.fs.MkdirAll(qdir, 0o755) != nil {
@@ -368,17 +311,12 @@ func (s *Store) boundQuarantineLocked() {
 	s.qevicted += int64(removed)
 }
 
-// Get returns the payload stored under id and marks it recently used.
+// Get returns the payload stored under id.
 func (s *Store) Get(id string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.mem[id]
-	if !ok {
-		return nil, false
-	}
-	s.seq++
-	e.lastUse = s.seq
-	return e.b, true
+	b, ok := s.mem[id]
+	return b, ok
 }
 
 // Has reports whether a valid result is stored under id. Corrupt log
@@ -396,14 +334,10 @@ func (s *Store) Has(id string) bool {
 // taken when it starts, and stops at the first error fn returns.
 func (s *Store) Each(fn func(id string, b []byte) error) error {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.mem))
-	for id := range s.mem { //lint:orderindependent ids are sorted below before use
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := s.idsLocked()
 	bs := make([][]byte, len(ids))
 	for i, id := range ids {
-		bs[i] = s.mem[id].b
+		bs[i] = s.mem[id]
 	}
 	s.mu.Unlock()
 	for i, id := range ids {
@@ -412,6 +346,16 @@ func (s *Store) Each(fn func(id string, b []byte) error) error {
 		}
 	}
 	return nil
+}
+
+// idsLocked lists the memory tier's IDs in order. Callers hold s.mu.
+func (s *Store) idsLocked() []string {
+	ids := make([]string, 0, len(s.mem))
+	for id := range s.mem { //lint:orderindependent ids are sorted below before use
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // StoreItem is one result of a batch commit: a payload and its ID.
@@ -439,7 +383,7 @@ func (s *Store) PutBatch(items []StoreItem) {
 	if s.log == nil {
 		s.mu.Lock()
 		for _, it := range items {
-			s.insertLocked(it.ID, it.Data)
+			s.insertLocked(it)
 		}
 		s.mu.Unlock()
 		return
@@ -447,26 +391,20 @@ func (s *Store) PutBatch(items []StoreItem) {
 	//lint:allow locksafe the log mutex serialises log writes so records land in the order PutBatch decides them under s.mu; Get, Has and dedup answers never take it, so no read waits on a flush
 	s.log.mu.Lock()
 	defer s.log.mu.Unlock()
-	var batch logBatch
+	var recs []byte
 	s.mu.Lock()
 	for _, it := range items {
-		fresh, evicted := s.insertLocked(it.ID, it.Data)
-		batch.add(it.ID, it.Data, fresh, evicted)
+		if s.insertLocked(it) {
+			recs = append(recs, encodeRecord(it.ID, false, it.Data)...)
+		}
 	}
 	s.mu.Unlock()
 	// Only a commit holding the log mutex degrades the store, so the
 	// answer cannot change before this batch writes.
-	if _, degraded := s.Degraded(); degraded {
+	if _, degraded := s.Degraded(); degraded || len(recs) == 0 {
 		return
 	}
-	err := s.log.commitLocked(s.fs, &batch)
-	if err == nil && s.log.dead > s.log.live {
-		s.mu.Lock()
-		live := s.liveLocked()
-		s.mu.Unlock()
-		err = s.log.rewriteLocked(s.fs, encodeLive(live))
-	}
-	if err != nil {
+	if err := s.log.appendLocked(s.fs, recs); err != nil {
 		s.degrade(err)
 	}
 }
@@ -480,78 +418,25 @@ func (s *Store) degrade(err error) {
 	}
 }
 
-// insertLocked stores b under id unless the ID is already stored, then
-// runs GC. It reports whether the entry is new and survived GC (so its
-// record must be logged) and what GC evicted. Callers hold s.mu.
-func (s *Store) insertLocked(id string, b []byte) (fresh bool, evicted []entryRef) {
-	e, had := s.mem[id]
-	if !had {
-		s.seq++
-		e = &storeEntry{b: b, lastUse: s.seq, at: s.clock.Now()}
-		s.mem[id] = e
-		s.bytes += int64(len(b))
+// insertLocked stores it unless its ID is already stored, and reports
+// whether it did, so its record must be logged. Callers hold s.mu.
+func (s *Store) insertLocked(it StoreItem) bool {
+	if _, had := s.mem[it.ID]; had {
+		return false
 	}
-	evicted = s.gcLocked()
-	if had || s.mem[id] == e {
-		return !had, evicted
-	}
-	// GC evicted the new entry itself; it never reached the log.
-	for i := range evicted {
-		if evicted[i].id == id {
-			evicted = append(evicted[:i], evicted[i+1:]...)
-			break
-		}
-	}
-	return false, evicted
+	s.mem[it.ID] = it.Data
+	s.bytes += int64(len(it.Data))
+	return true
 }
 
-// logBatch is one commit's lines and their byte accounting.
-type logBatch struct {
-	out        []byte
-	live, dead int64 // changes to the log's live and dead bytes
-	synced     bool  // holds a record, so the commit is a synced append
-}
-
-// add appends one Put's lines: a tombstone per evicted entry, then the
-// record when the entry is new.
-func (b *logBatch) add(id string, data []byte, fresh bool, evicted []entryRef) {
-	for _, e := range evicted {
-		tomb := encodeRecord(e.id, true, nil)
-		b.out = append(b.out, tomb...)
-		rec := int64(len(encodeRecord(e.id, false, e.b)))
-		b.live -= rec
-		b.dead += rec + int64(len(tomb))
-	}
-	if fresh {
-		rec := encodeRecord(id, false, data)
-		b.out = append(b.out, rec...)
-		b.live += int64(len(rec))
-		b.synced = true
-	}
-}
-
-// commitLocked writes a batch. One holding a record is one synced
-// append; tombstones alone are written without an fsync, since losing
-// one only resurrects a valid result. Callers hold l.mu.
-func (l *storeLog) commitLocked(fsys fsutil.FS, b *logBatch) error {
-	if len(b.out) == 0 {
-		return nil
-	}
+// appendLocked commits recs with one synced append. Callers hold l.mu.
+func (l *storeLog) appendLocked(fsys fsutil.FS, recs []byte) error {
 	if l.f == nil {
 		if err := l.createLocked(fsys); err != nil {
 			return err
 		}
 	}
-	if !b.synced {
-		if _, err := l.f.Write(b.out); err != nil {
-			return fmt.Errorf("service: store log %s: %w", l.path, err)
-		}
-	} else if err := fsys.AppendSync(l.f, b.out); err != nil {
-		return err
-	}
-	l.live += b.live
-	l.dead += b.dead
-	return nil
+	return fsys.AppendSync(l.f, recs)
 }
 
 // createLocked creates the log on the first Put. The directory fsync
@@ -576,41 +461,25 @@ func (l *storeLog) rewriteLocked(fsys fsutil.FS, recs []byte) error {
 	if err := fsys.WriteFileAtomic(l.path, recs, 0o644); err != nil {
 		return err
 	}
-	return l.reopenLocked(fsys, int64(len(recs)))
+	return l.reopenLocked(fsys)
 }
 
-// reopenLocked opens the existing log, holding live bytes of live
-// records and nothing else, for appends. Callers hold l.mu.
-func (l *storeLog) reopenLocked(fsys fsutil.FS, live int64) error {
-	if l.f != nil {
-		_ = l.f.Close() // every byte written through it was synced or is a tombstone
-		l.f = nil
-	}
+// reopenLocked opens the existing log for appends. Callers hold l.mu.
+func (l *storeLog) reopenLocked(fsys fsutil.FS) error {
 	f, err := fsys.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("service: store log: %w", err)
 	}
-	l.f, l.live, l.dead = f, live, 0
+	l.f = f
 	return nil
 }
 
-// liveLocked snapshots the memory tier least recently used first, the
-// order a rewritten log keeps so that replay restores it. Callers hold
-// s.mu.
-func (s *Store) liveLocked() []entryRef {
-	live := make([]entryRef, 0, len(s.mem))
-	for id, e := range s.mem { //lint:orderindependent entries are re-sorted by LRU order below
-		live = append(live, entryRef{id, e.b})
-	}
-	sort.Slice(live, func(i, j int) bool { return s.mem[live[i].id].lastUse < s.mem[live[j].id].lastUse })
-	return live
-}
-
-// encodeLive renders entries as log records, in order.
-func encodeLive(entries []entryRef) []byte {
+// encodeLiveLocked renders the memory tier as log records in ID order,
+// the order Each visits. Callers hold s.mu.
+func (s *Store) encodeLiveLocked() []byte {
 	var out []byte
-	for _, e := range entries {
-		out = append(out, encodeRecord(e.id, false, e.b)...)
+	for _, id := range s.idsLocked() {
+		out = append(out, encodeRecord(id, false, s.mem[id])...)
 	}
 	return out
 }
@@ -637,53 +506,6 @@ func (s *Store) Degraded() (string, bool) {
 	return s.degraded, s.degraded != ""
 }
 
-// gcLocked evicts least-recently-used entries until the store is back
-// under its bounds and returns what it evicted, for the log's
-// tombstones: an evicted ID re-executes on its next submission, which
-// content addressing makes byte-identical. Callers hold s.mu.
-func (s *Store) gcLocked() []entryRef {
-	if s.maxResults <= 0 && s.maxBytes <= 0 && s.maxAge <= 0 {
-		return nil
-	}
-	var evicted []entryRef
-	if s.maxAge > 0 {
-		now := s.clock.Now()
-		var expired []string
-		for id, e := range s.mem { //lint:orderindependent expired IDs are sorted before eviction
-			if now.Sub(e.at) > s.maxAge {
-				expired = append(expired, id)
-			}
-		}
-		sort.Strings(expired)
-		for _, id := range expired {
-			evicted = append(evicted, s.evictLocked(id))
-		}
-	}
-	over := func() bool {
-		return (s.maxResults > 0 && len(s.mem) > s.maxResults) ||
-			(s.maxBytes > 0 && s.bytes > s.maxBytes)
-	}
-	if !over() {
-		return evicted
-	}
-	for _, c := range s.liveLocked() {
-		if !over() {
-			break
-		}
-		evicted = append(evicted, s.evictLocked(c.id))
-	}
-	return evicted
-}
-
-// evictLocked drops one entry from the memory tier. Callers hold s.mu.
-func (s *Store) evictLocked(id string) entryRef {
-	e := s.mem[id]
-	delete(s.mem, id)
-	s.bytes -= int64(len(e.b))
-	s.evicted++
-	return entryRef{id, e.b}
-}
-
 // Len reports how many payloads the memory tier holds.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -698,8 +520,6 @@ func (s *Store) Stats() StoreStats {
 	return StoreStats{
 		Len:               len(s.mem),
 		Bytes:             s.bytes,
-		Evicted:           s.evicted,
-		Corrupt:           s.corrupt,
 		QuarantineLen:     s.qlen,
 		QuarantineEvicted: s.qevicted,
 		Degraded:          s.degraded,

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"rmscale/internal/fsutil"
 )
@@ -146,8 +145,8 @@ func TestStoreChecksumQuarantine(t *testing.T) {
 	if b, ok := s2.Get("bbb"); !ok || string(b) != `{"summary":2}`+"\n" {
 		t.Fatalf("bbb = %q, %v; want its own bytes", b, ok)
 	}
-	if st := s2.Stats(); st.Corrupt != 2 || st.QuarantineLen != 2 {
-		t.Fatalf("stats = %+v, want corrupt=2 qlen=2", st)
+	if q, st := s2.Audit().Quarantined, s2.Stats(); q != 2 || st.QuarantineLen != 2 {
+		t.Fatalf("quarantined %d, stats = %+v; want 2 and qlen=2", q, st)
 	}
 	quarantined, err := filepath.Glob(filepath.Join(dir, "quarantine", "q*-"+resultLog))
 	if err != nil || len(quarantined) != 2 {
@@ -163,117 +162,6 @@ func TestStoreChecksumQuarantine(t *testing.T) {
 	// Has agrees with Get, so restart resume re-executes.
 	if s2.Has("aaa") || s2.Has("ccc") {
 		t.Fatal("Has accepted a quarantined record")
-	}
-}
-
-// TestStoreLRUEviction pins size-bounded GC: over MaxResults, the
-// least recently used entry is evicted from memory and, by its
-// tombstone, from the log.
-func TestStoreLRUEviction(t *testing.T) {
-	dir := resultsDir(t)
-	s := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 2})
-	s.Put("a", []byte("payload-a"))
-	s.Put("b", []byte("payload-b"))
-	if _, ok := s.Get("a"); !ok { // touch a: b becomes the LRU entry
-		t.Fatal("a missing before eviction")
-	}
-	s.Put("c", []byte("payload-c"))
-
-	if st := s.Stats(); st.Len != 2 || st.Evicted != 1 {
-		t.Fatalf("stats = len %d evicted %d, want 2/1", st.Len, st.Evicted)
-	}
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("LRU entry b still served")
-	}
-	for _, id := range []string{"a", "c"} {
-		if _, ok := s.Get(id); !ok {
-			t.Fatalf("survivor %s missing", id)
-		}
-	}
-	s.Close()
-	reopened := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 2})
-	if reopened.Has("b") || !reopened.Has("a") || !reopened.Has("c") {
-		t.Fatal("the log does not replay the eviction")
-	}
-}
-
-// TestStoreGCBoundsTheLog: dead bytes (evicted records and their
-// tombstones) never outweigh live ones for long — the log is rewritten
-// as its live records once they do, so a bounded store's disk stays
-// bounded.
-func TestStoreGCBoundsTheLog(t *testing.T) {
-	dir := resultsDir(t)
-	s := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 2})
-	for k := 0; k < 20; k++ {
-		s.Put(fmt.Sprintf("id%02d", k), []byte(strings.Repeat("x", 40+k)))
-		if lines := logLines(t, dir); len(lines) > 6 {
-			t.Fatalf("after %d puts the log holds %d lines for 2 live results", k+1, len(lines))
-		}
-	}
-	if _, degraded := s.Degraded(); degraded {
-		t.Fatal("compaction degraded the store")
-	}
-	s.Close()
-	s2 := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 2})
-	if s2.Len() != 2 || !s2.Has("id18") || !s2.Has("id19") {
-		t.Fatalf("reopened store holds %d results, want id18 and id19", s2.Len())
-	}
-}
-
-// TestStoreMaxBytes: the byte bound evicts in LRU order too, and the
-// accounting tracks the memory tier exactly.
-func TestStoreMaxBytes(t *testing.T) {
-	s := mustNewStore(t, StoreConfig{MaxBytes: 20})
-	s.Put("a", make([]byte, 10))
-	s.Put("b", make([]byte, 10))
-	if st := s.Stats(); st.Bytes != 20 || st.Len != 2 {
-		t.Fatalf("stats = bytes %d len %d, want 20/2", st.Bytes, st.Len)
-	}
-	s.Put("c", make([]byte, 10))
-	st := s.Stats()
-	if st.Bytes > 20 || st.Evicted != 1 {
-		t.Fatalf("stats = bytes %d evicted %d, want <=20 bytes after 1 eviction", st.Bytes, st.Evicted)
-	}
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("LRU entry a survived the byte bound")
-	}
-}
-
-// TestStoreMaxAge: entries older than MaxAge on the injected clock are
-// evicted at the next GC opportunity.
-func TestStoreMaxAge(t *testing.T) {
-	clk := newFakeClock()
-	s := mustNewStore(t, StoreConfig{MaxAge: time.Hour, Clock: clk})
-	s.Put("old", []byte("x"))
-	clk.advance(2 * time.Hour)
-	s.Put("new", []byte("y")) // Put runs GC
-	if _, ok := s.Get("old"); ok {
-		t.Fatal("expired entry still served")
-	}
-	if _, ok := s.Get("new"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	if st := s.Stats(); st.Evicted != 1 || st.Len != 1 {
-		t.Fatalf("stats = evicted %d len %d, want 1/1", st.Evicted, st.Len)
-	}
-}
-
-// TestStoreEvictionSafeForInflightFetches: a slice fetched before an
-// eviction stays valid and unchanged — payloads are never mutated or
-// recycled.
-func TestStoreEvictionSafeForInflightFetches(t *testing.T) {
-	s := mustNewStore(t, StoreConfig{MaxResults: 1})
-	s.Put("a", []byte("held-bytes"))
-	held, ok := s.Get("a")
-	if !ok {
-		t.Fatal("a missing")
-	}
-	s.Put("b", []byte("evicts-a"))
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("a not evicted")
-	}
-	if string(held) != "held-bytes" {
-		t.Fatalf("in-flight fetch corrupted by eviction: %q", held)
 	}
 }
 
@@ -322,9 +210,8 @@ func TestStoreQuarantineBound(t *testing.T) {
 			t.Fatalf("corrupt payload %s served", id)
 		}
 	}
-	st := s2.Stats()
-	if st.QuarantineLen != 2 || st.QuarantineEvicted != 2 || st.Corrupt != 4 {
-		t.Fatalf("stats = %+v, want qlen=2 qevicted=2 corrupt=4", st)
+	if q, st := s2.Audit().Quarantined, s2.Stats(); q != 4 || st.QuarantineLen != 2 || st.QuarantineEvicted != 2 {
+		t.Fatalf("quarantined %d, stats = %+v; want 4 and qlen=2 qevicted=2", q, st)
 	}
 	// Oldest-first: qa and qb are gone, qc and qd retained.
 	kept, _ := filepath.Glob(filepath.Join(dir, "quarantine", "q*-"+resultLog))
@@ -347,7 +234,9 @@ func TestStoreQuarantineBound(t *testing.T) {
 // with a corrupt line next to an orphaned temp file, every valid record
 // is served byte-identical, the corrupt line is quarantined, the temp
 // swept and the log rewritten as its live records, and a second open
-// changes no byte. A torn append then heals the same way.
+// changes no byte. A torn append then heals the same way, and so do
+// the tombstones an older, GC-bounded store appended: replay honours
+// them and the rewrite drops them.
 func TestStoreAudit(t *testing.T) {
 	dir := resultsDir(t)
 	payload := func(id string) string { return "payload of " + id + "\n" }
@@ -410,6 +299,42 @@ func TestStoreAudit(t *testing.T) {
 	s3.Close()
 	if after := dirImage(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatal("the rewrite did not restore the healed log byte for byte")
+	}
+
+	// Tombstones as a GC-bounded store wrote them: good2 evicted, and
+	// good3 evicted and then stored again.
+	f, err = os.OpenFile(logPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(encodeRecord("good2", true, nil))
+	f.Write(encodeRecord("good3", true, nil))
+	f.Write(encodeRecord("good3", false, []byte(payload("good3"))))
+	f.Close()
+	s4 := mustNewStore(t, StoreConfig{Dir: dir})
+	if a := s4.Audit(); a != (StoreAudit{Verified: 4, Rewritten: true}) {
+		t.Fatalf("audit over tombstones = %+v, want verified=4 rewritten and nothing quarantined", a)
+	}
+	if _, ok := s4.Get("good2"); ok {
+		t.Fatal("a tombstoned entry is served")
+	}
+	for _, id := range []string{"good1", "good3"} {
+		if b, ok := s4.Get(id); !ok || string(b) != payload(id) {
+			t.Fatalf("%s = %q, %v; want %q", id, b, ok, payload(id))
+		}
+	}
+	s4.Close()
+	if lines := logLines(t, dir); len(lines) != 2 {
+		t.Fatalf("log after the rewrite = %q, want good1's and good3's records alone", lines)
+	}
+	before = dirImage(t, dir)
+	s5 := mustNewStore(t, StoreConfig{Dir: dir})
+	if a := s5.Audit(); a != (StoreAudit{Verified: 2}) {
+		t.Fatalf("audit after the tombstones' rewrite = %+v, want verified=2 and nothing repaired", a)
+	}
+	s5.Close()
+	if after := dirImage(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatal("a second open after the tombstones' rewrite changed the directory")
 	}
 }
 
@@ -556,9 +481,9 @@ func TestStorePutIOShape(t *testing.T) {
 }
 
 // TestStoreBatchMatchesPuts: a batch commit writes the bytes the same
-// Puts write one by one, GC tombstones included (f evicts c, an
-// earlier item of its own batch), and its replay is the live store.
-// The evicted payloads are small, so neither side compacts.
+// Puts write one by one, an already stored ID adding no record, and its
+// replay is the live store. Bytes counts the payloads exactly, live and
+// replayed.
 func TestStoreBatchMatchesPuts(t *testing.T) {
 	big := func(c byte) []byte { return bytes.Repeat([]byte{c}, 1000) }
 	items := []StoreItem{
@@ -568,10 +493,11 @@ func TestStoreBatchMatchesPuts(t *testing.T) {
 		{ID: "e", Data: big('e')},
 		{ID: "f", Data: big('f')},
 	}
+	const wantBytes = int64(3*len("payload-a") + 3*1000)
 	var logs [2][]byte
 	for side, batched := range []bool{false, true} {
 		dir := t.TempDir()
-		s := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 3})
+		s := mustNewStore(t, StoreConfig{Dir: dir})
 		s.Put("a", []byte("payload-a"))
 		s.Put("b", []byte("payload-b"))
 		if batched {
@@ -590,7 +516,7 @@ func TestStoreBatchMatchesPuts(t *testing.T) {
 		}
 		logs[side] = b
 		s.Close()
-		re := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 3})
+		re := mustNewStore(t, StoreConfig{Dir: dir})
 		for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
 			live, _ := s.Get(id)
 			replayed, _ := re.Get(id)
@@ -598,21 +524,21 @@ func TestStoreBatchMatchesPuts(t *testing.T) {
 				t.Fatalf("batched=%v: %s live %q, replayed %q", batched, id, live, replayed)
 			}
 		}
+		if live, replayed := s.Stats().Bytes, re.Stats().Bytes; live != wantBytes || replayed != wantBytes {
+			t.Fatalf("batched=%v: bytes live %d, replayed %d; want %d", batched, live, replayed, wantBytes)
+		}
 	}
 	if !bytes.Equal(logs[0], logs[1]) {
 		t.Fatalf("batch log differs from one-by-one Puts:\n%s\nvs\n%s", logs[1], logs[0])
 	}
-	if n := bytes.Count(logs[1], []byte(`"del":true`)); n != 3 {
-		t.Fatalf("log holds %d tombstones, want 3 (a, b, c)", n)
-	}
 }
 
-// TestStoreConcurrentPuts: Puts, Gets and GC from several goroutines
-// at once leave a log whose replay is exactly the live memory tier,
-// each payload byte-identical.
+// TestStoreConcurrentPuts: Puts and Gets from several goroutines at
+// once leave a log whose replay is exactly the live memory tier, each
+// payload byte-identical.
 func TestStoreConcurrentPuts(t *testing.T) {
 	dir := t.TempDir()
-	s := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 12})
+	s := mustNewStore(t, StoreConfig{Dir: dir})
 	payload := func(id string) []byte { return []byte("payload-of-" + id) }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -633,7 +559,7 @@ func TestStoreConcurrentPuts(t *testing.T) {
 		t.Fatal("concurrent Puts degraded the store")
 	}
 	s.Close()
-	s2 := mustNewStore(t, StoreConfig{Dir: dir, MaxResults: 12})
+	s2 := mustNewStore(t, StoreConfig{Dir: dir})
 	if s2.Len() != s.Len() {
 		t.Fatalf("replay holds %d results, the live store held %d", s2.Len(), s.Len())
 	}
