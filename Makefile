@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint depscheck test examples resume serve-restart race fuzz gobench chaos chaos-service crashtest loadtest benchtest
+.PHONY: check build vet lint depscheck test examples resume serve-restart race fuzz record gobench chaos chaos-service crashtest loadtest benchtest
 
 # The gate CI runs: vet + stdlib-only dependency check + determinism
 # lint + full test suite + the example programs + the kill-and-resume
@@ -133,6 +133,20 @@ race:
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzKernelOps$$' -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzStreamMatchesMathRand$$' -fuzztime 30s
+
+# The committed quick record, byte for byte: all four figures at quick
+# fidelity and seed 1 (about 25-40 s on two cores), cmp-equal to
+# results/record_quick.txt. A change to the kernel or the engine that
+# reorders or drops an event shows here even where the smoke goldens
+# and the benchmark's figure pins do not reach. Not part of
+# `make check`, which stays within its time budget; CI's full job runs
+# it.
+record: build
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/rmscale" ./cmd/rmscale && \
+	"$$d/rmscale" -fidelity quick -seed 1 -j 2 all > "$$d/record_quick.txt" && \
+	cmp results/record_quick.txt "$$d/record_quick.txt" && \
+	echo "record: quick all at seed 1 is cmp-equal to results/record_quick.txt"
 
 # Trend numbers: the go test benchmarks (kernel micro-benches, stream
 # seeding, one default-config engine run per RMS model and the full

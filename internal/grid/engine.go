@@ -277,7 +277,7 @@ func (e *Engine) Unfinished() int { return e.unfinished }
 func (e *Engine) Run() Summary {
 	e.Metrics.JobsArrived = len(e.jobs)
 
-	// Status update tickers.
+	// Status update tick clocks.
 	phase := e.src.Stream("phase")
 	for _, r := range e.Resources {
 		r.startUpdates(e.Cfg.Enablers.UpdateInterval, phase)
@@ -323,6 +323,12 @@ func (e *Engine) Run() Summary {
 
 	window := e.Cfg.Horizon + e.Cfg.Drain
 	e.K.Run(window)
+	// Count the ticks skipped up to where the run stopped: the window's
+	// end, whose events Run fires too, or the time at which the event
+	// budget or the watchdog cut it short.
+	for _, r := range e.Resources {
+		r.skipTicks(e.K.Now(), true)
+	}
 	e.unfinished += e.Metrics.JobsArrived - e.Metrics.JobsCompleted - e.Metrics.JobsLost
 	if e.AuditHook != nil {
 		e.AuditHook()

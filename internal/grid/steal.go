@@ -19,9 +19,11 @@ func (e *Engine) StealQueuedJob(cluster int) *JobCtx {
 	if victim == nil {
 		return nil
 	}
+	victim.settle()
 	ctx := victim.queue[len(victim.queue)-1]
 	victim.queue = victim.queue[:len(victim.queue)-1]
 	victim.dirty = true
+	victim.arm()
 	// The stolen job is the scheduler's responsibility again until it
 	// is re-dispatched or transferred (no-op without faults armed).
 	e.Schedulers[cluster].own(ctx)

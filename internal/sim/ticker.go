@@ -1,8 +1,11 @@
 package sim
 
 // Ticker fires a callback at a fixed simulated period until the kernel
-// runs out of horizon. It is the building block for periodic status
-// updates, volunteering intervals, and estimator digest cycles.
+// runs out of horizon. It is the building block for volunteering
+// intervals, estimator digest cycles and the auditor's checkpoints. A
+// grid resource's status updates keep their own tick clock instead
+// (grid/resource.go): most of their ticks send nothing, so they are
+// counted rather than fired.
 //
 // All tickers of one period on one kernel share a FIFO lane (lane.go):
 // a rearm lands at now+period, and fl(t+p) is monotone in t, so the
@@ -21,9 +24,8 @@ type Ticker struct {
 // process is disabled), which lets callers treat "interval = 0" as "off".
 //
 // The rearm callback is built once here: with the period's lane warm,
-// every subsequent tick rearms with zero heap allocations — tickers are
-// the highest-frequency periodic load in a grid run (every resource,
-// estimator and scheduler carries one).
+// every subsequent tick rearms with zero heap allocations — every
+// scheduler and estimator of a grid run carries a ticker.
 func NewTicker(k *Kernel, period Time, fn func()) *Ticker {
 	t := &Ticker{k: k, period: period, fn: fn}
 	if period <= 0 {
